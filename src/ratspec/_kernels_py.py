@@ -3,8 +3,8 @@
 Both kernels scale their input to integer matrices (per-row for RREF, whole
 matrix for multiply) and do the O(n^3) work in arbitrary-precision integer
 arithmetic, which avoids the per-operation gcd cost of Fraction arithmetic.
-The compiled twin in _kernels.pyx is line-for-line the same algorithm; the
-two must return identical objects for identical inputs.
+They are the only kernel implementation; ratspec.kernels re-exports them and
+the test suite checks them against plain textbook rational elimination.
 """
 
 from fractions import Fraction

@@ -37,10 +37,18 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # document I/O
 
+def _fraction(s: str, where: str) -> Fraction:
+    # Python caps int-string conversion (4300 digits by default)
+    try:
+        return Fraction(s)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
+
+
 def _parse_entry(s: Any, where: str) -> Fraction:
     if not isinstance(s, str) or not ENTRY_RE.fullmatch(s):
         raise ParseError(f"{where}: {s!r} is not a rational string p or p/q")
-    return Fraction(s)
+    return _fraction(s, where)
 
 
 def _parse_matrix(obj: Any, name: str, rows: int, cols: int) -> Mat:
@@ -67,8 +75,8 @@ def parse_triple_document(text: str) -> tuple[OperatorTriple, dict]:
         if key not in doc:
             raise ParseError(f"missing key {key!r}")
     dim_x, dim_y = doc["dim_x"], doc["dim_y"]
-    if not isinstance(dim_x, int) or not isinstance(dim_y, int) \
-            or dim_x < 0 or dim_y < 0:
+    if any(not isinstance(d, int) or isinstance(d, bool) or d < 0
+           for d in (dim_x, dim_y)):
         raise ParseError("dim_x and dim_y must be nonnegative integers")
     A = _parse_matrix(doc["A"], "A", dim_y, dim_x)
     B = _parse_matrix(doc["B"], "B", dim_x, dim_y)
@@ -202,7 +210,11 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
 
         maps_ok = True
         for lam in nonzero:
-            for n in range(top + 1):
+            # once both chains are stable, every later n has the same four
+            # subspaces and the same carrier, so the same map as at stop
+            _, ba, ac = t.chains(lam)
+            stop = min(top, max(ba.stable, ac.stable))
+            for n in range(stop + 1):
                 for builder in (intertwine.gamma_map, intertwine.psi_map,
                                 intertwine.phi_map):
                     qm = builder(t, n, lam)
@@ -336,7 +348,7 @@ def _lambda_args(values: list[str] | None) -> list[Fraction] | None:
     for v in values:
         if not ENTRY_RE.fullmatch(v):
             raise ParseError(f"--lambda {v!r} is not a rational p or p/q")
-        out.append(Fraction(v))
+        out.append(_fraction(v, "--lambda"))
     return out
 
 

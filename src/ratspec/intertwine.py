@@ -12,7 +12,9 @@ shift operators B_n, C_n with (I-BA)^n = I - B_nA and (I-AC)^n = I - AC_n.
 Nonzero lambda is handled by pre-scaling A by 1/lambda: the condition is
 homogeneous of degree 3 in A, and the kernel/range chains of (BA - lambda)
 coincide with those of (BA/lambda - I), so every lemma stated at 1 applies
-verbatim to the scaled triple.
+verbatim to the scaled triple. Each triple builds that scaled triple and the
+power chains of its BA - 1 and AC - 1 once per lambda (OperatorTriple.chains);
+the quotient maps and the sequence verifier all read those shared chains.
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -26,7 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
-from ratspec.invariants import profile, rational_eigenvalues, sigma_memberships
+from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
+                                sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             map_subspace, poly_eval_mat, preimage, rank, rat,
                             solve)
@@ -40,11 +43,12 @@ class OperatorTriple:
     """(A, B, C) with A: X -> Y and B, C: Y -> X, products precomputed.
 
     The condition flag is evaluated once at construction and cached; all
-    attributes are treated as immutable.
+    public attributes are treated as immutable.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
-                 "ba", "ac", "ab", "ca", "aba", "aca", "condition_holds")
+                 "ba", "ac", "ab", "ca", "aba", "aca", "condition_holds",
+                 "_chains")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -64,6 +68,20 @@ class OperatorTriple:
         self.aca = A @ self.ca
         r = _condition_residuals(self)
         self.condition_holds = all(m.is_zero() for m in r)
+        self._chains = {}
+
+    def chains(self, lam: int | Fraction) -> tuple[OperatorTriple, PowerChain, PowerChain]:
+        """scaled(self, lam) and the power chains of its BA - 1 and AC - 1.
+
+        Built on the first request for each nonzero lam and kept on the
+        triple, so every verifier at lam shares one set of chains.
+        """
+        lam = rat(lam)
+        if lam not in self._chains:
+            s = scaled(self, lam)
+            self._chains[lam] = (s, PowerChain(s.ba.shifted(1)),
+                                 PowerChain(s.ac.shifted(1)))
+        return self._chains[lam]
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
@@ -240,32 +258,26 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
 def gamma_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Range-chain map R((BA-lam)^n)/R(..^(n+1)) -> same for AC, carried by ACA."""
     _require_condition(t)
-    s = scaled(t, lam)
-    sba = s.ba.shifted(1)
-    sac = s.ac.shifted(1)
-    return induced_quotient_map(image(sba ** n), image(sba ** (n + 1)),
-                                image(sac ** n), image(sac ** (n + 1)), s.aca)
+    s, ba, ac = t.chains(lam)
+    return induced_quotient_map(ba.image(n), ba.image(n + 1),
+                                ac.image(n), ac.image(n + 1), s.aca)
 
 
 def psi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Kernel-chain map N((BA-lam)^(n+1))/N(..^n) -> same for AC."""
     _require_condition(t)
-    s = scaled(t, lam)
-    sba = s.ba.shifted(1)
-    sac = s.ac.shifted(1)
-    return induced_quotient_map(kernel(sba ** (n + 1)), kernel(sba ** n),
-                                kernel(sac ** (n + 1)), kernel(sac ** n), s.aca)
+    s, ba, ac = t.chains(lam)
+    return induced_quotient_map(ba.kernel(n + 1), ba.kernel(n),
+                                ac.kernel(n + 1), ac.kernel(n), s.aca)
 
 
 def phi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Sum-chain map (R+N^(n+1))/(R+N^n) for BA-lam -> same for AC-lam."""
     _require_condition(t)
-    s = scaled(t, lam)
-    sba = s.ba.shifted(1)
-    sac = s.ac.shifted(1)
-    rb, ra = image(sba), image(sac)
-    return induced_quotient_map(rb.sum(kernel(sba ** (n + 1))), rb.sum(kernel(sba ** n)),
-                                ra.sum(kernel(sac ** (n + 1))), ra.sum(kernel(sac ** n)),
+    s, ba, ac = t.chains(lam)
+    rb, ra = ba.image(1), ac.image(1)
+    return induced_quotient_map(rb.sum(ba.kernel(n + 1)), rb.sum(ba.kernel(n)),
+                                ra.sum(ac.kernel(n + 1)), ra.sum(ac.kernel(n)),
                                 s.aca)
 
 
@@ -308,14 +320,15 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
     """Compare c_n, c'_n, k_n of AC - lam and BA - lam for n = 0..n_max.
 
     Sequences are stabilizing, so indices past the matrix dimension are zero;
-    also reports the totals c, c', k and ascent/descent on both sides.
+    also reports the totals c, c', k and ascent/descent on both sides. The
+    profiles are read off the shared chains of AC/lam - 1 and BA/lam - 1,
+    whose ranges and kernels are those of AC - lam and BA - lam.
     """
     _require_condition(t)
     lam = rat(lam)
-    if lam == 0:
-        raise ValueError("lambda must be nonzero")
-    pac = profile(t.ac.shifted(lam))
-    pba = profile(t.ba.shifted(lam))
+    _, ba, ac = t.chains(lam)
+    pac = profile(ac)
+    pba = profile(ba)
     if n_max is None:
         n_max = max(t.dim_x, t.dim_y)
 

@@ -9,21 +9,25 @@ powers stabilizes by n = dim (Cayley-Hamilton), so all sequences have length
 dim+1 and the "infimum over an empty set" branch of the general theory cannot
 occur here.
 
-Each sequence has two independent formulas (a chain-quotient form and a
-complement/intersection form, Grabiner's identities); production code uses a
-single form and the test suite recomputes the other and compares.
+Production code reads every sequence off one PowerChain: c_n and c'_n are
+both rank T^n - rank T^(n+1), and k_n is the drop in dim R(T^n) cap N(T).
+The single-index functions c_n, cp_n, k_n (chain-quotient forms) and their
+complement/intersection/sum twins (Grabiner's identities) are kept as the
+oracles the test suite compares profile against.
 
 Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
 finite-dimensional semantics: every subspace of a finite-dimensional space is
 closed and every dimension count is finite, which trivializes all classes
-except R_1 (surjective), R_6 (injective) and R_11 (semi-regular, k(T) = 0).
-The trivializations are recorded as notes rather than silently dropped.
+except R_1 (surjective), R_6 (injective) and R_11 (semi-regular, k(T) = 0),
+and those three all say that T is invertible. The trivializations are
+recorded as notes rather than silently dropped.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             quotient_dim, rank, rat)
@@ -34,13 +38,6 @@ _N_REGULARITIES = 19
 def _require_square(T: Mat) -> None:
     if not T.is_square:
         raise ValueError("spectral invariants need a square matrix")
-
-
-def _powers(T: Mat, top: int) -> list[Mat]:
-    ps = [Mat.identity(T.rows)]
-    for _ in range(top):
-        ps.append(ps[-1] @ T)
-    return ps
 
 
 def c_n(T: Mat, n: int) -> int:
@@ -114,42 +111,95 @@ class InvariantProfile:
     hyper_range: Subspace
 
 
-def profile(T: Mat) -> InvariantProfile:
-    """Full invariant profile in one pass over the power chain of T."""
-    _require_square(T)
-    d = T.rows
-    powers = _powers(T, d + 1)
-    images = [image(p) for p in powers]
-    kernels_ = [kernel(p) for p in powers]
-    ker1 = kernels_[1]
+class PowerChain:
+    """The powers T^n of one square T with their ranges and kernels, filled lazily.
 
-    c_seq = tuple(images[n].dim - images[n + 1].dim for n in range(d + 1))
-    cp_seq = tuple(kernels_[n + 1].dim - kernels_[n].dim for n in range(d + 1))
-    k_seq = tuple(images[n].intersect(ker1).dim - images[n + 1].intersect(ker1).dim
-                  for n in range(d + 1))
+    Powers are multiplied out only until the ranks stop falling: stable is
+    the least s with rank T^s = rank T^(s+1). From s on every range and every
+    kernel equals the one at s, so image(n) and kernel(n) for n > s return
+    the subspace at s without computing T^n.
+    """
 
-    asc = next(n for n in range(d + 1) if cp_seq[n] == 0)
-    dsc = next(n for n in range(d + 1) if c_seq[n] == 0)
-    if asc != dsc:
-        raise ArithmeticError("ascent/descent mismatch at finite dimension")
+    __slots__ = ("T", "_powers", "_images", "_kernels", "_stable")
+
+    def __init__(self, T: Mat):
+        _require_square(T)
+        self.T = T
+        self._powers = [Mat.identity(T.rows)]
+        self._images: list[Subspace] = []
+        self._kernels: dict[int, Subspace] = {}
+        self._stable: int | None = None
+
+    def _index(self, n: int) -> int:
+        """min(n, stable), extending the chain only as far as that needs."""
+        while self._stable is None and len(self._images) <= n:
+            k = len(self._images)
+            if k == len(self._powers):
+                self._powers.append(self._powers[-1] @ self.T)
+            img = image(self._powers[k])
+            if k and img.dim == self._images[-1].dim:
+                self._stable = k - 1
+            else:
+                self._images.append(img)
+        return n if self._stable is None else min(n, self._stable)
+
+    @property
+    def stable(self) -> int:
+        """The stabilization index s (ascent = descent), at most dim T."""
+        self._index(self.T.rows + 1)
+        return self._stable
+
+    def image(self, n: int) -> Subspace:
+        """R(T^n)."""
+        return self._images[self._index(n)]
+
+    def kernel(self, n: int) -> Subspace:
+        """N(T^n)."""
+        n = self._index(n)
+        if n not in self._kernels:
+            self._kernels[n] = kernel(self._powers[n])
+        return self._kernels[n]
+
+    def rank(self, n: int) -> int:
+        """rank T^n."""
+        return self.image(n).dim
+
+
+def profile(T: Mat | PowerChain) -> InvariantProfile:
+    """Full invariant profile of T, read off its power chain.
+
+    T may be given as that PowerChain, when one is already built.
+    """
+    chain = T if isinstance(T, PowerChain) else PowerChain(T)
+    d = chain.T.rows
+    s = chain.stable
+    ker1 = chain.kernel(1)
+
+    def drops(dims: list[int]) -> tuple[int, ...]:
+        # consecutive differences n = 0..d of dimensions constant from s on
+        return tuple(dims[min(n, s)] - dims[min(n + 1, s)] for n in range(d + 1))
+
+    c_seq = drops([chain.rank(n) for n in range(s + 1)])
+    k_seq = drops([chain.image(n).intersect(ker1).dim for n in range(s + 1)])
     dis = max((n + 1 for n in range(d + 1) if k_seq[n] != 0), default=0)
 
     return InvariantProfile(
         dim=d,
         c_seq=c_seq,
-        cp_seq=cp_seq,
+        # dim N(T^(n+1)) - dim N(T^n) = rank T^n - rank T^(n+1)
+        cp_seq=c_seq,
         k_seq=k_seq,
-        asc=asc,
-        dsc=dsc,
+        asc=s,
+        dsc=s,
         asc_e=0,
         dsc_e=0,
         dis=dis,
         dis_e=0,
         k_total=sum(k_seq),
         c_total=sum(c_seq),
-        cp_total=sum(cp_seq),
-        hyper_kernel=kernels_[d],
-        hyper_range=images[d],
+        cp_total=sum(c_seq),
+        hyper_kernel=chain.kernel(d),
+        hyper_range=chain.image(d),
     )
 
 
@@ -194,15 +244,15 @@ def regularity_membership(T: Mat) -> RegularityClass:
     """Evaluate all nineteen regularity memberships for T.
 
     At finite dimension R_1 is surjectivity (c(T) = 0), R_6 injectivity
-    (c'(T) = 0), R_11 semi-regularity (k(T) = 0); every other class holds
-    unconditionally, with the reason recorded in notes.
+    (c'(T) = 0) and R_11 semi-regularity (k(T) = 0). Since k(T) =
+    dim N(T) - dim(N(T) cap R(T^dim)) and T is injective on its hyper-range,
+    k(T) = dim N(T); so all three mean that T is invertible, one rank test.
+    Every other class holds unconditionally, with the reason recorded in
+    notes.
     """
     _require_square(T)
-    p = profile(T)
     flags = [True] * _N_REGULARITIES
-    flags[0] = p.c_total == 0
-    flags[5] = p.cp_total == 0
-    flags[10] = p.k_total == 0
+    flags[0] = flags[5] = flags[10] = rank(T) == T.rows
     notes = dict(TRIVIAL_NOTES)
     notes[1] = "c(T) = 0 iff T is surjective"
     notes[6] = "c'(T) = 0 iff T is injective (ranges are closed)"
@@ -281,7 +331,7 @@ def rational_eigenvalues(T: Mat) -> list[tuple[Fraction, int]]:
     D = 1
     for x in T.data:
         d = x.denominator
-        D = D // _gcd(D, d) * d
+        D = D // gcd(D, d) * d
     p = charpoly(T)
     # coefficients of charpoly(D*T): a_i * D^(n-i), integers
     coeffs = []
@@ -324,12 +374,6 @@ def eigenvalue_multiplicity(T: Mat, lam: int | Fraction) -> int:
         p = _deflate_poly(p, lam)
         mult += 1
     return mult
-
-
-def _gcd(a: int, b: int) -> int:
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def _eval_int(coeffs: list[int], x: int) -> int:

@@ -1,20 +1,9 @@
-"""Backend selection for the hot kernels.
+"""The hot kernels: exact RREF and matrix multiply over Fractions.
 
-Prefers the compiled extension (ratspec._kernels); falls back to the pure
-Python twin. Setting RATSPEC_PURE=1 in the environment forces the fallback,
-which is useful for benchmarking and for verifying backend equivalence.
+Every rank decision in ratspec goes through these two functions; they are
+implemented in pure Python in ratspec._kernels_py.
 """
 
-import os
+from ratspec._kernels_py import BACKEND, matmul, rref
 
-if os.environ.get("RATSPEC_PURE"):
-    from ratspec import _kernels_py as _impl
-else:
-    try:
-        from ratspec import _kernels as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        from ratspec import _kernels_py as _impl
-
-BACKEND: str = _impl.BACKEND
-rref = _impl.rref
-matmul = _impl.matmul
+__all__ = ["BACKEND", "matmul", "rref"]

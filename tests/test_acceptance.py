@@ -16,15 +16,16 @@ from ratspec.drazin import proof_identities, transfer
 from ratspec.genlab import (GenSpec, generate, paper_example,
                             rational_spectrum_instance)
 from ratspec.intertwine import (OperatorTriple, check_condition,
-                                default_probes, gamma_map, inclusion_lemma,
+                                default_probes, gamma_map,
+                                induced_quotient_map, inclusion_lemma,
                                 nonzero_charpoly_match, phi_map, psi_map,
-                                shift_polys, verify_sequence_equalities,
-                                verify_theorem)
+                                scaled, shift_polys,
+                                verify_sequence_equalities, verify_theorem)
 from ratspec.invariants import (c_n, c_n_via_complement, cp_n,
                                 cp_n_via_intersection, eigenvalue_multiplicity,
                                 k_n, k_n_via_sums, profile,
                                 rational_eigenvalues)
-from ratspec.ratmat import Mat, Poly
+from ratspec.ratmat import Mat, Poly, image, kernel
 
 
 def _corpus_specs():
@@ -128,6 +129,41 @@ def test_criterion_3_map_suite(corpus):
                     built += 1
     print(f"ACCEPTANCE 3: PASS - {built} quotient maps well defined and "
           "injective by both routes")
+
+
+def _fresh_maps(t, n, lam):
+    """Gamma, Psi, Phi at n rebuilt from powers of a freshly scaled triple."""
+    s = scaled(t, lam)
+    sba, sac = s.ba.shifted(1), s.ac.shifted(1)
+    rb, ra = image(sba), image(sac)
+    return (
+        induced_quotient_map(image(sba ** n), image(sba ** (n + 1)),
+                             image(sac ** n), image(sac ** (n + 1)), s.aca),
+        induced_quotient_map(kernel(sba ** (n + 1)), kernel(sba ** n),
+                             kernel(sac ** (n + 1)), kernel(sac ** n), s.aca),
+        induced_quotient_map(rb.sum(kernel(sba ** (n + 1))), rb.sum(kernel(sba ** n)),
+                             ra.sum(kernel(sac ** (n + 1))), ra.sum(kernel(sac ** n)),
+                             s.aca))
+
+
+def test_criterion_3_shared_chains_skip_nothing(corpus):
+    """Chain-built maps equal freshly built ones; past s they repeat the map at s."""
+    compared = 0
+    for _, t, probes, _ in corpus[::10]:
+        top = max(t.dim_x, t.dim_y)
+        for lam in probes:
+            _, ba, ac = t.chains(lam)
+            stop = max(ba.stable, ac.stable)
+            at_stop = [b(t, stop, lam) for b in (gamma_map, psi_map, phi_map)]
+            assert all(qm.source_dim == qm.target_dim == 0 for qm in at_stop)
+            for n in range(top + 2):
+                shared = [b(t, n, lam) for b in (gamma_map, psi_map, phi_map)]
+                assert shared == list(_fresh_maps(t, n, lam))
+                if n > stop:
+                    assert shared == at_stop
+                compared += 3
+    print(f"ACCEPTANCE 3b: PASS - {compared} chain-built quotient maps equal "
+          "the freshly built ones")
 
 
 def test_criterion_4_inclusion_lemma(corpus):

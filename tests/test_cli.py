@@ -95,10 +95,16 @@ class TestParseErrors:
         with pytest.raises(ParseError, match="top level"):
             parse_triple_document("[1, 2]")
 
-    def test_bad_dims(self):
-        doc = {"dim_x": -1, "dim_y": 1, "A": [], "B": [], "C": []}
-        with pytest.raises(ParseError, match="nonnegative"):
-            parse_triple_document(json.dumps(doc))
+    def test_bad_dims(self, tmp_path):
+        # JSON true passes isinstance(..., int) but is not a dimension
+        for dim_x, dim_y in ((-1, 1), (True, 1), (1, True)):
+            doc = {"dim_x": dim_x, "dim_y": dim_y,
+                   "A": [["1"]], "B": [["1"]], "C": [["1"]]}
+            with pytest.raises(ParseError, match="nonnegative"):
+                parse_triple_document(json.dumps(doc))
+            p = tmp_path / "t.json"
+            p.write_text(json.dumps(doc))
+            assert main(["verify", str(p)]) == EXIT_INPUT
 
 
 class TestExitCodes:
@@ -132,6 +138,18 @@ class TestExitCodes:
 
     def test_bad_lambda_flag(self, ex1_file):
         assert main(["report", ex1_file, "--lambda", "0.5"]) == EXIT_INPUT
+
+    def test_overlong_numbers(self, tmp_path, ex1_file, capsys):
+        # past Python's int-string limit: a diagnosed input error, no traceback
+        huge = "7" * 5000
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dim_x": 1, "dim_y": 1, "A": [[huge]],
+                                 "B": [["1"]], "C": [["1"]]}))
+        for cmd in ("verify", "report"):
+            assert main([cmd, str(p)]) == EXIT_INPUT
+            assert "A[0][0]" in capsys.readouterr().err
+            assert main([cmd, ex1_file, "--lambda", huge]) == EXIT_INPUT
+            assert "--lambda" in capsys.readouterr().err
 
     def test_generate_bad_dim(self, tmp_path):
         code = main(["generate", "--template", "paper_ex1", "--dim", "1",
@@ -265,9 +283,20 @@ class TestDrazinCommand:
 
 
 class TestRunVerification:
-    def test_all_checks_present(self):
+    def test_all_checks_present(self, monkeypatch):
+        from ratspec import intertwine
+        scaled_at = []
+        real_scaled = intertwine.scaled
+
+        def counting_scaled(t, lam):
+            scaled_at.append(lam)
+            return real_scaled(t, lam)
+
+        monkeypatch.setattr(intertwine, "scaled", counting_scaled)
         t = paper_example(2, default_idempotent(2))
         result = run_verification(t)
+        # one scaled triple per nonzero probe, shared by every verifier
+        assert sorted(scaled_at) == [x for x in intertwine.default_probes(t) if x]
         names = [c["name"] for c in result["checks"]]
         assert names == ["condition", "inclusion_lemma", "quotient_maps",
                          "sequence_equalities", "theorem_memberships",

@@ -4,16 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from conftest import square_matrices
-from ratspec.invariants import (c_n, c_n_via_complement, cp_n,
+from ratspec.invariants import (PowerChain, c_n, c_n_via_complement, cp_n,
                                 cp_n_via_intersection,
                                 eigenvalue_multiplicity, fredholm_index, k_n,
                                 k_n_via_sums, profile, rational_eigenvalues,
                                 regularity_membership, sigma_R_membership,
                                 sigma_memberships)
-from ratspec.ratmat import Mat, Subspace, kernel
+from ratspec.ratmat import Mat, Subspace, image, kernel
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 J2_PLUS_1 = Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])  # diag(J_2, 1)
@@ -72,10 +72,17 @@ class TestSequences:
 
     @given(square_matrices(4))
     def test_two_forms_agree(self, M):
+        p = profile(M)
         for n in range(M.rows + 1):
-            assert c_n(M, n) == c_n_via_complement(M, n)
-            assert cp_n(M, n) == cp_n_via_intersection(M, n)
-            assert k_n(M, n) == k_n_via_sums(M, n)
+            assert c_n(M, n) == c_n_via_complement(M, n) == p.c_seq[n]
+            assert cp_n(M, n) == cp_n_via_intersection(M, n) == p.cp_seq[n]
+            assert k_n(M, n) == k_n_via_sums(M, n) == p.k_seq[n]
+        # the chain stops at the stabilization index but answers past it
+        chain = PowerChain(M)
+        for n in range(M.rows + 3):
+            assert chain.image(n) == image(M ** n)
+            assert chain.kernel(n) == kernel(M ** n)
+        assert chain.stable == p.asc
 
 
 class TestProfile:
@@ -170,11 +177,22 @@ class TestRegularities:
         assert not r[10] or r[13]
 
     @given(square_matrices(4))
+    @example(J3)
+    @example(J2_PLUS_1)
+    @example(TWO_PLUS_J2)
+    @example(INVERTIBLE)
+    @example(Mat.zero(2, 2))
     def test_surjective_injective_semantics(self, M):
         from ratspec.ratmat import rank
         rc = regularity_membership(M)
         assert rc.is_member(1) == (rank(M) == M.rows)
         assert rc.is_member(6) == (kernel(M).dim == 0)
+        # the one rank test agrees with the totals c, c', k in their
+        # complement, intersection and sum forms
+        top = range(M.rows + 1)
+        assert rc.is_member(1) == (sum(c_n_via_complement(M, n) for n in top) == 0)
+        assert rc.is_member(6) == (sum(cp_n_via_intersection(M, n) for n in top) == 0)
+        assert rc.is_member(11) == (sum(k_n_via_sums(M, n) for n in top) == 0)
 
 
 class TestSigma:

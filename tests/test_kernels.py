@@ -1,22 +1,10 @@
-"""Backend equivalence: compiled and pure kernels against the naive oracle."""
+"""The hot kernels against the naive oracle."""
 
 import random
 from fractions import Fraction
 
-import pytest
-from hypothesis import given
-
-from conftest import matrices, naive_matmul, naive_rref
+from conftest import naive_matmul, naive_rref
 from ratspec import _kernels_py, kernels
-
-try:
-    from ratspec import _kernels
-    HAVE_COMPILED = True
-except ImportError:
-    _kernels = None
-    HAVE_COMPILED = False
-
-BACKENDS = [_kernels_py] + ([_kernels] if HAVE_COMPILED else [])
 
 
 def _rand_flat(rng, size, bound=6):
@@ -24,21 +12,19 @@ def _rand_flat(rng, size, bound=6):
             for _ in range(size)]
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_rref_matches_naive_oracle(impl):
+def test_rref_matches_naive_oracle():
     rng = random.Random(2024)
     for _ in range(60):
         rows = rng.randint(0, 7)
         cols = rng.randint(0, 7)
         data = _rand_flat(rng, rows * cols)
-        got, pivots = impl.rref(rows, cols, data)
+        got, pivots = kernels.rref(rows, cols, data)
         want, want_pivots = naive_rref(rows, cols, data)
         assert pivots == want_pivots
         assert got == want
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_rref_low_rank_inputs(impl):
+def test_rref_low_rank_inputs():
     rng = random.Random(7)
     for _ in range(30):
         rows, cols = rng.randint(2, 6), rng.randint(2, 6)
@@ -48,39 +34,21 @@ def test_rref_low_rank_inputs(impl):
         for _ in range(rows):
             c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
             data.extend(c * x for x in base)
-        got, pivots = impl.rref(rows, cols, data)
+        got, pivots = kernels.rref(rows, cols, data)
         want, want_pivots = naive_rref(rows, cols, data)
         assert (got, pivots) == (want, want_pivots)
         assert len(pivots) <= 1
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda m: m.BACKEND)
-def test_matmul_matches_naive_oracle(impl):
+def test_matmul_matches_naive_oracle():
     rng = random.Random(99)
     for _ in range(60):
         m, k, n = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
         a = _rand_flat(rng, m * k)
         b = _rand_flat(rng, k * n)
-        assert impl.matmul(m, k, n, a, b) == naive_matmul(m, k, n, a, b)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-@given(matrices(max_rows=5, max_cols=5))
-def test_backends_agree_on_rref(M):
-    args = (M.rows, M.cols, list(M.data))
-    assert _kernels.rref(*args) == _kernels_py.rref(*args)
-
-
-@pytest.mark.skipif(not HAVE_COMPILED, reason="compiled kernels not built")
-def test_backends_agree_on_matmul():
-    rng = random.Random(3)
-    for _ in range(60):
-        m, k, n = rng.randint(1, 5), rng.randint(1, 5), rng.randint(1, 5)
-        a = _rand_flat(rng, m * k)
-        b = _rand_flat(rng, k * n)
-        assert _kernels.matmul(m, k, n, a, b) == _kernels_py.matmul(m, k, n, a, b)
+        assert kernels.matmul(m, k, n, a, b) == naive_matmul(m, k, n, a, b)
 
 
 def test_selected_backend_is_exposed():
-    assert kernels.BACKEND in ("cython", "python")
-    assert callable(kernels.rref) and callable(kernels.matmul)
+    assert kernels.BACKEND == "python"
+    assert (kernels.rref, kernels.matmul) == (_kernels_py.rref, _kernels_py.matmul)
