@@ -31,7 +31,7 @@ EXIT_INPUT = 2
 
 
 class ParseError(ValueError):
-    """Malformed triple document, with a field-level diagnostic."""
+    """Malformed document or unprintable result, with a field-level diagnostic."""
 
 
 # ---------------------------------------------------------------------------
@@ -85,17 +85,18 @@ def parse_triple_document(text: str) -> tuple[OperatorTriple, dict]:
     return OperatorTriple(A, B, C), metadata
 
 
-def _matrix_doc(M: Mat) -> list[list[str]]:
-    return [[str(x) for x in M.row(i)] for i in range(M.rows)]
+def _matrix_doc(M: Mat, name: str) -> list[list[str]]:
+    return [[_rat_str(x, f"{name}[{i}][{j}]") for j, x in enumerate(M.row(i))]
+            for i in range(M.rows)]
 
 
 def triple_document(t: OperatorTriple, metadata: dict | None = None) -> dict:
     doc = {
         "dim_x": t.dim_x,
         "dim_y": t.dim_y,
-        "A": _matrix_doc(t.A),
-        "B": _matrix_doc(t.B),
-        "C": _matrix_doc(t.C),
+        "A": _matrix_doc(t.A, "A"),
+        "B": _matrix_doc(t.B, "B"),
+        "C": _matrix_doc(t.C, "C"),
     }
     if metadata:
         doc["metadata"] = metadata
@@ -120,8 +121,12 @@ def _read(path: str) -> str:
 # ---------------------------------------------------------------------------
 # machine-readable reports
 
-def _rat_str(x: Fraction) -> str:
-    return str(x)
+def _rat_str(x: Fraction, where: str) -> str:
+    # the int-string limit that _fraction meets on input also caps output
+    try:
+        return str(x)
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
@@ -149,10 +154,10 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
             continue
         seq = intertwine.verify_sequence_equalities(t, lam, n_max)
         theo = intertwine.verify_theorem(t, [lam]).rows[0]
-        prof_ac = profile(t.ac.shifted(lam))
-        prof_ba = profile(t.ba.shifted(lam))
+        _, ba, ac = t.chains(lam)  # the chains seq was read from
+        prof_ac, prof_ba = profile(ac), profile(ba)
         report["probes"].append({
-            "lambda": _rat_str(lam),
+            "lambda": _rat_str(lam, "lambda"),
             "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
                       "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
             "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
@@ -262,8 +267,8 @@ def build_drazin_report(t: OperatorTriple) -> dict:
     nil_index = drazin.nilpotency_index(resid)
     return {
         "index_ac": tr.s_ac.index,
-        "S": _matrix_doc(tr.s_ac.inverse),
-        "T": _matrix_doc(tr.candidate),
+        "S": _matrix_doc(tr.s_ac.inverse, "S"),
+        "T": _matrix_doc(tr.candidate, "T"),
         "identities": {
             "commutes": tr.commutes,
             "inner": tr.inner,
@@ -353,13 +358,8 @@ def _lambda_args(values: list[str] | None) -> list[Fraction] | None:
 
 
 def cmd_report(args) -> int:
-    try:
-        t, _ = parse_triple_document(_read(args.file))
-        lambdas = _lambda_args(args.lam)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    report = build_report(t, lambdas, args.nmax)
+    t, _ = parse_triple_document(_read(args.file))
+    report = build_report(t, _lambda_args(args.lam), args.nmax)
     if not report["condition"]["holds"]:
         print("warning: intertwining condition violated; "
               "sequence tables are not expected to agree", file=sys.stderr)
@@ -372,12 +372,8 @@ def cmd_report(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    try:
-        t, _ = parse_triple_document(_read(args.file))
-        lambdas = _lambda_args(args.lam)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    t, _ = parse_triple_document(_read(args.file))
+    lambdas = _lambda_args(args.lam)
     if not t.condition_holds:
         if args.strict:
             print("condition violated", file=sys.stderr)
@@ -420,11 +416,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_drazin(args) -> int:
-    try:
-        t, _ = parse_triple_document(_read(args.file))
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    t, _ = parse_triple_document(_read(args.file))
     if not t.condition_holds:
         print("condition violated: the transfer theorem hypothesis fails",
               file=sys.stderr)
@@ -438,6 +430,13 @@ def cmd_drazin(args) -> int:
     return EXIT_OK if report["verified"] else EXIT_FAIL
 
 
+def _nmax(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{value} is negative")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ratspec",
@@ -449,14 +448,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam", action="append", metavar="p/q",
                    help="probe value, repeatable (default: auto)")
-    p.add_argument("--nmax", type=int, default=None, help="largest sequence index")
+    p.add_argument("--nmax", type=_nmax, default=None, help="largest sequence index")
     p.add_argument("--json", action="store_true", help="emit the machine report")
     p.set_defaults(func=cmd_report)
 
     p = sub.add_parser("verify", help="run the full verifier battery")
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam", action="append", metavar="p/q")
-    p.add_argument("--nmax", type=int, default=None)
+    p.add_argument("--nmax", type=_nmax, default=None)
     p.add_argument("--strict", action="store_true",
                    help="fail immediately if the condition is violated")
     p.add_argument("--json", action="store_true")
@@ -481,7 +480,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ParseError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

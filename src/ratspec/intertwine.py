@@ -31,8 +31,7 @@ from math import comb
 from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
                                 sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            map_subspace, poly_eval_mat, preimage, rank, rat,
-                            solve)
+                            map_subspace, poly_eval_mat, preimage, rank, rat)
 
 
 class ConditionNotSatisfied(ValueError):
@@ -205,15 +204,14 @@ class QuotientMap:
         return self.source_small.contains(pulled)
 
 
-def _extend_basis(small: Subspace, big: Subspace) -> list[tuple[Fraction, ...]]:
-    """Representatives extending a basis of small to one of big."""
-    reps: list[tuple[Fraction, ...]] = []
-    cur = small
-    for v in big.basis:
-        if not cur.contains_vector(v):
-            reps.append(v)
-            cur = cur.sum(Subspace.from_vectors(big.ambient_dim, [v]))
-    return reps
+def _reps(big: Subspace, small: Subspace) -> list[int]:
+    """Positions of the rows of big's basis at the pivots that small lacks.
+
+    For nested echelon bases small <= big every pivot of small is a pivot of
+    big, and these rows extend small's basis to one of big.
+    """
+    have = set(small.pivots)
+    return [i for i, p in enumerate(big.pivots) if p not in have]
 
 
 def induced_quotient_map(source_big: Subspace, source_small: Subspace,
@@ -221,10 +219,12 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
                          carrier: Mat) -> QuotientMap:
     """Materialize x + source_small |-> carrier x + target_small.
 
-    Representatives of the source quotient are carried over and expressed in
-    coordinates of (basis of target_small extended to target_big); the lower
-    coordinate block is the quotient matrix. Well-definedness = carrier maps
-    source_small into target_small and source_big into target_big.
+    Well-definedness = carrier maps source_small into target_small and
+    source_big into target_big. Each quotient big/small is represented by the
+    rows u_q of big's basis at the pivots q that small lacks. A vector y of
+    target_big, less its part y[P] @ S on the small basis S with pivots P,
+    holds its u_q-coordinate at q; so for the carried representatives Y the
+    quotient matrix is (Y[:, Q] - Y[:, P] @ S[:, Q]) transposed.
     """
     if not source_big.contains(source_small) or not target_big.contains(target_small):
         raise ValueError("quotient requires nested subspaces")
@@ -233,26 +233,16 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
     if not (ok_small and ok_big):
         return QuotientMap(source_big, source_small, target_big, target_small,
                            carrier, well_defined=False, matrix=None)
-    src_reps = _extend_basis(source_small, source_big)
-    tgt_reps = _extend_basis(target_small, target_big)
-    q = len(src_reps)
-    p = len(tgt_reps)
-    # coordinate solve against the (small basis + representatives) basis
-    frame_rows = [list(v) for v in target_small.basis] + [list(v) for v in tgt_reps]
-    if frame_rows:
-        frame = Mat.from_rows(frame_rows).transpose()
-    else:
-        frame = Mat.zero(target_big.ambient_dim, 0)
-    cols: list[list[Fraction]] = []
-    for v in src_reps:
-        w = carrier.apply(v)
-        coords = solve(frame, w)
-        if coords is None:
-            raise ArithmeticError("carrier image escaped target_big")
-        cols.append(list(coords[target_small.dim:]))
-    matrix = Mat(p, q, [cols[j][i] for i in range(p) for j in range(q)])
+    src = _reps(source_big, source_small)
+    reps = Mat(len(src), source_big.ambient_dim,
+               [x for i in src for x in source_big.basis[i]])
+    carried = reps @ carrier.transpose()
+    tgt = target_big.pivots
+    q = [tgt[i] for i in _reps(target_big, target_small)]
+    small = target_small.basis_matrix()
+    coords = carried.columns(q) - carried.columns(target_small.pivots) @ small.columns(q)
     return QuotientMap(source_big, source_small, target_big, target_small,
-                       carrier, well_defined=True, matrix=matrix)
+                       carrier, well_defined=True, matrix=coords.transpose())
 
 
 def gamma_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:

@@ -7,8 +7,10 @@ basis, which makes subspace equality a structural comparison; Poly is a dense
 univariate polynomial, coefficients lowest degree first.
 
 Rank decisions, kernels, images and the subspace lattice (sum, intersection,
-preimage, containment, quotient dimension) are all driven by one canonical
-operation, reduced row echelon form, provided by ratspec.kernels.
+preimage, containment, quotient dimension) all run through the two integer
+kernels of ratspec.kernels, rref and matmul. Coordinates are read at the
+pivots: an echelon basis row holds 1 at its pivot and every other row holds 0
+there, so the rows X of a subspace satisfy X == X[:, pivots] @ basis.
 """
 
 from __future__ import annotations
@@ -135,8 +137,12 @@ class Mat:
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum((a * x for a, x in zip(self.row(i), v)), _ZERO)
-                     for i in range(self.rows))
+        return tuple(kernels.matmul(self.rows, self.cols, 1, list(self.data), list(v)))
+
+    def columns(self, cols: Sequence[int]) -> "Mat":
+        """The submatrix of the listed columns, in the listed order."""
+        return Mat(self.rows, len(cols),
+                   [self.data[i * self.cols + j] for i in range(self.rows) for j in cols])
 
     def _same_shape(self, other: "Mat") -> None:
         if self.rows != other.rows or self.cols != other.cols:
@@ -208,27 +214,29 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    @property
+    def pivots(self) -> tuple[int, ...]:
+        """The pivot column of each basis row: it holds 1 there, the others 0."""
+        return tuple(next(j for j, x in enumerate(v) if x) for v in self.basis)
+
     def basis_matrix(self) -> Mat:
         return Mat(self.dim, self.ambient_dim, [x for v in self.basis for x in v])
 
+    def _spans_rows(self, X: Mat) -> bool:
+        # a row x lies in self iff it equals its pivot entries times the basis
+        return X == X.columns(self.pivots) @ self.basis_matrix()
+
     def contains_vector(self, v: Sequence[int | str | Fraction]) -> bool:
-        """Membership test by reduction against the echelon basis."""
+        """Membership test: v == v[pivots] @ basis."""
         w = [rat(x) for x in v]
         if len(w) != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        for row in self.basis:
-            lead = next(j for j, x in enumerate(row) if x != 0)
-            if w[lead]:
-                c = w[lead]  # basis pivots are 1
-                for j in range(lead, self.ambient_dim):
-                    if row[j]:
-                        w[j] -= c * row[j]
-        return all(x == 0 for x in w)
+        return self._spans_rows(Mat(1, self.ambient_dim, w))
 
     def contains(self, other: "Subspace") -> bool:
         """True iff every basis vector of other lies in self."""
         self._same_ambient(other)
-        return all(self.contains_vector(v) for v in other.basis)
+        return self._spans_rows(other.basis_matrix())
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both."""
@@ -246,16 +254,11 @@ class Subspace:
         du, dw = self.dim, other.dim
         if du == 0 or dw == 0:
             return Subspace.zero(self.ambient_dim)
-        cols = Mat(self.ambient_dim, du + dw,
-                   [self.basis[j][i] if j < du else other.basis[j - du][i]
-                    for i in range(self.ambient_dim) for j in range(du + dw)])
-        coeffs = kernel(cols)
-        vecs = []
-        for cv in coeffs.basis:
-            vecs.append(tuple(
-                sum((cv[j] * self.basis[j][i] for j in range(du)), _ZERO)
-                for i in range(self.ambient_dim)))
-        return Subspace.from_vectors(self.ambient_dim, vecs)
+        stacked = Mat(du + dw, self.ambient_dim,
+                      [x for v in self.basis + other.basis for x in v])
+        coeffs = kernel(stacked.transpose()).basis_matrix()
+        vecs = coeffs.columns(range(du)) @ self.basis_matrix()
+        return Subspace.from_vectors(self.ambient_dim, vecs.to_rows())
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -298,7 +301,7 @@ def map_subspace(M: Mat, U: Subspace) -> Subspace:
     """Image M(U) of a subspace of the domain, living in Q^rows."""
     if U.ambient_dim != M.cols:
         raise ValueError("subspace not in the domain of M")
-    return Subspace.from_vectors(M.rows, [M.apply(v) for v in U.basis])
+    return image(M @ U.basis_matrix().transpose())
 
 
 def preimage(M: Mat, W: Subspace) -> Subspace:

@@ -151,6 +151,25 @@ class TestExitCodes:
             assert main([cmd, ex1_file, "--lambda", huge]) == EXIT_INPUT
             assert "--lambda" in capsys.readouterr().err
 
+    def test_overlong_results(self, tmp_path, capsys):
+        # parses, but S = 1/(AC) has a denominator past the int-string limit
+        nines = "9" * 2500
+        p = tmp_path / "nines.json"
+        p.write_text(json.dumps({"dim_x": 1, "dim_y": 1, "A": [[nines]],
+                                 "B": [[nines]], "C": [[nines]]}))
+        for flags in ([], ["--json"]):
+            assert main(["drazin", str(p)] + flags) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert "S[0][0]" in captured.err and captured.out == ""
+
+    def test_negative_nmax(self, ex1_file, capsys):
+        for cmd, nmax in (("verify", "-1"), ("report", "-3")):
+            with pytest.raises(SystemExit) as exc:
+                main([cmd, ex1_file, "--nmax", nmax])
+            assert exc.value.code == EXIT_INPUT
+            assert "--nmax" in capsys.readouterr().err
+        assert main(["report", ex1_file, "--nmax", "0", "--json"]) == EXIT_OK
+
     def test_generate_bad_dim(self, tmp_path):
         code = main(["generate", "--template", "paper_ex1", "--dim", "1",
                      "--out", str(tmp_path / "t.json")])

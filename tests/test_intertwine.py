@@ -7,16 +7,18 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from conftest import matrices
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, OperatorTriple,
                                 check_condition, default_probes, gamma_map,
-                                inclusion_lemma, nonzero_charpoly_match,
+                                inclusion_lemma, induced_quotient_map,
+                                nonzero_charpoly_match,
                                 phi_map, power_identity, psi_map, scaled,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
 from ratspec.invariants import profile
-from ratspec.ratmat import Mat, Poly
+from ratspec.ratmat import Mat, Poly, image, map_subspace, solve
 
 P2 = default_idempotent(2)
 EX1 = paper_example(1, P2)
@@ -240,6 +242,49 @@ class TestQuotientMaps:
         assert qm.matrix is None
         with pytest.raises(ArithmeticError):
             qm.injective_by_rank()
+
+
+class TestQuotientMatrix:
+    @given(st.data())
+    def test_property_columns_match_frame_solve(self, data):
+        # nested pairs built so that the carrier respects them: the small
+        # and big targets contain the carried small and big sources
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        carrier = data.draw(matrices(n, m, min_rows=n, min_cols=m))
+        S = data.draw(matrices(m, 4, min_rows=m))
+        K = data.draw(matrices(S.cols, 4, min_rows=S.cols))
+        E1 = data.draw(matrices(n, 2, min_rows=n))
+        E2 = data.draw(matrices(n, 2, min_rows=n))
+        src_big, src_small = image(S), image(S @ K)
+        tgt_small = map_subspace(carrier, src_small).sum(image(E1))
+        tgt_big = tgt_small.sum(map_subspace(carrier, src_big)).sum(image(E2))
+        qm = induced_quotient_map(src_big, src_small, tgt_big, tgt_small, carrier)
+        assert qm.well_defined
+        assert qm.injective_by_rank() == qm.injective_by_preimage()
+
+        # oracle: representatives are the rows of big at the leading columns
+        # small lacks; each carried source representative w is solved against
+        # the frame (small basis, then target representatives), its lower
+        # coordinates must be the column, and w less the column's combination
+        # of target representatives must lie in target_small
+        def reps(big, small):
+            def lead(v):
+                return next(j for j, x in enumerate(v) if x)
+            have = {lead(v) for v in small.basis}
+            return [v for v in big.basis if lead(v) not in have]
+
+        src, tgt = reps(src_big, src_small), reps(tgt_big, tgt_small)
+        frame_rows = list(tgt_small.basis) + tgt
+        frame = Mat(len(frame_rows), n, [x for v in frame_rows for x in v]).transpose()
+        assert (qm.matrix.rows, qm.matrix.cols) == (len(tgt), len(src))
+        for j, v in enumerate(src):
+            w = carrier.apply(v)
+            coords = solve(frame, w)
+            column = [qm.matrix.entry(i, j) for i in range(len(tgt))]
+            assert coords is not None and list(coords[tgt_small.dim:]) == column
+            rest = [w[k] - sum((c * u[k] for c, u in zip(column, tgt)), Fraction(0))
+                    for k in range(n)]
+            assert tgt_small.contains_vector(rest)
 
 
 class TestSequenceEqualities:

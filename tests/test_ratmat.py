@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import matrices, rationals, square_matrices
+from conftest import matrices, naive_matmul, rationals, square_matrices
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
                             kernel, map_subspace, poly_eval_mat, preimage,
                             quotient_dim, rank, rref, solve)
@@ -123,6 +123,20 @@ class TestSubspaceLattice:
         assert s.contains(U) and s.contains(W)
         assert U.contains(i) and W.contains(i)
 
+    @given(st.data())
+    def test_contains_agrees_with_rank(self, data):
+        # oracle for the pivot-coordinate test: W <= U iff U + W adds no
+        # dimension; image(M @ K) is always inside U = image(M)
+        n = data.draw(st.integers(1, 4))
+        M = data.draw(matrices(n, 4, min_rows=n))
+        K = data.draw(matrices(M.cols, 4, min_rows=M.cols))
+        N = data.draw(matrices(n, 4, min_rows=n))
+        U = image(M)
+        for W in (image(M @ K), image(N), Subspace.zero(n), Subspace.full(n)):
+            assert U.contains(W) == (U.sum(W).dim == U.dim)
+            for v in list(W.basis) + N.transpose().to_rows():
+                assert U.contains_vector(v) == (U.sum(span(n, v)).dim == U.dim)
+
     @given(matrices(4, 4))
     def test_canonical_representation_unique(self, M):
         U = image(M)
@@ -170,6 +184,19 @@ class TestQuotientAndPreimage:
     def test_map_subspace_lands_in_image(self, M):
         full = Subspace.full(M.cols)
         assert map_subspace(M, full) == image(M)
+
+    @given(st.data())
+    def test_map_subspace_agrees_with_applying_each_vector(self, data):
+        M = data.draw(matrices(4, 4))
+        U = image(data.draw(matrices(M.cols, 4, min_rows=M.cols)))
+        expected = Subspace.from_vectors(M.rows, [M.apply(v) for v in U.basis])
+        assert map_subspace(M, U) == expected
+
+    @given(st.data())
+    def test_apply_matches_naive_product(self, data):
+        M = data.draw(matrices(4, 4))
+        v = data.draw(st.lists(rationals, min_size=M.cols, max_size=M.cols))
+        assert list(M.apply(v)) == naive_matmul(M.rows, M.cols, 1, M.data, v)
 
 
 class TestCharpoly:
