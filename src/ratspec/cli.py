@@ -67,7 +67,7 @@ def parse_triple_document(text: str) -> tuple[OperatorTriple, dict]:
     """Parse a JSON triple document; returns (triple, metadata)."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError("top level must be an object")
@@ -114,7 +114,7 @@ def _read(path: str) -> str:
     try:
         with open(path, encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}") from exc
 
 
@@ -252,7 +252,7 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
 
         tr = drazin.transfer(t)
         add("drazin_transfer", tr.verified and tr.matches_direct)
-        pi = drazin.proof_identities(t)
+        pi = drazin.proof_identities(t, tr)
         add("drazin_proof_identities",
             pi.commutation and pi.residual_is_bpa and pi.cycle
             and pi.pac_matches and pi.pac_nilpotent)
@@ -262,9 +262,7 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
 
 def build_drazin_report(t: OperatorTriple) -> dict:
     tr = drazin.transfer(t)
-    pi = drazin.proof_identities(t)
-    resid = t.ba @ t.ba @ tr.candidate - t.ba
-    nil_index = drazin.nilpotency_index(resid)
+    pi = drazin.proof_identities(t, tr)
     return {
         "index_ac": tr.s_ac.index,
         "S": _matrix_doc(tr.s_ac.inverse, "S"),
@@ -275,7 +273,8 @@ def build_drazin_report(t: OperatorTriple) -> dict:
             "residual_nilpotent": tr.residual_nilpotent,
             "matches_direct": tr.matches_direct,
         },
-        "residual_nilpotency_index": 0 if resid.is_zero() else nil_index,
+        # a zero residual (index 1, or 0 on a 0x0 space) is reported as 0
+        "residual_nilpotency_index": 0 if tr.residual_index == 1 else tr.residual_index,
         "proof_identities": {
             "commutation": pi.commutation,
             "residual_is_bpa": pi.residual_is_bpa,
@@ -407,7 +406,11 @@ def cmd_generate(args) -> int:
         return EXIT_INPUT
     meta = {"template": args.template, "seed": args.seed}
     if args.out:
-        write_triple_document(t, args.out, meta)
+        try:
+            write_triple_document(t, args.out, meta)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror}", file=sys.stderr)
+            return EXIT_INPUT
         print(f"wrote {args.out}")
     else:
         json.dump(triple_document(t, meta), sys.stdout, indent=1)

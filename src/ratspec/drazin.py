@@ -14,7 +14,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ratspec.intertwine import OperatorTriple, _require_condition
-from ratspec.ratmat import Mat, image, inverse, kernel, rank
+from ratspec.invariants import PowerChain
+# image and kernel are not called here; they stay importable as drazin.image
+# and drazin.kernel, which the ratbench tracer self-tests read
+from ratspec.ratmat import Mat, image, inverse, kernel  # noqa: F401
 
 _ZERO = Fraction(0)
 
@@ -22,19 +25,15 @@ _ZERO = Fraction(0)
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
 
+    Read off the power chain: M is nilpotent iff the ranks of its powers
+    stabilize at 0, and then the stabilization index is the least such k.
     The zero matrix has index 1 (on a nonzero space); a 0x0 matrix has
     index 0 by convention.
     """
     if not M.is_square:
         raise ValueError("nilpotency of a non-square matrix")
-    if M.rows == 0:
-        return 0
-    power = Mat.identity(M.rows)
-    for k in range(1, M.rows + 1):
-        power = power @ M
-        if power.is_zero():
-            return k
-    return None
+    chain = PowerChain(M)
+    return chain.stable if chain.rank(chain.stable) == 0 else None
 
 
 @dataclass(frozen=True)
@@ -54,30 +53,19 @@ class DrazinResult:
 def drazin_inverse(T: Mat) -> DrazinResult:
     """Drazin inverse via the core-nilpotent decomposition at d = asc(T).
 
-    Builds a basis adapted to Q^n = R(T^d) + N(T^d); in that basis T is block
-    diagonal with an invertible core and a nilpotent block, S inverts the
-    core and is zero on the nilpotent summand. The three defining identities
-    are verified before returning.
+    d is the stabilization index of T's PowerChain, whose range and kernel
+    at d are the two summands of Q^n = R(T^d) + N(T^d). In a basis adapted
+    to them T is block diagonal with an invertible core and a nilpotent
+    block; S inverts the core and is zero on the nilpotent summand. The
+    three defining identities are verified before returning.
     """
     if not T.is_square:
         raise ValueError("Drazin inverse of a non-square matrix")
     n = T.rows
-    if n == 0:
-        z = Mat.zero(0, 0)
-        return DrazinResult(inverse=z, index=0, core_part=z, nilpotent_part=z)
-    d = 0
-    power = Mat.identity(n)
-    prev_rank = n
-    while True:
-        nxt = power @ T
-        r = rank(nxt)
-        if r == prev_rank:
-            break
-        d += 1
-        power = nxt
-        prev_rank = r
-    core_basis = image(power).basis
-    nil_basis = kernel(power).basis
+    chain = PowerChain(T)
+    d = chain.stable
+    core_basis = chain.image(d).basis
+    nil_basis = chain.kernel(d).basis
     if len(core_basis) + len(nil_basis) != n:
         raise ArithmeticError("core-nilpotent split failed")
     cols = list(core_basis) + list(nil_basis)
@@ -123,8 +111,12 @@ class TransferReport:
     candidate: Mat           # B S^2 A
     commutes: bool           # T(BA) = (BA)T
     inner: bool              # T(BA)T = T
-    residual_nilpotent: bool  # (BA)^2 T - BA nilpotent
+    residual_index: int | None  # nilpotency index of (BA)^2 T - BA
     matches_direct: bool     # equals drazin_inverse(BA).inverse
+
+    @property
+    def residual_nilpotent(self) -> bool:
+        return self.residual_index is not None
 
     @property
     def verified(self) -> bool:
@@ -145,11 +137,10 @@ def transfer(t: OperatorTriple) -> TransferReport:
     ba = t.ba
     commutes = cand @ ba == ba @ cand
     inner = cand @ ba @ cand == cand
-    resid = ba @ ba @ cand - ba
-    residual_nilpotent = nilpotency_index(resid) is not None
+    residual_index = nilpotency_index(ba @ ba @ cand - ba)
     direct = drazin_inverse(ba).inverse
     return TransferReport(s_ac=s_res, candidate=cand, commutes=commutes,
-                          inner=inner, residual_nilpotent=residual_nilpotent,
+                          inner=inner, residual_index=residual_index,
                           matches_direct=cand == direct)
 
 
@@ -165,19 +156,21 @@ class ProofIdentitiesReport:
     index: int
 
 
-def proof_identities(t: OperatorTriple) -> ProofIdentitiesReport:
-    """Verify the identity chain used to justify the transfer, entrywise."""
+def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesReport:
+    """Verify the identity chain used to justify the transfer, entrywise.
+
+    S, its index and the candidate B S^2 A are read from the transfer report
+    tr of the same triple.
+    """
     _require_condition(t)
-    s_res = drazin_inverse(t.ac)
-    S = s_res.inverse
-    d = s_res.index
+    S = tr.s_ac.inverse
+    d = tr.s_ac.index
     ac = t.ac
     commutation = ac @ S == S @ ac
     P = (ac @ S).shifted(1)
     pa = P @ t.A
-    cand = t.B @ (S @ S) @ t.A
     ba = t.ba
-    residual_is_bpa = (cand @ ba @ ba - ba) == t.B @ pa
+    residual_is_bpa = (tr.candidate @ ba @ ba - ba) == t.B @ pa
     c1 = pa @ t.B @ pa @ t.B @ pa
     c2 = pa @ t.B @ pa @ t.C @ pa
     c3 = pa @ t.C @ pa @ t.B @ pa

@@ -26,7 +26,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
 
 from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
                                 sigma_memberships)
@@ -41,13 +40,14 @@ class ConditionNotSatisfied(ValueError):
 class OperatorTriple:
     """(A, B, C) with A: X -> Y and B, C: Y -> X, products precomputed.
 
-    The condition flag is evaluated once at construction and cached; all
-    public attributes are treated as immutable.
+    The residuals of the three chained equalities and the condition flag are
+    evaluated once at construction and cached; all public attributes are
+    treated as immutable.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
-                 "ba", "ac", "ab", "ca", "aba", "aca", "condition_holds",
-                 "_chains")
+                 "ba", "ac", "ab", "ca", "aba", "aca", "residuals",
+                 "condition_holds", "_chains")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -65,8 +65,12 @@ class OperatorTriple:
         self.ca = C @ A
         self.aba = A @ self.ba
         self.aca = A @ self.ca
-        r = _condition_residuals(self)
-        self.condition_holds = all(m.is_zero() for m in r)
+        p1 = self.aba @ self.ba     # A(BA)^2
+        p2 = self.aba @ self.ca     # ABACA
+        p3 = self.aca @ self.ba     # ACABA
+        p4 = self.aca @ self.ca     # (AC)^2 A
+        self.residuals = (p1 - p2, p2 - p3, p3 - p4)
+        self.condition_holds = all(m.is_zero() for m in self.residuals)
         self._chains = {}
 
     def chains(self, lam: int | Fraction) -> tuple[OperatorTriple, PowerChain, PowerChain]:
@@ -87,14 +91,6 @@ class OperatorTriple:
                 f"condition={'holds' if self.condition_holds else 'fails'})")
 
 
-def _condition_residuals(t: OperatorTriple) -> tuple[Mat, Mat, Mat]:
-    p1 = t.aba @ t.ba     # A(BA)^2
-    p2 = t.aba @ t.ca     # ABACA
-    p3 = t.aca @ t.ba     # ACABA
-    p4 = t.aca @ t.ca     # (AC)^2 A
-    return (p1 - p2, p2 - p3, p3 - p4)
-
-
 @dataclass(frozen=True)
 class ConditionReport:
     holds: bool
@@ -103,8 +99,7 @@ class ConditionReport:
 
 def check_condition(t: OperatorTriple) -> ConditionReport:
     """Residuals of the three chained equalities; holds iff all are zero."""
-    res = _condition_residuals(t)
-    return ConditionReport(holds=all(m.is_zero() for m in res), residuals=res)
+    return ConditionReport(holds=t.condition_holds, residuals=t.residuals)
 
 
 def _require_condition(t: OperatorTriple) -> None:
@@ -425,25 +420,22 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     """The binomial shift operators (B_n, C_n) for (I-BA)^n and (I-AC)^n.
 
     B_n = sum_{k=1..n} (-1)^(k-1) C(n,k) B(AB)^(k-1) and C_n mirrors it with
-    (CA)^(k-1)C. Verifies (I-BA)^n = I - B_nA, (I-AC)^n = I - AC_n and that
-    (A, B_n, C_n) again satisfies the intertwining condition before
-    returning.
+    (CA)^(k-1)C. Both are built from B_0 = C_0 = 0 by the recurrence
+    B_n = B + B_(n-1)(I-AB) and C_n = C + (I-CA)C_(n-1), which follows from
+    (I-BA)^n = (I - B_(n-1)A)(I-BA). Verifies (I-BA)^n = I - B_nA,
+    (I-AC)^n = I - AC_n and that (A, B_n, C_n) again satisfies the
+    intertwining condition before returning.
     """
     _require_condition(t)
     if n < 1:
         raise ValueError("n must be at least 1")
-    bn = Mat.zero(t.dim_x, t.dim_y)
-    cn = Mat.zero(t.dim_x, t.dim_y)
-    ab_pow = Mat.identity(t.dim_y)
-    ca_pow = Mat.identity(t.dim_x)
-    for k in range(1, n + 1):
-        coef = Fraction((-1) ** (k - 1) * comb(n, k))
-        bn = bn + (t.B @ ab_pow).scaled(coef)
-        cn = cn + (ca_pow @ t.C).scaled(coef)
-        ab_pow = ab_pow @ t.ab
-        ca_pow = ca_pow @ t.ca
     i_x = Mat.identity(t.dim_x)
     i_y = Mat.identity(t.dim_y)
+    i_ab, i_ca = i_y - t.ab, i_x - t.ca
+    bn = cn = Mat.zero(t.dim_x, t.dim_y)
+    for _ in range(n):
+        bn = t.B + bn @ i_ab
+        cn = t.C + i_ca @ cn
     if (i_x - t.ba) ** n != i_x - bn @ t.A:
         raise ArithmeticError("(I-BA)^n != I - B_nA")
     if (i_y - t.ac) ** n != i_y - t.A @ cn:

@@ -120,7 +120,7 @@ class PowerChain:
     the subspace at s without computing T^n.
     """
 
-    __slots__ = ("T", "_powers", "_images", "_kernels", "_stable")
+    __slots__ = ("T", "_powers", "_images", "_kernels", "_stable", "_profile")
 
     def __init__(self, T: Mat):
         _require_square(T)
@@ -129,6 +129,7 @@ class PowerChain:
         self._images: list[Subspace] = []
         self._kernels: dict[int, Subspace] = {}
         self._stable: int | None = None
+        self._profile: InvariantProfile | None = None
 
     def _index(self, n: int) -> int:
         """min(n, stable), extending the chain only as far as that needs."""
@@ -168,9 +169,12 @@ class PowerChain:
 def profile(T: Mat | PowerChain) -> InvariantProfile:
     """Full invariant profile of T, read off its power chain.
 
-    T may be given as that PowerChain, when one is already built.
+    T may be given as that PowerChain, when one is already built; the
+    profile is then kept on the chain and later calls return it.
     """
     chain = T if isinstance(T, PowerChain) else PowerChain(T)
+    if chain._profile is not None:
+        return chain._profile
     d = chain.T.rows
     s = chain.stable
     ker1 = chain.kernel(1)
@@ -183,7 +187,7 @@ def profile(T: Mat | PowerChain) -> InvariantProfile:
     k_seq = drops([chain.image(n).intersect(ker1).dim for n in range(s + 1)])
     dis = max((n + 1 for n in range(d + 1) if k_seq[n] != 0), default=0)
 
-    return InvariantProfile(
+    chain._profile = InvariantProfile(
         dim=d,
         c_seq=c_seq,
         # dim N(T^(n+1)) - dim N(T^n) = rank T^n - rank T^(n+1)
@@ -201,6 +205,7 @@ def profile(T: Mat | PowerChain) -> InvariantProfile:
         hyper_kernel=chain.kernel(d),
         hyper_range=chain.image(d),
     )
+    return chain._profile
 
 
 #: Trivialization notes for the regularity classes whose defining conditions

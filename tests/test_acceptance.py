@@ -8,6 +8,7 @@ criteria iterate over it. Each test prints one PASS line (visible with -s).
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -217,13 +218,33 @@ def test_criterion_7_shift_polynomials(corpus):
           f"{len(corpus)} triples")
 
 
+def _binomial_shift(t, n):
+    """The paper's B_n and C_n as binomial sums of powers of AB and CA."""
+    bn = cn = Mat.zero(t.dim_x, t.dim_y)
+    for k in range(1, n + 1):
+        coef = Fraction((-1) ** (k - 1) * comb(n, k))
+        bn = bn + (t.B @ t.ab ** (k - 1)).scaled(coef)
+        cn = cn + (t.ca ** (k - 1) @ t.C).scaled(coef)
+    return bn, cn
+
+
+def test_criterion_7_recurrence_matches_binomial_sums(corpus):
+    """B_n and C_n built by their recurrence equal the binomial sums, n <= 4."""
+    sample = corpus[::10]
+    for _, t, _, _ in sample:
+        for n in range(1, 5):
+            assert shift_polys(t, n) == _binomial_shift(t, n)
+    print(f"ACCEPTANCE 7b: PASS - recurrence equals the binomial sums on "
+          f"{len(sample)} triples")
+
+
 def test_criterion_8_drazin_transfer(corpus):
     """T = BS^2A Drazin-inverts BA and equals the directly computed inverse."""
     for _, t, _, _ in corpus:
         rep = transfer(t)
         assert rep.commutes and rep.inner and rep.residual_nilpotent
         assert rep.matches_direct
-        pi = proof_identities(t)
+        pi = proof_identities(t, rep)
         assert pi.commutation and pi.residual_is_bpa and pi.cycle
         assert pi.pac_matches and pi.pac_nilpotent
     print(f"ACCEPTANCE 8: PASS - Drazin transfer and proof identity chain "

@@ -136,6 +136,20 @@ class TestExitCodes:
     def test_missing_file(self):
         assert main(["report", "/nonexistent/f.json"]) == EXIT_INPUT
 
+    def test_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "latin1.json"
+        p.write_bytes(b'{"dim_x": 0, "metadata": "\xe9"}')
+        for cmd in ("report", "verify", "drazin"):
+            assert main([cmd, str(p)]) == EXIT_INPUT
+            assert "cannot read" in capsys.readouterr().err
+
+    def test_nesting_past_recursion_limit(self, tmp_path, capsys):
+        p = tmp_path / "deep.json"
+        p.write_text("[" * 200000)
+        for cmd in ("report", "verify", "drazin"):
+            assert main([cmd, str(p)]) == EXIT_INPUT
+            assert "not valid JSON" in capsys.readouterr().err
+
     def test_bad_lambda_flag(self, ex1_file):
         assert main(["report", ex1_file, "--lambda", "0.5"]) == EXIT_INPUT
 
@@ -174,6 +188,12 @@ class TestExitCodes:
         code = main(["generate", "--template", "paper_ex1", "--dim", "1",
                      "--out", str(tmp_path / "t.json")])
         assert code == EXIT_INPUT
+
+    def test_generate_into_missing_directory(self, tmp_path, capsys):
+        out = str(tmp_path / "no" / "such" / "t.json")
+        assert main(["generate", "--template", "c_equals_b", "--out", out]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert out in captured.err and captured.out == ""
 
 
 class TestGenerateCommand:
@@ -250,6 +270,26 @@ class TestReportCommand:
         fresh = build_report(t, None, None)
         assert doc == json.loads(json.dumps(fresh))
 
+    def test_each_chain_profiled_once(self, monkeypatch):
+        # profile intersects R(T^n) with N(T) once per n = 0..stable; the
+        # sequence rows and the report's own columns share that one profile
+        from ratspec.ratmat import Subspace
+        calls = []
+        real_intersect = Subspace.intersect
+
+        def counting_intersect(self, other):
+            calls.append(1)
+            return real_intersect(self, other)
+
+        monkeypatch.setattr(Subspace, "intersect", counting_intersect)
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
+        report = build_report(t, None, None)
+        expected = 0
+        for probe in report["probes"]:
+            _, ba, ac = t.chains(Fraction(probe["lambda"]))
+            expected += ba.stable + ac.stable + 2
+        assert report["probes"] and len(calls) == expected
+
 
 class TestRendererFidelity:
     def test_every_verdict_is_a_library_boolean(self, ex1_file, capsys):
@@ -312,10 +352,22 @@ class TestRunVerification:
             return real_scaled(t, lam)
 
         monkeypatch.setattr(intertwine, "scaled", counting_scaled)
+        from ratspec import drazin
+        drazin_of = []
+        real_drazin = drazin.drazin_inverse
+
+        def counting_drazin(T):
+            drazin_of.append(T)
+            return real_drazin(T)
+
+        monkeypatch.setattr(drazin, "drazin_inverse", counting_drazin)
         t = paper_example(2, default_idempotent(2))
         result = run_verification(t)
         # one scaled triple per nonzero probe, shared by every verifier
         assert sorted(scaled_at) == [x for x in intertwine.default_probes(t) if x]
+        # one Drazin inverse of AC and one of BA, shared by the transfer
+        # check and the proof identities
+        assert drazin_of == [t.ac, t.ba]
         names = [c["name"] for c in result["checks"]]
         assert names == ["condition", "inclusion_lemma", "quotient_maps",
                          "sequence_equalities", "theorem_memberships",

@@ -56,12 +56,49 @@ class TestMpInverse:
             assert X @ M @ X == X
 
 
+def nilpotency_oracle(M: Mat) -> int | None:
+    """Smallest k >= 1 with M^k = 0 by multiplying out M, M^2, ..., M^dim."""
+    if M.rows == 0:
+        return 0
+    power = Mat.identity(M.rows)
+    for k in range(1, M.rows + 1):
+        power = power @ M
+        if power.is_zero():
+            return k
+    return None
+
+
+def jordan_block(lam, n: int) -> Mat:
+    return Mat(n, n, [Fraction(lam) if i == j else Fraction(int(j == i + 1))
+                      for i in range(n) for j in range(n)])
+
+
 class TestNilpotencyIndex:
     def test_cases(self):
         assert nilpotency_index(J3) == 3
         assert nilpotency_index(Mat.zero(2, 2)) == 1
         assert nilpotency_index(Mat.identity(2)) is None
         assert nilpotency_index(Mat.zero(0, 0)) == 0
+
+    def test_matches_power_oracle(self):
+        cases = [Mat.zero(0, 0), Mat.zero(1, 1), Mat.zero(3, 3),
+                 Mat.identity(1), Mat.identity(3)]
+        cases += [jordan_block(lam, n) for lam in (0, 1, -2) for n in (1, 2, 4)]
+        rng = random.Random(29)
+        nilpotent = []
+        for _ in range(12):
+            # P N P^-1 with N strictly upper triangular: nilpotent, any index
+            n = rng.randint(1, 5)
+            N = Mat(n, n, [Fraction(rng.randint(-2, 2) if j > i else 0)
+                           for i in range(n) for j in range(n)])
+            P = random_square(rng, n)
+            if inverse(P) is not None:
+                nilpotent.append(P @ N @ inverse(P))
+            cases.append(random_square(rng, n))
+        for M in cases + nilpotent:
+            assert nilpotency_index(M) == nilpotency_oracle(M), M
+        assert all(nilpotency_oracle(M) is not None for M in nilpotent)
+        assert max(nilpotency_oracle(M) for M in nilpotent) >= 3
 
 
 class TestDrazinInverse:
@@ -180,6 +217,16 @@ class TestTransfer:
             cand = t.A @ (s_ba @ s_ba) @ t.C
             assert cand == drazin_inverse(t.ac).inverse
 
+    def test_residual_index_matches_power_oracle(self):
+        triples = [paper_example(w, default_idempotent(2)) for w in (1, 2)]
+        triples += [generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=s))
+                    for s in (1, 5, 13)]
+        for t in triples:
+            rep = transfer(t)
+            resid = t.ba @ t.ba @ rep.candidate - t.ba
+            assert rep.residual_index == nilpotency_oracle(resid)
+            assert rep.residual_nilpotent
+
     def test_requires_condition(self):
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=7))
         with pytest.raises(ConditionNotSatisfied):
@@ -191,7 +238,7 @@ class TestProofIdentities:
         A = Mat.identity(2)
         B = Mat.from_rows([[2, 0], [1, 1]])
         t = OperatorTriple(A, B, B)
-        rep = proof_identities(t)
+        rep = proof_identities(t, transfer(t))
         assert rep.commutation and rep.residual_is_bpa and rep.cycle
         assert rep.pac_matches and rep.pac_nilpotent
         assert rep.index == 0
@@ -199,21 +246,22 @@ class TestProofIdentities:
     def test_paper_examples(self):
         for which in (1, 2):
             t = paper_example(which, default_idempotent(2))
-            rep = proof_identities(t)
+            rep = proof_identities(t, transfer(t))
             assert rep.commutation and rep.residual_is_bpa
             assert rep.cycle and rep.pac_matches and rep.pac_nilpotent
 
     def test_generated(self):
         for seed in (2, 9):
             t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=seed))
-            rep = proof_identities(t)
+            rep = proof_identities(t, transfer(t))
             assert rep.commutation and rep.residual_is_bpa
             assert rep.cycle and rep.pac_matches and rep.pac_nilpotent
 
     def test_requires_condition(self):
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=11))
+        good = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=11))
         with pytest.raises(ConditionNotSatisfied):
-            proof_identities(bad)
+            proof_identities(bad, transfer(good))
 
     def test_nilpotency_non_square_rejected(self):
         with pytest.raises(ValueError):
