@@ -9,12 +9,8 @@ the resulting sequence equalities, the pointwise regularity-spectrum
 agreement, the nonzero characteristic-polynomial match, and the binomial
 shift operators B_n, C_n with (I-BA)^n = I - B_nA and (I-AC)^n = I - AC_n.
 
-Nonzero lambda is handled by pre-scaling A by 1/lambda: the condition is
-homogeneous of degree 3 in A, and the kernel/range chains of (BA - lambda)
-coincide with those of (BA/lambda - I), so every lemma stated at 1 applies
-verbatim to the scaled triple. Each triple builds that scaled triple and the
-power chains of its BA - 1 and AC - 1 once per lambda (OperatorTriple.chains);
-the quotient maps and the sequence verifier all read those shared chains.
+The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
+ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -73,17 +69,18 @@ class OperatorTriple:
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self._chains = {}
 
-    def chains(self, lam: int | Fraction) -> tuple[OperatorTriple, PowerChain, PowerChain]:
-        """scaled(self, lam) and the power chains of its BA - 1 and AC - 1.
+    def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
+        """The power chains of BA - lam and AC - lam; lam must be nonzero.
 
-        Built on the first request for each nonzero lam and kept on the
-        triple, so every verifier at lam shares one set of chains.
+        Built on the first request for each lam and kept on the triple, so
+        every verifier at lam shares one pair of chains.
         """
         lam = rat(lam)
+        if lam == 0:
+            raise ValueError("lambda must be nonzero")
         if lam not in self._chains:
-            s = scaled(self, lam)
-            self._chains[lam] = (s, PowerChain(s.ba.shifted(1)),
-                                 PowerChain(s.ac.shifted(1)))
+            self._chains[lam] = (PowerChain(self.ba.shifted(lam)),
+                                 PowerChain(self.ac.shifted(lam)))
         return self._chains[lam]
 
     def __repr__(self) -> str:
@@ -108,10 +105,11 @@ def _require_condition(t: OperatorTriple) -> None:
 
 
 def scaled(t: OperatorTriple, lam: int | Fraction) -> OperatorTriple:
-    """The triple (A/lam, B, C); lam must be nonzero.
+    """The triple (A/lam, B, C), the paper's reduction of lam to 1; lam != 0.
 
     The condition is preserved (every product is homogeneous of degree 3 in
-    A) and the chains of (BA - lam) equal those of (B(A/lam) - 1).
+    A) and the chains of (BA - lam) equal those of (B(A/lam) - 1). The
+    verifiers read BA - lam itself (OperatorTriple.chains); tests use this.
     """
     lam = rat(lam)
     if lam == 0:
@@ -243,27 +241,27 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
 def gamma_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Range-chain map R((BA-lam)^n)/R(..^(n+1)) -> same for AC, carried by ACA."""
     _require_condition(t)
-    s, ba, ac = t.chains(lam)
+    ba, ac = t.chains(lam)
     return induced_quotient_map(ba.image(n), ba.image(n + 1),
-                                ac.image(n), ac.image(n + 1), s.aca)
+                                ac.image(n), ac.image(n + 1), t.aca)
 
 
 def psi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Kernel-chain map N((BA-lam)^(n+1))/N(..^n) -> same for AC."""
     _require_condition(t)
-    s, ba, ac = t.chains(lam)
+    ba, ac = t.chains(lam)
     return induced_quotient_map(ba.kernel(n + 1), ba.kernel(n),
-                                ac.kernel(n + 1), ac.kernel(n), s.aca)
+                                ac.kernel(n + 1), ac.kernel(n), t.aca)
 
 
 def phi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Sum-chain map (R+N^(n+1))/(R+N^n) for BA-lam -> same for AC-lam."""
     _require_condition(t)
-    s, ba, ac = t.chains(lam)
+    ba, ac = t.chains(lam)
     rb, ra = ba.image(1), ac.image(1)
     return induced_quotient_map(rb.sum(ba.kernel(n + 1)), rb.sum(ba.kernel(n)),
                                 ra.sum(ac.kernel(n + 1)), ra.sum(ac.kernel(n)),
-                                s.aca)
+                                t.aca)
 
 
 @dataclass(frozen=True)
@@ -306,12 +304,11 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
 
     Sequences are stabilizing, so indices past the matrix dimension are zero;
     also reports the totals c, c', k and ascent/descent on both sides. The
-    profiles are read off the shared chains of AC/lam - 1 and BA/lam - 1,
-    whose ranges and kernels are those of AC - lam and BA - lam.
+    profiles are read off the shared chains of AC - lam and BA - lam.
     """
     _require_condition(t)
     lam = rat(lam)
-    _, ba, ac = t.chains(lam)
+    ba, ac = t.chains(lam)
     pac = profile(ac)
     pba = profile(ba)
     if n_max is None:
@@ -420,11 +417,11 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     """The binomial shift operators (B_n, C_n) for (I-BA)^n and (I-AC)^n.
 
     B_n = sum_{k=1..n} (-1)^(k-1) C(n,k) B(AB)^(k-1) and C_n mirrors it with
-    (CA)^(k-1)C. Both are built from B_0 = C_0 = 0 by the recurrence
-    B_n = B + B_(n-1)(I-AB) and C_n = C + (I-CA)C_(n-1), which follows from
-    (I-BA)^n = (I - B_(n-1)A)(I-BA). Verifies (I-BA)^n = I - B_nA,
-    (I-AC)^n = I - AC_n and that (A, B_n, C_n) again satisfies the
-    intertwining condition before returning.
+    (CA)^(k-1)C. Both are built from B_1 = B, C_1 = C by the recurrence
+    B_k = B + B_(k-1)(I-AB) and C_k = C + (I-CA)C_(k-1), which follows from
+    (I-BA)^k = (I - B_(k-1)A)(I-BA). Verifies, for every k = 1..n in one
+    pass, (I-BA)^k = I - B_kA, (I-AC)^k = I - AC_k and that (A, B_k, C_k)
+    again satisfies the intertwining condition before returning.
     """
     _require_condition(t)
     if n < 1:
@@ -432,14 +429,17 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     i_x = Mat.identity(t.dim_x)
     i_y = Mat.identity(t.dim_y)
     i_ab, i_ca = i_y - t.ab, i_x - t.ca
-    bn = cn = Mat.zero(t.dim_x, t.dim_y)
-    for _ in range(n):
-        bn = t.B + bn @ i_ab
-        cn = t.C + i_ca @ cn
-    if (i_x - t.ba) ** n != i_x - bn @ t.A:
-        raise ArithmeticError("(I-BA)^n != I - B_nA")
-    if (i_y - t.ac) ** n != i_y - t.A @ cn:
-        raise ArithmeticError("(I-AC)^n != I - AC_n")
-    if not OperatorTriple(t.A, bn, cn).condition_holds:
-        raise ArithmeticError("(A, B_n, C_n) lost the intertwining condition")
+    i_ba, i_ac = i_x - t.ba, i_y - t.ac
+    bn, cn = t.B, t.C
+    pow_ba, pow_ac = i_ba, i_ac
+    for k in range(1, n + 1):
+        if k > 1:
+            bn, cn = t.B + bn @ i_ab, t.C + i_ca @ cn
+            pow_ba, pow_ac = pow_ba @ i_ba, pow_ac @ i_ac
+        if pow_ba != i_x - bn @ t.A:
+            raise ArithmeticError("(I-BA)^n != I - B_nA")
+        if pow_ac != i_y - t.A @ cn:
+            raise ArithmeticError("(I-AC)^n != I - AC_n")
+        if not OperatorTriple(t.A, bn, cn).condition_holds:
+            raise ArithmeticError("(A, B_n, C_n) lost the intertwining condition")
     return bn, cn

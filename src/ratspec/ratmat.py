@@ -445,13 +445,14 @@ def charpoly(M: Mat) -> Poly:
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:
-    """Q(M) by Horner evaluation."""
+    """Q(M) by Horner evaluation, in deg Q products."""
     if not M.is_square:
         raise ValueError("polynomial of a non-square matrix")
     n = M.rows
     acc = Mat.zero(n, n)
-    for c in reversed(Q.coeffs):
-        acc = acc @ M
+    for i, c in enumerate(reversed(Q.coeffs)):
+        if i:
+            acc = acc @ M
         if c:
             acc = acc.shifted(-c)
     return acc

@@ -6,6 +6,7 @@ conforming triples across all templates with dimensions 2 through 8; the
 criteria iterate over it. Each test prints one PASS line (visible with -s).
 """
 
+import dataclasses
 import random
 from fractions import Fraction
 from math import comb
@@ -148,18 +149,23 @@ def _fresh_maps(t, n, lam):
 
 
 def test_criterion_3_shared_chains_skip_nothing(corpus):
-    """Chain-built maps equal freshly built ones; past s they repeat the map at s."""
+    """Chain-built maps equal the scaled triple's up to lam^2; past s they repeat."""
     compared = 0
     for _, t, probes, _ in corpus[::10]:
         top = max(t.dim_x, t.dim_y)
         for lam in probes:
-            _, ba, ac = t.chains(lam)
+            ba, ac = t.chains(lam)
             stop = max(ba.stable, ac.stable)
             at_stop = [b(t, stop, lam) for b in (gamma_map, psi_map, phi_map)]
             assert all(qm.source_dim == qm.target_dim == 0 for qm in at_stop)
             for n in range(top + 2):
                 shared = [b(t, n, lam) for b in (gamma_map, psi_map, phi_map)]
-                assert shared == list(_fresh_maps(t, n, lam))
+                # the scaled triple's carrier is ACA / lam^2
+                assert shared == [
+                    dataclasses.replace(fresh,
+                                        carrier=fresh.carrier.scaled(lam * lam),
+                                        matrix=fresh.matrix.scaled(lam * lam))
+                    for fresh in _fresh_maps(t, n, lam)]
                 if n > stop:
                     assert shared == at_stop
                 compared += 3

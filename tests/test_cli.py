@@ -1,9 +1,13 @@
 """CLI contract: document round-trips, exit codes, renderer fidelity."""
 
 import json
+import os
+import tempfile
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ratspec.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_OK, ParseError,
                          build_drazin_report, build_report, main,
@@ -105,6 +109,59 @@ class TestParseErrors:
             p = tmp_path / "t.json"
             p.write_text(json.dumps(doc))
             assert main(["verify", str(p)]) == EXIT_INPUT
+
+
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: (st.lists(inner, max_size=4)
+                   | st.dictionaries(st.text(), inner, max_size=4)),
+    max_leaves=12)
+
+_VALID = {"dim_x": 2, "dim_y": 2,
+          "A": [["0", "1"], ["0", "0"]],
+          "B": [["1", "0"], ["0", "1"]],
+          "C": [["1", "0"], ["0", "1/2"]]}
+
+# a field path into _VALID: a top-level key, a row of A or an entry of B
+_FIELDS = [("dim_x",), ("dim_y",), ("A",), ("B",), ("C",), ("metadata",),
+           ("A", 1), ("B", 0, 1)]
+
+
+def _replaced(path, value):
+    doc = json.loads(json.dumps(_VALID))
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+_documents = _json_values | st.builds(_replaced, st.sampled_from(_FIELDS),
+                                      _json_values)
+
+
+class TestParserFuzz:
+    @settings(max_examples=300)
+    @given(_documents)
+    def test_parses_or_raises_parse_error(self, doc):
+        try:
+            parse_triple_document(json.dumps(doc))
+        except ParseError:
+            pass
+
+    @settings(max_examples=60)
+    @given(_documents)
+    def test_commands_exit_0_1_or_2(self, doc):
+        # fixed probes: the fuzzed surface is the document, not the
+        # rational eigenvalue search behind the default probes
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "doc.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(doc, fh)
+            for argv in (["verify", path, "--lambda", "2", "--json"],
+                         ["report", path, "--lambda", "2"],
+                         ["drazin", path]):
+                assert main(argv) in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
 
 
 class TestExitCodes:
@@ -286,7 +343,7 @@ class TestReportCommand:
         report = build_report(t, None, None)
         expected = 0
         for probe in report["probes"]:
-            _, ba, ac = t.chains(Fraction(probe["lambda"]))
+            ba, ac = t.chains(Fraction(probe["lambda"]))
             expected += ba.stable + ac.stable + 2
         assert report["probes"] and len(calls) == expected
 
@@ -352,6 +409,14 @@ class TestRunVerification:
             return real_scaled(t, lam)
 
         monkeypatch.setattr(intertwine, "scaled", counting_scaled)
+        chained = []
+        real_chain = intertwine.PowerChain
+
+        def counting_chain(T):
+            chained.append(T)
+            return real_chain(T)
+
+        monkeypatch.setattr(intertwine, "PowerChain", counting_chain)
         from ratspec import drazin
         drazin_of = []
         real_drazin = drazin.drazin_inverse
@@ -363,8 +428,12 @@ class TestRunVerification:
         monkeypatch.setattr(drazin, "drazin_inverse", counting_drazin)
         t = paper_example(2, default_idempotent(2))
         result = run_verification(t)
-        # one scaled triple per nonzero probe, shared by every verifier
-        assert sorted(scaled_at) == [x for x in intertwine.default_probes(t) if x]
+        # no scaled triple; the chains of BA - lam and AC - lam, built once
+        # per nonzero probe and shared by every verifier
+        assert scaled_at == []
+        nonzero = [x for x in intertwine.default_probes(t) if x]
+        assert chained == [T for lam in nonzero
+                           for T in (t.ba.shifted(lam), t.ac.shifted(lam))]
         # one Drazin inverse of AC and one of BA, shared by the transfer
         # check and the proof identities
         assert drazin_of == [t.ac, t.ba]

@@ -82,17 +82,24 @@ class TestScaling:
     def test_scaled_rejects_zero(self):
         with pytest.raises(ValueError):
             scaled(EX1, 0)
+        with pytest.raises(ValueError):
+            EX1.chains(0)
 
     def test_chains_match_shifted_operator(self):
-        # kernels/ranges of (BA - lam)^n equal those of (BA/lam - 1)^n
+        # kernels/ranges of (BA - lam)^n equal those of (BA/lam - 1)^n, and
+        # the triple's chains at lam are those of BA - lam and AC - lam
         from ratspec.ratmat import image, kernel
         lam = Fraction(2)
         s = scaled(EX1, lam)
+        ba, ac = EX1.chains(lam)
+        assert (ba.T, ac.T) == (EX1.ba.shifted(lam), EX1.ac.shifted(lam))
         for n in range(3):
             lhs = (EX1.ba.shifted(lam)) ** n
             rhs = (s.ba.shifted(1)) ** n
-            assert kernel(lhs) == kernel(rhs)
-            assert image(lhs) == image(rhs)
+            assert kernel(lhs) == kernel(rhs) == ba.kernel(n)
+            assert image(lhs) == image(rhs) == ba.image(n)
+            rhs = (s.ac.shifted(1)) ** n
+            assert (kernel(rhs), image(rhs)) == (ac.kernel(n), ac.image(n))
 
     def test_sequences_invariant_under_triple_scaling(self):
         # scaling A by mu moves lambda to lambda/mu with identical sequences
@@ -399,6 +406,27 @@ class TestShiftPolys:
     def test_rejects_n0(self):
         with pytest.raises(ValueError):
             shift_polys(EX1, 0)
+
+    def test_one_pass_without_matrix_powers(self, monkeypatch):
+        # every n = 1..4 is checked in one call: (I-BA)^n and (I-AC)^n are
+        # carried forward, and (A, B_n, C_n) is built once per n
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=6))
+        powers, triples = [], []
+        real_pow, real_init = Mat.__pow__, OperatorTriple.__init__
+
+        def counting_pow(self, k):
+            powers.append(k)
+            return real_pow(self, k)
+
+        def counting_init(self, A, B, C):
+            triples.append((B, C))
+            real_init(self, A, B, C)
+
+        monkeypatch.setattr(Mat, "__pow__", counting_pow)
+        monkeypatch.setattr(OperatorTriple, "__init__", counting_init)
+        bn, cn = shift_polys(t, 4)
+        assert powers == []
+        assert len(triples) == 4 and triples[-1] == (bn, cn)
 
 
 _small_entries = st.integers(min_value=-3, max_value=3)

@@ -247,6 +247,33 @@ class TestPolyEval:
         assert Poly([0, 0, 2, 4]).monic() == Poly([0, 0, Fraction(1, 2), 1])
         assert Poly([0, 0, 3, 1]).strip_zero_roots() == (Poly([3, 1]), 2)
 
+    def test_horner_makes_deg_q_products(self, monkeypatch):
+        import random
+        rng = random.Random(5)
+        M = Mat(3, 3, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
+                       for _ in range(9)])
+        cubic = Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                      for _ in range(3)] + [Fraction(2)])
+        products = []
+        real_matmul = Mat.__matmul__
+
+        def counting_matmul(self, other):
+            products.append(1)
+            return real_matmul(self, other)
+
+        for q in (Poly([]), Poly([5]), Poly([0, 1]), Poly([0, 0, 0, 1]), cubic):
+            # the oracle: sum of c_i M^i, powers by repeated products
+            expected, power = Mat.zero(3, 3), Mat.identity(3)
+            for c in q.coeffs:
+                expected = expected + power.scaled(c)
+                power = power @ M
+            products.clear()
+            monkeypatch.setattr(Mat, "__matmul__", counting_matmul)
+            got = poly_eval_mat(q, M)
+            monkeypatch.undo()
+            assert got == expected
+            assert len(products) == max(q.degree, 0)
+
     @given(square_matrices(3), st.lists(rationals, min_size=0, max_size=4))
     def test_poly_eval_matches_scalar_on_diagonal(self, M, coeffs):
         # evaluate on a diagonal matrix: entrywise scalar Horner
