@@ -29,6 +29,10 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INPUT = 2
 
+#: Largest --nmax accepted. Every sequence row past the operator dimension
+#: is zero, and each row costs output, so a larger value exits 2.
+NMAX_CEILING = 1000
+
 
 class ParseError(ValueError):
     """Malformed document or unprintable result, with a field-level diagnostic."""
@@ -436,6 +440,8 @@ def _nmax(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(f"{value} is negative")
+    if value > NMAX_CEILING:
+        raise argparse.ArgumentTypeError(f"{value} exceeds the ceiling {NMAX_CEILING}")
     return value
 
 
@@ -450,7 +456,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("file")
     p.add_argument("--lambda", dest="lam", action="append", metavar="p/q",
                    help="probe value, repeatable (default: auto)")
-    p.add_argument("--nmax", type=_nmax, default=None, help="largest sequence index")
+    p.add_argument("--nmax", type=_nmax, default=None,
+                   help=f"largest sequence index, at most {NMAX_CEILING}")
     p.add_argument("--json", action="store_true", help="emit the machine report")
     p.set_defaults(func=cmd_report)
 

@@ -82,19 +82,18 @@ def drazin_inverse(T: Mat) -> DrazinResult:
     s_block = Mat(n, n, [core_inv.entry(i, j) if i < r and j < r else _ZERO
                          for i in range(n) for j in range(n)])
     S = Q @ s_block @ Qi
-    core = Q @ Mat(n, n, [blocked.entry(i, j) if i < r and j < r else _ZERO
-                          for i in range(n) for j in range(n)]) @ Qi
-    nilp = T - core
-    _verify_drazin(T, S, d)
-    return DrazinResult(inverse=S, index=d, core_part=core, nilpotent_part=nilp)
+    # T^2 S is T on the core summand and zero on the nilpotent one
+    core = T @ T @ S
+    _verify_drazin(T, S, core, d)
+    return DrazinResult(inverse=S, index=d, core_part=core, nilpotent_part=T - core)
 
 
-def _verify_drazin(T: Mat, S: Mat, d: int) -> None:
+def _verify_drazin(T: Mat, S: Mat, core: Mat, d: int) -> None:
     if T @ S != S @ T:
         raise ArithmeticError("TS != ST")
     if S @ T @ S != S:
         raise ArithmeticError("STS != S")
-    resid = T @ T @ S - T
+    resid = core - T  # T^2 S - T
     if d <= 1:
         if not resid.is_zero():
             raise ArithmeticError("T^2 S - T nonzero at index <= 1")

@@ -117,18 +117,6 @@ def scaled(t: OperatorTriple, lam: int | Fraction) -> OperatorTriple:
     return OperatorTriple(t.A.scaled(1 / lam), t.B, t.C)
 
 
-def power_identity(t: OperatorTriple, k: int) -> bool:
-    """ABA(CA-I)^k = (AB-I)^k ABA and ACA(BA-I)^k = (AC-I)^k ACA, exactly."""
-    _require_condition(t)
-    ca_shift = t.ca.shifted(1)
-    ab_shift = t.ab.shifted(1)
-    ba_shift = t.ba.shifted(1)
-    ac_shift = t.ac.shifted(1)
-    left = t.aba @ ca_shift ** k == ab_shift ** k @ t.aba
-    right = t.aca @ ba_shift ** k == ac_shift ** k @ t.aca
-    return left and right
-
-
 @dataclass(frozen=True)
 class InclusionReport:
     """The four inclusion-lemma statements for one polynomial Q."""
@@ -382,7 +370,8 @@ def verify_theorem(t: OperatorTriple,
                    lambdas: list[Fraction] | None = None) -> TheoremReport:
     """Pointwise sigma_{R_i}(AC) vs sigma_{R_i}(BA) agreement at each lam != 0.
 
-    lam = 0 entries are skipped with a note (the statements all exclude 0).
+    Each row is read off the shared chains of AC - lam and BA - lam. lam = 0
+    entries are skipped with a note (the statements all exclude 0).
     """
     _require_condition(t)
     if lambdas is None:
@@ -394,9 +383,10 @@ def verify_theorem(t: OperatorTriple,
         if lam == 0:
             skipped.append(lam)
             continue
+        ba, ac = t.chains(lam)
         rows.append(TheoremRow(lam=lam,
-                               in_sigma_ac=sigma_memberships(t.ac, lam),
-                               in_sigma_ba=sigma_memberships(t.ba, lam)))
+                               in_sigma_ac=sigma_memberships(ac),
+                               in_sigma_ba=sigma_memberships(ba)))
     return TheoremReport(rows=tuple(rows), skipped=tuple(skipped))
 
 

@@ -9,11 +9,11 @@ powers stabilizes by n = dim (Cayley-Hamilton), so all sequences have length
 dim+1 and the "infimum over an empty set" branch of the general theory cannot
 occur here.
 
-Production code reads every sequence off one PowerChain: c_n and c'_n are
-both rank T^n - rank T^(n+1), and k_n is the drop in dim R(T^n) cap N(T).
-The single-index functions c_n, cp_n, k_n (chain-quotient forms) and their
-complement/intersection/sum twins (Grabiner's identities) are kept as the
-oracles the test suite compares profile against.
+Every sequence is read off one PowerChain: c_n and c'_n are both
+rank T^n - rank T^(n+1), and k_n is the drop in dim R(T^n) cap N(T). The
+single-index forms c_n, cp_n, k_n and their complement/intersection/sum
+twins (Grabiner's identities), which the tests compare profile against,
+live in tests/oracles.py with the other test-only oracles.
 
 Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
 finite-dimensional semantics: every subspace of a finite-dimensional space is
@@ -29,8 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            quotient_dim, rank, rat)
+from ratspec.ratmat import Mat, Subspace, charpoly, image, kernel
 
 _N_REGULARITIES = 19
 
@@ -38,51 +37,6 @@ _N_REGULARITIES = 19
 def _require_square(T: Mat) -> None:
     if not T.is_square:
         raise ValueError("spectral invariants need a square matrix")
-
-
-def c_n(T: Mat, n: int) -> int:
-    """dim R(T^n)/R(T^(n+1)); zero for all n >= dim."""
-    _require_square(T)
-    if n >= T.rows:
-        return 0
-    return rank(T ** n) - rank(T ** (n + 1))
-
-
-def cp_n(T: Mat, n: int) -> int:
-    """dim N(T^(n+1))/N(T^n); zero for all n >= dim."""
-    _require_square(T)
-    if n >= T.rows:
-        return 0
-    return kernel(T ** (n + 1)).dim - kernel(T ** n).dim
-
-
-def k_n(T: Mat, n: int) -> int:
-    """dim (R(T^n) cap N(T)) / (R(T^(n+1)) cap N(T)); zero for all n >= dim."""
-    _require_square(T)
-    if n >= T.rows:
-        return 0
-    ker = kernel(T)
-    return quotient_dim(image(T ** n).intersect(ker),
-                        image(T ** (n + 1)).intersect(ker))
-
-
-def c_n_via_complement(T: Mat, n: int) -> int:
-    """c_n as dim X - dim(R(T) + N(T^n)): the complement-form identity."""
-    _require_square(T)
-    return T.rows - image(T).sum(kernel(T ** n)).dim
-
-
-def cp_n_via_intersection(T: Mat, n: int) -> int:
-    """c'_n as dim(N(T) cap R(T^n)): the intersection-form identity."""
-    _require_square(T)
-    return kernel(T).intersect(image(T ** n)).dim
-
-
-def k_n_via_sums(T: Mat, n: int) -> int:
-    """k_n as dim (R(T)+N(T^(n+1))) / (R(T)+N(T^n)): the sum-chain identity."""
-    _require_square(T)
-    img = image(T)
-    return quotient_dim(img.sum(kernel(T ** (n + 1))), img.sum(kernel(T ** n)))
 
 
 @dataclass(frozen=True)
@@ -117,7 +71,8 @@ class PowerChain:
     Powers are multiplied out only until the ranks stop falling: stable is
     the least s with rank T^s = rank T^(s+1). From s on every range and every
     kernel equals the one at s, so image(n) and kernel(n) for n > s return
-    the subspace at s without computing T^n.
+    the subspace at s without computing T^n. R(T^0) is the whole space and
+    is not row-reduced.
     """
 
     __slots__ = ("T", "_powers", "_images", "_kernels", "_stable", "_profile")
@@ -126,7 +81,7 @@ class PowerChain:
         _require_square(T)
         self.T = T
         self._powers = [Mat.identity(T.rows)]
-        self._images: list[Subspace] = []
+        self._images = [Subspace.full(T.rows)]
         self._kernels: dict[int, Subspace] = {}
         self._stable: int | None = None
         self._profile: InvariantProfile | None = None
@@ -134,12 +89,10 @@ class PowerChain:
     def _index(self, n: int) -> int:
         """min(n, stable), extending the chain only as far as that needs."""
         while self._stable is None and len(self._images) <= n:
-            k = len(self._images)
-            if k == len(self._powers):
-                self._powers.append(self._powers[-1] @ self.T)
-            img = image(self._powers[k])
-            if k and img.dim == self._images[-1].dim:
-                self._stable = k - 1
+            self._powers.append(self._powers[-1] @ self.T)
+            img = image(self._powers[-1])
+            if img.dim == self._images[-1].dim:
+                self._stable = len(self._images) - 1
             else:
                 self._images.append(img)
         return n if self._stable is None else min(n, self._stable)
@@ -245,19 +198,19 @@ class RegularityClass:
         return self.memberships[i - 1]
 
 
-def regularity_membership(T: Mat) -> RegularityClass:
+def regularity_membership(T: Mat | PowerChain) -> RegularityClass:
     """Evaluate all nineteen regularity memberships for T.
 
     At finite dimension R_1 is surjectivity (c(T) = 0), R_6 injectivity
     (c'(T) = 0) and R_11 semi-regularity (k(T) = 0). Since k(T) =
     dim N(T) - dim(N(T) cap R(T^dim)) and T is injective on its hyper-range,
-    k(T) = dim N(T); so all three mean that T is invertible, one rank test.
-    Every other class holds unconditionally, with the reason recorded in
-    notes.
+    k(T) = dim N(T); so all three mean that T is invertible, one rank test,
+    read off T's power chain (which may be given instead of T). Every other
+    class holds unconditionally, with the reason recorded in notes.
     """
-    _require_square(T)
+    chain = T if isinstance(T, PowerChain) else PowerChain(T)
     flags = [True] * _N_REGULARITIES
-    flags[0] = flags[5] = flags[10] = rank(T) == T.rows
+    flags[0] = flags[5] = flags[10] = chain.rank(1) == chain.T.rows
     notes = dict(TRIVIAL_NOTES)
     notes[1] = "c(T) = 0 iff T is surjective"
     notes[6] = "c'(T) = 0 iff T is injective (ranges are closed)"
@@ -265,30 +218,13 @@ def regularity_membership(T: Mat) -> RegularityClass:
     return RegularityClass(memberships=tuple(flags), notes=notes)
 
 
-def sigma_memberships(T: Mat, lam: int | Fraction) -> tuple[bool, ...]:
+def sigma_memberships(shifted: PowerChain) -> tuple[bool, ...]:
     """For each i, whether lam lies in the R_i-spectrum of T.
 
-    lam is in sigma_{R_i}(T) iff T - lam is not a member of R_i.
+    shifted is the power chain of T - lam; lam is in sigma_{R_i}(T) iff
+    T - lam is not a member of R_i.
     """
-    flags = regularity_membership(T.shifted(rat(lam))).memberships
-    return tuple(not f for f in flags)
-
-
-def sigma_R_membership(T: Mat, lam: int | Fraction, i: int) -> bool:
-    """True iff lam is in sigma_{R_i}(T)."""
-    if not 1 <= i <= _N_REGULARITIES:
-        raise ValueError("regularity index out of range 1..19")
-    return sigma_memberships(T, lam)[i - 1]
-
-
-def fredholm_index(T: Mat) -> int:
-    """dim N(T) - codim R(T); identically 0 for square finite-dimensional T.
-
-    Kept as a computation (not a constant) to document the finite-dimensional
-    collapse of the semi-Weyl spectra: index conditions never cut anything.
-    """
-    _require_square(T)
-    return kernel(T).dim - (T.rows - rank(T))
+    return tuple(not f for f in regularity_membership(shifted).memberships)
 
 
 _SCAN_LIMIT = 65536
@@ -369,18 +305,6 @@ def rational_eigenvalues(T: Mat) -> list[tuple[Fraction, int]]:
     return out
 
 
-def eigenvalue_multiplicity(T: Mat, lam: int | Fraction) -> int:
-    """Algebraic multiplicity of lam as a root of charpoly(T)."""
-    _require_square(T)
-    p: Poly = charpoly(T)
-    lam = rat(lam)
-    mult = 0
-    while p.degree > 0 and p(lam) == 0:
-        p = _deflate_poly(p, lam)
-        mult += 1
-    return mult
-
-
 def _eval_int(coeffs: list[int], x: int) -> int:
     acc = 0
     for c in reversed(coeffs):
@@ -397,12 +321,3 @@ def _deflate(coeffs: list[int], r: int) -> list[int]:
         out[i - 1] = carry
     return out
 
-
-def _deflate_poly(p: Poly, r: Fraction) -> Poly:
-    cs = list(p.coeffs)
-    out = [Fraction(0)] * (len(cs) - 1)
-    carry = Fraction(0)
-    for i in range(len(cs) - 1, 0, -1):
-        carry = cs[i] + carry * r if i < len(cs) - 1 else cs[i]
-        out[i - 1] = carry
-    return Poly(out)

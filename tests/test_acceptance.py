@@ -13,6 +13,8 @@ from math import comb
 
 import pytest
 
+from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
+                     eigenvalue_multiplicity, k_n, k_n_via_sums)
 from ratspec.cli import main, write_triple_document
 from ratspec.drazin import proof_identities, transfer
 from ratspec.genlab import (GenSpec, generate, paper_example,
@@ -23,10 +25,7 @@ from ratspec.intertwine import (OperatorTriple, check_condition,
                                 nonzero_charpoly_match, phi_map, psi_map,
                                 scaled, shift_polys,
                                 verify_sequence_equalities, verify_theorem)
-from ratspec.invariants import (c_n, c_n_via_complement, cp_n,
-                                cp_n_via_intersection, eigenvalue_multiplicity,
-                                k_n, k_n_via_sums, profile,
-                                rational_eigenvalues)
+from ratspec.invariants import profile, rational_eigenvalues
 from ratspec.ratmat import Mat, Poly, image, kernel
 
 

@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratspec.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_OK, ParseError,
-                         build_drazin_report, build_report, main,
+from ratspec.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_OK, NMAX_CEILING,
+                         ParseError, build_drazin_report, build_report, main,
                          parse_triple_document, run_verification,
                          triple_document, write_triple_document)
 from ratspec.genlab import GenSpec, default_idempotent, generate, paper_example
@@ -241,6 +241,25 @@ class TestExitCodes:
             assert "--nmax" in capsys.readouterr().err
         assert main(["report", ex1_file, "--nmax", "0", "--json"]) == EXIT_OK
 
+    def test_nmax_past_ceiling(self, ex1_file, capsys):
+        # every row past the dimension is zero; a huge --nmax exits 2 at once
+        for cmd in ("verify", "report"):
+            for nmax in (NMAX_CEILING + 1, 300000):
+                with pytest.raises(SystemExit) as exc:
+                    main([cmd, ex1_file, "--lambda", "2", "--nmax", str(nmax)])
+                assert exc.value.code == EXIT_INPUT
+                assert "--nmax" in capsys.readouterr().err
+            assert main([cmd, ex1_file, "--lambda", "2", "--nmax",
+                         str(NMAX_CEILING), "--json"]) == EXIT_OK
+            capsys.readouterr()
+
+    def test_nmax_past_dimension_keeps_rows(self, ex1_file, capsys):
+        assert main(["report", ex1_file, "--lambda", "1", "--nmax", "8",
+                     "--json"]) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        assert [r["n"] for r in doc["probes"][0]["rows"]] == list(range(9))
+        assert main(["verify", ex1_file, "--nmax", "8"]) == EXIT_OK
+
     def test_generate_bad_dim(self, tmp_path):
         code = main(["generate", "--template", "paper_ex1", "--dim", "1",
                      "--out", str(tmp_path / "t.json")])
@@ -417,6 +436,33 @@ class TestRunVerification:
             return real_chain(T)
 
         monkeypatch.setattr(intertwine, "PowerChain", counting_chain)
+        shifted_by = []
+        real_shifted = Mat.shifted
+
+        def counting_shifted(M, lam):
+            shifted_by.append(lam)
+            return real_shifted(M, lam)
+
+        monkeypatch.setattr(Mat, "shifted", counting_shifted)
+        read = []
+        real_sigma = intertwine.sigma_memberships
+
+        def recording_sigma(chain):
+            read.append(chain)
+            return real_sigma(chain)
+
+        monkeypatch.setattr(intertwine, "sigma_memberships", recording_sigma)
+        theorem_cost = []
+        real_theorem = intertwine.verify_theorem
+
+        def watched_theorem(t, lambdas=None):
+            before = (len(chained), len(shifted_by))
+            report = real_theorem(t, lambdas)
+            theorem_cost.append((len(chained) - before[0],
+                                 len(shifted_by) - before[1]))
+            return report
+
+        monkeypatch.setattr(intertwine, "verify_theorem", watched_theorem)
         from ratspec import drazin
         drazin_of = []
         real_drazin = drazin.drazin_inverse
@@ -434,6 +480,12 @@ class TestRunVerification:
         nonzero = [x for x in intertwine.default_probes(t) if x]
         assert chained == [T for lam in nonzero
                            for T in (t.ba.shifted(lam), t.ac.shifted(lam))]
+        # the theorem rows read those same chain objects, AC - lam first,
+        # and neither shift nor chain anything themselves
+        assert theorem_cost == [(0, 0)]
+        expected = [chain for lam in nonzero for chain in t.chains(lam)[::-1]]
+        assert len(read) == len(expected)
+        assert all(a is b for a, b in zip(read, expected))
         # one Drazin inverse of AC and one of BA, shared by the transfer
         # check and the proof identities
         assert drazin_of == [t.ac, t.ba]

@@ -10,7 +10,7 @@ from ratspec.drazin import (drazin_inverse, nilpotency_index,
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example, rational_spectrum_instance)
 from ratspec.intertwine import ConditionNotSatisfied, OperatorTriple
-from ratspec.ratmat import Mat, inverse, rref
+from ratspec.ratmat import Mat, inverse, kernel, rref
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -153,6 +153,11 @@ class TestDrazinInverse:
             assert drazin_inverse(res.core_part).index <= 1
             ni = nilpotency_index(res.nilpotent_part)
             assert ni is not None and ni <= max(res.index, 1)
+            # the core part is T on R(T^d), which the columns of T^d span,
+            # and zero on N(T^d)
+            P = T ** res.index
+            assert res.core_part @ P == T @ P
+            assert (res.core_part @ kernel(P).basis_matrix().transpose()).is_zero()
 
     def test_matches_independent_oracle(self):
         rng = random.Random(41)

@@ -8,13 +8,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices
+from oracles import power_identity
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, OperatorTriple,
                                 check_condition, default_probes, gamma_map,
                                 inclusion_lemma, induced_quotient_map,
                                 nonzero_charpoly_match,
-                                phi_map, power_identity, psi_map, scaled,
+                                phi_map, psi_map, scaled,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
 from ratspec.invariants import profile

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import example, given
 
 from conftest import square_matrices
-from ratspec.invariants import (PowerChain, c_n, c_n_via_complement, cp_n,
-                                cp_n_via_intersection,
-                                eigenvalue_multiplicity, fredholm_index, k_n,
-                                k_n_via_sums, profile, rational_eigenvalues,
-                                regularity_membership, sigma_R_membership,
-                                sigma_memberships)
+from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
+                     eigenvalue_multiplicity, fredholm_index, k_n, k_n_via_sums,
+                     sigma_R_membership)
+from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
+                                regularity_membership, sigma_memberships)
 from ratspec.ratmat import Mat, Subspace, image, kernel
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -163,6 +162,23 @@ class TestRegularities:
         with pytest.raises(ValueError):
             rc.is_member(20)
 
+    def test_chain_form_matches_matrix_form(self):
+        # Jordan blocks J_k(mu) and random squares: the chain's rank(1) gives
+        # the same memberships as the Mat form and as a fresh rank test
+        from ratspec.ratmat import rank
+        rng = random.Random(17)
+        samples = [Mat.from_rows([[mu if i == j else int(j == i + 1)
+                                   for j in range(k)] for i in range(k)])
+                   for k in range(1, 5) for mu in (0, 2, Fraction(1, 2))]
+        samples += [random_square(rng, rng.randint(1, 5)) for _ in range(20)]
+        samples.append(Mat.zero(0, 0))
+        for M in samples:
+            rc = regularity_membership(PowerChain(M))
+            assert rc == regularity_membership(M)
+            invertible = rank(M) == M.rows
+            assert [i for i in range(1, 20) if not rc.is_member(i)] == \
+                ([] if invertible else [1, 6, 11])
+
     @given(square_matrices(4))
     def test_lattice_relations(self, M):
         f = regularity_membership(M).memberships
@@ -197,8 +213,21 @@ class TestRegularities:
 
 class TestSigma:
     def test_non_eigenvalue_outside_every_sigma(self):
-        flags = sigma_memberships(J3, 7)
+        flags = sigma_memberships(PowerChain(J3.shifted(7)))
         assert not any(flags)
+
+    def test_chain_form_matches_oracle(self):
+        # sigma_memberships reads the chain of T - lam; the oracle shifts T
+        # and ranks it afresh
+        rng = random.Random(23)
+        for _ in range(15):
+            M = random_square(rng, rng.randint(1, 4), bound=2)
+            eigs = dict(rational_eigenvalues(M))
+            for lam in [*eigs, Fraction(3, 7)]:
+                flags = sigma_memberships(PowerChain(M.shifted(lam)))
+                assert flags == tuple(sigma_R_membership(M, lam, i)
+                                      for i in range(1, 20))
+                assert any(flags) == (lam in eigs)
 
     def test_j3_zero_in_sigma_r1(self):
         assert sigma_R_membership(J3, 0, 1)
