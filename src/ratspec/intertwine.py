@@ -43,7 +43,7 @@ class OperatorTriple:
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ab", "ca", "aba", "aca", "residuals",
-                 "condition_holds", "_chains")
+                 "condition_holds", "_chains", "_charpolys")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -68,6 +68,17 @@ class OperatorTriple:
         self.residuals = (p1 - p2, p2 - p3, p3 - p4)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self._chains = {}
+        self._charpolys: tuple[Poly, Poly] | None = None
+
+    def charpolys(self) -> tuple[Poly, Poly]:
+        """The characteristic polynomials of BA and AC.
+
+        Built on the first request and kept on the triple, so the probe
+        search and the charpoly match share them.
+        """
+        if self._charpolys is None:
+            self._charpolys = (charpoly(self.ba), charpoly(self.ac))
+        return self._charpolys
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
         """The power chains of BA - lam and AC - lam; lam must be nonzero.
@@ -324,8 +335,9 @@ def default_probes(t: OperatorTriple) -> list[Fraction]:
     Zero may appear (it is an eigenvalue of any singular product); consumers
     skip it with an explicit note, mirroring sigma \\ {0} in the statements.
     """
-    eigs = {lam for lam, _ in rational_eigenvalues(t.ac)}
-    eigs |= {lam for lam, _ in rational_eigenvalues(t.ba)}
+    pba, pac = t.charpolys()
+    eigs = {lam for lam, _ in rational_eigenvalues(pac)}
+    eigs |= {lam for lam, _ in rational_eigenvalues(pba)}
     probes = set(eigs)
     probes.add(Fraction(1))
     extras = 0
@@ -398,8 +410,7 @@ def nonzero_charpoly_match(t: OperatorTriple) -> bool:
     irrational and complex eigenvalues without extracting any root.
     """
     _require_condition(t)
-    pac, _ = charpoly(t.ac).strip_zero_roots()
-    pba, _ = charpoly(t.ba).strip_zero_roots()
+    pba, pac = (p.strip_zero_roots()[0] for p in t.charpolys())
     return pac.monic() == pba.monic()
 
 

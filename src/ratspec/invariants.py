@@ -27,9 +27,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt
 
-from ratspec.ratmat import Mat, Subspace, charpoly, image, kernel
+from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
 
 _N_REGULARITIES = 19
 
@@ -227,57 +227,37 @@ def sigma_memberships(shifted: PowerChain) -> tuple[bool, ...]:
     return tuple(not f for f in regularity_membership(shifted).memberships)
 
 
-_SCAN_LIMIT = 65536
+def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
+    """All rational eigenvalues with algebraic multiplicities, ascending.
 
-
-def _divisors_up_to(n: int, bound: int) -> list[int]:
-    """Positive divisors of n > 0 that are <= bound, ascending.
-
-    Scans candidates directly when the bound is small, otherwise factorizes
-    by trial division and combines prime powers.
+    T may be given as its characteristic polynomial p, when one is already
+    built. p is scaled to f(x) = D^n p(x/D), monic over Z (D is built up
+    from p's denominators), so every rational root of f is an integer and
+    lam = root/D. Zero roots are stripped first. The candidates are the
+    linear factors of Zassenhaus' method: the squarefree part
+    g = f / gcd(f, f') by a primitive remainder sequence over Z, the
+    smallest prime p with g mod p squarefree, the roots of g mod p found
+    by evaluation at 0..p-1, and each root Newton-Hensel-lifted until the
+    modulus passes twice the Cauchy root bound of f, read as a symmetric
+    residue. Each candidate is tested by exact evaluation and deflated by
+    synthetic division for its multiplicity. Every step is in integers, and
+    the search ends for every input.
     """
-    if bound < 1:
-        return []
-    if bound <= _SCAN_LIMIT:
-        return [d for d in range(1, bound + 1) if n % d == 0]
-    factors: dict[int, int] = {}
-    m = n
-    p = 2
-    while p * p <= m:
-        while m % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            m //= p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        factors[m] = factors.get(m, 0) + 1
-    divs = [1]
-    for q, e in factors.items():
-        divs = [d * q ** j for d in divs for j in range(e + 1) if d * q ** j <= bound]
-    return sorted(set(divs))
-
-
-def rational_eigenvalues(T: Mat) -> list[tuple[Fraction, int]]:
-    """All rational eigenvalues with algebraic multiplicities.
-
-    Scales T to an integer matrix S = D*T, whose (monic, integer)
-    characteristic polynomial has all its rational roots integral and
-    dividing the constant term; candidates are capped by the smaller of the
-    Cauchy and Gershgorin root bounds, tested, and deflated by synthetic
-    division, then divided back by D.
-    """
-    _require_square(T)
-    n = T.rows
-    if n == 0:
-        return []
+    p = T
+    if isinstance(T, Mat):
+        _require_square(T)
+        p = charpoly(T)
+    if not p.coeffs or p.coeffs[-1] != 1:
+        raise ValueError("rational eigenvalues need a monic characteristic polynomial")
+    n = p.degree
     D = 1
-    for x in T.data:
-        d = x.denominator
-        D = D // gcd(D, d) * d
-    p = charpoly(T)
-    # coefficients of charpoly(D*T): a_i * D^(n-i), integers
+    for i in range(n - 1, -1, -1):
+        # p_i D^(n-i) is an integer once p_i's denominator divides D^(n-i)
+        d = p.coeffs[i].denominator
+        D *= d // gcd(d, D ** (n - i))
     coeffs = []
     for i, c in enumerate(p.coeffs):
-        scaled = c * Fraction(D) ** (n - i)
+        scaled = c * D ** (n - i)
         if scaled.denominator != 1:
             raise ArithmeticError("integer charpoly scaling failed")
         coeffs.append(scaled.numerator)
@@ -289,20 +269,132 @@ def rational_eigenvalues(T: Mat) -> list[tuple[Fraction, int]]:
         out.append((Fraction(0), k))
         coeffs = coeffs[k:]
     if len(coeffs) > 1:
-        cauchy = 1 + max(abs(c) for c in coeffs[:-1])
-        gersh = max(sum(abs((D * x).numerator) for x in T.row(i))
-                    for i in range(n))
-        bound = min(cauchy, gersh)
-        for cand in _divisors_up_to(abs(coeffs[0]), bound):
-            for r in (cand, -cand):
-                mult = 0
-                while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
-                    coeffs = _deflate(coeffs, r)
-                    mult += 1
-                if mult:
-                    out.append((Fraction(r, D), mult))
+        for r in _integer_root_candidates(coeffs):
+            mult = 0
+            while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
+                coeffs = _deflate(coeffs, r)
+                mult += 1
+            if mult:
+                out.append((Fraction(r, D), mult))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def _integer_root_candidates(f: list[int]) -> list[int]:
+    """A list holding every integer root of the monic f, each once.
+
+    Each root of the squarefree part g is a simple root of g mod p, so it
+    lifts uniquely, and modulo q > 2 * bound its symmetric residue is the
+    root itself.
+    """
+    g = _squarefree_part(f)
+    p = _squarefree_prime(g)
+    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy: every |root| < bound
+    roots = [a for a in range(p) if _eval_mod(g, a, p) == 0]
+    dg = _derivative(g)
+    q = p
+    while q <= 2 * bound:
+        q *= q
+        roots = [(a - _eval_mod(g, a, q) * pow(_eval_mod(dg, a, q), -1, q)) % q
+                 for a in roots]
+    return [a - q if 2 * a > q else a for a in roots]
+
+
+def _squarefree_part(f: list[int]) -> list[int]:
+    """f / gcd(f, f') for monic f, the gcd by a primitive PRS over Z."""
+    a, b = _primitive(f), _primitive(_derivative(f))
+    while r := _pseudo_remainder(a, b):
+        a, b = b, _primitive(r)
+    return _exact_quotient(f, b)
+
+
+def _derivative(f: list[int]) -> list[int]:
+    return [i * c for i, c in enumerate(f)][1:]
+
+
+def _primitive(f: list[int]) -> list[int]:
+    # f over its content, with a positive leading coefficient
+    c = 0
+    for x in f:
+        c = gcd(c, x)
+    if f[-1] < 0:
+        c = -c
+    return [x // c for x in f]
+
+
+def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
+    # the remainder of lead(b)^(deg a - deg b + 1) a by b, zeros stripped
+    a = list(a)
+    lead = b[-1]
+    while len(a) >= len(b):
+        t = a.pop()
+        a = [x * lead for x in a]
+        shift = len(a) - len(b) + 1
+        for i in range(len(b) - 1):
+            a[shift + i] -= t * b[i]
+        while a and a[-1] == 0:
+            a.pop()
+    return a
+
+
+def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
+    """f / h over Z; raises ArithmeticError unless h divides f exactly."""
+    rem = list(f)
+    quot = [0] * (len(f) - len(h) + 1)
+    for i in range(len(quot) - 1, -1, -1):
+        qi, r = divmod(rem[i + len(h) - 1], h[-1])
+        if r:
+            raise ArithmeticError("squarefree part: gcd(f, f') does not divide f")
+        quot[i] = qi
+        for j, c in enumerate(h):
+            rem[i + j] -= qi * c
+    if any(rem):
+        raise ArithmeticError("squarefree part: gcd(f, f') does not divide f")
+    return quot
+
+
+def _squarefree_prime(g: list[int]) -> int:
+    """The smallest prime p with g mod p squarefree, for monic squarefree g.
+
+    Only the finitely many primes dividing the discriminant of g fail, so
+    the search ends.
+    """
+    p = 2
+    while True:
+        if all(p % d for d in range(2, isqrt(p) + 1)):
+            gp = _reduce_mod(g, p)
+            dp = _reduce_mod(_derivative(g), p)
+            if len(_gcd_mod(gp, dp, p)) == 1:
+                return p
+        p += 1
+
+
+def _reduce_mod(f: list[int], p: int) -> list[int]:
+    out = [c % p for c in f]
+    while out and out[-1] == 0:
+        out.pop()
+    return out
+
+
+def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
+    # Euclid over GF(p); a and b reduced, the result up to a unit
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            t = a[-1] * inv % p
+            shift = len(a) - len(b)
+            a = a[:shift] + [(x - t * y) % p for x, y in zip(a[shift:], b)]
+            while a and a[-1] == 0:
+                a.pop()
+        a, b = b, a
+    return a
+
+
+def _eval_mod(coeffs: list[int], x: int, q: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = (acc * x + c) % q
+    return acc
 
 
 def _eval_int(coeffs: list[int], x: int) -> int:
@@ -320,4 +412,3 @@ def _deflate(coeffs: list[int], r: int) -> list[int]:
         carry = coeffs[i] + carry * r if i < len(coeffs) - 1 else coeffs[i]
         out[i - 1] = carry
     return out
-

@@ -11,11 +11,17 @@ preimage, containment, quotient dimension) all run through the two integer
 kernels of ratspec.kernels, rref and matmul. Coordinates are read at the
 pivots: an echelon basis row holds 1 at its pivot and every other row holds 0
 there, so the rows X of a subspace satisfy X == X[:, pivots] @ basis.
+
+The characteristic polynomial does not use the kernels: charpoly runs the
+Faddeev-LeVerrier recurrence fraction-free, on the integer matrix D*M and
+on Python ints throughout, with every division checked to be exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from ratspec import kernels
@@ -428,20 +434,38 @@ class Poly:
 
 
 def charpoly(M: Mat) -> Poly:
-    """det(lambda*I - M), monic of degree n, by Faddeev-LeVerrier."""
+    """det(lambda*I - M), monic of degree n, by Faddeev-LeVerrier over Z.
+
+    M is scaled to the integer matrix S = D*M, D the lcm of its
+    denominators, and the recurrence N_1 = S, c_(n-k) = -tr(N_k)/k,
+    N_(k+1) = S(N_k + c_(n-k) I) runs on Python ints. Every division by k
+    is exact for an integer matrix; it is checked, and ArithmeticError is
+    raised if one is not. The coefficients c_i of charpoly(S) give those of
+    charpoly(M) as c_i / D^(n-i).
+    """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n = M.rows
-    coeffs = [_ZERO] * (n + 1)
-    coeffs[n] = _ONE
-    N = M
+    D = 1
+    for x in M.data:
+        d = x.denominator
+        D = D // gcd(D, d) * d
+    S = [[x.numerator * (D // x.denominator) for x in M.row(i)] for i in range(n)]
+    coeffs = [0] * (n + 1)
+    coeffs[n] = 1
+    N = [row[:] for row in S]
     for k in range(1, n + 1):
-        ck = -sum((N.entry(i, i) for i in range(n)), _ZERO) / k
+        ck, rem = divmod(-sum(N[i][i] for i in range(n)), k)
+        if rem:
+            raise ArithmeticError(f"Faddeev-LeVerrier: trace of N_{k} is not "
+                                  f"divisible by {k}")
         coeffs[n - k] = ck
         if k < n:
-            N = M @ Mat(n, n, [x + (ck if i % (n + 1) == 0 else 0)
-                               for i, x in enumerate(N.data)])
-    return Poly(coeffs)
+            for i in range(n):
+                N[i][i] += ck
+            cols = list(zip(*N))
+            N = [[sum(map(mul, row, col)) for col in cols] for row in S]
+    return Poly([Fraction(c, D ** (n - i)) for i, c in enumerate(coeffs)])
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:

@@ -4,17 +4,23 @@ Production reads every per-operator quantity off one PowerChain and every
 per-lambda quantity off the triple's shared chains. The functions here
 compute the same quantities another way, from fresh matrix powers,
 subspace sums and intersections, or the characteristic polynomial, so that
-the tests can compare the two.
+the tests can compare the two. The characteristic polynomial and the
+rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
+over Fraction, and the rational-root theorem with a divisor scan.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import regularity_membership
 from ratspec.ratmat import (Mat, Poly, charpoly, image, kernel, quotient_dim,
                             rank, rat)
+
+_ZERO = Fraction(0)
+_ONE = Fraction(1)
 
 
 def _require_square(T: Mat) -> None:
@@ -115,3 +121,114 @@ def power_identity(t: OperatorTriple, k: int) -> bool:
     left = t.aba @ ca_shift ** k == ab_shift ** k @ t.aba
     right = t.aca @ ba_shift ** k == ac_shift ** k @ t.aca
     return left and right
+
+
+def charpoly_fraction(M: Mat) -> Poly:
+    """det(lambda*I - M) by Faddeev-LeVerrier over Fraction."""
+    if not M.is_square:
+        raise ValueError("characteristic polynomial of a non-square matrix")
+    n = M.rows
+    coeffs = [_ZERO] * (n + 1)
+    coeffs[n] = _ONE
+    N = M
+    for k in range(1, n + 1):
+        ck = -sum((N.entry(i, i) for i in range(n)), _ZERO) / k
+        coeffs[n - k] = ck
+        if k < n:
+            N = M @ Mat(n, n, [x + (ck if i % (n + 1) == 0 else 0)
+                               for i, x in enumerate(N.data)])
+    return Poly(coeffs)
+
+
+_SCAN_LIMIT = 65536
+
+
+def _divisors_up_to(n: int, bound: int) -> list[int]:
+    """Positive divisors of n > 0 that are <= bound, ascending.
+
+    Scans candidates directly when the bound is small, otherwise factorizes
+    by trial division and combines prime powers.
+    """
+    if bound < 1:
+        return []
+    if bound <= _SCAN_LIMIT:
+        return [d for d in range(1, bound + 1) if n % d == 0]
+    factors: dict[int, int] = {}
+    m = n
+    p = 2
+    while p * p <= m:
+        while m % p == 0:
+            factors[p] = factors.get(p, 0) + 1
+            m //= p
+        p += 1 if p == 2 else 2
+    if m > 1:
+        factors[m] = factors.get(m, 0) + 1
+    divs = [1]
+    for q, e in factors.items():
+        divs = [d * q ** j for d in divs for j in range(e + 1) if d * q ** j <= bound]
+    return sorted(set(divs))
+
+
+def rational_eigenvalues_by_divisors(T: Mat) -> list[tuple[Fraction, int]]:
+    """Rational eigenvalues with multiplicities by the rational-root theorem.
+
+    Scales T to an integer matrix S = D*T, whose (monic, integer)
+    characteristic polynomial has all its rational roots integral and
+    dividing the constant term; candidates are capped by the smaller of the
+    Cauchy and Gershgorin root bounds, tested, and deflated by synthetic
+    division, then divided back by D. Trial division makes it slow once the
+    constant term has a large prime factor.
+    """
+    _require_square(T)
+    n = T.rows
+    if n == 0:
+        return []
+    D = 1
+    for x in T.data:
+        d = x.denominator
+        D = D // gcd(D, d) * d
+    p = charpoly_fraction(T)
+    coeffs = []
+    for i, c in enumerate(p.coeffs):
+        scaled = c * Fraction(D) ** (n - i)
+        if scaled.denominator != 1:
+            raise ArithmeticError("integer charpoly scaling failed")
+        coeffs.append(scaled.numerator)
+    out: list[tuple[Fraction, int]] = []
+    k = 0
+    while coeffs[k] == 0:
+        k += 1
+    if k:
+        out.append((Fraction(0), k))
+        coeffs = coeffs[k:]
+    if len(coeffs) > 1:
+        cauchy = 1 + max(abs(c) for c in coeffs[:-1])
+        gersh = max(sum(abs((D * x).numerator) for x in T.row(i))
+                    for i in range(n))
+        for cand in _divisors_up_to(abs(coeffs[0]), min(cauchy, gersh)):
+            for r in (cand, -cand):
+                mult = 0
+                while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
+                    coeffs = _deflate_int(coeffs, r)
+                    mult += 1
+                if mult:
+                    out.append((Fraction(r, D), mult))
+    out.sort(key=lambda t: t[0])
+    return out
+
+
+def _eval_int(coeffs: list[int], x: int) -> int:
+    acc = 0
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def _deflate_int(coeffs: list[int], r: int) -> list[int]:
+    # synthetic division by (x - r); exact when r is a root
+    out = [0] * (len(coeffs) - 1)
+    carry = 0
+    for i in range(len(coeffs) - 1, 0, -1):
+        carry = coeffs[i] + carry * r if i < len(coeffs) - 1 else coeffs[i]
+        out[i - 1] = carry
+    return out

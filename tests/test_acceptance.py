@@ -14,7 +14,8 @@ from math import comb
 import pytest
 
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
-                     eigenvalue_multiplicity, k_n, k_n_via_sums)
+                     eigenvalue_multiplicity, k_n, k_n_via_sums,
+                     rational_eigenvalues_by_divisors)
 from ratspec.cli import main, write_triple_document
 from ratspec.drazin import proof_identities, transfer
 from ratspec.genlab import (GenSpec, generate, paper_example,
@@ -207,6 +208,19 @@ def test_criterion_6_charpoly_identity(corpus):
         assert nonzero_charpoly_match(t)
     print(f"ACCEPTANCE 6: PASS - charpoly nonzero parts match on "
           f"{len(corpus)} triples")
+
+
+def test_criterion_6_eigenvalues_match_divisor_scan(corpus):
+    """The modular root search equals the divisor scan on every AC and BA."""
+    found = 0
+    for _, t, _, _ in corpus:
+        for T, p in zip((t.ba, t.ac), t.charpolys()):
+            eigs = rational_eigenvalues_by_divisors(T)
+            assert rational_eigenvalues(p) == eigs
+            assert rational_eigenvalues(T) == eigs
+            found += len(eigs)
+    print(f"ACCEPTANCE 6: PASS - rational eigenvalues equal the divisor "
+          f"scan's on {2 * len(corpus)} products ({found} distinct roots)")
 
 
 def test_criterion_7_shift_polynomials(corpus):

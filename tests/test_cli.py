@@ -152,14 +152,14 @@ class TestParserFuzz:
     @settings(max_examples=60)
     @given(_documents)
     def test_commands_exit_0_1_or_2(self, doc):
-        # fixed probes: the fuzzed surface is the document, not the
-        # rational eigenvalue search behind the default probes
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "doc.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump(doc, fh)
             for argv in (["verify", path, "--lambda", "2", "--json"],
                          ["report", path, "--lambda", "2"],
+                         ["verify", path, "--json"],
+                         ["report", path, "--json"],
                          ["drazin", path]):
                 assert main(argv) in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
 
@@ -232,6 +232,29 @@ class TestExitCodes:
             assert main(["drazin", str(p)] + flags) == EXIT_INPUT
             captured = capsys.readouterr()
             assert "S[0][0]" in captured.err and captured.out == ""
+
+    def test_default_probes_on_huge_entries(self, tmp_path, capsys):
+        # AC = BA = N^2 with N = 10^2500 - 1: the eigenvalue N^2 is found at
+        # once; report cannot print its 5000 digits and exits 2
+        nines = "9" * 2500
+        p = tmp_path / "nines.json"
+        p.write_text(json.dumps({"dim_x": 1, "dim_y": 1, "A": [[nines]],
+                                 "B": [[nines]], "C": [[nines]]}))
+        assert main(["verify", str(p), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"]
+        assert main(["report", str(p), "--json"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert "lambda:" in captured.err and captured.out == ""
+
+    def test_default_probes_on_a_large_root_bound(self, tmp_path, capsys):
+        # the benchmark's witnessed stall document: its charpoly's constant
+        # term has a large prime factor below the root bound
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=11, seed=3,
+                             entry_bound=2))
+        path = tmp_path / "stall.json"
+        write_triple_document(t, str(path))
+        assert main(["verify", str(path), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"]
 
     def test_negative_nmax(self, ex1_file, capsys):
         for cmd, nmax in (("verify", "-1"), ("report", "-3")):
@@ -495,6 +518,23 @@ class TestRunVerification:
                          "charpoly_match", "shift_polys", "drazin_transfer",
                          "drazin_proof_identities"]
         assert result["passed"]
+
+    def test_charpolys_built_once(self, monkeypatch):
+        # the probe search and the charpoly match share one charpoly of BA
+        # and one of AC; the search reads them and builds none itself
+        from ratspec import intertwine, invariants
+        built = []
+        real_charpoly = intertwine.charpoly
+
+        def counting_charpoly(M):
+            built.append(M)
+            return real_charpoly(M)
+
+        monkeypatch.setattr(intertwine, "charpoly", counting_charpoly)
+        monkeypatch.setattr(invariants, "charpoly", counting_charpoly)
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
+        assert run_verification(t)["passed"]
+        assert built == [t.ba, t.ac]
 
     def test_condition_failure_short_circuits(self):
         t = generate(GenSpec(template="nonconforming", block_dim=3, seed=3))

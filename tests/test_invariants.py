@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import example, given
+from hypothesis import strategies as st
 
 from conftest import square_matrices
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
@@ -12,7 +13,7 @@ from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      sigma_R_membership)
 from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
                                 regularity_membership, sigma_memberships)
-from ratspec.ratmat import Mat, Subspace, image, kernel
+from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 J2_PLUS_1 = Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])  # diag(J_2, 1)
@@ -296,9 +297,66 @@ class TestRationalEigenvalues:
         assert rational_eigenvalues(Mat.zero(0, 0)) == []
 
     def test_large_entries_take_factorization_path(self):
-        # Gershgorin and Cauchy bounds both exceed the divisor-scan limit,
-        # forcing the trial-division branch
+        # Gershgorin and Cauchy bounds both exceed 2^16, so the candidates
+        # are lifted through several Newton-Hensel steps
         M = Mat.from_rows([[100000, 0], [0, 1]])
         assert rational_eigenvalues(M) == [(Fraction(1), 1), (Fraction(100000), 1)]
         M = Mat.from_rows([[Fraction(99991, 3), 1], [0, 7]])
         assert rational_eigenvalues(M) == [(Fraction(7), 1), (Fraction(99991, 3), 1)]
+
+    def test_polynomial_form_matches_matrix_form(self):
+        rng = random.Random(12)
+        for _ in range(20):
+            M = random_square(rng, rng.randint(0, 5), bound=3)
+            assert rational_eigenvalues(charpoly(M)) == rational_eigenvalues(M)
+
+    def test_non_monic_polynomial_rejected(self):
+        with pytest.raises(ValueError, match="monic"):
+            rational_eigenvalues(Poly([1, 2]))
+
+    def test_inexact_squarefree_division_raises(self, monkeypatch):
+        # a remainder sequence cut short leaves gcd = f', which does not
+        # divide f; the exact division must say so
+        from ratspec import invariants
+        monkeypatch.setattr(invariants, "_pseudo_remainder", lambda a, b: [])
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            rational_eigenvalues(Poly([-6, 11, -6, 1]))
+
+
+_planted_roots = st.lists(
+    st.tuples(st.integers(-10 ** 30, 10 ** 30) | st.integers(-9, 9),
+              st.integers(1, 6), st.integers(1, 4)),
+    max_size=4)
+
+
+def _poly_with_roots(planted, quadratic, zeros):
+    """The monic polynomial x^zeros * q * prod (x - num/den)^mult."""
+    p = Poly([0] * zeros + [1])
+    for num, den, mult in planted:
+        for _ in range(mult):
+            p = p * Poly([Fraction(-num, den), 1])
+    return (p * quadratic).monic()
+
+
+class TestPlantedRoots:
+    """Polynomials built from known roots: the search returns exactly them."""
+
+    @given(_planted_roots,
+           st.sampled_from([Poly([1]), Poly([1, 0, 1]), Poly([-2, 0, 1]),
+                            Poly([7, 3, 5]), Poly([-10 ** 21 - 1, 0, 1])]),
+           st.integers(0, 2))
+    def test_planted_roots_recovered(self, planted, quadratic, zeros):
+        want = {Fraction(0): zeros} if zeros else {}
+        for num, den, mult in planted:
+            lam = Fraction(num, den)
+            want[lam] = want.get(lam, 0) + mult
+        got = rational_eigenvalues(_poly_with_roots(planted, quadratic, zeros))
+        assert got == sorted(want.items())
+
+    def test_huge_repeated_roots(self):
+        big = 10 ** 20 + 39
+        planted = [(big, 1, 4), (-big, 7, 3), (3, 2, 2), (1, 1, 1)]
+        p = _poly_with_roots(planted, Poly([3, 1, 1]), 0)
+        assert rational_eigenvalues(p) == [
+            (Fraction(-big, 7), 3), (Fraction(1), 1), (Fraction(3, 2), 2),
+            (Fraction(big), 4)]

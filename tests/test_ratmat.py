@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
+from oracles import charpoly_fraction
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
                             kernel, map_subspace, poly_eval_mat, preimage,
                             quotient_dim, rank, rref, solve)
@@ -225,6 +226,25 @@ class TestCharpoly:
             M = Mat(6, 6, [Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                            for _ in range(36)])
             assert poly_eval_mat(charpoly(M), M).is_zero()
+
+    def test_matches_fraction_oracle(self):
+        # the integer recurrence on D*M against Faddeev-LeVerrier over
+        # Fraction, on matrices with non-integer entries at dims 0..8
+        import random
+        rng = random.Random(41)
+        for n in range(9):
+            for _ in range(4):
+                M = Mat(n, n, [Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+                               for _ in range(n * n)])
+                assert charpoly(M) == charpoly_fraction(M)
+
+    def test_inexact_division_raises(self, monkeypatch):
+        # every trace of N_k is divisible by k; a faulty product breaks that
+        # at k = 2 on the identity, and the check must catch it
+        from ratspec import ratmat
+        monkeypatch.setattr(ratmat, "mul", lambda a, b: a * b + 1)
+        with pytest.raises(ArithmeticError, match="divisible by 2"):
+            charpoly(Mat.identity(3))
 
 
 class TestPolyEval:
