@@ -2,11 +2,12 @@
 
 Templates: two block-matrix worked examples over an arbitrary nontrivial
 idempotent P (conforming identically in P, with ABA != ACA whenever P != I),
-the trivial C = B family, the ABA = ACA family (C sampled from the affine
-solution space of the linear system ACA = ABA), conjugations and direct sums
-of conforming triples, and adversarial nonconforming triples for negative
-controls. Every non-adversarial generator re-verifies the condition on its
-output; conformance is never assumed from the construction alone.
+the trivial C = B family, the ABA = ACA family (C = B plus a sample of
+{C : ACA = 0} = {C : C R(A) inside N(A)}, spanned by rank-one matrices read
+off N(A) and N(A^T)), conjugations and direct sums of conforming triples,
+and adversarial nonconforming triples for negative controls. Every
+non-adversarial generator re-verifies the condition on its output;
+conformance is never assumed from the construction alone.
 
 No claim is made that these templates cover every conformance class of the
 condition; they cover the cases the verification suite needs.
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from ratspec.intertwine import OperatorTriple
-from ratspec.ratmat import Mat, inverse, kernel, rat
+from ratspec.ratmat import Mat, Subspace, inverse, kernel, rat
 
 TEMPLATES = ("paper_ex1", "paper_ex2", "c_equals_b", "aba_eq_aca",
              "conjugated", "direct_sum", "nonconforming")
@@ -91,12 +92,12 @@ def default_idempotent(m: int) -> Mat:
 
 
 def _block_matrix(layout: list[list[Mat]]) -> Mat:
-    m = layout[0][0].rows
-    rows = []
-    for block_row in layout:
-        for r in range(m):
-            rows.append([blk.entry(r, c) for blk in block_row for c in range(m)])
-    return Mat.from_rows(rows)
+    """The matrix with the given blocks; the blocks of one row share a row
+    count, the blocks of one column a column count."""
+    return Mat(sum(block_row[0].rows for block_row in layout),
+               sum(blk.cols for blk in layout[0]),
+               [x for block_row in layout for r in range(block_row[0].rows)
+                for blk in block_row for x in blk.row(r)])
 
 
 def paper_example(which: int, P: Mat) -> OperatorTriple:
@@ -138,24 +139,22 @@ def paper_example(which: int, P: Mat) -> OperatorTriple:
 
 
 def _solve_aba_eq_aca(rng: random.Random, A: Mat, B: Mat, bound: int) -> Mat:
-    """Random C with ACA = ABA: B plus a sample from the homogeneous kernel.
+    """Random C with ACA = ABA: B plus a sample from the homogeneous space.
 
-    The map C |-> ACA is linear; its kernel is computed once and a random
-    combination is added to the particular solution C = B.
+    ACA = 0 exactly when C R(A) is inside N(A), so the homogeneous solutions
+    are spanned by the rank-one matrices u e_j^T with Au = 0 and e_i z^T with
+    z^T A = 0, and they have dimension dx*dy - rank(A)^2. The span's reduced
+    echelon basis is canonical (the kernel of the dx*dy x dx*dy map C |-> ACA
+    has the same one); a random combination of it is added to the particular
+    solution C = B.
     """
     dy, dx = A.rows, A.cols
-    n = dx * dy
-    rows = []
-    for i in range(dy):
-        for j in range(dx):
-            row = []
-            for p in range(dx):
-                for q in range(dy):
-                    row.append(A.entry(i, p) * A.entry(q, j))
-            rows.append(row)
-    ker = kernel(Mat(dy * dx, n, [x for r in rows for x in r]))
+    pieces = [[x if q == j else 0 for x in u for q in range(dy)]
+              for u in kernel(A).basis for j in range(dy)]
+    pieces += [[x if p == i else 0 for p in range(dx) for x in z]
+               for z in kernel(A.transpose()).basis for i in range(dx)]
     data = list(B.data)
-    for kv in ker.basis:
+    for kv in Subspace.from_vectors(dx * dy, pieces).basis:
         coef = Fraction(rng.randint(-bound, bound))
         if coef:
             data = [d + coef * x for d, x in zip(data, kv)]
@@ -178,16 +177,8 @@ def conjugate(t: OperatorTriple, U: Mat, V: Mat) -> OperatorTriple:
 def direct_sum(t1: OperatorTriple, t2: OperatorTriple) -> OperatorTriple:
     """Block-diagonal join; the condition holds blockwise."""
     def join(M1: Mat, M2: Mat) -> Mat:
-        rows = M1.rows + M2.rows
-        cols = M1.cols + M2.cols
-        data = [rat(0)] * (rows * cols)
-        for i in range(M1.rows):
-            for j in range(M1.cols):
-                data[i * cols + j] = M1.entry(i, j)
-        for i in range(M2.rows):
-            for j in range(M2.cols):
-                data[(M1.rows + i) * cols + (M1.cols + j)] = M2.entry(i, j)
-        return Mat(rows, cols, data)
+        return _block_matrix([[M1, Mat.zero(M1.rows, M2.cols)],
+                              [Mat.zero(M2.rows, M1.cols), M2]])
 
     return OperatorTriple(join(t1.A, t2.A), join(t1.B, t2.B), join(t1.C, t2.C))
 
@@ -272,11 +263,9 @@ def rational_spectrum_instance(spec: GenSpec) -> OperatorTriple:
         for j in range(i + 1, n):
             jrows[i][j] = Fraction(rng.randint(-spec.entry_bound, spec.entry_bound))
     J = Mat.from_rows(jrows)
-    A = Mat(dy, n, [rat(1) if i == j else rat(0)
-                    for i in range(dy) for j in range(n)])
     R = random_matrix(rng, n, pad, spec.entry_bound)
-    B = Mat(n, dy, [J.entry(i, j) if j < n else R.entry(i, j - n)
-                    for i in range(n) for j in range(dy)])
+    A = _block_matrix([[Mat.identity(n)], [Mat.zero(pad, n)]])
+    B = _block_matrix([[J, R]])
     C = _solve_aba_eq_aca(rng, A, B, 1) if rng.random() < 0.5 else B
     t = OperatorTriple(A, B, C)
     if rng.random() < 0.5:

@@ -6,11 +6,14 @@ compute the same quantities another way, from fresh matrix powers,
 subspace sums and intersections, or the characteristic polynomial, so that
 the tests can compare the two. The characteristic polynomial and the
 rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
-over Fraction, and the rational-root theorem with a divisor scan.
+over Fraction, and the rational-root theorem with a divisor scan. The
+generator's ABA = ACA sampler has its first form here as well, the kernel
+of the dx*dy x dx*dy Kronecker matrix of C |-> ACA.
 """
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from math import gcd
 
@@ -232,3 +235,29 @@ def _deflate_int(coeffs: list[int], r: int) -> list[int]:
         carry = coeffs[i] + carry * r if i < len(coeffs) - 1 else coeffs[i]
         out[i - 1] = carry
     return out
+
+
+def solve_aba_eq_aca_by_kronecker(rng: random.Random, A: Mat, B: Mat,
+                                  bound: int) -> Mat:
+    """Random C with ACA = ABA: B plus a sample from the homogeneous kernel.
+
+    The map C |-> ACA is linear; its kernel is computed once and a random
+    combination is added to the particular solution C = B.
+    """
+    dy, dx = A.rows, A.cols
+    n = dx * dy
+    rows = []
+    for i in range(dy):
+        for j in range(dx):
+            row = []
+            for p in range(dx):
+                for q in range(dy):
+                    row.append(A.entry(i, p) * A.entry(q, j))
+            rows.append(row)
+    ker = kernel(Mat(dy * dx, n, [x for r in rows for x in r]))
+    data = list(B.data)
+    for kv in ker.basis:
+        coef = Fraction(rng.randint(-bound, bound))
+        if coef:
+            data = [d + coef * x for d, x in zip(data, kv)]
+    return Mat(dx, dy, data)

@@ -5,9 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from ratspec.genlab import (GenSpec, conjugate, default_idempotent,
-                            direct_sum, generate, paper_example,
-                            random_unimodular, rational_spectrum_instance)
+from oracles import solve_aba_eq_aca_by_kronecker
+from ratspec import genlab, kernels
+from ratspec.genlab import (GenSpec, _solve_aba_eq_aca, conjugate,
+                            default_idempotent, direct_sum, generate,
+                            paper_example, random_matrix, random_unimodular,
+                            rational_spectrum_instance)
 from ratspec.intertwine import verify_sequence_equalities
 from ratspec.invariants import profile, rational_eigenvalues
 from ratspec.ratmat import Mat, charpoly, rank
@@ -118,6 +121,80 @@ class TestGenerate:
         for seed in range(5):
             t = generate(GenSpec(template="nonconforming", block_dim=3, seed=seed))
             assert not t.condition_holds
+
+
+# (dim_y, dim_x, rank of A): A = 0, invertible, rank-deficient square, both
+# rectangular shapes rank-deficient and of full rank, and 1x1
+SOLVER_SHAPES = [(3, 2, 0), (3, 3, 3), (4, 4, 2), (5, 3, 2), (2, 4, 1),
+                 (4, 2, 2), (2, 4, 2), (1, 1, 0), (1, 1, 1)]
+
+
+class TestSolveAbaEqAca:
+    """The rank-one span sampler against the Kronecker-system oracle."""
+
+    @pytest.mark.parametrize("dy,dx,r", SOLVER_SHAPES)
+    def test_matches_kronecker_oracle(self, dy, dx, r):
+        rng = random.Random(100 * dy + 10 * dx + r)
+        for _ in range(3):
+            # rank r by construction, entries in Z/3, B's denominators up to 3
+            D = Mat(dy, dx, [Fraction(i + 1, 3) if i == j < r else Fraction(0)
+                             for i in range(dy) for j in range(dx)])
+            A = random_unimodular(rng, dy, 2) @ D @ random_unimodular(rng, dx, 2)
+            assert rank(A) == r
+            B = random_matrix(rng, dx, dy, 3)
+            seed = rng.randrange(1 << 30)
+            ours, theirs = random.Random(seed), random.Random(seed)
+            C = _solve_aba_eq_aca(ours, A, B, 2)
+            assert C == solve_aba_eq_aca_by_kronecker(theirs, A, B, 2)
+            assert ours.getstate() == theirs.getstate()
+            assert A @ C @ A == A @ B @ A
+
+
+class TestDimensionCap:
+    """Every template that samples ABA = ACA generates at block_dim 24."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+
+        def counted(rng, A, B, bound):
+            calls.append(A.rows * A.cols)
+            return _solve_aba_eq_aca(rng, A, B, bound)
+
+        monkeypatch.setattr(genlab, "_solve_aba_eq_aca", counted)
+        return calls
+
+    @pytest.mark.parametrize("template,seed,solved", [("aba_eq_aca", 3, 24 * 24),
+                                                      ("conjugated", 5, 24 * 24),
+                                                      ("direct_sum", 3, 12 * 12)])
+    def test_generates_at_the_cap(self, solves, template, seed, solved):
+        t = generate(GenSpec(template=template, block_dim=24, seed=seed,
+                             entry_bound=2))
+        assert (t.dim_x, t.dim_y) == (24, 24)
+        assert t.condition_holds
+        assert solves == [solved]
+
+    def test_rational_spectrum_at_the_cap(self, solves):
+        t = rational_spectrum_instance(GenSpec(template="c_equals_b",
+                                               block_dim=24, seed=3,
+                                               entry_bound=2))
+        assert t.dim_x == 24
+        assert t.condition_holds
+        assert solves == [24 * t.dim_y]
+
+    def test_no_operand_has_kronecker_shape(self, monkeypatch):
+        shapes = []
+        real = kernels.rref
+
+        def spy(rows, cols, data):
+            shapes.append((rows, cols))
+            return real(rows, cols, data)
+
+        monkeypatch.setattr(kernels, "rref", spy)
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=24, seed=3,
+                             entry_bound=2))
+        assert t.B != t.C
+        assert shapes and all(rows != 24 * 24 for rows, _ in shapes)
 
 
 class TestConjugation:

@@ -1,7 +1,8 @@
 """Golden outputs: the CLI's bytes on fixed documents, pinned by digest.
 
 GOLDEN maps (document, command) to the first 16 hex digits of the sha256 of
-stdout and of stderr, and the exit code. A change that should not move any
+stdout and of stderr, and the exit code; the generate entries pin the
+generated documents themselves. A change that should not move any
 output keeps this test passing unchanged. A change that means to move an
 output records the table again with
 
@@ -37,6 +38,13 @@ TEXT_DOCUMENT = "paper_ex1"
 LARGE_BOUND = {"aba_eq_aca_dim9": ("aba_eq_aca", 0),
                "conjugated_dim9": ("conjugated", 5)}
 LARGE_BOUND_COMMANDS = ("verify", "report")
+# generate runs (entry bound 2) whose draws all go through the ABA = ACA
+# sampler: name -> (template, dim, seed)
+GENERATE = {"aba_eq_aca_dim12": ("aba_eq_aca", 12, 3),
+            "conjugated_dim12": ("conjugated", 12, 5),
+            "direct_sum_dim12": ("direct_sum", 12, 3),
+            "rational_spectrum_dim12": ("rational_spectrum", 12, 6),
+            "aba_eq_aca_dim24": ("aba_eq_aca", 24, 3)}
 
 
 def documents() -> dict[str, OperatorTriple]:
@@ -82,6 +90,10 @@ def outputs(workdir: Path) -> dict[tuple[str, str], tuple[str, str, int]]:
             if name in LARGE_BOUND and command not in LARGE_BOUND_COMMANDS:
                 continue
             result[name, command] = _run([argv[0], str(path), *argv[1:]])
+    for name, (template, dim, seed) in GENERATE.items():
+        result[name, "generate"] = _run(
+            ["generate", "--template", template, "--dim", str(dim),
+             "--seed", str(seed), "--entry-bound", "2"])
     return result
 
 
@@ -164,6 +176,16 @@ GOLDEN = {
         ("da05f684d47423e0", "e3b0c44298fc1c14", 0),
     ("zero_2x0", "drazin"):
         ("de4e802e21bc4d41", "e3b0c44298fc1c14", 0),
+    ("aba_eq_aca_dim12", "generate"):
+        ("4fbb5d3b7db96982", "e3b0c44298fc1c14", 0),
+    ("conjugated_dim12", "generate"):
+        ("b065c96fa720a8d1", "e3b0c44298fc1c14", 0),
+    ("direct_sum_dim12", "generate"):
+        ("e8e0098084115951", "e3b0c44298fc1c14", 0),
+    ("rational_spectrum_dim12", "generate"):
+        ("3cd61d43b51e94c2", "e3b0c44298fc1c14", 0),
+    ("aba_eq_aca_dim24", "generate"):
+        ("2c4de5bafcb97535", "e3b0c44298fc1c14", 0),
 }
 
 

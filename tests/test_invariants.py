@@ -11,8 +11,9 @@ from conftest import square_matrices
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      eigenvalue_multiplicity, fredholm_index, k_n, k_n_via_sums,
                      sigma_R_membership)
-from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
-                                regularity_membership, sigma_memberships)
+from ratspec.invariants import (PowerChain, _squarefree_part, profile,
+                                rational_eigenvalues, regularity_membership,
+                                sigma_memberships)
 from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -352,6 +353,21 @@ class TestPlantedRoots:
             want[lam] = want.get(lam, 0) + mult
         got = rational_eigenvalues(_poly_with_roots(planted, quadratic, zeros))
         assert got == sorted(want.items())
+
+    @given(st.lists(st.tuples(st.integers(-10 ** 12, 10 ** 12) | st.integers(-9, 9),
+                              st.integers(1, 4)), max_size=4),
+           st.sampled_from([Poly([1, 0, 1]), Poly([-2, 0, 1]), Poly([3, 1, 1])]),
+           st.integers(1, 3))
+    def test_squarefree_part_keeps_each_factor_once(self, planted, quadratic,
+                                                    qmult):
+        f = _poly_with_roots([(r, 1, mult) for r, mult in planted],
+                             quadratic, 0)
+        for _ in range(qmult - 1):
+            f = f * quadratic
+        g = _poly_with_roots([(r, 1, 1) for r in {r for r, _ in planted}],
+                             quadratic, 0)
+        assert _squarefree_part([int(c) for c in f.coeffs]) == \
+            [int(c) for c in g.coeffs]
 
     def test_huge_repeated_roots(self):
         big = 10 ** 20 + 39
