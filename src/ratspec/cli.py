@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import random
 import re
 import sys
 from fractions import Fraction
@@ -181,19 +180,16 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
     return report
 
 
-def _default_q_set(seed: int) -> list[Poly]:
-    rng = random.Random(seed)
-    qs = [Poly([0, 1]), Poly([0, 0, 1]), Poly([0, 0, 0, 1])]
-    qs.append(Poly([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
-                    for _ in range(3)] + [Fraction(1)]))
-    return qs
+#: The polynomials Q of the inclusion-lemma check: x, x^2, x^3 and one cubic.
+INCLUSION_QS = (Poly([0, 1]), Poly([0, 0, 1]), Poly([0, 0, 0, 1]),
+                Poly(["3/2", "3/2", "-3/2", 1]))
 
 
 def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
-                     n_max: int | None = None, seed: int = 0) -> dict:
+                     n_max: int | None = None) -> dict:
     """The full verifier battery; the exit-status contract reads its verdicts.
 
-    Checks: intertwining condition, inclusion lemma over the default Q set,
+    Checks: intertwining condition, inclusion lemma over INCLUSION_QS,
     well-definedness and two-way injectivity of the three quotient maps,
     sequence equalities, pointwise regularity-spectrum agreement, nonzero
     charpoly match, shift operators for n <= 4, Drazin transfer and the
@@ -213,8 +209,7 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         nonzero = [x for x in probes if x != 0]
         top = n_max if n_max is not None else max(t.dim_x, t.dim_y)
 
-        qs_ok = all(intertwine.inclusion_lemma(t, q).all_hold
-                    for q in _default_q_set(seed))
+        qs_ok = all(intertwine.inclusion_lemma(t, q).all_hold for q in INCLUSION_QS)
         add("inclusion_lemma", qs_ok)
 
         maps_ok = True

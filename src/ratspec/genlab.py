@@ -249,8 +249,10 @@ def rational_spectrum_instance(spec: GenSpec) -> OperatorTriple:
     the nonzero spectrum of AC equal to that of BA, hence rational.
     Optionally conjugated for density.
     """
-    rng = random.Random(spec.seed)
     n = spec.block_dim
+    if spec.dim_y is None and n > 22:
+        raise ValueError("block_dim above 22 needs dim_y (Y is padded by 1 or 2)")
+    rng = random.Random(spec.seed)
     pad = (spec.dim_y - n) if spec.dim_y is not None else rng.randint(1, 2)
     if pad < 1:
         raise ValueError("rational_spectrum_instance needs dim_y > block_dim")

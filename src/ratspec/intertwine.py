@@ -26,7 +26,7 @@ from fractions import Fraction
 from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
                                 sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            map_subspace, poly_eval_mat, preimage, rank, rat)
+                            maps_into, poly_eval_mat, preimage, rank, rat)
 
 
 class ConditionNotSatisfied(ValueError):
@@ -150,10 +150,10 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
     q_ba = poly_eval_mat(Q, t.ba.shifted(1))
     q_ac = poly_eval_mat(Q, t.ac.shifted(1))
     return InclusionReport(
-        aba_range=image(q_ab).contains(map_subspace(t.aba, image(q_ca))),
-        aba_kernel=kernel(q_ab).contains(map_subspace(t.aba, kernel(q_ca))),
-        aca_range=image(q_ac).contains(map_subspace(t.aca, image(q_ba))),
-        aca_kernel=kernel(q_ac).contains(map_subspace(t.aca, kernel(q_ba))),
+        aba_range=maps_into(t.aba, image(q_ca), image(q_ab)),
+        aba_kernel=maps_into(t.aba, kernel(q_ca), kernel(q_ab)),
+        aca_range=maps_into(t.aca, image(q_ba), image(q_ac)),
+        aca_kernel=maps_into(t.aca, kernel(q_ba), kernel(q_ac)),
     )
 
 
@@ -220,15 +220,14 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
     """
     if not source_big.contains(source_small) or not target_big.contains(target_small):
         raise ValueError("quotient requires nested subspaces")
-    ok_small = target_small.contains(map_subspace(carrier, source_small))
-    ok_big = target_big.contains(map_subspace(carrier, source_big))
-    if not (ok_small and ok_big):
+    carried_big = source_big.basis_matrix() @ carrier.transpose()
+    if not (maps_into(carrier, source_small, target_small)
+            and target_big.contains_rows(carried_big)):
         return QuotientMap(source_big, source_small, target_big, target_small,
                            carrier, well_defined=False, matrix=None)
     src = _reps(source_big, source_small)
-    reps = Mat(len(src), source_big.ambient_dim,
-               [x for i in src for x in source_big.basis[i]])
-    carried = reps @ carrier.transpose()
+    carried = Mat(len(src), carried_big.cols,
+                  [x for i in src for x in carried_big.row(i)])
     tgt = target_big.pivots
     q = [tgt[i] for i in _reps(target_big, target_small)]
     small = target_small.basis_matrix()
@@ -437,10 +436,11 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
         if k > 1:
             bn, cn = t.B + bn @ i_ab, t.C + i_ca @ cn
             pow_ba, pow_ac = pow_ba @ i_ba, pow_ac @ i_ac
-        if pow_ba != i_x - bn @ t.A:
+        tk = OperatorTriple(t.A, bn, cn)
+        if pow_ba != i_x - tk.ba:
             raise ArithmeticError("(I-BA)^n != I - B_nA")
-        if pow_ac != i_y - t.A @ cn:
+        if pow_ac != i_y - tk.ac:
             raise ArithmeticError("(I-AC)^n != I - AC_n")
-        if not OperatorTriple(t.A, bn, cn).condition_holds:
+        if not tk.condition_holds:
             raise ArithmeticError("(A, B_n, C_n) lost the intertwining condition")
     return bn, cn

@@ -6,11 +6,11 @@ rectangular matrix; Subspace is a subspace of Q^n held as a reduced-echelon
 basis, which makes subspace equality a structural comparison; Poly is a dense
 univariate polynomial, coefficients lowest degree first.
 
-Rank decisions, kernels, images and the subspace lattice (sum, intersection,
-preimage, containment, quotient dimension) all run through the two integer
-kernels of ratspec.kernels, rref and matmul. Coordinates are read at the
-pivots: an echelon basis row holds 1 at its pivot and every other row holds 0
-there, so the rows X of a subspace satisfy X == X[:, pivots] @ basis.
+Rank decisions, kernels, images and the subspace lattice (sum, intersection by
+one Zassenhaus reduction, preimage, containment, quotient dimension) run
+through the two integer kernels of ratspec.kernels, rref and matmul. An echelon
+basis row holds 1 at its pivot and the other rows 0 there, so the rows X of a
+subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T.
 
 The characteristic polynomial does not use the kernels: charpoly runs the
 Faddeev-LeVerrier recurrence fraction-free, on the integer matrix D*M and
@@ -201,10 +201,7 @@ class Subspace:
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        if not vecs:
-            return cls(ambient_dim, ())
-        R, pivots = rref(Mat(len(vecs), ambient_dim, [x for v in vecs for x in v]))
-        return cls(ambient_dim, tuple(R.row(i) for i in range(len(pivots))))
+        return _row_space(Mat(len(vecs), ambient_dim, [x for v in vecs for x in v]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
@@ -228,43 +225,39 @@ class Subspace:
     def basis_matrix(self) -> Mat:
         return Mat(self.dim, self.ambient_dim, [x for v in self.basis for x in v])
 
-    def _spans_rows(self, X: Mat) -> bool:
-        # a row x lies in self iff it equals its pivot entries times the basis
+    def contains_rows(self, X: Mat) -> bool:
+        """True iff every row of X lies in self: X == X[:, pivots] @ basis."""
+        if X.cols != self.ambient_dim:
+            raise ValueError("vector length != ambient dimension")
         return X == X.columns(self.pivots) @ self.basis_matrix()
 
     def contains_vector(self, v: Sequence[int | str | Fraction]) -> bool:
         """Membership test: v == v[pivots] @ basis."""
-        w = [rat(x) for x in v]
-        if len(w) != self.ambient_dim:
-            raise ValueError("vector length != ambient dimension")
-        return self._spans_rows(Mat(1, self.ambient_dim, w))
+        return self.contains_rows(Mat(1, len(v), [rat(x) for x in v]))
 
     def contains(self, other: "Subspace") -> bool:
         """True iff every basis vector of other lies in self."""
-        self._same_ambient(other)
-        return self._spans_rows(other.basis_matrix())
+        return self.contains_rows(other.basis_matrix())
 
     def sum(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both."""
-        self._same_ambient(other)
         return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
 
     def intersect(self, other: "Subspace") -> "Subspace":
-        """Largest subspace contained in both.
+        """Largest subspace contained in both, by Zassenhaus' reduction.
 
-        A vector of the intersection is sum(a_i u_i) = -sum(b_j w_j), so the
-        coefficient pairs (a, b) form the kernel of the matrix whose columns
-        are the stacked basis vectors.
+        Row-reduce [[U, U], [W, 0]] for the bases U, W of self and other. A
+        row with zero left half is u + w = 0 (u in U, w in W) with right half
+        u, and these right halves are the reduced-echelon basis of U cap W.
         """
         self._same_ambient(other)
-        du, dw = self.dim, other.dim
-        if du == 0 or dw == 0:
-            return Subspace.zero(self.ambient_dim)
-        stacked = Mat(du + dw, self.ambient_dim,
-                      [x for v in self.basis + other.basis for x in v])
-        coeffs = kernel(stacked.transpose()).basis_matrix()
-        vecs = coeffs.columns(range(du)) @ self.basis_matrix()
-        return Subspace.from_vectors(self.ambient_dim, vecs.to_rows())
+        n = self.ambient_dim
+        if not (self.dim and other.dim):
+            return Subspace.zero(n)
+        R, pivots = rref(Mat(self.dim + other.dim, 2 * n,
+                             [x for v in self.basis for x in v + v]
+                             + [x for w in other.basis for x in w + (_ZERO,) * n]))
+        return Subspace(n, tuple(R.row(i)[n:] for i, p in enumerate(pivots) if p >= n))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
@@ -280,6 +273,14 @@ class Subspace:
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
+
+
+def _row_space(M: Mat) -> Subspace:
+    """The span of M's rows: its reduced echelon form, cut to its rank."""
+    if not M.rows:
+        return Subspace.zero(M.cols)
+    R, pivots = rref(M)
+    return Subspace(M.cols, tuple(R.row(i) for i in range(len(pivots))))
 
 
 def kernel(M: Mat) -> Subspace:
@@ -300,7 +301,7 @@ def kernel(M: Mat) -> Subspace:
 
 def image(M: Mat) -> Subspace:
     """Column space of M as a canonical subspace of Q^rows."""
-    return Subspace.from_vectors(M.rows, M.transpose().to_rows())
+    return _row_space(M.transpose())
 
 
 def map_subspace(M: Mat, U: Subspace) -> Subspace:
@@ -308,6 +309,11 @@ def map_subspace(M: Mat, U: Subspace) -> Subspace:
     if U.ambient_dim != M.cols:
         raise ValueError("subspace not in the domain of M")
     return image(M @ U.basis_matrix().transpose())
+
+
+def maps_into(M: Mat, U: Subspace, W: Subspace) -> bool:
+    """True iff M(U) <= W, read from the rows U @ M^T at W's pivots."""
+    return W.contains_rows(U.basis_matrix() @ M.transpose())
 
 
 def preimage(M: Mat, W: Subspace) -> Subspace:
@@ -469,12 +475,13 @@ def charpoly(M: Mat) -> Poly:
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:
-    """Q(M) by Horner evaluation, in deg Q products."""
+    """Q(M) by Horner evaluation from lead*M, in deg Q - 1 products."""
     if not M.is_square:
         raise ValueError("polynomial of a non-square matrix")
-    n = M.rows
-    acc = Mat.zero(n, n)
-    for i, c in enumerate(reversed(Q.coeffs)):
+    if Q.degree < 1:
+        return Mat.identity(M.rows).scaled(Q(0))
+    acc = M.scaled(Q.coeffs[-1])
+    for i, c in enumerate(reversed(Q.coeffs[:-1])):
         if i:
             acc = acc @ M
         if c:

@@ -8,7 +8,8 @@ the tests can compare the two. The characteristic polynomial and the
 rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
 over Fraction, and the rational-root theorem with a divisor scan. The
 generator's ABA = ACA sampler has its first form here as well, the kernel
-of the dx*dy x dx*dy Kronecker matrix of C |-> ACA.
+of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
+intersection, by the kernel of the stacked bases.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import regularity_membership
-from ratspec.ratmat import (Mat, Poly, charpoly, image, kernel, quotient_dim,
-                            rank, rat)
+from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
+                            quotient_dim, rank, rat)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -29,6 +30,25 @@ _ONE = Fraction(1)
 def _require_square(T: Mat) -> None:
     if not T.is_square:
         raise ValueError("spectral invariants need a square matrix")
+
+
+def intersect_by_kernel(U: Subspace, W: Subspace) -> Subspace:
+    """U cap W from the kernel of the stacked bases.
+
+    A vector of the intersection is sum(a_i u_i) = -sum(b_j w_j), so the
+    coefficient pairs (a, b) form the kernel of the matrix whose columns
+    are the stacked basis vectors.
+    """
+    if U.ambient_dim != W.ambient_dim:
+        raise ValueError("ambient dimension mismatch")
+    du, dw = U.dim, W.dim
+    if du == 0 or dw == 0:
+        return Subspace.zero(U.ambient_dim)
+    stacked = Mat(du + dw, U.ambient_dim,
+                  [x for v in U.basis + W.basis for x in v])
+    coeffs = kernel(stacked.transpose()).basis_matrix()
+    vecs = coeffs.columns(range(du)) @ U.basis_matrix()
+    return Subspace.from_vectors(U.ambient_dim, vecs.to_rows())
 
 
 def c_n(T: Mat, n: int) -> int:

@@ -330,6 +330,15 @@ class TestGenerateCommand:
                      "--dim", "3", "--seed", "4", "--out", str(out)]) == EXIT_OK
         assert main(["verify", str(out)]) == EXIT_OK
 
+    @pytest.mark.parametrize("dim", [23, 24])
+    def test_rational_spectrum_past_dim_22_exits_2(self, dim, tmp_path, capsys):
+        # the drawn Y pad of 1 or 2 would pass the dimension cap of 24
+        out = tmp_path / "g.json"
+        assert main(["generate", "--template", "rational_spectrum",
+                     "--dim", str(dim), "--out", str(out)]) == EXIT_INPUT
+        assert "block_dim above 22" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_json(self, capsys):
         assert main(["generate", "--template", "c_equals_b", "--dim", "2",
                      "--seed", "1"]) == EXIT_OK

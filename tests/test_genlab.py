@@ -175,12 +175,13 @@ class TestDimensionCap:
         assert solves == [solved]
 
     def test_rational_spectrum_at_the_cap(self, solves):
+        # Y is X padded by 1 or 2, so X stops at 22; seed 5 pads by 2
         t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                               block_dim=24, seed=3,
+                                               block_dim=22, seed=5,
                                                entry_bound=2))
-        assert t.dim_x == 24
+        assert (t.dim_x, t.dim_y) == (22, 24)
         assert t.condition_holds
-        assert solves == [24 * t.dim_y]
+        assert solves == [22 * t.dim_y]
 
     def test_no_operand_has_kronecker_shape(self, monkeypatch):
         shapes = []

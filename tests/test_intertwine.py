@@ -294,6 +294,27 @@ class TestQuotientMatrix:
                     for k in range(n)]
             assert tgt_small.contains_vector(rest)
 
+    @given(st.data())
+    def test_well_defined_iff_the_mapped_subspaces_nest(self, data):
+        # random carriers and targets, each target pair drawn to contain the
+        # carried source or not, so most draws are not well defined
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        carrier = data.draw(matrices(n, m, min_rows=n, min_cols=m))
+        S = data.draw(matrices(m, 4, min_rows=m))
+        K = data.draw(matrices(S.cols, 4, min_rows=S.cols))
+        src_big, src_small = image(S), image(S @ K)
+        tgt_small = image(data.draw(matrices(n, 2, min_rows=n)))
+        if data.draw(st.booleans()):
+            tgt_small = tgt_small.sum(map_subspace(carrier, src_small))
+        tgt_big = tgt_small.sum(image(data.draw(matrices(n, 2, min_rows=n))))
+        if data.draw(st.booleans()):
+            tgt_big = tgt_big.sum(map_subspace(carrier, src_big))
+        qm = induced_quotient_map(src_big, src_small, tgt_big, tgt_small, carrier)
+        assert qm.well_defined == (
+            tgt_small.contains(map_subspace(carrier, src_small))
+            and tgt_big.contains(map_subspace(carrier, src_big)))
+        assert (qm.matrix is None) == (not qm.well_defined)
+
 
 class TestSequenceEqualities:
     def test_outside_spectrum_all_zero(self):

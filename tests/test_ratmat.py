@@ -7,10 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
-from oracles import charpoly_fraction
+from oracles import charpoly_fraction, intersect_by_kernel
+from ratspec import kernels
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
-                            kernel, map_subspace, poly_eval_mat, preimage,
-                            quotient_dim, rank, rref, solve)
+                            kernel, map_subspace, maps_into, poly_eval_mat,
+                            preimage, quotient_dim, rank, rref, solve)
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -123,6 +124,42 @@ class TestSubspaceLattice:
         assert s.dim + i.dim == U.dim + W.dim
         assert s.contains(U) and s.contains(W)
         assert U.contains(i) and W.contains(i)
+
+    @given(st.data())
+    def test_intersect_is_one_reduction_matching_the_kernel_route(self, data):
+        # half the draws put a piece of U into W, so that U cap W is nonzero
+        n = data.draw(st.integers(1, 5))
+        M = data.draw(matrices(n, 5, min_rows=n))
+        U, W = image(M), image(data.draw(matrices(n, 5, min_rows=n)))
+        if data.draw(st.booleans()):
+            K = data.draw(matrices(M.cols, 3, min_rows=M.cols))
+            W = W.sum(image(M @ K))
+        calls = []
+        real = kernels.rref
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "rref", counted)
+            got = U.intersect(W)
+        assert got == intersect_by_kernel(U, W)
+        assert got.dim + U.sum(W).dim == U.dim + W.dim
+        assert len(calls) == (1 if U.dim and W.dim else 0)
+
+    @given(st.data())
+    def test_maps_into_agrees_with_the_mapped_subspace(self, data):
+        # W contains M(U), lacks one of its directions, or is unrelated
+        M = data.draw(matrices(4, 4))
+        U = image(data.draw(matrices(M.cols, 4, min_rows=M.cols)))
+        mapped = map_subspace(M, U)
+        extra = image(data.draw(matrices(M.rows, 2, min_rows=M.rows)))
+        W = data.draw(st.sampled_from((
+            mapped.sum(extra),
+            Subspace.from_vectors(M.rows, mapped.basis[1:]).sum(extra),
+            extra)))
+        assert maps_into(M, U, W) == W.contains(mapped)
 
     @given(st.data())
     def test_contains_agrees_with_rank(self, data):
@@ -267,7 +304,8 @@ class TestPolyEval:
         assert Poly([0, 0, 2, 4]).monic() == Poly([0, 0, Fraction(1, 2), 1])
         assert Poly([0, 0, 3, 1]).strip_zero_roots() == (Poly([3, 1]), 2)
 
-    def test_horner_makes_deg_q_products(self, monkeypatch):
+    def test_horner_makes_deg_q_minus_one_products(self, monkeypatch):
+        # Horner starts from lead*M, so x^d costs d - 1 products
         import random
         rng = random.Random(5)
         M = Mat(3, 3, [Fraction(rng.randint(-3, 3), rng.randint(1, 2))
@@ -292,7 +330,7 @@ class TestPolyEval:
             got = poly_eval_mat(q, M)
             monkeypatch.undo()
             assert got == expected
-            assert len(products) == max(q.degree, 0)
+            assert len(products) == max(q.degree - 1, 0)
 
     @given(square_matrices(3), st.lists(rationals, min_size=0, max_size=4))
     def test_poly_eval_matches_scalar_on_diagonal(self, M, coeffs):
