@@ -1,54 +1,33 @@
-"""Pure-Python hot kernels: exact RREF and matrix multiply over Fractions.
+"""Pure-Python hot kernels: exact RREF and matrix multiply over the integers.
 
-Both kernels scale their input to integer matrices (per-row for RREF, whole
-matrix for multiply) and do the O(n^3) work in arbitrary-precision integer
-arithmetic, which avoids the per-operation gcd cost of Fraction arithmetic.
-They are the only kernel implementation; ratspec.kernels re-exports them and
-the test suite checks them against plain textbook rational elimination.
+Both kernels take and return Python ints. A ratspec.ratmat.Mat is a tuple of
+integer numerators over one common denominator, so a product is the product
+of the numerators over the product of the denominators, and a row reduction
+needs the numerators only (the reduced echelon form ignores row scaling).
+RREF eliminates fraction-free, keeping every row primitive, and returns its
+result over one common denominator. The kernels are the only implementation;
+ratspec.kernels re-exports them and the test suite checks them against plain
+textbook rational elimination.
 """
 
-from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 BACKEND = "python"
 
-_ZERO = Fraction(0)
 
-
-def _int_rows(rows, cols, data):
-    # per-row denominator clearing; RREF is invariant under row scaling
-    mat = []
-    for i in range(rows):
-        off = i * cols
-        den = 1
-        for j in range(cols):
-            d = data[off + j].denominator
-            den = den // gcd(den, d) * d
-        mat.append([(data[off + j].numerator * (den // data[off + j].denominator))
-                    for j in range(cols)])
-    return mat
-
-
-def _reduce_content(row, cols):
-    g = 0
-    for j in range(cols):
-        v = row[j]
-        if v:
-            g = gcd(g, v)
-            if g == 1:
-                return
-    if g > 1:
-        for j in range(cols):
-            row[j] //= g
+def _primitive(row):
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
 
 def rref(rows, cols, data):
-    """Reduced row echelon form of a rows x cols Fraction matrix.
+    """Reduced row echelon form of a rows x cols integer matrix.
 
-    data is row-major; returns (rref_data, pivot_columns) with rref_data the
-    same shape (zero rows at the bottom).
+    data is row-major; returns (num, den, pivot_columns): the RREF is num/den,
+    row-major, zero rows at the bottom, den > 0 and gcd(den, *num) == 1.
     """
-    mat = _int_rows(rows, cols, data)
+    mat = [_primitive(list(data[i * cols:(i + 1) * cols])) for i in range(rows)]
     pivots = []
     r = 0
     for c in range(cols):
@@ -64,12 +43,9 @@ def rref(rows, cols, data):
         piv_row = mat[r]
         p = piv_row[c]
         for i in range(r + 1, rows):
-            row = mat[i]
-            e = row[c]
+            e = mat[i][c]
             if e:
-                for j in range(c, cols):
-                    row[j] = row[j] * p - piv_row[j] * e
-                _reduce_content(row, cols)
+                mat[i] = _primitive([x * p - y * e for x, y in zip(mat[i], piv_row)])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -80,49 +56,26 @@ def rref(rows, cols, data):
         piv_row = mat[k]
         p = piv_row[c]
         for i in range(k):
-            row = mat[i]
-            e = row[c]
+            e = mat[i][c]
             if e:
-                for j in range(cols):
-                    row[j] = row[j] * p - piv_row[j] * e
-                _reduce_content(row, cols)
-    out = [_ZERO] * (rows * cols)
+                mat[i] = _primitive([x * p - y * e for x, y in zip(mat[i], piv_row)])
+    # row k is primitive, so its entries over its pivot are in lowest terms
+    # exactly when over |pivot|: the lcm of the pivots is the least common
+    # denominator
+    den = lcm(*(mat[k][c] for k, c in enumerate(pivots)))
+    out = [0] * (rows * cols)
     for k, c in enumerate(pivots):
-        row = mat[k]
-        p = row[c]
-        off = k * cols
-        for j in range(c, cols):
-            if row[j]:
-                out[off + j] = Fraction(row[j], p)
-    return out, tuple(pivots)
+        f = den // mat[k][c]
+        out[k * cols:(k + 1) * cols] = [x * f for x in mat[k]]
+    return out, den, tuple(pivots)
 
 
 def matmul(m, k, n, a, b):
-    """Product of an m x k and a k x n Fraction matrix, both row-major."""
-    da = 1
-    for x in a:
-        d = x.denominator
-        da = da // gcd(da, d) * d
-    db = 1
-    for x in b:
-        d = x.denominator
-        db = db // gcd(db, d) * d
-    ai = [x.numerator * (da // x.denominator) for x in a]
-    bi = [x.numerator * (db // x.denominator) for x in b]
-    den = da * db
-    out = [_ZERO] * (m * n)
+    """Product of an m x k and a k x n integer matrix, both row-major."""
+    bcols = [b[j::n] for j in range(n)]
+    out = [0] * (m * n)
     for i in range(m):
-        arow_off = i * k
-        acc = [0] * n
-        for t in range(k):
-            v = ai[arow_off + t]
-            if v:
-                boff = t * n
-                for j in range(n):
-                    acc[j] += v * bi[boff + j]
-        ooff = i * n
-        for j in range(n):
-            s = acc[j]
-            if s:
-                out[ooff + j] = Fraction(s, den)
+        arow = a[i * k:(i + 1) * k]
+        if any(arow):
+            out[i * n:(i + 1) * n] = [sum(map(mul, arow, col)) for col in bcols]
     return out

@@ -11,16 +11,12 @@ generalized statements specialize to the classical Drazin inverse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import PowerChain
 # image and kernel are not called here; they stay importable as drazin.image
 # and drazin.kernel, which the ratbench tracer self-tests read
 from ratspec.ratmat import Mat, image, inverse, kernel  # noqa: F401
-
-_ZERO = Fraction(0)
-
 
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
@@ -64,24 +60,24 @@ def drazin_inverse(T: Mat) -> DrazinResult:
     n = T.rows
     chain = PowerChain(T)
     d = chain.stable
-    core_basis = chain.image(d).basis
-    nil_basis = chain.kernel(d).basis
-    if len(core_basis) + len(nil_basis) != n:
+    core_basis = chain.image(d).basis_matrix()
+    nil_basis = chain.kernel(d).basis_matrix()
+    r = core_basis.rows
+    if r + nil_basis.rows != n:
         raise ArithmeticError("core-nilpotent split failed")
-    cols = list(core_basis) + list(nil_basis)
-    Q = Mat(n, n, [cols[j][i] for i in range(n) for j in range(n)])
+    # the basis rows scaled to integers, as columns: still adapted to the split
+    Q = Mat.from_ints(n, n, core_basis.num + nil_basis.num).transpose()
     Qi = inverse(Q)
     if Qi is None:
         raise ArithmeticError("adapted basis is singular")
-    blocked = Qi @ T @ Q
-    r = len(core_basis)
-    core_block = Mat(r, r, [blocked.entry(i, j) for i in range(r) for j in range(r)])
-    core_inv = inverse(core_block)
+    # S = Q diag(core^-1, 0) Q^-1 needs only the first r columns of Q and
+    # rows of Q^-1, and the core block is the product of those around T
+    q_core = Q.columns(range(r))
+    qi_core = Qi.submatrix(range(r), range(n))
+    core_inv = inverse(qi_core @ T @ q_core)
     if core_inv is None:
         raise ArithmeticError("core block is singular")
-    s_block = Mat(n, n, [core_inv.entry(i, j) if i < r and j < r else _ZERO
-                         for i in range(n) for j in range(n)])
-    S = Q @ s_block @ Qi
+    S = q_core @ core_inv @ qi_core
     # T^2 S is T on the core summand and zero on the nilpotent one
     core = T @ T @ S
     _verify_drazin(T, S, core, d)

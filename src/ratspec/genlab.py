@@ -149,16 +149,18 @@ def _solve_aba_eq_aca(rng: random.Random, A: Mat, B: Mat, bound: int) -> Mat:
     solution C = B.
     """
     dy, dx = A.rows, A.cols
-    pieces = [[x if q == j else 0 for x in u for q in range(dy)]
-              for u in kernel(A).basis for j in range(dy)]
-    pieces += [[x if p == i else 0 for p in range(dx) for x in z]
-               for z in kernel(A.transpose()).basis for i in range(dx)]
-    data = list(B.data)
-    for kv in Subspace.from_vectors(dx * dy, pieces).basis:
-        coef = Fraction(rng.randint(-bound, bound))
+    ker, coker = kernel(A).basis_matrix(), kernel(A.transpose()).basis_matrix()
+    pieces = [[x if q == j else 0 for x in ker.num[r * dx:(r + 1) * dx] for q in range(dy)]
+              for r in range(ker.rows) for j in range(dy)]
+    pieces += [[x if p == i else 0 for p in range(dx) for x in coker.num[r * dy:(r + 1) * dy]]
+               for r in range(coker.rows) for i in range(dx)]
+    basis = Subspace.from_vectors(dx * dy, pieces).basis_matrix()
+    acc = [0] * (dx * dy)
+    for r in range(basis.rows):
+        coef = rng.randint(-bound, bound)
         if coef:
-            data = [d + coef * x for d, x in zip(data, kv)]
-    return Mat(dx, dy, data)
+            acc = [a + coef * x for a, x in zip(acc, basis.num[r * dx * dy:(r + 1) * dx * dy])]
+    return B + Mat.from_ints(dx, dy, acc, basis.den)
 
 
 def conjugate(t: OperatorTriple, U: Mat, V: Mat) -> OperatorTriple:

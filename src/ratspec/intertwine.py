@@ -43,7 +43,7 @@ class OperatorTriple:
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ab", "ca", "aba", "aca", "residuals",
-                 "condition_holds", "_chains", "_charpolys")
+                 "condition_holds", "_chains", "_ca_ab_chains", "_charpolys")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -68,6 +68,7 @@ class OperatorTriple:
         self.residuals = (p1 - p2, p2 - p3, p3 - p4)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self._chains = {}
+        self._ca_ab_chains: tuple[PowerChain, PowerChain] | None = None
         self._charpolys: tuple[Poly, Poly] | None = None
 
     def charpolys(self) -> tuple[Poly, Poly]:
@@ -93,6 +94,13 @@ class OperatorTriple:
             self._chains[lam] = (PowerChain(self.ba.shifted(lam)),
                                  PowerChain(self.ac.shifted(lam)))
         return self._chains[lam]
+
+    def ca_ab_chains(self) -> tuple[PowerChain, PowerChain]:
+        """The power chains of CA - 1 and AB - 1, built on the first request."""
+        if self._ca_ab_chains is None:
+            self._ca_ab_chains = (PowerChain(self.ca.shifted(1)),
+                                  PowerChain(self.ab.shifted(1)))
+        return self._ca_ab_chains
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
@@ -143,17 +151,26 @@ class InclusionReport:
 
 
 def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
-    """Check all four subspace inclusions for the polynomial Q."""
+    """Check all four subspace inclusions for the polynomial Q.
+
+    For Q = c x^k the ranges and kernels of Q(T - I) are those of
+    (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
+    CA - 1 and AB - 1; any other Q is evaluated at the four shifts.
+    """
     _require_condition(t)
-    q_ca = poly_eval_mat(Q, t.ca.shifted(1))
-    q_ab = poly_eval_mat(Q, t.ab.shifted(1))
-    q_ba = poly_eval_mat(Q, t.ba.shifted(1))
-    q_ac = poly_eval_mat(Q, t.ac.shifted(1))
+    k = Q.degree
+    if k >= 1 and not any(Q.coeffs[:-1]):
+        (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
+        spaces = [(c.image(k), c.kernel(k)) for c in (ca, ab, ba, ac)]
+    else:
+        qs = [poly_eval_mat(Q, T.shifted(1)) for T in (t.ca, t.ab, t.ba, t.ac)]
+        spaces = [(image(q), kernel(q)) for q in qs]
+    (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
     return InclusionReport(
-        aba_range=maps_into(t.aba, image(q_ca), image(q_ab)),
-        aba_kernel=maps_into(t.aba, kernel(q_ca), kernel(q_ab)),
-        aca_range=maps_into(t.aca, image(q_ba), image(q_ac)),
-        aca_kernel=maps_into(t.aca, kernel(q_ba), kernel(q_ac)),
+        aba_range=maps_into(t.aba, r_ca, r_ab),
+        aba_kernel=maps_into(t.aba, n_ca, n_ab),
+        aca_range=maps_into(t.aca, r_ba, r_ac),
+        aca_kernel=maps_into(t.aca, n_ba, n_ac),
     )
 
 
@@ -226,8 +243,7 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
         return QuotientMap(source_big, source_small, target_big, target_small,
                            carrier, well_defined=False, matrix=None)
     src = _reps(source_big, source_small)
-    carried = Mat(len(src), carried_big.cols,
-                  [x for i in src for x in carried_big.row(i)])
+    carried = carried_big.submatrix(src, range(carried_big.cols))
     tgt = target_big.pivots
     q = [tgt[i] for i in _reps(target_big, target_small)]
     small = target_small.basis_matrix()

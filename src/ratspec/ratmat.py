@@ -1,27 +1,39 @@
 """Exact rational dense linear algebra.
 
-Scalars are arbitrary-precision rationals (fractions.Fraction, aliased Rat);
-there is no floating point anywhere. Mat is a dense, immutable, possibly
-rectangular matrix; Subspace is a subspace of Q^n held as a reduced-echelon
-basis, which makes subspace equality a structural comparison; Poly is a dense
-univariate polynomial, coefficients lowest degree first.
+There is no floating point anywhere. Mat is a dense, immutable, possibly
+rectangular matrix over Q held as a tuple of integer numerators num over one
+positive common denominator den, in lowest terms: gcd(den, *num) == 1, and
+the zero matrix has den == 1. Equal matrices are therefore equal field for
+field. Subspace is a subspace of Q^n held as its reduced-echelon basis, a Mat
+in that form, with the pivot columns of the reduction that made it; that
+makes subspace equality a structural comparison too. Poly is a dense
+univariate polynomial over fractions.Fraction (aliased Rat), coefficients
+lowest degree first.
+
+Fractions appear only where values enter (Mat(...), Mat.from_rows,
+Subspace.from_vectors, a shift or a scale factor) and where they leave
+(entry, row, to_rows, Mat.data, Subspace.basis); the arithmetic in between
+runs on Python ints. This is the fraction-free idea of Bareiss (1968)
+carried through the whole layer.
 
 Rank decisions, kernels, images and the subspace lattice (sum, intersection by
 one Zassenhaus reduction, preimage, containment, quotient dimension) run
-through the two integer kernels of ratspec.kernels, rref and matmul. An echelon
-basis row holds 1 at its pivot and the other rows 0 there, so the rows X of a
-subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T.
+through the two integer kernels of ratspec.kernels, rref and matmul. A product
+is the kernels' product of the numerators over the product of the
+denominators; a row reduction needs the numerators only. An echelon basis row
+holds 1 at its pivot and the other rows 0 there, so the rows X of a subspace
+satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T.
 
 The characteristic polynomial does not use the kernels: charpoly runs the
-Faddeev-LeVerrier recurrence fraction-free, on the integer matrix D*M and
-on Python ints throughout, with every division checked to be exact.
+Faddeev-LeVerrier recurrence fraction-free, on the integer numerators and on
+Python ints throughout, with every division checked to be exact.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
-from operator import mul
+from math import gcd, lcm
+from operator import add, mul, sub
 from typing import Iterable, Sequence
 
 from ratspec import kernels
@@ -29,7 +41,8 @@ from ratspec import kernels
 Rat = Fraction
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+_set = object.__setattr__
 
 
 def rat(value: int | str | Fraction) -> Fraction:
@@ -38,20 +51,43 @@ def rat(value: int | str | Fraction) -> Fraction:
 
 
 class Mat:
-    """Immutable dense matrix over Q, row-major."""
+    """Immutable dense matrix over Q: integer numerators num (row-major) over den."""
 
-    __slots__ = ("rows", "cols", "data")
+    __slots__ = ("rows", "cols", "num", "den")
 
-    def __init__(self, rows: int, cols: int, data: Iterable[Fraction]):
+    def __init__(self, rows: int, cols: int, data: Iterable[int | Fraction]):
         data = tuple(data)
         if rows < 0 or cols < 0 or len(data) != rows * cols:
             raise ValueError(f"bad shape {rows}x{cols} for {len(data)} entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", data)
+        # ints and Fractions are in lowest terms, so the lcm of their
+        # denominators is the least common one
+        den = lcm(*[x.denominator for x in data])
+        _set(self, "rows", rows)
+        _set(self, "cols", cols)
+        _set(self, "num", tuple([x.numerator * (den // x.denominator) for x in data]))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
+
+    @classmethod
+    def from_ints(cls, rows: int, cols: int, num: Iterable[int], den: int = 1) -> "Mat":
+        """The matrix num/den of row-major integer numerators, in lowest terms."""
+        num = tuple(num)
+        if rows < 0 or cols < 0 or len(num) != rows * cols:
+            raise ValueError(f"bad shape {rows}x{cols} for {len(num)} entries")
+        if den < 1:
+            raise ValueError("the common denominator must be positive")
+        g = gcd(den, *num)
+        if g != 1:
+            num = tuple([x // g for x in num])
+            den //= g
+        M = object.__new__(cls)
+        _set(M, "rows", rows)
+        _set(M, "cols", cols)
+        _set(M, "num", num)
+        _set(M, "den", den)
+        return M
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[int | str | Fraction]]) -> "Mat":
@@ -66,17 +102,25 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
+        num = [0] * (n * n)
+        num[::n + 1] = [1] * n
+        return cls.from_ints(n, n, num)
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
+        return cls.from_ints(rows, cols, [0] * (rows * cols))
+
+    @property
+    def data(self) -> tuple[Fraction, ...]:
+        """The entries as Fractions, row-major."""
+        return tuple([Fraction(x, self.den) for x in self.num])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i * self.cols + j]
+        return Fraction(self.num[i * self.cols + j], self.den)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self.data[i * self.cols:(i + 1) * self.cols]
+        return tuple([Fraction(x, self.den)
+                      for x in self.num[i * self.cols:(i + 1) * self.cols]])
 
     def to_rows(self) -> list[list[Fraction]]:
         return [list(self.row(i)) for i in range(self.rows)]
@@ -86,30 +130,42 @@ class Mat:
         return self.rows == self.cols
 
     def is_zero(self) -> bool:
-        return all(x == 0 for x in self.data)
+        return not any(self.num)
+
+    def _over_common_den(self, other: "Mat") -> tuple[Sequence[int], Sequence[int], int]:
+        """The numerators of self and other over the lcm of their denominators."""
+        if self.rows != other.rows or self.cols != other.cols:
+            raise ValueError("shape mismatch")
+        da, db = self.den, other.den
+        if da == db:
+            return self.num, other.num, da
+        den = lcm(da, db)
+        fa, fb = den // da, den // db
+        return [x * fa for x in self.num], [x * fb for x in other.num], den
 
     def __add__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols, [a + b for a, b in zip(self.data, other.data)])
+        a, b, den = self._over_common_den(other)
+        return Mat.from_ints(self.rows, self.cols, list(map(add, a, b)), den)
 
     def __sub__(self, other: "Mat") -> "Mat":
-        self._same_shape(other)
-        return Mat(self.rows, self.cols, [a - b for a, b in zip(self.data, other.data)])
+        a, b, den = self._over_common_den(other)
+        return Mat.from_ints(self.rows, self.cols, list(map(sub, a, b)), den)
 
     def __neg__(self) -> "Mat":
-        return Mat(self.rows, self.cols, [-a for a in self.data])
+        return Mat.from_ints(self.rows, self.cols, [-x for x in self.num], self.den)
 
     def scaled(self, s: int | Fraction) -> "Mat":
         s = rat(s)
-        return Mat(self.rows, self.cols, [s * a for a in self.data])
+        p = s.numerator
+        return Mat.from_ints(self.rows, self.cols, [p * x for x in self.num],
+                             self.den * s.denominator)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        out = kernels.matmul(self.rows, self.cols, other.cols,
-                             list(self.data), list(other.data))
-        return Mat(self.rows, other.cols, out)
+        out = kernels.matmul(self.rows, self.cols, other.cols, self.num, other.num)
+        return Mat.from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def __pow__(self, k: int) -> "Mat":
         if not self.is_square:
@@ -126,50 +182,66 @@ class Mat:
         return result
 
     def transpose(self) -> "Mat":
-        return Mat(self.cols, self.rows,
-                   [self.data[i * self.cols + j]
-                    for j in range(self.cols) for i in range(self.rows)])
+        num, c = self.num, self.cols
+        return Mat.from_ints(c, self.rows, [x for j in range(c) for x in num[j::c]],
+                             self.den)
 
     def shifted(self, lam: int | Fraction) -> "Mat":
         """self - lam*I (the operator T - lambda)."""
         if not self.is_square:
             raise ValueError("shift of a non-square matrix")
         lam = rat(lam)
-        out = list(self.data)
-        for i in range(self.rows):
-            out[i * self.cols + i] -= lam
-        return Mat(self.rows, self.cols, out)
+        den = lcm(self.den, lam.denominator)
+        f = den // self.den
+        num = [x * f for x in self.num]
+        d = lam.numerator * (den // lam.denominator)
+        for i in range(0, len(num), self.cols + 1):
+            num[i] -= d
+        return Mat.from_ints(self.rows, self.cols, num, den)
 
     def apply(self, v: Sequence[Fraction]) -> tuple[Fraction, ...]:
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(kernels.matmul(self.rows, self.cols, 1, list(self.data), list(v)))
+        return (self @ Mat(self.cols, 1, [rat(x) for x in v])).data
+
+    def submatrix(self, rows: Sequence[int], cols: Sequence[int]) -> "Mat":
+        """The entries at the listed rows and columns, in the listed orders."""
+        num, c = self.num, self.cols
+        return Mat.from_ints(len(rows), len(cols),
+                             [num[i * c + j] for i in rows for j in cols], self.den)
 
     def columns(self, cols: Sequence[int]) -> "Mat":
         """The submatrix of the listed columns, in the listed order."""
-        return Mat(self.rows, len(cols),
-                   [self.data[i * self.cols + j] for i in range(self.rows) for j in cols])
-
-    def _same_shape(self, other: "Mat") -> None:
-        if self.rows != other.rows or self.cols != other.cols:
-            raise ValueError("shape mismatch")
+        return self.submatrix(range(self.rows), cols)
 
     def __eq__(self, other: object) -> bool:
         return (isinstance(other, Mat) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self.den == other.den
+                and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, self.num, self.den))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
+def _beside(L: Mat, R: Mat) -> Mat:
+    """The block matrix [L | R]; L and R have the same number of rows."""
+    den = lcm(L.den, R.den)
+    fl, fr = den // L.den, den // R.den
+    num = []
+    for i in range(L.rows):
+        num.extend([x * fl for x in L.num[i * L.cols:(i + 1) * L.cols]])
+        num.extend([x * fr for x in R.num[i * R.cols:(i + 1) * R.cols]])
+    return Mat.from_ints(L.rows, L.cols + R.cols, num, den)
+
+
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
     """Reduced row echelon form and pivot columns."""
-    data, pivots = kernels.rref(M.rows, M.cols, list(M.data))
-    return Mat(M.rows, M.cols, data), pivots
+    num, den, pivots = kernels.rref(M.rows, M.cols, M.num)
+    return Mat.from_ints(M.rows, M.cols, num, den), pivots
 
 
 def rank(M: Mat) -> int:
@@ -180,15 +252,18 @@ def rank(M: Mat) -> int:
 class Subspace:
     """Subspace of Q^n, stored as a canonical reduced-echelon row basis.
 
-    Two Subspaces are equal iff their bases are identical entry for entry;
-    canonicality makes that a complete equality test.
+    The basis is a Mat whose row i holds 1 at column pivots[i] and every
+    other row 0 there; the pivots are kept from the reduction that made it.
+    Two Subspaces are equal iff their bases are identical; canonicality makes
+    that a complete equality test.
     """
 
-    __slots__ = ("ambient_dim", "basis")
+    __slots__ = ("ambient_dim", "pivots", "_basis")
 
-    def __init__(self, ambient_dim: int, basis: tuple[tuple[Fraction, ...], ...]):
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", basis)
+    def __init__(self, basis: Mat, pivots: tuple[int, ...]):
+        _set(self, "ambient_dim", basis.cols)
+        _set(self, "pivots", pivots)
+        _set(self, "_basis", basis)
 
     def __setattr__(self, name, value):
         raise AttributeError("Subspace is immutable")
@@ -197,39 +272,45 @@ class Subspace:
     def from_vectors(cls, ambient_dim: int,
                      vectors: Sequence[Sequence[int | str | Fraction]]) -> "Subspace":
         """Span of the given vectors, canonicalized."""
-        vecs = [tuple(rat(x) for x in v) for v in vectors]
+        vecs = [tuple(v) for v in vectors]
         for v in vecs:
             if len(v) != ambient_dim:
                 raise ValueError("vector length != ambient dimension")
-        return _row_space(Mat(len(vecs), ambient_dim, [x for v in vecs for x in v]))
+        return _row_space(Mat(len(vecs), ambient_dim,
+                              [rat(x) if isinstance(x, str) else x for v in vecs for x in v]))
 
     @classmethod
     def zero(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim, ())
+        return cls(Mat.zero(0, ambient_dim), ())
 
     @classmethod
     def full(cls, ambient_dim: int) -> "Subspace":
-        return cls(ambient_dim,
-                   tuple(tuple(_ONE if i == j else _ZERO for j in range(ambient_dim))
-                         for i in range(ambient_dim)))
+        return cls(Mat.identity(ambient_dim), tuple(range(ambient_dim)))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.pivots)
 
     @property
-    def pivots(self) -> tuple[int, ...]:
-        """The pivot column of each basis row: it holds 1 there, the others 0."""
-        return tuple(next(j for j, x in enumerate(v) if x) for v in self.basis)
+    def basis(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The reduced-echelon basis vectors as Fractions."""
+        return tuple(self._basis.row(i) for i in range(self.dim))
 
     def basis_matrix(self) -> Mat:
-        return Mat(self.dim, self.ambient_dim, [x for v in self.basis for x in v])
+        return self._basis
 
     def contains_rows(self, X: Mat) -> bool:
-        """True iff every row of X lies in self: X == X[:, pivots] @ basis."""
+        """True iff every row of X lies in self: X == X[:, pivots] @ basis.
+
+        With the basis B/d, that is X.num[:, pivots] @ B == d * X.num over Z.
+        """
         if X.cols != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
-        return X == X.columns(self.pivots) @ self.basis_matrix()
+        B = self._basis
+        n = X.cols
+        at_pivots = [X.num[i * n + p] for i in range(X.rows) for p in self.pivots]
+        return (kernels.matmul(X.rows, self.dim, n, at_pivots, B.num)
+                == [B.den * x for x in X.num])
 
     def contains_vector(self, v: Sequence[int | str | Fraction]) -> bool:
         """Membership test: v == v[pivots] @ basis."""
@@ -237,11 +318,17 @@ class Subspace:
 
     def contains(self, other: "Subspace") -> bool:
         """True iff every basis vector of other lies in self."""
-        return self.contains_rows(other.basis_matrix())
+        return self.contains_rows(other._basis)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """Smallest subspace containing both."""
-        return Subspace.from_vectors(self.ambient_dim, self.basis + other.basis)
+        """Smallest subspace containing both.
+
+        The span of the stacked bases; row scaling leaves a span alone, so
+        their numerators are stacked.
+        """
+        self._same_ambient(other)
+        return _row_space(Mat.from_ints(self.dim + other.dim, self.ambient_dim,
+                                        self._basis.num + other._basis.num))
 
     def intersect(self, other: "Subspace") -> "Subspace":
         """Largest subspace contained in both, by Zassenhaus' reduction.
@@ -249,27 +336,31 @@ class Subspace:
         Row-reduce [[U, U], [W, 0]] for the bases U, W of self and other. A
         row with zero left half is u + w = 0 (u in U, w in W) with right half
         u, and these right halves are the reduced-echelon basis of U cap W.
+        Row scaling leaves the reduction alone, so the numerators of U and W
+        are stacked.
         """
         self._same_ambient(other)
         n = self.ambient_dim
         if not (self.dim and other.dim):
             return Subspace.zero(n)
-        R, pivots = rref(Mat(self.dim + other.dim, 2 * n,
-                             [x for v in self.basis for x in v + v]
-                             + [x for w in other.basis for x in w + (_ZERO,) * n]))
-        return Subspace(n, tuple(R.row(i)[n:] for i, p in enumerate(pivots) if p >= n))
+        u, w = self._basis.num, other._basis.num
+        zeros = (0,) * n
+        stacked = ([x for i in range(0, len(u), n) for x in u[i:i + n] * 2]
+                   + [x for i in range(0, len(w), n) for x in w[i:i + n] + zeros])
+        R, pivots = rref(Mat.from_ints(self.dim + other.dim, 2 * n, stacked))
+        keep = [i for i, p in enumerate(pivots) if p >= n]
+        return Subspace(R.submatrix(keep, range(n, 2 * n)),
+                        tuple(pivots[i] - n for i in keep))
 
     def _same_ambient(self, other: "Subspace") -> None:
         if self.ambient_dim != other.ambient_dim:
             raise ValueError("ambient dimension mismatch")
 
     def __eq__(self, other: object) -> bool:
-        return (isinstance(other, Subspace)
-                and self.ambient_dim == other.ambient_dim
-                and self.basis == other.basis)
+        return isinstance(other, Subspace) and self._basis == other._basis
 
     def __hash__(self) -> int:
-        return hash((self.ambient_dim, self.basis))
+        return hash(self._basis)
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of Q^{self.ambient_dim})"
@@ -280,23 +371,28 @@ def _row_space(M: Mat) -> Subspace:
     if not M.rows:
         return Subspace.zero(M.cols)
     R, pivots = rref(M)
-    return Subspace(M.cols, tuple(R.row(i) for i in range(len(pivots))))
+    return Subspace(R.submatrix(range(len(pivots)), range(M.cols)), pivots)
 
 
 def kernel(M: Mat) -> Subspace:
-    """{x : Mx = 0} as a canonical subspace of Q^cols."""
+    """{x : Mx = 0} as a canonical subspace of Q^cols.
+
+    With R = N/d the reduced echelon form, free column f gives the kernel
+    vector e_f - sum_r R[r, f] e_(p_r), p_r the pivot of row r; scaled by d,
+    d e_f - sum_r N[r, f] e_(p_r) is in the integers.
+    """
     R, pivots = rref(M)
     n = M.cols
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
     vecs = []
     for fc in free:
-        v = [_ZERO] * n
-        v[fc] = _ONE
+        v = [0] * n
+        v[fc] = R.den
         for r, pc in enumerate(pivots):
-            v[pc] = -R.entry(r, fc)
-        vecs.append(v)
-    return Subspace.from_vectors(n, vecs)
+            v[pc] = -R.num[r * n + fc]
+        vecs.extend(v)
+    return _row_space(Mat.from_ints(len(free), n, vecs))
 
 
 def image(M: Mat) -> Subspace:
@@ -341,11 +437,7 @@ def solve(M: Mat, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of Mx = b, or None if inconsistent (free variables 0)."""
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    aug_data = []
-    for i in range(M.rows):
-        aug_data.extend(M.row(i))
-        aug_data.append(rat(b[i]))
-    R, pivots = rref(Mat(M.rows, M.cols + 1, aug_data))
+    R, pivots = rref(_beside(M, Mat(M.rows, 1, [rat(x) for x in b])))
     if pivots and pivots[-1] == M.cols:
         return None
     x = [_ZERO] * M.cols
@@ -359,14 +451,10 @@ def inverse(M: Mat) -> Mat | None:
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    aug = []
-    for i in range(n):
-        aug.extend(M.row(i))
-        aug.extend(_ONE if i == j else _ZERO for j in range(n))
-    R, pivots = rref(Mat(n, 2 * n, aug))
+    R, pivots = rref(_beside(M, Mat.identity(n)))
     if len(pivots) < n or any(p >= n for p in pivots):
         return None
-    return Mat(n, n, [R.entry(i, n + j) for i in range(n) for j in range(n)])
+    return R.columns(range(n, 2 * n))
 
 
 class Poly:
@@ -442,21 +530,17 @@ class Poly:
 def charpoly(M: Mat) -> Poly:
     """det(lambda*I - M), monic of degree n, by Faddeev-LeVerrier over Z.
 
-    M is scaled to the integer matrix S = D*M, D the lcm of its
-    denominators, and the recurrence N_1 = S, c_(n-k) = -tr(N_k)/k,
-    N_(k+1) = S(N_k + c_(n-k) I) runs on Python ints. Every division by k
+    M is S/D with S its integer numerators, and the recurrence N_1 = S,
+    c_(n-k) = -tr(N_k)/k, N_(k+1) = S(N_k + c_(n-k) I) runs on Python
+    ints. Every division by k
     is exact for an integer matrix; it is checked, and ArithmeticError is
     raised if one is not. The coefficients c_i of charpoly(S) give those of
     charpoly(M) as c_i / D^(n-i).
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
-    n = M.rows
-    D = 1
-    for x in M.data:
-        d = x.denominator
-        D = D // gcd(D, d) * d
-    S = [[x.numerator * (D // x.denominator) for x in M.row(i)] for i in range(n)]
+    n, D = M.rows, M.den
+    S = [list(M.num[i * n:(i + 1) * n]) for i in range(n)]
     coeffs = [0] * (n + 1)
     coeffs[n] = 1
     N = [row[:] for row in S]

@@ -9,12 +9,15 @@ rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
 over Fraction, and the rational-root theorem with a divisor scan. The
 generator's ABA = ACA sampler has its first form here as well, the kernel
 of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
-intersection, by the kernel of the stacked bases.
+intersection, by the kernel of the stacked bases. FractionMat is the
+entrywise-Fraction matrix that Mat's integer-numerator arithmetic is
+checked against.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -30,6 +33,52 @@ _ONE = Fraction(1)
 def _require_square(T: Mat) -> None:
     if not T.is_square:
         raise ValueError("spectral invariants need a square matrix")
+
+
+@dataclass(frozen=True)
+class FractionMat:
+    """A matrix as a row-major tuple of Fractions, with textbook operations."""
+
+    rows: int
+    cols: int
+    entries: tuple[Fraction, ...]
+
+    @classmethod
+    def of(cls, M: Mat) -> "FractionMat":
+        return cls(M.rows, M.cols, tuple(M.entry(i, j) for i in range(M.rows)
+                                         for j in range(M.cols)))
+
+    def __add__(self, other: "FractionMat") -> "FractionMat":
+        return FractionMat(self.rows, self.cols,
+                           tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __sub__(self, other: "FractionMat") -> "FractionMat":
+        return FractionMat(self.rows, self.cols,
+                           tuple(a - b for a, b in zip(self.entries, other.entries)))
+
+    def scaled(self, s: Fraction) -> "FractionMat":
+        return FractionMat(self.rows, self.cols, tuple(s * a for a in self.entries))
+
+    def shifted(self, lam: Fraction) -> "FractionMat":
+        return FractionMat(self.rows, self.cols,
+                           tuple(a - lam if i % (self.cols + 1) == 0 else a
+                                 for i, a in enumerate(self.entries)))
+
+    def __matmul__(self, other: "FractionMat") -> "FractionMat":
+        return FractionMat(self.rows, other.cols, tuple(
+            sum((self.entries[i * self.cols + t] * other.entries[t * other.cols + j]
+                 for t in range(self.cols)), _ZERO)
+            for i in range(self.rows) for j in range(other.cols)))
+
+    def transpose(self) -> "FractionMat":
+        return FractionMat(self.cols, self.rows,
+                           tuple(self.entries[i * self.cols + j]
+                                 for j in range(self.cols) for i in range(self.rows)))
+
+    def columns(self, cols) -> "FractionMat":
+        return FractionMat(self.rows, len(cols),
+                           tuple(self.entries[i * self.cols + j]
+                                 for i in range(self.rows) for j in cols))
 
 
 def intersect_by_kernel(U: Subspace, W: Subspace) -> Subspace:

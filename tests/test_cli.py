@@ -3,6 +3,7 @@
 import json
 import os
 import tempfile
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -507,11 +508,13 @@ class TestRunVerification:
         t = paper_example(2, default_idempotent(2))
         result = run_verification(t)
         # no scaled triple; the chains of BA - lam and AC - lam, built once
-        # per nonzero probe and shared by every verifier
+        # per nonzero probe and shared by every verifier, and one chain each
+        # of CA - 1 and AB - 1 for the inclusion lemma
         assert scaled_at == []
         nonzero = [x for x in intertwine.default_probes(t) if x]
-        assert chained == [T for lam in nonzero
-                           for T in (t.ba.shifted(lam), t.ac.shifted(lam))]
+        assert Counter(chained) == Counter(
+            [T for lam in nonzero for T in (t.ba.shifted(lam), t.ac.shifted(lam))]
+            + [t.ca.shifted(1), t.ab.shifted(1)])
         # the theorem rows read those same chain objects, AC - lam first,
         # and neither shift nor chain anything themselves
         assert theorem_cost == [(0, 0)]

@@ -19,7 +19,7 @@ from ratspec.intertwine import (ConditionNotSatisfied, OperatorTriple,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
 from ratspec.invariants import profile
-from ratspec.ratmat import Mat, Poly, image, map_subspace, solve
+from ratspec.ratmat import Mat, Poly, image, map_subspace, poly_eval_mat, solve
 
 P2 = default_idempotent(2)
 EX1 = paper_example(1, P2)
@@ -143,6 +143,35 @@ class TestInclusionLemma:
             Q = Poly([0] * n + [1])  # x^n, so Q(T - I) = (T - I)^n
             assert inclusion_lemma(EX1, Q).all_hold
             assert inclusion_lemma(EX2, Q).all_hold
+
+    @pytest.mark.parametrize("Q", [Poly([0, 1]), Poly([0, 0, 1]), Poly([0, 0, 0, 2]),
+                                   Poly([1, 0, 1])])
+    def test_subspaces_are_those_of_the_evaluated_polynomial(self, Q, monkeypatch):
+        # monomials read the power chains at 1; the inclusions they check
+        # must be about the very subspaces R and N of Q(T - I)
+        from ratspec import intertwine
+        from ratspec.ratmat import kernel
+        seen = []
+        real = intertwine.maps_into
+
+        def recorded(M, U, W):
+            seen.append((M, U, W))
+            return real(M, U, W)
+
+        monkeypatch.setattr(intertwine, "maps_into", recorded)
+        # and one where 1 is an eigenvalue with a Jordan block of size 3, so
+        # that R and N of (T - I)^k move with k
+        i3 = Mat.identity(3)
+        shear = i3 + Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        for t in [*conforming_samples(), OperatorTriple(i3, shear, shear)]:
+            seen.clear()
+            assert inclusion_lemma(t, Q).all_hold
+            q = {name: poly_eval_mat(Q, T.shifted(1))
+                 for name, T in (("ca", t.ca), ("ab", t.ab), ("ba", t.ba), ("ac", t.ac))}
+            assert seen == [(t.aba, image(q["ca"]), image(q["ab"])),
+                            (t.aba, kernel(q["ca"]), kernel(q["ab"])),
+                            (t.aca, image(q["ba"]), image(q["ac"])),
+                            (t.aca, kernel(q["ba"]), kernel(q["ac"]))]
 
     def test_random_cubic_on_generated(self):
         rng = random.Random(31)

@@ -5,7 +5,15 @@ kernels.matmul, and their call counts on a fixed document are deterministic.
 A change that makes verify do more linear algebra raises a count past its
 bound here, even where the timings are too noisy to show it. A change that
 lowers a count records the new count as the bound.
+
+The kernels compute over the integers: a Mat is integer numerators over one
+common denominator, and what reaches a kernel is numerators only. A Fraction
+operand would still compute, slowly, so a test checks the operand types on a
+document whose entries are not integers.
 """
+
+import importlib.util
+from pathlib import Path
 
 import pytest
 
@@ -13,30 +21,68 @@ from ratspec import kernels
 from ratspec.cli import EXIT_OK, main, write_triple_document
 from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
 
+TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
+
 # document -> (rref calls, matmul calls) of one `verify --json`
-BOUNDS = {"paper_ex1": (146, 298), "rational_spectrum": (199, 377)}
+BOUNDS = {"paper_ex1": (118, 290), "rational_spectrum": (179, 367),
+          "c_equals_b_fractional": (175, 360)}
 
 
 def _document(name):
     if name == "paper_ex1":
         return generate(GenSpec(template="paper_ex1", block_dim=2))
+    if name == "c_equals_b_fractional":
+        return generate(GenSpec(template="c_equals_b", block_dim=3, seed=0,
+                                entry_bound=3))
     return rational_spectrum_instance(GenSpec(template="c_equals_b", block_dim=3,
                                               seed=1, entry_bound=2))
 
 
-@pytest.mark.parametrize("name", sorted(BOUNDS))
-def test_verify_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsys):
+def _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys):
+    """Run `verify --json` on the document; {kernel: [args of each call]}."""
     path = tmp_path / f"{name}.json"
     write_triple_document(_document(name), str(path))
-    calls = {"rref": 0, "matmul": 0}
+    calls = {"rref": [], "matmul": []}
     for kernel in calls:
         real = getattr(kernels, kernel)
 
-        def counted(*args, kernel=kernel, real=real):
-            calls[kernel] += 1
+        def recorded(*args, kernel=kernel, real=real):
+            calls[kernel].append(args)
             return real(*args)
 
-        monkeypatch.setattr(kernels, kernel, counted)
+        monkeypatch.setattr(kernels, kernel, recorded)
     assert main(["verify", str(path), "--json"]) == EXIT_OK
     capsys.readouterr()
-    assert calls["rref"] <= BOUNDS[name][0] and calls["matmul"] <= BOUNDS[name][1]
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_verify_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsys):
+    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    assert len(calls["rref"]) <= BOUNDS[name][0]
+    assert len(calls["matmul"]) <= BOUNDS[name][1]
+
+
+def _operand_stats():
+    spec = importlib.util.spec_from_file_location("_ratbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._operand_stats
+
+
+def test_no_fraction_reaches_the_kernels(tmp_path, monkeypatch, capsys):
+    name = "c_equals_b_fractional"
+    t = _document(name)
+    assert any(M.den > 1 for M in (t.A, t.B, t.C))
+    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    assert len(calls["rref"]) <= BOUNDS[name][0]
+    assert len(calls["matmul"]) <= BOUNDS[name][1]
+    operands = ([args[2] for args in calls["rref"]]
+                + [data for args in calls["matmul"] for data in args[3:5]])
+    assert all(type(x) is int for data in operands for x in data)
+    # the benchmark's tracer reads the same operands through .numerator and
+    # .denominator, which ints have too
+    stats = _operand_stats()
+    seen = [stats("kernels.rref", args) for args in calls["rref"]]
+    seen += [stats("kernels.matmul", args) for args in calls["matmul"]]
+    assert sum(e for e, _ in seen) > 0 and max(b for _, b in seen) > 0

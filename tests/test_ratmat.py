@@ -1,13 +1,14 @@
 """Exact linear algebra core: frozen examples and algebraic properties."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
-from oracles import charpoly_fraction, intersect_by_kernel
+from oracles import FractionMat, charpoly_fraction, intersect_by_kernel
 from ratspec import kernels
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
                             kernel, map_subspace, maps_into, poly_eval_mat,
@@ -444,3 +445,44 @@ class TestMatBasics:
         U = Subspace.from_vectors(3, [(1, 0, 0)])
         assert hash(U) == hash(Subspace.from_vectors(3, [(2, 0, 0)]))
         assert "dim 1 of Q^3" in repr(U)
+
+
+def _canonical(M):
+    """(num, den) in lowest terms: int numerators, den > 0, gcd(den, *num) == 1."""
+    return (len(M.num) == M.rows * M.cols and all(type(x) is int for x in M.num)
+            and type(M.den) is int and M.den > 0 and gcd(M.den, *M.num) == 1)
+
+
+class TestIntegerRepresentation:
+    @given(st.data())
+    def test_operations_match_the_fraction_reference(self, data):
+        # every operation agrees with entrywise Fractions and stays canonical
+        A = data.draw(matrices(4, 4, min_rows=0, min_cols=0))
+        B = data.draw(st.one_of(matrices(A.rows, A.cols, A.rows, A.cols),
+                                st.just(Mat(A.rows, A.cols, A.data)),
+                                st.just(A.scaled(2).scaled(Fraction(1, 2)))))
+        K = data.draw(matrices(A.cols, 4, min_rows=A.cols, min_cols=0))
+        S = data.draw(square_matrices(4))
+        s, lam = data.draw(rationals), data.draw(rationals)
+        cols = data.draw(st.lists(st.integers(0, A.cols - 1), max_size=5)
+                         if A.cols else st.just([]))
+        fa, fb, fk, fs = (FractionMat.of(M) for M in (A, B, K, S))
+        for got, want in ((A + B, fa + fb), (A - B, fa - fb), (A @ K, fa @ fk),
+                          (A.transpose(), fa.transpose()), (A.scaled(s), fa.scaled(s)),
+                          (A.columns(cols), fa.columns(cols)),
+                          (S.shifted(lam), fs.shifted(lam)), (-A, fa.scaled(-1))):
+            assert FractionMat.of(got) == want
+            assert _canonical(got)
+        assert (A == B) == (fa == fb)
+        assert (A == B) <= (hash(A) == hash(B))
+
+    @given(matrices(4, 5, min_rows=0))
+    def test_echelon_bases_are_canonical_with_their_pivots(self, M):
+        for U in (image(M), kernel(M)):
+            B = U.basis_matrix()
+            assert _canonical(B) and B.rows == U.dim
+            # each pivot is the first nonzero of its row, 1 there, 0 above and below
+            assert U.pivots == tuple(next(j for j in range(B.cols) if B.entry(i, j))
+                                     for i in range(B.rows))
+            assert all(B.entry(i, p) == (i == r) for r, p in enumerate(U.pivots)
+                       for i in range(B.rows))
