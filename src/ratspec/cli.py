@@ -20,7 +20,7 @@ from typing import Any, Sequence
 from ratspec import drazin, genlab, intertwine
 from ratspec.intertwine import OperatorTriple
 from ratspec.invariants import profile
-from ratspec.ratmat import Mat, Poly, rat
+from ratspec.ratmat import Mat, Poly, rank, rat
 
 ENTRY_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
 
@@ -185,6 +185,20 @@ INCLUSION_QS = (Poly([0, 1]), Poly([0, 0, 1]), Poly([0, 0, 0, 1]),
                 Poly(["3/2", "3/2", "-3/2", 1]))
 
 
+def _map_witness(qm: intertwine.QuotientMap) -> str:
+    """Why a quotient map fails, or "" when it is well defined and injective
+    by both routes: the failure, the quotient dims and the matrix rank."""
+    dims = f"source dim {qm.source_dim}, target dim {qm.target_dim}"
+    if not qm.well_defined:
+        return f"not well defined ({dims})"
+    by_rank, by_preimage = qm.injective_by_rank(), qm.injective_by_preimage()
+    if by_rank and by_preimage:
+        return ""
+    why = ("not injective" if by_rank == by_preimage else
+           f"routes disagree (injective by rank {by_rank}, by preimage {by_preimage})")
+    return f"{why} ({dims}, rank {rank(qm.matrix)})"
+
+
 def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
                      n_max: int | None = None) -> dict:
     """The full verifier battery; the exit-status contract reads its verdicts.
@@ -212,24 +226,21 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         qs_ok = all(intertwine.inclusion_lemma(t, q).all_hold for q in INCLUSION_QS)
         add("inclusion_lemma", qs_ok)
 
-        maps_ok = True
+        failed: list[str] = []
         for lam in nonzero:
             # once both chains are stable, every later n has the same four
             # subspaces and the same carrier, so the same map as at stop
             ba, ac = t.chains(lam)
             stop = min(top, max(ba.stable, ac.stable))
             for n in range(stop + 1):
-                for builder in (intertwine.gamma_map, intertwine.psi_map,
-                                intertwine.phi_map):
-                    qm = builder(t, n, lam)
-                    if not qm.well_defined:
-                        maps_ok = False
-                        continue
-                    inj_rank = qm.injective_by_rank()
-                    inj_pre = qm.injective_by_preimage()
-                    if inj_rank != inj_pre or not inj_rank:
-                        maps_ok = False
-        add("quotient_maps", maps_ok)
+                for name, builder in (("gamma", intertwine.gamma_map),
+                                      ("psi", intertwine.psi_map),
+                                      ("phi", intertwine.phi_map)):
+                    witness = _map_witness(builder(t, n, lam))
+                    if witness:
+                        failed.append(f"{name} at lambda={lam}, n={n}: {witness}")
+        add("quotient_maps", not failed,
+            f"{len(failed)} map(s) failed; first: {failed[0]}" if failed else "")
 
         seq_ok = all(intertwine.verify_sequence_equalities(t, lam, top).all_equal
                      for lam in nonzero)

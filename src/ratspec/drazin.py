@@ -130,9 +130,10 @@ def transfer(t: OperatorTriple) -> TransferReport:
     S = s_res.inverse
     cand = t.B @ (S @ S) @ t.A
     ba = t.ba
-    commutes = cand @ ba == ba @ cand
-    inner = cand @ ba @ cand == cand
-    residual_index = nilpotency_index(ba @ ba @ cand - ba)
+    cand_ba, ba_cand = cand @ ba, ba @ cand
+    commutes = cand_ba == ba_cand
+    inner = cand_ba @ cand == cand
+    residual_index = nilpotency_index(ba @ ba_cand - ba)
     direct = drazin_inverse(ba).inverse
     return TransferReport(s_ac=s_res, candidate=cand, commutes=commutes,
                           inner=inner, residual_index=residual_index,
@@ -161,18 +162,17 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
     S = tr.s_ac.inverse
     d = tr.s_ac.index
     ac = t.ac
-    commutation = ac @ S == S @ ac
-    P = (ac @ S).shifted(1)
+    ac_s = ac @ S
+    commutation = ac_s == S @ ac
+    P = ac_s.shifted(1)
     pa = P @ t.A
     ba = t.ba
     residual_is_bpa = (tr.candidate @ ba @ ba - ba) == t.B @ pa
-    c1 = pa @ t.B @ pa @ t.B @ pa
-    c2 = pa @ t.B @ pa @ t.C @ pa
-    c3 = pa @ t.C @ pa @ t.B @ pa
-    c4 = pa @ t.C @ pa @ t.C @ pa
-    cycle = c1 == c2 == c3 == c4
-    pac = pa @ t.C
-    pac_matches = pac == ac @ ac @ S - ac
+    # (PA)X(PA)Y(PA) = [(PA)X] [(PA)Y(PA)] for X, Y in {B, C}
+    pab, pac = pa @ t.B, pa @ t.C
+    pabpa, pacpa = pab @ pa, pac @ pa
+    cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
+    pac_matches = pac == ac @ ac_s - ac
     if d <= 1:
         pac_nilpotent = pac.is_zero()
     else:

@@ -18,6 +18,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from ratspec.intertwine import OperatorTriple
 from ratspec.ratmat import Mat, Subspace, inverse, kernel, rat
@@ -93,11 +94,17 @@ def default_idempotent(m: int) -> Mat:
 
 def _block_matrix(layout: list[list[Mat]]) -> Mat:
     """The matrix with the given blocks; the blocks of one row share a row
-    count, the blocks of one column a column count."""
-    return Mat(sum(block_row[0].rows for block_row in layout),
-               sum(blk.cols for blk in layout[0]),
-               [x for block_row in layout for r in range(block_row[0].rows)
-                for blk in block_row for x in blk.row(r)])
+    count, the blocks of one column a column count. The numerators are
+    assembled over the lcm of the block denominators."""
+    den = lcm(*[blk.den for block_row in layout for blk in block_row])
+    num = []
+    for block_row in layout:
+        for r in range(block_row[0].rows):
+            for blk in block_row:
+                f = den // blk.den
+                num.extend([x * f for x in blk.num[r * blk.cols:(r + 1) * blk.cols]])
+    return Mat.from_ints(sum(block_row[0].rows for block_row in layout),
+                         sum(blk.cols for blk in layout[0]), num, den)
 
 
 def paper_example(which: int, P: Mat) -> OperatorTriple:

@@ -11,6 +11,13 @@ shift operators B_n, C_n with (I-BA)^n = I - B_nA and (I-AC)^n = I - AC_n.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
+Neighbouring maps share most of their work: the small spaces of the map at
+n are the big ones at n + 1, and the three map families and the inclusion
+lemma meet in the same chain subspaces. So every triple owns a MapCache,
+which forms the carried rows V ACA^T of each subspace V, decides each
+containment ACA(V) <= W and each nestedness test, and builds the
+annihilator of each target subspace once; the chains themselves keep each
+sum R(T) + N(T^n).
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -26,11 +33,64 @@ from fractions import Fraction
 from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
                                 sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            maps_into, poly_eval_mat, preimage, rank, rat)
+                            poly_eval_mat, rank, rat)
 
 
 class ConditionNotSatisfied(ValueError):
     """Raised when an operation requires the intertwining condition."""
+
+
+class MapCache:
+    """What the quotient maps compute about subspaces, each computed once.
+
+    Keys are values (a Mat and a Subspace compare structurally), so every
+    map that meets the same subspace shares the result:
+    - carried(M, V): the rows V M^T, V's basis carried by M;
+    - maps_into(M, V, W): M(V) <= W, read off those rows at W's pivots;
+    - nested(big, small): small <= big;
+    - annihilator(W): rows K with W = {y : K y = 0}.
+    An OperatorTriple owns one, so it lives exactly as long as the triple.
+    """
+
+    __slots__ = ("_carried", "_into", "_nested", "_annihilators")
+
+    def __init__(self):
+        self._carried: dict[tuple[Mat, Subspace], Mat] = {}
+        self._into: dict[tuple[Mat, Subspace, Subspace], bool] = {}
+        self._nested: dict[tuple[Subspace, Subspace], bool] = {}
+        self._annihilators: dict[Subspace, Mat] = {}
+
+    def carried(self, M: Mat, V: Subspace) -> Mat:
+        key = (M, V)
+        rows = self._carried.get(key)
+        if rows is None:
+            if V.ambient_dim != M.cols:
+                raise ValueError("subspace not in the domain of M")
+            # the whole space has the identity basis
+            rows = M.transpose() if V.dim == V.ambient_dim else (
+                V.basis_matrix() @ M.transpose())
+            self._carried[key] = rows
+        return rows
+
+    def maps_into(self, M: Mat, V: Subspace, W: Subspace) -> bool:
+        key = (M, V, W)
+        into = self._into.get(key)
+        if into is None:
+            into = self._into[key] = W.contains_rows(self.carried(M, V))
+        return into
+
+    def nested(self, big: Subspace, small: Subspace) -> bool:
+        key = (big, small)
+        inside = self._nested.get(key)
+        if inside is None:
+            inside = self._nested[key] = big.contains(small)
+        return inside
+
+    def annihilator(self, W: Subspace) -> Mat:
+        K = self._annihilators.get(W)
+        if K is None:
+            K = self._annihilators[W] = W.annihilator()
+        return K
 
 
 class OperatorTriple:
@@ -38,12 +98,14 @@ class OperatorTriple:
 
     The residuals of the three chained equalities and the condition flag are
     evaluated once at construction and cached; all public attributes are
-    treated as immutable.
+    treated as immutable. map_cache is the MapCache that the quotient maps
+    and the inclusion lemma of this triple share.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ab", "ca", "aba", "aca", "residuals",
-                 "condition_holds", "_chains", "_ca_ab_chains", "_charpolys")
+                 "condition_holds", "map_cache", "_chains", "_ca_ab_chains",
+                 "_charpolys")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -67,6 +129,7 @@ class OperatorTriple:
         p4 = self.aca @ self.ca     # (AC)^2 A
         self.residuals = (p1 - p2, p2 - p3, p3 - p4)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
+        self.map_cache = MapCache()
         self._chains = {}
         self._ca_ab_chains: tuple[PowerChain, PowerChain] | None = None
         self._charpolys: tuple[Poly, Poly] | None = None
@@ -155,7 +218,9 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
 
     For Q = c x^k the ranges and kernels of Q(T - I) are those of
     (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
-    CA - 1 and AB - 1; any other Q is evaluated at the four shifts.
+    CA - 1 and AB - 1; any other Q is evaluated at the four shifts. The
+    containments go through the triple's MapCache, so the ones on the
+    chains at 1 are decided once with the quotient maps at 1.
     """
     _require_condition(t)
     k = Q.degree
@@ -166,11 +231,12 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         qs = [poly_eval_mat(Q, T.shifted(1)) for T in (t.ca, t.ab, t.ba, t.ac)]
         spaces = [(image(q), kernel(q)) for q in qs]
     (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
+    into = t.map_cache.maps_into
     return InclusionReport(
-        aba_range=maps_into(t.aba, r_ca, r_ab),
-        aba_kernel=maps_into(t.aba, n_ca, n_ab),
-        aca_range=maps_into(t.aca, r_ba, r_ac),
-        aca_kernel=maps_into(t.aca, n_ba, n_ac),
+        aba_range=into(t.aba, r_ca, r_ab),
+        aba_kernel=into(t.aba, n_ca, n_ab),
+        aca_range=into(t.aca, r_ba, r_ac),
+        aca_kernel=into(t.aca, n_ba, n_ac),
     )
 
 
@@ -183,8 +249,9 @@ class QuotientMap:
     matrix holds the action on a representative basis expressed in target
     quotient coordinates (None when the map is not well defined). Injectivity
     is decidable two independent ways: by the rank of matrix, and by the
-    subspace predicate preimage(carrier, target_small) cap source_big <=
-    source_small; both are exposed so tests can compare them.
+    subspace predicate {x in source_big : carrier x in target_small} <=
+    source_small; both are exposed so that they can be compared. cache is the
+    MapCache the map was built with; it takes no part in equality.
     """
 
     source_big: Subspace
@@ -194,6 +261,7 @@ class QuotientMap:
     carrier: Mat
     well_defined: bool
     matrix: Mat | None
+    cache: MapCache = field(compare=False, repr=False)
 
     @property
     def source_dim(self) -> int:
@@ -209,8 +277,24 @@ class QuotientMap:
         return rank(self.matrix) == self.source_dim
 
     def injective_by_preimage(self) -> bool:
-        pulled = preimage(self.carrier, self.target_small).intersect(self.source_big)
-        return self.source_small.contains(pulled)
+        """{x in source_big : carrier x in target_small} <= source_small.
+
+        Decided in the coordinates y of source_big (x = y V, V its basis):
+        with K the annihilator of target_small, the pulled-back set is the
+        kernel of K (V carrier^T)^T, and source_small is the span of its
+        basis at V's pivots, which is already in reduced echelon form.
+        """
+        big, small = self.source_big, self.source_small
+        K = self.cache.annihilator(self.target_small)
+        if not (big.dim and K.rows):
+            # nothing to pull back, or all of source_big lands in the whole
+            # space: the predicate says source_small is all of source_big
+            return small.dim == big.dim
+        pulled = kernel(K @ self.cache.carried(self.carrier, big).transpose())
+        at = {p: i for i, p in enumerate(big.pivots)}
+        small_coords = Subspace(small.basis_matrix().columns(big.pivots),
+                                tuple(at[p] for p in small.pivots))
+        return small_coords.contains(pulled)
 
 
 def _reps(big: Subspace, small: Subspace) -> list[int]:
@@ -225,7 +309,7 @@ def _reps(big: Subspace, small: Subspace) -> list[int]:
 
 def induced_quotient_map(source_big: Subspace, source_small: Subspace,
                          target_big: Subspace, target_small: Subspace,
-                         carrier: Mat) -> QuotientMap:
+                         carrier: Mat, cache: MapCache | None = None) -> QuotientMap:
     """Materialize x + source_small |-> carrier x + target_small.
 
     Well-definedness = carrier maps source_small into target_small and
@@ -234,14 +318,20 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
     target_big, less its part y[P] @ S on the small basis S with pivots P,
     holds its u_q-coordinate at q; so for the carried representatives Y the
     quotient matrix is (Y[:, Q] - Y[:, P] @ S[:, Q]) transposed.
+
+    The carried rows, the containments, the nestedness tests and (for
+    injective_by_preimage) the annihilators are read from cache, the
+    triple's MapCache on the chain maps; a fresh one when none is given.
     """
-    if not source_big.contains(source_small) or not target_big.contains(target_small):
+    cache = MapCache() if cache is None else cache
+    if not (cache.nested(source_big, source_small)
+            and cache.nested(target_big, target_small)):
         raise ValueError("quotient requires nested subspaces")
-    carried_big = source_big.basis_matrix() @ carrier.transpose()
-    if not (maps_into(carrier, source_small, target_small)
-            and target_big.contains_rows(carried_big)):
+    if not (cache.maps_into(carrier, source_small, target_small)
+            and cache.maps_into(carrier, source_big, target_big)):
         return QuotientMap(source_big, source_small, target_big, target_small,
-                           carrier, well_defined=False, matrix=None)
+                           carrier, well_defined=False, matrix=None, cache=cache)
+    carried_big = cache.carried(carrier, source_big)
     src = _reps(source_big, source_small)
     carried = carried_big.submatrix(src, range(carried_big.cols))
     tgt = target_big.pivots
@@ -249,7 +339,8 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
     small = target_small.basis_matrix()
     coords = carried.columns(q) - carried.columns(target_small.pivots) @ small.columns(q)
     return QuotientMap(source_big, source_small, target_big, target_small,
-                       carrier, well_defined=True, matrix=coords.transpose())
+                       carrier, well_defined=True, matrix=coords.transpose(),
+                       cache=cache)
 
 
 def gamma_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
@@ -257,7 +348,7 @@ def gamma_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     _require_condition(t)
     ba, ac = t.chains(lam)
     return induced_quotient_map(ba.image(n), ba.image(n + 1),
-                                ac.image(n), ac.image(n + 1), t.aca)
+                                ac.image(n), ac.image(n + 1), t.aca, t.map_cache)
 
 
 def psi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
@@ -265,17 +356,16 @@ def psi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     _require_condition(t)
     ba, ac = t.chains(lam)
     return induced_quotient_map(ba.kernel(n + 1), ba.kernel(n),
-                                ac.kernel(n + 1), ac.kernel(n), t.aca)
+                                ac.kernel(n + 1), ac.kernel(n), t.aca, t.map_cache)
 
 
 def phi_map(t: OperatorTriple, n: int, lam: int | Fraction) -> QuotientMap:
     """Sum-chain map (R+N^(n+1))/(R+N^n) for BA-lam -> same for AC-lam."""
     _require_condition(t)
     ba, ac = t.chains(lam)
-    rb, ra = ba.image(1), ac.image(1)
-    return induced_quotient_map(rb.sum(ba.kernel(n + 1)), rb.sum(ba.kernel(n)),
-                                ra.sum(ac.kernel(n + 1)), ra.sum(ac.kernel(n)),
-                                t.aca)
+    return induced_quotient_map(ba.range_plus_kernel(n + 1), ba.range_plus_kernel(n),
+                                ac.range_plus_kernel(n + 1), ac.range_plus_kernel(n),
+                                t.aca, t.map_cache)
 
 
 @dataclass(frozen=True)

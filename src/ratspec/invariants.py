@@ -11,9 +11,11 @@ occur here.
 
 Every sequence is read off one PowerChain: c_n and c'_n are both
 rank T^n - rank T^(n+1), and k_n is the drop in dim R(T^n) cap N(T). The
-single-index forms c_n, cp_n, k_n and their complement/intersection/sum
-twins (Grabiner's identities), which the tests compare profile against,
-live in tests/oracles.py with the other test-only oracles.
+chain also keeps the sums R(T) + N(T^n), which the mixed quotient maps of
+ratspec.intertwine read. The single-index forms c_n, cp_n, k_n and their
+complement/intersection/sum twins (Grabiner's identities), which the tests
+compare profile against, live in tests/oracles.py with the other test-only
+oracles.
 
 Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
 finite-dimensional semantics: every subspace of a finite-dimensional space is
@@ -72,10 +74,12 @@ class PowerChain:
     the least s with rank T^s = rank T^(s+1). From s on every range and every
     kernel equals the one at s, so image(n) and kernel(n) for n > s return
     the subspace at s without computing T^n. R(T^0) is the whole space and
-    is not row-reduced.
+    is not row-reduced. The sums R(T) + N(T^n) of the mixed chain are kept
+    too, so each is formed once however many maps read it.
     """
 
-    __slots__ = ("T", "_powers", "_images", "_kernels", "_stable", "_profile")
+    __slots__ = ("T", "_powers", "_images", "_kernels", "_sums", "_stable",
+                 "_profile")
 
     def __init__(self, T: Mat):
         _require_square(T)
@@ -83,6 +87,7 @@ class PowerChain:
         self._powers = [Mat.identity(T.rows)]
         self._images = [Subspace.full(T.rows)]
         self._kernels: dict[int, Subspace] = {}
+        self._sums: dict[int, Subspace] = {}
         self._stable: int | None = None
         self._profile: InvariantProfile | None = None
 
@@ -113,6 +118,13 @@ class PowerChain:
         if n not in self._kernels:
             self._kernels[n] = kernel(self._powers[n])
         return self._kernels[n]
+
+    def range_plus_kernel(self, n: int) -> Subspace:
+        """R(T) + N(T^n); at n = 0 that is R(T) itself."""
+        n = self._index(n)
+        if n not in self._sums:
+            self._sums[n] = self.image(1).sum(self.kernel(n)) if n else self.image(1)
+        return self._sums[n]
 
     def rank(self, n: int) -> int:
         """rank T^n."""

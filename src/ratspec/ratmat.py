@@ -22,7 +22,9 @@ through the two integer kernels of ratspec.kernels, rref and matmul. A product
 is the kernels' product of the numerators over the product of the
 denominators; a row reduction needs the numerators only. An echelon basis row
 holds 1 at its pivot and the other rows 0 there, so the rows X of a subspace
-satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T.
+satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T. The
+same basis gives, with no reduction, rows K with W = {y : K y = 0}
+(Subspace.annihilator).
 
 The characteristic polynomial does not use the kernels: charpoly runs the
 Faddeev-LeVerrier recurrence fraction-free, on the integer numerators and on
@@ -320,6 +322,15 @@ class Subspace:
         """True iff every basis vector of other lies in self."""
         return self.contains_rows(other._basis)
 
+    def annihilator(self) -> Mat:
+        """Rows K with self = {y : K y = 0}: a basis of the orthogonal complement.
+
+        Read off the reduced-echelon basis with no row reduction; the rows
+        are not reduced, which a constraint matrix does not need. The zero
+        subspace gives the identity, the whole space no rows.
+        """
+        return _null_rows(self._basis, self.pivots)
+
     def sum(self, other: "Subspace") -> "Subspace":
         """Smallest subspace containing both.
 
@@ -374,15 +385,14 @@ def _row_space(M: Mat) -> Subspace:
     return Subspace(R.submatrix(range(len(pivots)), range(M.cols)), pivots)
 
 
-def kernel(M: Mat) -> Subspace:
-    """{x : Mx = 0} as a canonical subspace of Q^cols.
+def _null_rows(R: Mat, pivots: Sequence[int]) -> Mat:
+    """A basis of {x : Rx = 0} as rows, for R in reduced echelon form.
 
-    With R = N/d the reduced echelon form, free column f gives the kernel
-    vector e_f - sum_r R[r, f] e_(p_r), p_r the pivot of row r; scaled by d,
-    d e_f - sum_r N[r, f] e_(p_r) is in the integers.
+    With R = N/d, free column f gives the kernel vector e_f - sum_r R[r, f]
+    e_(p_r), p_r the pivot of row r; scaled by d, d e_f - sum_r N[r, f]
+    e_(p_r) is in the integers. No row reduction is needed.
     """
-    R, pivots = rref(M)
-    n = M.cols
+    n = R.cols
     pivset = set(pivots)
     free = [c for c in range(n) if c not in pivset]
     vecs = []
@@ -392,7 +402,12 @@ def kernel(M: Mat) -> Subspace:
         for r, pc in enumerate(pivots):
             v[pc] = -R.num[r * n + fc]
         vecs.extend(v)
-    return _row_space(Mat.from_ints(len(free), n, vecs))
+    return Mat.from_ints(len(free), n, vecs)
+
+
+def kernel(M: Mat) -> Subspace:
+    """{x : Mx = 0} as a canonical subspace of Q^cols."""
+    return _row_space(_null_rows(*rref(M)))
 
 
 def image(M: Mat) -> Subspace:
@@ -405,11 +420,6 @@ def map_subspace(M: Mat, U: Subspace) -> Subspace:
     if U.ambient_dim != M.cols:
         raise ValueError("subspace not in the domain of M")
     return image(M @ U.basis_matrix().transpose())
-
-
-def maps_into(M: Mat, U: Subspace, W: Subspace) -> bool:
-    """True iff M(U) <= W, read from the rows U @ M^T at W's pivots."""
-    return W.contains_rows(U.basis_matrix() @ M.transpose())
 
 
 def preimage(M: Mat, W: Subspace) -> Subspace:

@@ -9,7 +9,8 @@ rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
 over Fraction, and the rational-root theorem with a divisor scan. The
 generator's ABA = ACA sampler has its first form here as well, the kernel
 of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
-intersection, by the kernel of the stacked bases. FractionMat is the
+intersection, by the kernel of the stacked bases, and the preimage route
+to a quotient map's injectivity, on the whole space. FractionMat is the
 entrywise-Fraction matrix that Mat's integer-numerator arithmetic is
 checked against.
 """
@@ -24,7 +25,7 @@ from math import gcd
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import regularity_membership
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            quotient_dim, rank, rat)
+                            preimage, quotient_dim, rank, rat)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -98,6 +99,16 @@ def intersect_by_kernel(U: Subspace, W: Subspace) -> Subspace:
     coeffs = kernel(stacked.transpose()).basis_matrix()
     vecs = coeffs.columns(range(du)) @ U.basis_matrix()
     return Subspace.from_vectors(U.ambient_dim, vecs.to_rows())
+
+
+def injective_by_preimage_in_ambient(qm) -> bool:
+    """QuotientMap.injective_by_preimage on the whole space, its first form.
+
+    preimage(carrier, target_small) (two kernels) cut down to source_big by
+    a Zassenhaus intersection, then contained in source_small.
+    """
+    pulled = preimage(qm.carrier, qm.target_small).intersect(qm.source_big)
+    return qm.source_small.contains(pulled)
 
 
 def c_n(T: Mat, n: int) -> int:

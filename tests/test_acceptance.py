@@ -14,8 +14,8 @@ from math import comb
 import pytest
 
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
-                     eigenvalue_multiplicity, k_n, k_n_via_sums,
-                     rational_eigenvalues_by_divisors)
+                     eigenvalue_multiplicity, injective_by_preimage_in_ambient,
+                     k_n, k_n_via_sums, rational_eigenvalues_by_divisors)
 from ratspec.cli import main, write_triple_document
 from ratspec.drazin import proof_identities, transfer
 from ratspec.genlab import (GenSpec, generate, paper_example,
@@ -131,6 +131,45 @@ def test_criterion_3_map_suite(corpus):
                     built += 1
     print(f"ACCEPTANCE 3: PASS - {built} quotient maps well defined and "
           "injective by both routes")
+
+
+def _cache_free_maps(t, n, lam):
+    """Gamma, Psi, Phi at n, each built with a fresh MapCache from sums
+    formed afresh, on the subspaces of the triple's chains."""
+    ba, ac = t.chains(lam)
+
+    def sums(chain, k):
+        return chain.image(1).sum(chain.kernel(k))
+
+    return (
+        induced_quotient_map(ba.image(n), ba.image(n + 1),
+                             ac.image(n), ac.image(n + 1), t.aca),
+        induced_quotient_map(ba.kernel(n + 1), ba.kernel(n),
+                             ac.kernel(n + 1), ac.kernel(n), t.aca),
+        induced_quotient_map(sums(ba, n + 1), sums(ba, n),
+                             sums(ac, n + 1), sums(ac, n), t.aca))
+
+
+def test_criterion_3_cached_maps_equal_cache_free_ones(corpus):
+    """Maps read from the triple's MapCache and the memoised sums equal the
+    maps built with nothing shared, matrix and flags, at every n; the
+    preimage route also matches its whole-space form."""
+    compared = 0
+    for _, t, probes, _ in corpus:
+        top = max(t.dim_x, t.dim_y)
+        for lam in probes:
+            for n in range(top + 1):
+                cached = [b(t, n, lam) for b in (gamma_map, psi_map, phi_map)]
+                fresh = _cache_free_maps(t, n, lam)
+                for qm, alone in zip(cached, fresh):
+                    assert qm.cache is t.map_cache and alone.cache is not t.map_cache
+                    assert qm == alone
+                    assert qm.injective_by_rank() == alone.injective_by_rank()
+                    assert (qm.injective_by_preimage() == alone.injective_by_preimage()
+                            == injective_by_preimage_in_ambient(qm))
+                    compared += 1
+    print(f"ACCEPTANCE 3c: PASS - {compared} cached quotient maps equal the "
+          "cache-free ones")
 
 
 def _fresh_maps(t, n, lam):

@@ -553,3 +553,88 @@ class TestRunVerification:
         result = run_verification(t)
         assert not result["passed"]
         assert [c["name"] for c in result["checks"]] == ["condition"]
+
+
+class TestQuotientMapWitness:
+    """A failing quotient map names itself in the check's detail.
+
+    On conforming triples every map passes, so each failure is injected: a
+    builder with a faulty carrier, or an injectivity route that lies.
+    """
+
+    @staticmethod
+    def _detail(t):
+        result = run_verification(t)
+        check = next(c for c in result["checks"] if c["name"] == "quotient_maps")
+        assert not check["passed"] and not result["passed"]
+        return check["detail"]
+
+    @staticmethod
+    def _with_carrier(builder, carrier_of):
+        from ratspec import intertwine
+
+        def faulty(t, n, lam):
+            qm = builder(t, n, lam)
+            return intertwine.induced_quotient_map(
+                qm.source_big, qm.source_small, qm.target_big, qm.target_small,
+                carrier_of(t))
+        return faulty
+
+    def test_passing_detail_is_empty(self):
+        t = paper_example(1, default_idempotent(2))
+        check = run_verification(t)["checks"][2]
+        assert check == {"name": "quotient_maps", "passed": True, "detail": ""}
+
+    def test_not_injective(self, monkeypatch):
+        # the zero carrier is well defined on every chain and kills every
+        # quotient; gamma at 1, n = 0 is the first map with a nonzero source
+        from ratspec import intertwine
+        t = paper_example(1, default_idempotent(2))
+        real = intertwine.gamma_map(t, 0, 1)
+        monkeypatch.setattr(intertwine, "gamma_map", self._with_carrier(
+            intertwine.gamma_map, lambda t: Mat.zero(t.dim_x, t.dim_x)))
+        detail = self._detail(t)
+        assert real.source_dim > 0
+        assert detail.endswith(
+            f"first: gamma at lambda=1, n=0: not injective (source dim "
+            f"{real.source_dim}, target dim {real.target_dim}, rank 0)")
+
+    def test_not_well_defined(self, monkeypatch):
+        # a carrier that swaps coordinates does not respect the chains of
+        # the worked example at 1
+        from ratspec import intertwine
+        t = paper_example(1, default_idempotent(2))
+        n = t.dim_x
+        swap = Mat(n, n, [1 if j == n - 1 - i else 0 for i in range(n) for j in range(n)])
+        faulty = self._with_carrier(intertwine.phi_map, lambda t: swap)
+        broken = [(lam, k) for lam in intertwine.default_probes(t) if lam
+                  for k in range(2) if not faulty(t, k, lam).well_defined]
+        assert broken
+        monkeypatch.setattr(intertwine, "phi_map", faulty)
+        lam, k = broken[0]
+        qm = faulty(t, k, lam)
+        assert f"first: phi at lambda={lam}, n={k}: not well defined (source dim " \
+            f"{qm.source_dim}, target dim {qm.target_dim})" in self._detail(t)
+
+    def test_routes_disagree(self, monkeypatch):
+        from ratspec import intertwine
+        t = paper_example(2, default_idempotent(2))
+        lam = next(x for x in intertwine.default_probes(t) if x)
+        first = intertwine.gamma_map(t, 0, lam)
+        monkeypatch.setattr(intertwine.QuotientMap, "injective_by_preimage",
+                            lambda qm: False)
+        detail = self._detail(t)
+        assert detail.endswith(
+            f"first: gamma at lambda={lam}, n=0: routes disagree (injective by "
+            f"rank True, by preimage False) (source dim {first.source_dim}, "
+            f"target dim {first.target_dim}, rank {first.source_dim})")
+
+    def test_witness_reaches_the_rendered_table(self, monkeypatch, ex1_file, capsys):
+        from ratspec import intertwine
+        monkeypatch.setattr(intertwine.QuotientMap, "injective_by_rank",
+                            lambda qm: False)
+        assert main(["verify", ex1_file]) == EXIT_FAIL
+        out = capsys.readouterr().out
+        line = next(x for x in out.splitlines() if "quotient_maps" in x)
+        assert "map(s) failed; first: gamma at lambda=" in line
+        assert "routes disagree (injective by rank False, by preimage True)" in line

@@ -1,5 +1,6 @@
 """Drazin inverse: frozen cases, an independent oracle, and the transfer."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -267,6 +268,33 @@ class TestProofIdentities:
         good = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=11))
         with pytest.raises(ConditionNotSatisfied):
             proof_identities(bad, transfer(good))
+
+    def test_shared_products_give_the_written_out_flags(self):
+        # with a wrong S the identities can fail; every flag must still be
+        # the one of the products written out in full
+        rng = random.Random(5)
+        for which in (1, 2):
+            t = paper_example(which, default_idempotent(2))
+            tr = transfer(t)
+            for S in (tr.s_ac.inverse, random_square(rng, t.dim_y)):
+                wrong = dataclasses.replace(
+                    tr, s_ac=dataclasses.replace(tr.s_ac, inverse=S))
+                rep = proof_identities(t, wrong)
+                ac, A, B, C = t.ac, t.A, t.B, t.C
+                pa = (ac @ S).shifted(1) @ A
+                assert rep.commutation == (ac @ S == S @ ac)
+                assert rep.cycle == (pa @ B @ pa @ B @ pa == pa @ B @ pa @ C @ pa
+                                     == pa @ C @ pa @ B @ pa == pa @ C @ pa @ C @ pa)
+                assert rep.pac_matches == (pa @ C == ac @ ac @ S - ac)
+
+    def test_transfer_flags_are_the_written_out_ones(self):
+        for which in (1, 2):
+            t = paper_example(which, default_idempotent(2))
+            tr = transfer(t)
+            cand, ba = tr.candidate, t.ba
+            assert tr.commutes == (cand @ ba == ba @ cand)
+            assert tr.inner == (cand @ ba @ cand == cand)
+            assert tr.residual_index == nilpotency_index(ba @ ba @ cand - ba)
 
     def test_nilpotency_non_square_rejected(self):
         with pytest.raises(ValueError):

@@ -90,6 +90,19 @@ class TestPaperExample:
             paper_example(3, default_idempotent(2))
 
 
+class TestBlockMatrix:
+    def test_blocks_over_different_denominators(self):
+        halves = Mat.from_rows([[Fraction(1, 2), 1], [0, Fraction(-3, 4)]])
+        thirds = Mat.from_rows([[Fraction(2, 3)], [5]])
+        ints = Mat.from_rows([[4, 6]])
+        zero = Mat.zero(1, 1)
+        got = genlab._block_matrix([[halves, thirds], [ints, zero]])
+        rows = [halves.row(0) + thirds.row(0), halves.row(1) + thirds.row(1),
+                ints.row(0) + zero.row(0)]
+        assert got == Mat.from_rows(rows)
+        assert got.den == 12
+
+
 class TestGenerate:
     @pytest.mark.parametrize("template", CONFORMING)
     def test_conforming_templates(self, template):

@@ -8,10 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices
-from oracles import power_identity
+from oracles import injective_by_preimage_in_ambient, power_identity
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
-from ratspec.intertwine import (ConditionNotSatisfied, OperatorTriple,
+from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
                                 check_condition, default_probes, gamma_map,
                                 inclusion_lemma, induced_quotient_map,
                                 nonzero_charpoly_match,
@@ -19,7 +19,8 @@ from ratspec.intertwine import (ConditionNotSatisfied, OperatorTriple,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
 from ratspec.invariants import profile
-from ratspec.ratmat import Mat, Poly, image, map_subspace, poly_eval_mat, solve
+from ratspec.ratmat import (Mat, Poly, Subspace, image, map_subspace,
+                            poly_eval_mat, solve)
 
 P2 = default_idempotent(2)
 EX1 = paper_example(1, P2)
@@ -152,13 +153,13 @@ class TestInclusionLemma:
         from ratspec import intertwine
         from ratspec.ratmat import kernel
         seen = []
-        real = intertwine.maps_into
+        real = intertwine.MapCache.maps_into
 
-        def recorded(M, U, W):
+        def recorded(cache, M, U, W):
             seen.append((M, U, W))
-            return real(M, U, W)
+            return real(cache, M, U, W)
 
-        monkeypatch.setattr(intertwine, "maps_into", recorded)
+        monkeypatch.setattr(intertwine.MapCache, "maps_into", recorded)
         # and one where 1 is an eigenvalue with a Jordan block of size 3, so
         # that R and N of (T - I)^k move with k
         i3 = Mat.identity(3)
@@ -343,6 +344,73 @@ class TestQuotientMatrix:
             tgt_small.contains(map_subspace(carrier, src_small))
             and tgt_big.contains(map_subspace(carrier, src_big)))
         assert (qm.matrix is None) == (not qm.well_defined)
+
+    @given(st.data())
+    def test_preimage_route_matches_the_ambient_one_and_the_rank(self, data):
+        # nested sources; targets drawn to contain the carried sources or
+        # not, and the small target sometimes the whole space, so that both
+        # well-defined and ill-defined maps and the shortcut cases occur
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        carrier = data.draw(matrices(n, m, min_rows=n, min_cols=m))
+        S = data.draw(matrices(m, 4, min_rows=m))
+        K = data.draw(matrices(S.cols, 4, min_rows=S.cols))
+        src_big, src_small = image(S), image(S @ K)
+        tgt_small = image(data.draw(matrices(n, 2, min_rows=n)))
+        if data.draw(st.booleans()):
+            tgt_small = tgt_small.sum(map_subspace(carrier, src_small))
+        if data.draw(st.integers(0, 5)) == 0:
+            tgt_small = Subspace.full(n)
+        tgt_big = tgt_small.sum(image(data.draw(matrices(n, 2, min_rows=n))))
+        if data.draw(st.booleans()):
+            tgt_big = tgt_big.sum(map_subspace(carrier, src_big))
+        qm = induced_quotient_map(src_big, src_small, tgt_big, tgt_small, carrier)
+        by_preimage = qm.injective_by_preimage()
+        assert by_preimage == injective_by_preimage_in_ambient(qm)
+        if qm.well_defined:
+            assert by_preimage == qm.injective_by_rank()
+
+    def test_preimage_route_on_degenerate_sources(self):
+        # a zero source, and a source mapped into the whole space
+        zero, full = Subspace.zero(2), Subspace.full(2)
+        line = Subspace.from_vectors(2, [(1, 1)])
+        for big, small, tgt_small in ((zero, zero, zero), (full, line, full),
+                                      (full, full, full), (line, zero, full)):
+            qm = induced_quotient_map(big, small, full, tgt_small, Mat.identity(2))
+            assert qm.injective_by_preimage() == injective_by_preimage_in_ambient(qm)
+            assert qm.injective_by_preimage() == (big == small)
+
+
+class TestMapCache:
+    def test_chain_maps_share_the_triples_cache(self):
+        t = EX1
+        maps = [b(t, n, 1) for n in range(3) for b in (gamma_map, psi_map, phi_map)]
+        assert all(qm.cache is t.map_cache for qm in maps)
+
+    def test_each_triple_owns_its_cache(self):
+        copy = OperatorTriple(EX1.A, EX1.B, EX1.C)
+        assert copy.map_cache is not EX1.map_cache
+        assert gamma_map(copy, 0, 1) == gamma_map(EX1, 0, 1)
+        # a map built without a cache gets a fresh one
+        spaces = (Subspace.full(2), Subspace.zero(2))
+        first = induced_quotient_map(*spaces, *spaces, Mat.identity(2))
+        second = induced_quotient_map(*spaces, *spaces, Mat.identity(2))
+        assert first == second and first.cache is not second.cache
+
+    def test_entries_are_computed_once(self):
+        cache = MapCache()
+        M = Mat.from_rows([[1, 2], [3, 4]])
+        line = Subspace.from_vectors(2, [(1, 0)])
+        rows = cache.carried(M, line)
+        assert rows == line.basis_matrix() @ M.transpose()
+        assert cache.carried(M, Subspace.from_vectors(2, [(2, 0)])) is rows
+        full = Subspace.full(2)
+        assert cache.carried(M, full) == full.basis_matrix() @ M.transpose()
+        K = cache.annihilator(line)
+        assert K is cache.annihilator(line)
+        assert cache.maps_into(M, line, full)
+        assert not cache.maps_into(M, line, line)
+        assert cache.nested(full, line)
+        assert not cache.nested(line, full)
 
 
 class TestSequenceEqualities:

@@ -86,6 +86,16 @@ class TestSequences:
         assert chain.stable == p.asc
 
 
+class TestRangePlusKernel:
+    @given(square_matrices(4))
+    def test_memoised_sums_are_the_sums(self, M):
+        chain = PowerChain(M)
+        for n in range(M.rows + 3):
+            got = chain.range_plus_kernel(n)
+            assert got == image(M).sum(kernel(M ** n))
+            assert chain.range_plus_kernel(n) is got
+
+
 class TestProfile:
     def test_identity_profile(self):
         p = profile(Mat.identity(3))

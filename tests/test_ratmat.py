@@ -10,9 +10,10 @@ from hypothesis import strategies as st
 from conftest import matrices, naive_matmul, rationals, square_matrices
 from oracles import FractionMat, charpoly_fraction, intersect_by_kernel
 from ratspec import kernels
+from ratspec.intertwine import MapCache
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
-                            kernel, map_subspace, maps_into, poly_eval_mat,
-                            preimage, quotient_dim, rank, rref, solve)
+                            kernel, map_subspace, poly_eval_mat, preimage,
+                            quotient_dim, rank, rref, solve)
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -76,6 +77,19 @@ class TestKernelImage:
 
 
 class TestSubspaceLattice:
+    @given(matrices(4, 5))
+    def test_annihilator_cuts_out_the_subspace(self, M):
+        # K's rows are independent, orthogonal to W, and leave exactly W
+        W = image(M.transpose())
+        K = W.annihilator()
+        assert (K.rows, K.cols) == (W.ambient_dim - W.dim, W.ambient_dim)
+        assert rank(K) == K.rows
+        assert kernel(K) == W
+
+    def test_annihilator_of_the_extremes(self):
+        assert Subspace.zero(3).annihilator() == Mat.identity(3)
+        assert Subspace.full(3).annihilator() == Mat.zero(0, 3)
+
     def test_sum_with_zero(self):
         U = span(3, E1, (1, 1, 0))
         assert U.sum(Subspace.zero(3)) == U
@@ -160,7 +174,8 @@ class TestSubspaceLattice:
             mapped.sum(extra),
             Subspace.from_vectors(M.rows, mapped.basis[1:]).sum(extra),
             extra)))
-        assert maps_into(M, U, W) == W.contains(mapped)
+        # the quotient maps' cache reads M(U) <= W off the rows U M^T
+        assert MapCache().maps_into(M, U, W) == W.contains(mapped)
 
     @given(st.data())
     def test_contains_agrees_with_rank(self, data):
