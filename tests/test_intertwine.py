@@ -381,10 +381,21 @@ class TestQuotientMatrix:
 
 
 class TestMapCache:
-    def test_chain_maps_share_the_triples_cache(self):
-        t = EX1
-        maps = [b(t, n, 1) for n in range(3) for b in (gamma_map, psi_map, phi_map)]
-        assert all(qm.cache is t.map_cache for qm in maps)
+    def test_chain_maps_share_the_triples_cache(self, monkeypatch):
+        from ratspec import intertwine
+        caches = []
+        real = intertwine.MapCache.carried
+
+        def recorded(cache, M, V):
+            caches.append(cache)
+            return real(cache, M, V)
+
+        monkeypatch.setattr(intertwine.MapCache, "carried", recorded)
+        t = OperatorTriple(EX1.A, EX1.B, EX1.C)
+        for n in range(3):
+            for b in (gamma_map, psi_map, phi_map):
+                b(t, n, 1).injective_by_preimage()
+        assert caches and all(c is t.map_cache for c in caches)
 
     def test_each_triple_owns_its_cache(self):
         copy = OperatorTriple(EX1.A, EX1.B, EX1.C)
@@ -394,7 +405,7 @@ class TestMapCache:
         spaces = (Subspace.full(2), Subspace.zero(2))
         first = induced_quotient_map(*spaces, *spaces, Mat.identity(2))
         second = induced_quotient_map(*spaces, *spaces, Mat.identity(2))
-        assert first == second and first.cache is not second.cache
+        assert first == second
 
     def test_entries_are_computed_once(self):
         cache = MapCache()
@@ -405,12 +416,23 @@ class TestMapCache:
         assert cache.carried(M, Subspace.from_vectors(2, [(2, 0)])) is rows
         full = Subspace.full(2)
         assert cache.carried(M, full) == full.basis_matrix() @ M.transpose()
-        K = cache.annihilator(line)
-        assert K is cache.annihilator(line)
         assert cache.maps_into(M, line, full)
         assert not cache.maps_into(M, line, line)
-        assert cache.nested(full, line)
-        assert not cache.nested(line, full)
+
+    def test_preimage_route_reads_no_cached_rows(self, monkeypatch):
+        # with every carried row wrong (zero), the rank route sees a zero
+        # matrix while the preimage route, which forms its own product, still
+        # sees the injective map: a faulty cache cannot sway both routes
+        from ratspec import intertwine
+        monkeypatch.setattr(intertwine.MapCache, "carried",
+                            lambda cache, M, V: Mat.zero(V.dim, M.rows))
+        t = OperatorTriple(EX1.A, EX1.B, EX1.C)
+        maps = [b(t, n, 1) for n in range(3) for b in (gamma_map, psi_map, phi_map)]
+        moving = [qm for qm in maps if qm.source_dim]
+        assert moving
+        for qm in moving:
+            assert qm.well_defined and not qm.injective_by_rank()
+            assert qm.injective_by_preimage()
 
 
 class TestSequenceEqualities:

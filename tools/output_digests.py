@@ -5,11 +5,12 @@
 
 Runs `ratspec.cli.main` in-process, with stdout captured, and prints one
 line per run: a label, the exit code and the SHA-256 of stdout. The runs are
-- `verify --json`, `verify --json` with verify_wide's flags, `report --json`
-  and `drazin --json` on the first-round documents of the three ratbench
-  workloads at seeds 11 and 12 (36 documents a seed);
+- `verify`, `verify --json`, `verify --json` with verify_wide's flags,
+  `report --json` and `drazin --json` on the first-round documents of the
+  three ratbench workloads at seeds 11 and 12 (36 documents a seed, some of
+  them nonconforming);
 - `verify` and `report` on the 202 triples of the acceptance corpus
-  (tests/test_acceptance.py).
+  (`corpus_triples` in tests/test_acceptance.py).
 The last line counts the runs. The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
@@ -50,6 +51,7 @@ def _ratbench_runs(workdir: Path):
             for doc in next(workloads.iter_rounds(workload, seed, where)):
                 path = str(doc.path)
                 label = f"{doc.doc_id} {doc.template} dim {doc.dim}"
+                yield f"{label} verify-text", ["verify", path]
                 yield f"{label} verify", ["verify", path, "--json"]
                 yield f"{label} verify-wide", ["verify", path, *wide_flags]
                 yield f"{label} report", ["report", path, "--json"]
@@ -59,14 +61,9 @@ def _ratbench_runs(workdir: Path):
 def _acceptance_runs(workdir: Path):
     """(label, argv) of `verify` and `report` on the acceptance corpus."""
     acceptance = importlib.import_module("test_acceptance")
-    from ratspec import cli, genlab
+    from ratspec import cli
 
-    for i, (template, kwargs) in enumerate(acceptance._corpus_specs()):
-        if template == "rational_spectrum":
-            t = genlab.rational_spectrum_instance(
-                genlab.GenSpec(template="c_equals_b", **kwargs))
-        else:
-            t = genlab.generate(genlab.GenSpec(template=template, **kwargs))
+    for i, (template, t) in enumerate(acceptance.corpus_triples()):
         path = workdir / f"acceptance{i:03d}.json"
         cli.write_triple_document(t, str(path))
         label = f"acceptance/{i} {template}"
