@@ -11,10 +11,12 @@ Exit codes: 0 = pass, 1 = verification failure, 2 = input/parse error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
 from fractions import Fraction
+from math import lcm
 from typing import Any, Sequence
 
 from ratspec import drazin, genlab, intertwine
@@ -48,22 +50,31 @@ def _fraction(s: str, where: str) -> Fraction:
         raise ParseError(f"{where}: {exc}") from exc
 
 
-def _parse_entry(s: Any, where: str) -> Fraction:
+def _parse_entry(s: Any, where: str) -> tuple[int, int]:
+    """The entry "p" or "p/q" as (p, q), not necessarily in lowest terms."""
     if not isinstance(s, str) or not ENTRY_RE.fullmatch(s):
         raise ParseError(f"{where}: {s!r} is not a rational string p or p/q")
-    return _fraction(s, where)
+    p, _, q = s.partition("/")
+    # int() meets the same int-string limit, with the same message, as Fraction()
+    try:
+        return int(p), int(q) if q else 1
+    except ValueError as exc:
+        raise ParseError(f"{where}: {exc}") from exc
 
 
 def _parse_matrix(obj: Any, name: str, rows: int, cols: int) -> Mat:
+    """The matrix of the entries' numerators over the lcm of their denominators;
+    Mat.from_ints reduces it to lowest terms."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
-    flat = []
+    entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{name}[{i}]: expected {cols} entries")
         for j, s in enumerate(row):
-            flat.append(_parse_entry(s, f"{name}[{i}][{j}]"))
-    return Mat(rows, cols, flat)
+            entries.append(_parse_entry(s, f"{name}[{i}][{j}]"))
+    den = lcm(*[q for _, q in entries])
+    return Mat.from_ints(rows, cols, [p * (den // q) for p, q in entries], den)
 
 
 def parse_triple_document(text: str) -> tuple[OperatorTriple, dict]:
@@ -451,7 +462,10 @@ def _nmax(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args leaves it as
+    it was, so every main call shares it."""
     parser = argparse.ArgumentParser(
         prog="ratspec",
         description="Exact verification of common spectral properties of "

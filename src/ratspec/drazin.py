@@ -3,7 +3,9 @@
 At finite dimension every square T is Drazin invertible: with d the index
 (where the rank of T^d stabilizes), Q^n splits as R(T^d) + N(T^d), T is
 invertible on the first summand and nilpotent on the second, and the Drazin
-inverse S inverts the core and kills the nilpotent part. Everything here is
+inverse S inverts the core and kills the nilpotent part. S is formed from the
+r x r core block of T (r = rank T^d), the only matrix inverted, and the
+check of its three defining identities reads TS once. Everything here is
 exact; "Riesz" collapses to "nilpotent" on rational matrices, so the
 generalized statements specialize to the classical Drazin inverse.
 """
@@ -16,7 +18,7 @@ from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import PowerChain
 # image and kernel are not called here; they stay importable as drazin.image
 # and drazin.kernel, which the ratbench tracer self-tests read
-from ratspec.ratmat import Mat, image, inverse, kernel  # noqa: F401
+from ratspec.ratmat import Mat, image, inverse, kernel, rref  # noqa: F401
 
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
@@ -38,64 +40,69 @@ class DrazinResult:
 
     TS = ST, STS = S, and T^2 S - T is nilpotent; T = core_part +
     nilpotent_part with both products zero and index = asc(T) = dsc(T).
+    projection is TS = ST, the projection onto R(T^d) along N(T^d), and
+    core_part is T^2 S = T (TS).
     """
 
     inverse: Mat
     index: int
+    projection: Mat
     core_part: Mat
     nilpotent_part: Mat
 
 
 def drazin_inverse(T: Mat) -> DrazinResult:
-    """Drazin inverse via the core-nilpotent decomposition at d = asc(T).
+    """Drazin inverse S = U (W T U)^-1 W from the core block at d = asc(T).
 
-    d is the stabilization index of T's PowerChain, whose range and kernel
-    at d are the two summands of Q^n = R(T^d) + N(T^d). In a basis adapted
-    to them T is block diagonal with an invertible core and a nilpotent
-    block; S inverts the core and is zero on the nilpotent summand. The
-    three defining identities are verified before returning.
+    d is the stabilization index of T's PowerChain. The columns U are the
+    chain's basis of R(T^d); the rows W are the nonzero rows of rref(T^d),
+    so N(W) = N(T^d). T maps R(T^d) onto itself, and W is injective there
+    because R(T^d) and N(T^d) meet in 0, so the r x r core block W T U is
+    invertible. S is then the inverse of T on R(T^d) and zero on N(T^d);
+    no basis of N(T^d) is formed. At index 0 T is invertible and S is its
+    inverse. The three defining identities are verified before returning.
     """
     if not T.is_square:
         raise ValueError("Drazin inverse of a non-square matrix")
-    n = T.rows
     chain = PowerChain(T)
     d = chain.stable
-    core_basis = chain.image(d).basis_matrix()
-    nil_basis = chain.kernel(d).basis_matrix()
-    r = core_basis.rows
-    if r + nil_basis.rows != n:
-        raise ArithmeticError("core-nilpotent split failed")
-    # the basis rows scaled to integers, as columns: still adapted to the split
-    Q = Mat.from_ints(n, n, core_basis.num + nil_basis.num).transpose()
-    Qi = inverse(Q)
-    if Qi is None:
-        raise ArithmeticError("adapted basis is singular")
-    # S = Q diag(core^-1, 0) Q^-1 needs only the first r columns of Q and
-    # rows of Q^-1, and the core block is the product of those around T
-    q_core = Q.columns(range(r))
-    qi_core = Qi.submatrix(range(r), range(n))
-    core_inv = inverse(qi_core @ T @ q_core)
-    if core_inv is None:
-        raise ArithmeticError("core block is singular")
-    S = q_core @ core_inv @ qi_core
-    # T^2 S is T on the core summand and zero on the nilpotent one
-    core = T @ T @ S
-    _verify_drazin(T, S, core, d)
-    return DrazinResult(inverse=S, index=d, core_part=core, nilpotent_part=T - core)
+    if d == 0:
+        S = inverse(T)
+        if S is None:
+            raise ArithmeticError("index 0 but T is singular")
+    else:
+        U = chain.image(d).basis_matrix().transpose()
+        R, pivots = rref(chain.stable_power())
+        if len(pivots) != U.cols:
+            raise ArithmeticError("core-nilpotent split failed")
+        W = R.submatrix(range(len(pivots)), range(T.cols))
+        core_inv = inverse(W @ T @ U)
+        if core_inv is None:
+            raise ArithmeticError("core block is singular")
+        S = U @ core_inv @ W
+    ts, core = _verify_drazin(T, S, d)
+    return DrazinResult(inverse=S, index=d, projection=ts, core_part=core,
+                        nilpotent_part=T - core)
 
 
-def _verify_drazin(T: Mat, S: Mat, core: Mat, d: int) -> None:
-    if T @ S != S @ T:
+def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
+    """Check the three defining identities; (TS, T^2 S), read off TS."""
+    ts = T @ S
+    if S @ T != ts:
         raise ArithmeticError("TS != ST")
-    if S @ T @ S != S:
+    if S @ ts != S:
         raise ArithmeticError("STS != S")
+    # T^2 S is T on the core summand and zero on the nilpotent one
+    core = T @ ts
     resid = core - T  # T^2 S - T
     if d <= 1:
         if not resid.is_zero():
             raise ArithmeticError("T^2 S - T nonzero at index <= 1")
     else:
-        if not (resid ** d).is_zero() or (resid ** (d - 1)).is_zero():
+        below = resid ** (d - 1)
+        if below.is_zero() or not (below @ resid).is_zero():
             raise ArithmeticError("nilpotency degree of T^2 S - T != index")
+    return ts, core
 
 
 @dataclass(frozen=True)
@@ -155,14 +162,14 @@ class ProofIdentitiesReport:
 def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesReport:
     """Verify the identity chain used to justify the transfer, entrywise.
 
-    S, its index and the candidate B S^2 A are read from the transfer report
-    tr of the same triple.
+    S, its index, AC S, (AC)^2 S and the candidate B S^2 A are read from the
+    transfer report tr of the same triple.
     """
     _require_condition(t)
     S = tr.s_ac.inverse
     d = tr.s_ac.index
     ac = t.ac
-    ac_s = ac @ S
+    ac_s = tr.s_ac.projection  # AC S
     commutation = ac_s == S @ ac
     P = ac_s.shifted(1)
     pa = P @ t.A
@@ -172,7 +179,7 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
     pab, pac = pa @ t.B, pa @ t.C
     pabpa, pacpa = pab @ pa, pac @ pa
     cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
-    pac_matches = pac == ac @ ac_s - ac
+    pac_matches = pac == tr.s_ac.core_part - ac  # (AC)^2 S - AC
     if d <= 1:
         pac_nilpotent = pac.is_zero()
     else:

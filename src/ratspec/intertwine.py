@@ -205,9 +205,10 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
 
     For Q = c x^k the ranges and kernels of Q(T - I) are those of
     (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
-    CA - 1 and AB - 1; any other Q is evaluated at the four shifts. The
-    containments go through the triple's MapCache, so the ones on the
-    chains at 1 are decided once with the quotient maps at 1.
+    CA - 1 and AB - 1; any other Q is evaluated at the four shifts, and the
+    kernel of Q(T - I) is row-reduced only when its range is not the whole
+    space. The containments go through the triple's MapCache, so the ones
+    on the chains at 1 are decided once with the quotient maps at 1.
     """
     _require_condition(t)
     k = Q.degree
@@ -215,8 +216,8 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
         spaces = [(c.image(k), c.kernel(k)) for c in (ca, ab, ba, ac)]
     else:
-        qs = [poly_eval_mat(Q, T.shifted(1)) for T in (t.ca, t.ab, t.ba, t.ac)]
-        spaces = [(image(q), kernel(q)) for q in qs]
+        spaces = [_range_and_kernel(poly_eval_mat(Q, T.shifted(1)))
+                  for T in (t.ca, t.ab, t.ba, t.ac)]
     (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
     into = t.map_cache.maps_into
     return InclusionReport(
@@ -225,6 +226,13 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         aca_range=into(t.aca, r_ba, r_ac),
         aca_kernel=into(t.aca, n_ba, n_ac),
     )
+
+
+def _range_and_kernel(M: Mat) -> tuple[Subspace, Subspace]:
+    """R(M) and N(M) of a square M; N(M) = 0 when R(M) is the whole space,
+    by rank-nullity, with no second row reduction."""
+    r = image(M)
+    return r, (Subspace.zero(M.cols) if r.dim == M.cols else kernel(M))
 
 
 @dataclass(frozen=True)
@@ -512,7 +520,8 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     B_k = B + B_(k-1)(I-AB) and C_k = C + (I-CA)C_(k-1), which follows from
     (I-BA)^k = (I - B_(k-1)A)(I-BA). Verifies, for every k = 1..n in one
     pass, (I-BA)^k = I - B_kA, (I-AC)^k = I - AC_k and that (A, B_k, C_k)
-    again satisfies the intertwining condition before returning.
+    again satisfies the intertwining condition before returning; at k = 1
+    that triple is t.
     """
     _require_condition(t)
     if n < 1:
@@ -527,7 +536,8 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
         if k > 1:
             bn, cn = t.B + bn @ i_ab, t.C + i_ca @ cn
             pow_ba, pow_ac = pow_ba @ i_ba, pow_ac @ i_ac
-        tk = OperatorTriple(t.A, bn, cn)
+        # B_1 = B and C_1 = C, so (A, B_1, C_1) is t itself
+        tk = OperatorTriple(t.A, bn, cn) if k > 1 else t
         if pow_ba != i_x - tk.ba:
             raise ArithmeticError("(I-BA)^n != I - B_nA")
         if pow_ac != i_y - tk.ac:

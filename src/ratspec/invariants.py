@@ -130,6 +130,10 @@ class PowerChain:
         """rank T^n."""
         return self.image(n).dim
 
+    def stable_power(self) -> Mat:
+        """T^s at the stabilization index s."""
+        return self._powers[self.stable]
+
 
 def profile(T: Mat | PowerChain) -> InvariantProfile:
     """Full invariant profile of T, read off its power chain.

@@ -26,15 +26,18 @@ satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T. The
 same basis gives, with no reduction, rows K with W = {y : K y = 0}
 (Subspace.annihilator).
 
-The characteristic polynomial does not use the kernels: charpoly runs the
-Faddeev-LeVerrier recurrence fraction-free, on the integer numerators and on
-Python ints throughout, with every division checked to be exact.
+The characteristic polynomial does not use the kernels: charpoly reads the
+power sums tr(S^k) of the integer numerators S off about 2 sqrt(n) products
+(baby steps and giant steps) and turns them into its coefficients by
+Newton's identities, on Python ints throughout, with every division checked
+to be exact. Faddeev-LeVerrier, which takes n - 1 products, is kept in the
+tests as its oracle.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
 
@@ -537,35 +540,68 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def charpoly(M: Mat) -> Poly:
-    """det(lambda*I - M), monic of degree n, by Faddeev-LeVerrier over Z.
+def _power_traces(S: list[list[int]]) -> list[int]:
+    """tr(S^k) for k = 0..n of an n x n integer matrix, in about 2 sqrt(n) products.
 
-    M is S/D with S its integer numerators, and the recurrence N_1 = S,
-    c_(n-k) = -tr(N_k)/k, N_(k+1) = S(N_k + c_(n-k) I) runs on Python
-    ints. Every division by k
-    is exact for an integer matrix; it is checked, and ArithmeticError is
-    raised if one is not. The coefficients c_i of charpoly(S) give those of
-    charpoly(M) as c_i / D^(n-i).
+    Baby steps S, S^2, ..., S^m and giant steps G = S^m, G^2, ... with
+    m = ceil(sqrt(n)) (Paterson and Stockmeyer 1973): k = i + jm with
+    1 <= i <= m, and tr(S^i G^j) is the sum of the dot products of row a of
+    S^i with column a of G^j, n^2 multiplications where a product costs n^3.
+    """
+    n = len(S)
+    traces = [n] + [0] * n
+    if not n:
+        return traces
+
+    def product(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
+        cols = list(zip(*Y))
+        return [[sum(map(mul, row, col)) for col in cols] for row in X]
+
+    m = isqrt(n - 1) + 1
+    baby = [S]
+    for _ in range(m - 1):
+        baby.append(product(baby[-1], S))
+    for i, X in enumerate(baby, 1):
+        traces[i] = sum(X[a][a] for a in range(n))
+    G = giant = baby[-1]
+    for j in range(1, (n - 1) // m + 1):
+        if j > 1:
+            giant = product(giant, G)
+        cols = list(zip(*giant))
+        for i in range(1, min(m, n - j * m) + 1):
+            X = baby[i - 1]
+            traces[i + j * m] = sum(sum(map(mul, X[a], cols[a])) for a in range(n))
+    return traces
+
+
+def charpoly(M: Mat) -> Poly:
+    """det(lambda*I - M), monic of degree n, from power sums over Z.
+
+    M is S/D with S its integer numerators. The power sums p_k = tr(S^k)
+    come from _power_traces, and Newton's identities
+    k e_k = sum_(i=1..k) (-1)^(i-1) e_(k-i) p_i give the elementary
+    symmetric functions e_k of S's eigenvalues, all on Python ints. Every
+    division by k is exact for an integer matrix; it is checked, and
+    ArithmeticError is raised if one is not. charpoly(S) has the
+    coefficients (-1)^k e_k at x^(n-k), and those of charpoly(M) are them
+    over D^k.
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n, D = M.rows, M.den
-    S = [list(M.num[i * n:(i + 1) * n]) for i in range(n)]
-    coeffs = [0] * (n + 1)
-    coeffs[n] = 1
-    N = [row[:] for row in S]
+    p = _power_traces([list(M.num[i * n:(i + 1) * n]) for i in range(n)])
+    e = [1] + [0] * n
     for k in range(1, n + 1):
-        ck, rem = divmod(-sum(N[i][i] for i in range(n)), k)
+        acc = 0
+        for i in range(1, k + 1):
+            term = e[k - i] * p[i]
+            acc = acc + term if i & 1 else acc - term
+        e[k], rem = divmod(acc, k)
         if rem:
-            raise ArithmeticError(f"Faddeev-LeVerrier: trace of N_{k} is not "
+            raise ArithmeticError(f"Newton's identities: {k} e_{k} is not "
                                   f"divisible by {k}")
-        coeffs[n - k] = ck
-        if k < n:
-            for i in range(n):
-                N[i][i] += ck
-            cols = list(zip(*N))
-            N = [[sum(map(mul, row, col)) for col in cols] for row in S]
-    return Poly([Fraction(c, D ** (n - i)) for i, c in enumerate(coeffs)])
+    return Poly([Fraction(-e[k] if k & 1 else e[k], D ** k)
+                 for k in range(n, -1, -1)])
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:

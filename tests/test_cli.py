@@ -56,6 +56,17 @@ class TestDocumentRoundTrip:
         back, _ = parse_triple_document(json.dumps(doc))
         assert back.A == A
 
+    @pytest.mark.parametrize("entries", [["2/4", "-0/3"], ["-6/9", "0/7"],
+                                         ["12/8", "5"], ["-0", "21/14"],
+                                         ["3/6", "-6/9"]])
+    def test_entries_not_in_lowest_terms(self, entries):
+        # numerators over the lcm of the written denominators, reduced once,
+        # give the matrix that the entries give as Fractions
+        doc = {"dim_x": 2, "dim_y": 1, "A": [entries], "B": [["1"], ["0"]],
+               "C": [["1"], ["0"]]}
+        t, _ = parse_triple_document(json.dumps(doc))
+        assert t.A == Mat(1, 2, [Fraction(x) for x in entries])
+
     def test_metadata_preserved(self, tmp_path, ex1_file):
         with open(ex1_file) as fh:
             _, meta = parse_triple_document(fh.read())
@@ -223,6 +234,20 @@ class TestExitCodes:
             assert main([cmd, ex1_file, "--lambda", huge]) == EXIT_INPUT
             assert "--lambda" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("entry", ["7" * 5000, "-1/" + "3" * 4400,
+                                       "7" * 4400 + "/" + "3" * 5000])
+    def test_overlong_entry_diagnostic(self, tmp_path, entry, capsys):
+        # the message is the one Fraction(entry) raises, numerator first
+        with pytest.raises(ValueError) as expected:
+            Fraction(entry)
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({"dim_x": 1, "dim_y": 1, "A": [["1"]],
+                                 "B": [[entry]], "C": [["1"]]}))
+        assert main(["verify", str(p)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: B[0][0]: {expected.value}\n"
+        assert captured.out == ""
+
     def test_overlong_results(self, tmp_path, capsys):
         # parses, but S = 1/(AC) has a denominator past the int-string limit
         nines = "9" * 2500
@@ -294,6 +319,31 @@ class TestExitCodes:
         assert main(["generate", "--template", "c_equals_b", "--out", out]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert out in captured.err and captured.out == ""
+
+
+class TestSharedParser:
+    @pytest.mark.parametrize("command", ["verify", "report"])
+    def test_consecutive_calls_print_what_each_prints_alone(self, ex1_file,
+                                                            command, capsys):
+        # the argument parser is built once per process and shared by every
+        # main call; a call with --lambda must leave nothing for the next
+        from ratspec import cli
+        runs = ([command, ex1_file, "--lambda", "2", "--json"],
+                [command, ex1_file, "--json"])
+        alone = []
+        for argv in runs:
+            cli._build_parser.cache_clear()
+            assert main(argv) == EXIT_OK
+            alone.append(capsys.readouterr().out)
+        assert alone[0] != alone[1]
+        for order in (runs, runs[::-1]):
+            cli._build_parser.cache_clear()
+            together = []
+            for argv in order:
+                assert main(argv) == EXIT_OK
+                together.append(capsys.readouterr().out)
+            assert together == [alone[runs.index(argv)] for argv in order]
+        assert cli._build_parser() is cli._build_parser()
 
 
 class TestGenerateCommand:

@@ -186,6 +186,66 @@ class TestDrazinInverse:
             drazin_inverse(Mat.zero(2, 3))
 
 
+def with_index(rng, core_dim, nil_dim):
+    """P diag(K, J) P^-1 with K invertible and J one nilpotent Jordan block
+    of size nil_dim, so that the index is nil_dim and the core has rank
+    core_dim."""
+    n = core_dim + nil_dim
+    while True:
+        K = random_square(rng, core_dim, bound=2)
+        P = random_square(rng, n, bound=2)
+        Pi = inverse(P)
+        if Pi is not None and (core_dim == 0 or inverse(K) is not None):
+            break
+    rows = [[Fraction(0)] * n for _ in range(n)]
+    for i in range(core_dim):
+        for j in range(core_dim):
+            rows[i][j] = K.entry(i, j)
+    for i in range(core_dim, n - 1):
+        rows[i][i + 1] = Fraction(1)
+    return P @ Mat.from_rows(rows) @ Pi
+
+
+class TestCoreBlock:
+    @pytest.mark.parametrize("core_dim,nil_dim", [
+        (0, 0), (3, 0), (2, 1), (3, 2), (1, 3), (0, 1), (0, 3), (2, 3)])
+    def test_matches_independent_oracle(self, core_dim, nil_dim):
+        # index 0..3, the nilpotent T with an empty core (r = 0) and the 0x0
+        # matrix among them
+        rng = random.Random(7 * core_dim + nil_dim)
+        for _ in range(3):
+            T = with_index(rng, core_dim, nil_dim)
+            res = drazin_inverse(T)
+            assert res.index == nil_dim
+            assert res.inverse == drazin_oracle(T)
+            assert res.projection == T @ res.inverse
+            assert res.core_part == T @ T @ res.inverse
+
+    def test_only_the_core_block_is_inverted(self, monkeypatch):
+        # one r x r inverse at index >= 1, with r = rank T^d; T itself at
+        # index 0; no kernel of T^d is formed
+        from ratspec import drazin, invariants
+        shapes, kernels = [], []
+        real_inverse, real_kernel = drazin.inverse, invariants.kernel
+
+        def recorded_inverse(M):
+            shapes.append((M.rows, M.cols))
+            return real_inverse(M)
+
+        def recorded_kernel(M):
+            kernels.append(M)
+            return real_kernel(M)
+
+        monkeypatch.setattr(drazin, "inverse", recorded_inverse)
+        monkeypatch.setattr(invariants, "kernel", recorded_kernel)
+        rng = random.Random(3)
+        for core_dim, nil_dim in ((3, 0), (2, 2), (0, 2)):
+            shapes.clear()
+            drazin_inverse(with_index(rng, core_dim, nil_dim))
+            assert shapes == [(core_dim, core_dim)]
+        assert kernels == []
+
+
 class TestTransfer:
     def test_invertible_classical_case(self):
         # C = B with BA invertible: S = (AC)^-1 and T = (BA)^-1
@@ -271,14 +331,18 @@ class TestProofIdentities:
 
     def test_shared_products_give_the_written_out_flags(self):
         # with a wrong S the identities can fail; every flag must still be
-        # the one of the products written out in full
+        # the one of the products written out in full. The Drazin result
+        # carries AC S and (AC)^2 S with its S, so a wrong one carries them
+        # for the wrong S
         rng = random.Random(5)
         for which in (1, 2):
             t = paper_example(which, default_idempotent(2))
             tr = transfer(t)
             for S in (tr.s_ac.inverse, random_square(rng, t.dim_y)):
                 wrong = dataclasses.replace(
-                    tr, s_ac=dataclasses.replace(tr.s_ac, inverse=S))
+                    tr, s_ac=dataclasses.replace(tr.s_ac, inverse=S,
+                                                 projection=t.ac @ S,
+                                                 core_part=t.ac @ t.ac @ S))
                 rep = proof_identities(t, wrong)
                 ac, A, B, C = t.ac, t.A, t.B, t.C
                 pa = (ac @ S).shifted(1) @ A

@@ -174,6 +174,33 @@ class TestInclusionLemma:
                             (t.aca, image(q["ba"]), image(q["ac"])),
                             (t.aca, kernel(q["ba"]), kernel(q["ac"]))]
 
+    def test_kernel_only_of_a_singular_evaluation(self, monkeypatch):
+        # by rank-nullity a full-rank Q(T - I) has kernel 0, so only the
+        # singular evaluations are row-reduced a second time
+        from ratspec import intertwine
+        from ratspec.ratmat import rank
+        calls = []
+        real = intertwine.kernel
+
+        def recorded(M):
+            calls.append(M)
+            return real(M)
+
+        monkeypatch.setattr(intertwine, "kernel", recorded)
+        singular = full = 0
+        i3 = Mat.identity(3)
+        shear = i3 + Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        triples = [*conforming_samples(), OperatorTriple(i3, shear, shear)]
+        for Q in (Poly([0, 1, 1]), Poly([1, 0, 1]), Poly(["3/2", "3/2", "-3/2", 1])):
+            for t in triples:
+                calls.clear()
+                inclusion_lemma(t, Q)
+                qs = [poly_eval_mat(Q, T.shifted(1)) for T in (t.ca, t.ab, t.ba, t.ac)]
+                assert calls == [q for q in qs if rank(q) < q.rows]
+                singular += len(calls)
+                full += len(qs) - len(calls)
+        assert singular and full
+
     def test_random_cubic_on_generated(self):
         rng = random.Random(31)
         t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=8))
@@ -550,7 +577,8 @@ class TestShiftPolys:
 
     def test_one_pass_without_matrix_powers(self, monkeypatch):
         # every n = 1..4 is checked in one call: (I-BA)^n and (I-AC)^n are
-        # carried forward, and (A, B_n, C_n) is built once per n
+        # carried forward, and (A, B_n, C_n) is built once per n >= 2; at
+        # n = 1 it is t itself
         t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=6))
         powers, triples = [], []
         real_pow, real_init = Mat.__pow__, OperatorTriple.__init__
@@ -567,7 +595,7 @@ class TestShiftPolys:
         monkeypatch.setattr(OperatorTriple, "__init__", counting_init)
         bn, cn = shift_polys(t, 4)
         assert powers == []
-        assert len(triples) == 4 and triples[-1] == (bn, cn)
+        assert len(triples) == 3 and triples[-1] == (bn, cn)
 
 
 _small_entries = st.integers(min_value=-3, max_value=3)

@@ -24,8 +24,8 @@ from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`
-BOUNDS = {"paper_ex1": (81, 207), "rational_spectrum": (113, 245),
-          "c_equals_b_fractional": (109, 238)}
+BOUNDS = {"paper_ex1": (73, 189), "rational_spectrum": (105, 228),
+          "c_equals_b_fractional": (101, 222)}
 
 
 def _document(name):

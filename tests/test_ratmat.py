@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
@@ -291,12 +291,35 @@ class TestCharpoly:
                                for _ in range(n * n)])
                 assert charpoly(M) == charpoly_fraction(M)
 
+    @pytest.mark.parametrize("n", range(14))
+    @settings(max_examples=6)
+    @given(st.data())
+    def test_matches_faddeev_leverrier(self, n, data):
+        # every n = 0..13, so every m = ceil(sqrt(n)) with m^2 > n too, where
+        # the last giant step covers fewer than m powers
+        entries = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+        M = Mat(n, n, data.draw(st.lists(entries, min_size=n * n, max_size=n * n)))
+        assert charpoly(M) == charpoly_fraction(M)
+
+    def test_power_traces_are_traces_of_powers(self):
+        import random
+        from ratspec.ratmat import _power_traces
+        rng = random.Random(12)
+        for n in range(14):
+            M = Mat.from_ints(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
+            S = [list(M.num[i * n:(i + 1) * n]) for i in range(n)]
+            assert _power_traces(S) == [
+                sum((M ** k).entry(i, i) for i in range(n)) for k in range(n + 1)]
+
     def test_inexact_division_raises(self, monkeypatch):
-        # every trace of N_k is divisible by k; a faulty product breaks that
-        # at k = 2 on the identity, and the check must catch it
+        # k e_k from Newton's identities is divisible by k for an integer
+        # matrix; a faulty product breaks that at k = 2 on the identity
+        # (p_1 = 3, p_2 = 12, so 2 e_2 = 3 * 3 - 12), and the check must
+        # catch it
         from ratspec import ratmat
         monkeypatch.setattr(ratmat, "mul", lambda a, b: a * b + 1)
-        with pytest.raises(ArithmeticError, match="divisible by 2"):
+        with pytest.raises(ArithmeticError,
+                           match="Newton's identities: 2 e_2 is not divisible by 2"):
             charpoly(Mat.identity(3))
 
 

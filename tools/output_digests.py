@@ -10,8 +10,11 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   three ratbench workloads at seeds 11 and 12 (36 documents a seed, some of
   them nonconforming);
 - `verify` and `report` on the 202 triples of the acceptance corpus
-  (`corpus_triples` in tests/test_acceptance.py).
-The last line counts the runs. The documents are generated by the
+  (`corpus_triples` in tests/test_acceptance.py);
+- `verify --json` and `drazin --json` at the scale target: c_equals_b,
+  aba_eq_aca, conjugated and direct_sum at dim 24 and rational_spectrum at
+  dim 22, seed 3, entry bound 2, whose operands reach hundreds of bits.
+The last line counts the runs (774). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -71,6 +74,29 @@ def _acceptance_runs(workdir: Path):
         yield f"{label} report", ["report", str(path)]
 
 
+#: (template, dim) of the scale-target documents, all at seed 3, entry bound 2
+SCALE_TARGET = (("c_equals_b", 24), ("aba_eq_aca", 24), ("conjugated", 24),
+                ("direct_sum", 24), ("rational_spectrum", 22))
+
+
+def _scale_target_runs(workdir: Path):
+    """(label, argv) of `verify --json` and `drazin --json` at the scale target."""
+    from ratspec import cli, genlab
+
+    for template, dim in SCALE_TARGET:
+        if template == "rational_spectrum":
+            t = genlab.rational_spectrum_instance(genlab.GenSpec(
+                template="c_equals_b", block_dim=dim, seed=3, entry_bound=2))
+        else:
+            t = genlab.generate(genlab.GenSpec(template=template, block_dim=dim,
+                                               seed=3, entry_bound=2))
+        path = workdir / f"{template}-{dim}.json"
+        cli.write_triple_document(t, str(path))
+        label = f"scale/{template} dim {dim}"
+        yield f"{label} verify", ["verify", str(path), "--json"]
+        yield f"{label} drazin", ["drazin", str(path), "--json"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -84,7 +110,8 @@ def main() -> int:
     count = 0
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
-        for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir)):
+        for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
+                     _scale_target_runs(workdir)):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
