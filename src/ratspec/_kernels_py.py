@@ -4,16 +4,41 @@ Both kernels take and return Python ints. A ratspec.ratmat.Mat is a tuple of
 integer numerators over one common denominator, so a product is the product
 of the numerators over the product of the denominators, and a row reduction
 needs the numerators only (the reduced echelon form ignores row scaling).
-RREF eliminates fraction-free, keeping every row primitive, and returns its
-result over one common denominator. The kernels are the only implementation;
-ratspec.kernels re-exports them and the test suite checks them against plain
-textbook rational elimination.
+
+RREF eliminates fraction-free (Bareiss 1968), keeping every row primitive,
+and returns its result over one common denominator. When the forward pass
+finds a pivot in every column, the reduced form is the identity over zero
+rows; the RREF is unique, so it is returned as such (den 1, pivots
+0..cols-1) with no back-substitution. That is every image and kernel of an
+invertible operator.
+
+matmul packs each row of the right operand into one Python int by Kronecker
+substitution (Kronecker 1882; Harvey 2009): entry j sits in slot j, w bits
+wide, with w = bitlen(k * max|a| * max|b|) + 1. A product row is then one
+C-level sum of k big-int products, and every entry of it satisfies
+|c_ij| <= k * max|a| * max|b| < 2^(w-1). Partial sums may borrow across slot
+boundaries, but the exact total is the signed sum of c_ij * 2^(wj); adding
+2^(w-1) to every slot makes each slot hold c_ij + 2^(w-1), in [0, 2^w), which
+mask and shift read back. Packing costs about one Python step per entry of
+the right operand and saves one per entry of the result, so a product with
+fewer than PACK_MIN rows or columns keeps the plain dot-product loop:
+replaying the products of the benchmark's first two seed-11 rounds through
+both routes (Python 3.11, 2 vCPUs), packing ran 0.5-0.8x as fast as the
+loop at min(m, n) <= 4, 0.91x at 5, 0.98-0.99x at 6, and 1.16-1.5x from
+7 up.
+
+The kernels are the only implementation; ratspec.kernels re-exports them
+and the test suite checks them against plain textbook rational elimination
+and multiplication.
 """
 
 from math import gcd, lcm
 from operator import mul
 
 BACKEND = "python"
+
+#: the fewest rows and columns a product needs to run on packed rows
+PACK_MIN = 6
 
 
 def _primitive(row):
@@ -50,6 +75,11 @@ def rref(rows, cols, data):
         r += 1
         if r == rows:
             break
+    out = [0] * (rows * cols)
+    if r == cols:
+        # full column rank: the unique RREF is the identity over zero rows
+        out[:cols * cols:cols + 1] = [1] * cols
+        return out, 1, tuple(pivots)
     # eliminate above pivots
     for k in range(len(pivots) - 1, 0, -1):
         c = pivots[k]
@@ -63,7 +93,6 @@ def rref(rows, cols, data):
     # exactly when over |pivot|: the lcm of the pivots is the least common
     # denominator
     den = lcm(*(mat[k][c] for k, c in enumerate(pivots)))
-    out = [0] * (rows * cols)
     for k, c in enumerate(pivots):
         f = den // mat[k][c]
         out[k * cols:(k + 1) * cols] = [x * f for x in mat[k]]
@@ -72,10 +101,40 @@ def rref(rows, cols, data):
 
 def matmul(m, k, n, a, b):
     """Product of an m x k and a k x n integer matrix, both row-major."""
+    if m < PACK_MIN or n < PACK_MIN:
+        return _matmul_dots(m, k, n, a, b)
+    return _matmul_packed(m, k, n, a, b)
+
+
+def _matmul_dots(m, k, n, a, b):
     bcols = [b[j::n] for j in range(n)]
     out = [0] * (m * n)
     for i in range(m):
         arow = a[i * k:(i + 1) * k]
         if any(arow):
             out[i * n:(i + 1) * n] = [sum(map(mul, arow, col)) for col in bcols]
+    return out
+
+
+def _matmul_packed(m, k, n, a, b):
+    top = k * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+    out = [0] * (m * n)
+    if not top:
+        return out
+    w = top.bit_length() + 1
+    packed = []
+    for t in range(k):
+        acc = 0
+        for x in reversed(b[t * n:(t + 1) * n]):
+            acc = (acc << w) + x
+        packed.append(acc)
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    shifts = range(0, w * n, w)
+    bias = sum([half << s for s in shifts])
+    for i in range(m):
+        arow = a[i * k:(i + 1) * k]
+        if any(arow):
+            x = sum(map(mul, arow, packed)) + bias
+            out[i * n:(i + 1) * n] = [((x >> s) & mask) - half for s in shifts]
     return out

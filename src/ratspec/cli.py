@@ -258,17 +258,22 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         add("sequence_equalities", seq_ok)
 
         theo = intertwine.verify_theorem(t, probes)
-        add("theorem_memberships", theo.all_equal,
-            f"skipped {len(theo.skipped)} zero probe(s)" if theo.skipped else "")
+        failing = [row for row in theo.rows if not row.equal]
+        notes = [f"first failing lambda={failing[0].lam}: membership in sigma_Ri(AC) "
+                 f"and sigma_Ri(BA) differs for i in {list(failing[0].mismatches)}"
+                 ] if failing else []
+        if theo.skipped:
+            notes.append(f"skipped {len(theo.skipped)} zero probe(s)")
+        add("theorem_memberships", theo.all_equal, "; ".join(notes))
 
         add("charpoly_match", intertwine.nonzero_charpoly_match(t))
 
         try:
             intertwine.shift_polys(t, 4)  # checks every n = 1..4 on the way
-            shift_ok = True
-        except ArithmeticError:
-            shift_ok = False
-        add("shift_polys", shift_ok)
+            shift_detail = ""
+        except ArithmeticError as exc:
+            shift_detail = str(exc)
+        add("shift_polys", not shift_detail, shift_detail)
 
         tr = drazin.transfer(t)
         add("drazin_transfer", tr.verified and tr.matches_direct)

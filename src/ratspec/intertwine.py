@@ -521,7 +521,8 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     (I-BA)^k = (I - B_(k-1)A)(I-BA). Verifies, for every k = 1..n in one
     pass, (I-BA)^k = I - B_kA, (I-AC)^k = I - AC_k and that (A, B_k, C_k)
     again satisfies the intertwining condition before returning; at k = 1
-    that triple is t.
+    that triple is t. A failing identity raises ArithmeticError naming it and
+    the first k where it fails.
     """
     _require_condition(t)
     if n < 1:
@@ -539,9 +540,10 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
         # B_1 = B and C_1 = C, so (A, B_1, C_1) is t itself
         tk = OperatorTriple(t.A, bn, cn) if k > 1 else t
         if pow_ba != i_x - tk.ba:
-            raise ArithmeticError("(I-BA)^n != I - B_nA")
+            raise ArithmeticError(f"(I-BA)^n != I - B_nA at n = {k}")
         if pow_ac != i_y - tk.ac:
-            raise ArithmeticError("(I-AC)^n != I - AC_n")
+            raise ArithmeticError(f"(I-AC)^n != I - AC_n at n = {k}")
         if not tk.condition_holds:
-            raise ArithmeticError("(A, B_n, C_n) lost the intertwining condition")
+            raise ArithmeticError(
+                f"(A, B_n, C_n) lost the intertwining condition at n = {k}")
     return bn, cn

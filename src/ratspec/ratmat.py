@@ -20,11 +20,14 @@ Rank decisions, kernels, images and the subspace lattice (sum, intersection by
 one Zassenhaus reduction, preimage, containment, quotient dimension) run
 through the two integer kernels of ratspec.kernels, rref and matmul. A product
 is the kernels' product of the numerators over the product of the
-denominators; a row reduction needs the numerators only. An echelon basis row
-holds 1 at its pivot and the other rows 0 there, so the rows X of a subspace
-satisfy X == X[:, pivots] @ basis; M(U) <= W is that test on U @ M^T. The
-same basis gives, with no reduction, rows K with W = {y : K y = 0}
-(Subspace.annihilator).
+denominators (on all but the smallest shapes, with each row of the right
+operand packed into one integer: Kronecker substitution); a row reduction
+needs the numerators only, and one of full column rank ends after its
+forward pass, since its reduced form is the identity over zero rows. An
+echelon basis row holds 1 at its pivot and the other rows 0 there, so the
+rows X of a subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that
+test on U @ M^T. The same basis gives, with no reduction, rows K with
+W = {y : K y = 0} (Subspace.annihilator).
 
 The characteristic polynomial does not use the kernels: charpoly reads the
 power sums tr(S^k) of the integer numerators S off about 2 sqrt(n) products
@@ -177,13 +180,20 @@ class Mat:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             raise ValueError("negative matrix power")
-        result = Mat.identity(self.rows)
+        if k == 0:
+            return Mat.identity(self.rows)
+        # start from the lowest set bit of k, so that no product has an
+        # identity operand and M ** 1 forms none
         base = self
-        while k:
+        while not k & 1:
+            base = base @ base
+            k >>= 1
+        result = base
+        while k > 1:
+            base = base @ base
+            k >>= 1
             if k & 1:
                 result = result @ base
-            base = base @ base if k > 1 else base
-            k >>= 1
         return result
 
     def transpose(self) -> "Mat":

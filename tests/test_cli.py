@@ -688,3 +688,66 @@ class TestQuotientMapWitness:
         line = next(x for x in out.splitlines() if "quotient_maps" in x)
         assert "map(s) failed; first: gamma at lambda=" in line
         assert "routes disagree (injective by rank False, by preimage True)" in line
+
+
+class TestCheckWitness:
+    """A failing shift-operator or theorem check names where it fails.
+
+    Both checks pass on conforming triples, so each failure is injected: a
+    shift operator that leaves the recurrence at one n, or memberships that
+    differ at one lambda. The passing details stay as they were.
+    """
+
+    @staticmethod
+    def _check(t, name):
+        result = run_verification(t)
+        check = next(c for c in result["checks"] if c["name"] == name)
+        assert not check["passed"] and not result["passed"]
+        return check["detail"]
+
+    def test_passing_details(self):
+        checks = run_verification(paper_example(1, default_idempotent(2)))["checks"]
+        details = {c["name"]: c["detail"] for c in checks}
+        assert details["shift_polys"] == ""
+        assert details["theorem_memberships"] == "skipped 1 zero probe(s)"
+
+    @pytest.mark.parametrize("side, message", [
+        ("B", "(I-BA)^n != I - B_nA at n = 3"),
+        ("C", "(I-AC)^n != I - AC_n at n = 3"),
+    ])
+    def test_shift_polys_names_the_first_failing_n(self, side, message, monkeypatch):
+        # the triple (A, B_n, C_n) is built for every n >= 2; from n = 3 on,
+        # the injected fault adds B to B_n or C to C_n before the check
+        from ratspec import intertwine
+        real = intertwine.OperatorTriple
+        built = []
+
+        def faulty(A, B, C):
+            built.append(B)
+            if len(built) >= 2:
+                B, C = (B + B, C) if side == "B" else (B, C + C)
+            return real(A, B, C)
+
+        t = paper_example(1, default_idempotent(2))
+        assert not (t.B @ t.A).is_zero() and not (t.A @ t.C).is_zero()
+        monkeypatch.setattr(intertwine, "OperatorTriple", faulty)
+        assert self._check(t, "shift_polys") == message
+
+    def test_theorem_names_the_first_failing_lambda(self, monkeypatch):
+        # the memberships of AC - 2 lose R_3 and gain R_6; the rows at 1 and
+        # 3 stay equal, and lambda = 0 is still skipped
+        from ratspec import intertwine
+        t = paper_example(1, default_idempotent(2))
+        ac_at_2 = t.chains(2)[1]
+        real = intertwine.sigma_memberships
+
+        def faulty(chain):
+            got = list(real(chain))
+            if chain is ac_at_2:
+                got[2], got[5] = not got[2], not got[5]
+            return tuple(got)
+
+        monkeypatch.setattr(intertwine, "sigma_memberships", faulty)
+        assert self._check(t, "theorem_memberships") == (
+            "first failing lambda=2: membership in sigma_Ri(AC) and sigma_Ri(BA) "
+            "differs for i in [3, 6]; skipped 1 zero probe(s)")

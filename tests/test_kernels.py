@@ -1,15 +1,23 @@
 """The hot kernels against the naive oracle.
 
 The kernels take integer numerators; the oracle gets the same integers as
-Fractions and eliminates over Q.
+Fractions and eliminates over Q. matmul has two routes, a dot-product loop
+below PACK_MIN rows or columns and Kronecker-packed rows from there up; the
+properties draw shapes on both sides of that cut-off, and both routes are
+also run on every drawn product, so that neither can drift from the other.
 """
 
 import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from conftest import naive_matmul, naive_rref
 from ratspec import _kernels_py, kernels
+from ratspec._kernels_py import PACK_MIN, _matmul_dots, _matmul_packed
 
 
 def _rand_flat(rng, size, bound=24):
@@ -66,3 +74,111 @@ def test_matmul_matches_naive_oracle():
 def test_selected_backend_is_exposed():
     assert kernels.BACKEND == "python"
     assert (kernels.rref, kernels.matmul) == (_kernels_py.rref, _kernels_py.matmul)
+
+
+def _as_fractions(data):
+    return [Fraction(x) for x in data]
+
+
+@st.composite
+def products(draw, max_dim=14):
+    """(m, k, n, a, b): signed entries up to 2^60, zero rows, empty sides."""
+    m, k, n = (draw(st.integers(0, max_dim)) for _ in range(3))
+    bits = draw(st.sampled_from((0, 1, 5, 24, 60)))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    a = draw(st.lists(entry, min_size=m * k, max_size=m * k))
+    b = draw(st.lists(entry, min_size=k * n, max_size=k * n))
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        a[i * k:(i + 1) * k] = [0] * k
+    return m, k, n, a, b
+
+
+@given(products())
+def test_matmul_property_on_both_routes(product):
+    m, k, n, a, b = product
+    want = naive_matmul(m, k, n, _as_fractions(a), _as_fractions(b))
+    got = kernels.matmul(m, k, n, a, b)
+    assert all(type(x) is int for x in got)
+    assert got == want
+    assert _matmul_dots(*product) == _matmul_packed(*product) == got
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (PACK_MIN - 1, PACK_MIN + 3),
+                                  (PACK_MIN, PACK_MIN), (14, 14)])
+@pytest.mark.parametrize("k", [1, 2, 8])
+@pytest.mark.parametrize("bits", [0, 7, 60])
+def test_matmul_at_the_slot_bound(m, k, n, bits):
+    # every entry of a is +-2^bits and of b is +-2^(bits + 1), with one sign
+    # per row of a and per column of b, so every c_ij is +-k*max|a|*max|b|,
+    # a power of two: the largest value a packed slot holds
+    rng = random.Random(m * 1000 + k * 100 + bits)
+    row_sign = [rng.choice((-1, 1)) for _ in range(m)]
+    col_sign = [rng.choice((-1, 1)) for _ in range(n)]
+    a = [row_sign[i] << bits for i in range(m) for _ in range(k)]
+    b = [col_sign[j] << (bits + 1) for _ in range(k) for j in range(n)]
+    top = k << (2 * bits + 1)
+    want = [row_sign[i] * col_sign[j] * top for i in range(m) for j in range(n)]
+    assert top & (top - 1) == 0
+    assert kernels.matmul(m, k, n, a, b) == want
+    assert _matmul_dots(m, k, n, a, b) == _matmul_packed(m, k, n, a, b) == want
+
+
+@pytest.mark.parametrize("m, k, n", [(0, 0, 0), (0, 3, PACK_MIN), (PACK_MIN, 0, PACK_MIN),
+                                     (PACK_MIN, 3, 0), (PACK_MIN + 1, 4, PACK_MIN + 2)])
+def test_matmul_zero_and_empty_operands(m, k, n):
+    zeros = [0] * (m * n)
+    assert kernels.matmul(m, k, n, [0] * (m * k), [5] * (k * n)) == zeros
+    assert kernels.matmul(m, k, n, [5] * (m * k), [0] * (k * n)) == zeros
+    assert _matmul_packed(m, k, n, [0] * (m * k), [0] * (k * n)) == zeros
+
+
+def _invertible(rng, n, bound):
+    """A random n x n integer matrix of determinant 1 (unit L times unit U)."""
+    low = [[1 if i == j else rng.randint(-bound, bound) if j < i else 0
+            for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else rng.randint(-bound, bound) if j > i else 0
+           for j in range(n)] for i in range(n)]
+    return naive_matmul(n, n, n, [x for r in low for x in r], [x for r in up for x in r])
+
+
+@pytest.mark.parametrize("extra", [0, 1, 5])
+def test_rref_full_column_rank_is_the_identity_over_zero_rows(extra):
+    # an invertible block under random rows, rows shuffled: square when
+    # extra == 0, tall otherwise
+    rng = random.Random(extra)
+    for _ in range(15):
+        cols = rng.randint(1, 8)
+        rows = cols + extra
+        top = [int(x) for x in _invertible(rng, cols, 2 ** rng.randint(1, 40))]
+        mat = [top[i * cols:(i + 1) * cols] for i in range(cols)]
+        mat += [_rand_flat(rng, cols, 1 << 30) for _ in range(extra)]
+        rng.shuffle(mat)
+        data = [x for row in mat for x in row]
+        num, den, pivots = kernels.rref(rows, cols, data)
+        identity = [int(i == j) for i in range(cols) for j in range(cols)]
+        assert (num, den, pivots) == (identity + [0] * (extra * cols), 1,
+                                      tuple(range(cols)))
+        want, want_pivots = naive_rref(rows, cols, _as_fractions(data))
+        assert (num, pivots) == (want, want_pivots)
+
+
+def test_rref_tall_rank_deficient_inputs_reduce_fully():
+    # rows > cols but rank < cols: the reduction must not stop at the
+    # forward pass
+    rng = random.Random(11)
+    for _ in range(30):
+        cols = rng.randint(2, 7)
+        rows = cols + rng.randint(1, 5)
+        r = rng.randint(1, cols - 1)
+        x = _rand_flat(rng, rows * r, 9)
+        y = _rand_flat(rng, r * cols, 9)
+        data = [int(v) for v in naive_matmul(rows, r, cols, x, y)]
+        got, pivots = _rref_as_fractions(rows, cols, data)
+        want, want_pivots = naive_rref(rows, cols, _as_fractions(data))
+        assert (got, pivots) == (want, want_pivots)
+        assert len(pivots) <= r < cols
+
+
+@pytest.mark.parametrize("rows, cols", [(0, 0), (1, 0), (4, 0), (0, 3)])
+def test_rref_empty_inputs(rows, cols):
+    assert kernels.rref(rows, cols, []) == ([], 1, ())

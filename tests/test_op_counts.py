@@ -24,7 +24,7 @@ from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`
-BOUNDS = {"paper_ex1": (73, 189), "rational_spectrum": (105, 228),
+BOUNDS = {"paper_ex1": (73, 187), "rational_spectrum": (105, 227),
           "c_equals_b_fractional": (101, 222)}
 
 

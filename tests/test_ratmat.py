@@ -423,6 +423,27 @@ class TestMatBasics:
         shifted = Mat.identity(3).shifted(1)
         assert shifted.is_zero()
 
+    @given(square_matrices(4), st.integers(0, 6))
+    def test_pow_is_the_repeated_product_with_no_identity_factor(self, M, k):
+        expected = Mat.identity(M.rows)
+        for _ in range(k):
+            expected = expected @ M
+        calls = []
+        real = kernels.matmul
+
+        def counted(*args):
+            calls.append(args[:3])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "matmul", counted)
+            got = M ** k
+        assert got == expected
+        # one squaring per bit above the lowest, one product per further set
+        # bit: M ** 0 is the identity and M ** 1 is M, with no product
+        squarings = k.bit_length() - 1 if k else 0
+        assert len(calls) == (squarings + bin(k).count("1") - 1 if k else 0)
+
     def test_rref_idempotent(self):
         M = Mat.from_rows([[2, 4, 1], [1, 2, 0], [0, 0, 1]])
         R, piv = rref(M)
