@@ -367,6 +367,15 @@ def _render_drazin(report: dict, out) -> None:
         print(f"{'PASS' if val else 'FAIL'}  proof.{name}", file=out)
 
 
+def _emit(obj: dict, as_json: bool, render) -> None:
+    """Print obj to stdout as indented JSON, or as the text render draws."""
+    if as_json:
+        json.dump(obj, sys.stdout, indent=1)
+        print()
+    else:
+        render(obj, sys.stdout)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -387,11 +396,7 @@ def cmd_report(args) -> int:
     if not report["condition"]["holds"]:
         print("warning: intertwining condition violated; "
               "sequence tables are not expected to agree", file=sys.stderr)
-    if args.json:
-        json.dump(report, sys.stdout, indent=1)
-        print()
-    else:
-        _render_report(report, sys.stdout)
+    _emit(report, args.json, _render_report)
     return EXIT_OK
 
 
@@ -404,11 +409,7 @@ def cmd_verify(args) -> int:
             return EXIT_FAIL
         print("warning: intertwining condition violated", file=sys.stderr)
     result = run_verification(t, lambdas, args.nmax)
-    if args.json:
-        json.dump(result, sys.stdout, indent=1)
-        print()
-    else:
-        _render_checks(result, sys.stdout)
+    _emit(result, args.json, _render_checks)
     if not result["passed"]:
         failing = next(c["name"] for c in result["checks"] if not c["passed"])
         print(f"first failing check: {failing}", file=sys.stderr)
@@ -418,14 +419,8 @@ def cmd_verify(args) -> int:
 
 def cmd_generate(args) -> int:
     try:
-        if args.template == "rational_spectrum":
-            spec = genlab.GenSpec(template="c_equals_b", block_dim=args.dim,
-                                  seed=args.seed, entry_bound=args.entry_bound)
-            t = genlab.rational_spectrum_instance(spec)
-        else:
-            spec = genlab.GenSpec(template=args.template, block_dim=args.dim,
-                                  seed=args.seed, entry_bound=args.entry_bound)
-            t = genlab.generate(spec)
+        t = genlab.generate(genlab.GenSpec(template=args.template, block_dim=args.dim,
+                                           seed=args.seed, entry_bound=args.entry_bound))
     except (ValueError, genlab.GenerationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -450,11 +445,7 @@ def cmd_drazin(args) -> int:
               file=sys.stderr)
         return EXIT_FAIL
     report = build_drazin_report(t)
-    if args.json:
-        json.dump(report, sys.stdout, indent=1)
-        print()
-    else:
-        _render_drazin(report, sys.stdout)
+    _emit(report, args.json, _render_drazin)
     return EXIT_OK if report["verified"] else EXIT_FAIL
 
 
@@ -496,8 +487,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("generate", help="write a generated triple document")
-    p.add_argument("--template", required=True,
-                   choices=genlab.TEMPLATES + ("rational_spectrum",))
+    p.add_argument("--template", required=True, choices=genlab.TEMPLATES)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--entry-bound", type=int, default=5)

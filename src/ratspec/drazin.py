@@ -5,9 +5,11 @@ At finite dimension every square T is Drazin invertible: with d the index
 invertible on the first summand and nilpotent on the second, and the Drazin
 inverse S inverts the core and kills the nilpotent part. S is formed from the
 r x r core block of T (r = rank T^d), the only matrix inverted, and the
-check of its three defining identities reads TS once. Everything here is
-exact; "Riesz" collapses to "nilpotent" on rational matrices, so the
-generalized statements specialize to the classical Drazin inverse.
+check of its three defining identities reads TS once. One power test
+decides a known nilpotency degree, of T^2 S - T and of PA.C in the proof
+identities. Everything here is exact; "Riesz" collapses to "nilpotent" on
+rational matrices, so the generalized statements specialize to the
+classical Drazin inverse.
 """
 
 from __future__ import annotations
@@ -94,15 +96,17 @@ def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
         raise ArithmeticError("STS != S")
     # T^2 S is T on the core summand and zero on the nilpotent one
     core = T @ ts
-    resid = core - T  # T^2 S - T
-    if d <= 1:
-        if not resid.is_zero():
-            raise ArithmeticError("T^2 S - T nonzero at index <= 1")
-    else:
-        below = resid ** (d - 1)
-        if below.is_zero() or not (below @ resid).is_zero():
-            raise ArithmeticError("nilpotency degree of T^2 S - T != index")
+    if not _nilpotent_of_degree(core - T, d):
+        raise ArithmeticError("nilpotency degree of T^2 S - T != index")
     return ts, core
+
+
+def _nilpotent_of_degree(M: Mat, d: int) -> bool:
+    """M^(d-1) != 0 and M^d = 0; at d <= 1, M = 0 (Drazin index 0 or 1)."""
+    if d <= 1:
+        return M.is_zero()
+    below = M ** (d - 1)
+    return not below.is_zero() and (below @ M).is_zero()
 
 
 @dataclass(frozen=True)
@@ -180,12 +184,8 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
     pabpa, pacpa = pab @ pa, pac @ pa
     cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
     pac_matches = pac == tr.s_ac.core_part - ac  # (AC)^2 S - AC
-    if d <= 1:
-        pac_nilpotent = pac.is_zero()
-    else:
-        ni = nilpotency_index(pac)
-        pac_nilpotent = ni == d
     return ProofIdentitiesReport(commutation=commutation,
                                  residual_is_bpa=residual_is_bpa,
                                  cycle=cycle, pac_matches=pac_matches,
-                                 pac_nilpotent=pac_nilpotent, index=d)
+                                 pac_nilpotent=_nilpotent_of_degree(pac, d),
+                                 index=d)

@@ -5,7 +5,8 @@ idempotent P (conforming identically in P, with ABA != ACA whenever P != I),
 the trivial C = B family, the ABA = ACA family (C = B plus a sample of
 {C : ACA = 0} = {C : C R(A) inside N(A)}, spanned by rank-one matrices read
 off N(A) and N(A^T)), conjugations and direct sums of conforming triples,
-and adversarial nonconforming triples for negative controls. Every
+triples whose products have fully rational spectra (rational_spectrum), and
+adversarial nonconforming triples for negative controls. Every
 non-adversarial generator re-verifies the condition on its output;
 conformance is never assumed from the construction alone.
 
@@ -18,13 +19,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from ratspec.intertwine import OperatorTriple
-from ratspec.ratmat import Mat, Subspace, inverse, kernel, rat
+from ratspec.ratmat import Mat, Subspace, block, inverse, kernel, rat
 
 TEMPLATES = ("paper_ex1", "paper_ex2", "c_equals_b", "aba_eq_aca",
-             "conjugated", "direct_sum", "nonconforming")
+             "conjugated", "direct_sum", "nonconforming", "rational_spectrum")
 
 _NONCONFORMING_RETRIES = 50
 
@@ -92,21 +92,6 @@ def default_idempotent(m: int) -> Mat:
                       for i in range(m) for j in range(m)])
 
 
-def _block_matrix(layout: list[list[Mat]]) -> Mat:
-    """The matrix with the given blocks; the blocks of one row share a row
-    count, the blocks of one column a column count. The numerators are
-    assembled over the lcm of the block denominators."""
-    den = lcm(*[blk.den for block_row in layout for blk in block_row])
-    num = []
-    for block_row in layout:
-        for r in range(block_row[0].rows):
-            for blk in block_row:
-                f = den // blk.den
-                num.extend([x * f for x in blk.num[r * blk.cols:(r + 1) * blk.cols]])
-    return Mat.from_ints(sum(block_row[0].rows for block_row in layout),
-                         sum(blk.cols for blk in layout[0]), num, den)
-
-
 def paper_example(which: int, P: Mat) -> OperatorTriple:
     """One of the two worked block-matrix examples over the idempotent P.
 
@@ -131,10 +116,10 @@ def paper_example(which: int, P: Mat) -> OperatorTriple:
     zero = Mat.zero(m, m)
     if P.is_zero() or P == ident:
         raise ValueError("P must be a nontrivial idempotent")
-    A = _block_matrix([[zero, ident, zero], [zero, P, zero], [ident, zero, zero]])
-    B = _block_matrix([[ident, zero, zero], [zero, ident, zero], [zero, zero, zero]])
+    A = block([[zero, ident, zero], [zero, P, zero], [ident, zero, zero]])
+    B = block([[ident, zero, zero], [zero, ident, zero], [zero, zero, zero]])
     low = ident if which == 1 else P
-    C = _block_matrix([[zero, ident, zero], [P, zero, zero], [zero, low, zero]])
+    C = block([[zero, ident, zero], [P, zero, zero], [zero, low, zero]])
     t = OperatorTriple(A, B, C)
     if not t.condition_holds:
         raise GenerationError("worked example lost the condition")
@@ -162,12 +147,9 @@ def _solve_aba_eq_aca(rng: random.Random, A: Mat, B: Mat, bound: int) -> Mat:
     pieces += [[x if p == i else 0 for p in range(dx) for x in coker.num[r * dy:(r + 1) * dy]]
                for r in range(coker.rows) for i in range(dx)]
     basis = Subspace.from_vectors(dx * dy, pieces).basis_matrix()
-    acc = [0] * (dx * dy)
-    for r in range(basis.rows):
-        coef = rng.randint(-bound, bound)
-        if coef:
-            acc = [a + coef * x for a, x in zip(acc, basis.num[r * dx * dy:(r + 1) * dx * dy])]
-    return B + Mat.from_ints(dx, dy, acc, basis.den)
+    coefs = [rng.randint(-bound, bound) for _ in range(basis.rows)]
+    sample = Mat.from_ints(1, basis.rows, coefs) @ basis
+    return B + Mat.from_ints(dx, dy, sample.num, sample.den)
 
 
 def conjugate(t: OperatorTriple, U: Mat, V: Mat) -> OperatorTriple:
@@ -186,8 +168,8 @@ def conjugate(t: OperatorTriple, U: Mat, V: Mat) -> OperatorTriple:
 def direct_sum(t1: OperatorTriple, t2: OperatorTriple) -> OperatorTriple:
     """Block-diagonal join; the condition holds blockwise."""
     def join(M1: Mat, M2: Mat) -> Mat:
-        return _block_matrix([[M1, Mat.zero(M1.rows, M2.cols)],
-                              [Mat.zero(M2.rows, M1.cols), M2]])
+        return block([[M1, Mat.zero(M1.rows, M2.cols)],
+                      [Mat.zero(M2.rows, M1.cols), M2]])
 
     return OperatorTriple(join(t1.A, t2.A), join(t1.B, t2.B), join(t1.C, t2.C))
 
@@ -231,6 +213,8 @@ def generate(spec: GenSpec) -> OperatorTriple:
         t2 = generate(GenSpec(template="aba_eq_aca", block_dim=d2,
                               seed=rng.randrange(1 << 30), entry_bound=bound))
         t = direct_sum(t1, t2)
+    elif template == "rational_spectrum":
+        t = rational_spectrum_instance(spec)
     elif template == "nonconforming":
         for _ in range(_NONCONFORMING_RETRIES):
             A = random_matrix(rng, dy, dx, bound)
@@ -275,8 +259,8 @@ def rational_spectrum_instance(spec: GenSpec) -> OperatorTriple:
             jrows[i][j] = Fraction(rng.randint(-spec.entry_bound, spec.entry_bound))
     J = Mat.from_rows(jrows)
     R = random_matrix(rng, n, pad, spec.entry_bound)
-    A = _block_matrix([[Mat.identity(n)], [Mat.zero(pad, n)]])
-    B = _block_matrix([[J, R]])
+    A = block([[Mat.identity(n)], [Mat.zero(pad, n)]])
+    B = block([[J, R]])
     C = _solve_aba_eq_aca(rng, A, B, 1) if rng.random() < 0.5 else B
     t = OperatorTriple(A, B, C)
     if rng.random() < 0.5:

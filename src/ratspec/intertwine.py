@@ -430,12 +430,15 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
 def default_probes(t: OperatorTriple) -> list[Fraction]:
     """Probe set: rational eigenvalues of AC and BA, 1, and two non-eigenvalues.
 
-    Zero may appear (it is an eigenvalue of any singular product); consumers
-    skip it with an explicit note, mirroring sigma \\ {0} in the statements.
+    Under the condition the charpolys of AC and BA agree away from 0
+    (nonzero_charpoly_match checks it), so only AC's roots are searched,
+    and 0 is added when either product is singular. Consumers skip 0 with an
+    explicit note, mirroring sigma \\ {0} in the statements.
     """
     pba, pac = t.charpolys()
     eigs = {lam for lam, _ in rational_eigenvalues(pac)}
-    eigs |= {lam for lam, _ in rational_eigenvalues(pba)}
+    if not (pba.coeffs[0] and pac.coeffs[0]):
+        eigs.add(Fraction(0))
     probes = set(eigs)
     probes.add(Fraction(1))
     extras = 0

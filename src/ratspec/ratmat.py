@@ -16,25 +16,25 @@ Subspace.from_vectors, a shift or a scale factor) and where they leave
 runs on Python ints. This is the fraction-free idea of Bareiss (1968)
 carried through the whole layer.
 
-Rank decisions, kernels, images and the subspace lattice (sum, intersection by
-one Zassenhaus reduction, preimage, containment, quotient dimension) run
-through the two integer kernels of ratspec.kernels, rref and matmul. A product
-is the kernels' product of the numerators over the product of the
-denominators (on all but the smallest shapes, with each row of the right
-operand packed into one integer: Kronecker substitution); a row reduction
-needs the numerators only, and one of full column rank ends after its
-forward pass, since its reduced form is the identity over zero rows. An
+Rank decisions, kernels, images, the subspace lattice (sum, intersection by
+one Zassenhaus reduction, preimage, containment, quotient dimension) and the
+products of charpoly run through the two integer kernels of ratspec.kernels,
+rref and matmul. A product is the kernels' product of the numerators over the
+product of the denominators (on all but the smallest shapes, with each row of
+the right operand packed into one integer: Kronecker substitution); a row
+reduction needs the numerators only, and one of full column rank ends after
+its forward pass, since its reduced form is the identity over zero rows. An
 echelon basis row holds 1 at its pivot and the other rows 0 there, so the
 rows X of a subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that
 test on U @ M^T. The same basis gives, with no reduction, rows K with
-W = {y : K y = 0} (Subspace.annihilator).
+W = {y : K y = 0} (Subspace.annihilator). An empty product, and a
+containment with no rows or in the whole space, need no kernel call. block
+lays out blocks over the lcm of their denominators; inverse and solve reduce
+the [M | I] and [M | b] it builds.
 
-The characteristic polynomial does not use the kernels: charpoly reads the
-power sums tr(S^k) of the integer numerators S off about 2 sqrt(n) products
-(baby steps and giant steps) and turns them into its coefficients by
-Newton's identities, on Python ints throughout, with every division checked
-to be exact. Faddeev-LeVerrier, which takes n - 1 products, is kept in the
-tests as its oracle.
+charpoly reads the power sums tr(S^k) of the integer numerators S off about
+2 sqrt(n) products and turns them into its coefficients by Newton's
+identities, each division checked exact; Faddeev-LeVerrier is its oracle.
 """
 
 from __future__ import annotations
@@ -172,6 +172,8 @@ class Mat:
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
+        if not (self.rows and self.cols and other.cols):
+            return Mat.zero(self.rows, other.cols)
         out = kernels.matmul(self.rows, self.cols, other.cols, self.num, other.num)
         return Mat.from_ints(self.rows, other.cols, out, self.den * other.den)
 
@@ -242,15 +244,19 @@ class Mat:
         return f"Mat({self.rows}x{self.cols}: {body})"
 
 
-def _beside(L: Mat, R: Mat) -> Mat:
-    """The block matrix [L | R]; L and R have the same number of rows."""
-    den = lcm(L.den, R.den)
-    fl, fr = den // L.den, den // R.den
+def block(layout: Sequence[Sequence[Mat]]) -> Mat:
+    """The matrix with the given rows of blocks, over the lcm of the block
+    denominators; the blocks of a row share a row count, of a column a
+    column count."""
+    den = lcm(*[blk.den for block_row in layout for blk in block_row])
     num = []
-    for i in range(L.rows):
-        num.extend([x * fl for x in L.num[i * L.cols:(i + 1) * L.cols]])
-        num.extend([x * fr for x in R.num[i * R.cols:(i + 1) * R.cols]])
-    return Mat.from_ints(L.rows, L.cols + R.cols, num, den)
+    for block_row in layout:
+        for r in range(block_row[0].rows):
+            for blk in block_row:
+                f = den // blk.den
+                num.extend([x * f for x in blk.num[r * blk.cols:(r + 1) * blk.cols]])
+    return Mat.from_ints(sum(block_row[0].rows for block_row in layout),
+                         sum(blk.cols for blk in layout[0]), num, den)
 
 
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
@@ -321,6 +327,8 @@ class Subspace:
         """
         if X.cols != self.ambient_dim:
             raise ValueError("vector length != ambient dimension")
+        if not X.rows or self.dim == self.ambient_dim:
+            return True
         B = self._basis
         n = X.cols
         at_pivots = [X.num[i * n + p] for i in range(X.rows) for p in self.pivots]
@@ -460,7 +468,7 @@ def solve(M: Mat, b: Sequence[Fraction]) -> tuple[Fraction, ...] | None:
     """One solution of Mx = b, or None if inconsistent (free variables 0)."""
     if len(b) != M.rows:
         raise ValueError("rhs length mismatch")
-    R, pivots = rref(_beside(M, Mat(M.rows, 1, [rat(x) for x in b])))
+    R, pivots = rref(block([[M, Mat(M.rows, 1, [rat(x) for x in b])]]))
     if pivots and pivots[-1] == M.cols:
         return None
     x = [_ZERO] * M.cols
@@ -474,7 +482,7 @@ def inverse(M: Mat) -> Mat | None:
     if not M.is_square:
         raise ValueError("inverse of a non-square matrix")
     n = M.rows
-    R, pivots = rref(_beside(M, Mat.identity(n)))
+    R, pivots = rref(block([[M, Mat.identity(n)]]))
     if len(pivots) < n or any(p >= n for p in pivots):
         return None
     return R.columns(range(n, 2 * n))
@@ -550,37 +558,29 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _power_traces(S: list[list[int]]) -> list[int]:
-    """tr(S^k) for k = 0..n of an n x n integer matrix, in about 2 sqrt(n) products.
+def _power_traces(n: int, S: Sequence[int]) -> list[int]:
+    """tr(S^k) for k = 0..n of an n x n integer matrix S, in about 2 sqrt(n) products.
 
     Baby steps S, S^2, ..., S^m and giant steps G = S^m, G^2, ... with
     m = ceil(sqrt(n)) (Paterson and Stockmeyer 1973): k = i + jm with
-    1 <= i <= m, and tr(S^i G^j) is the sum of the dot products of row a of
-    S^i with column a of G^j, n^2 multiplications where a product costs n^3.
+    1 <= i <= m, and tr(S^i G^j) is the dot product of S^i with the transpose
+    of G^j, both flat: n^2 multiplications where a product costs n^3.
     """
-    n = len(S)
     traces = [n] + [0] * n
     if not n:
         return traces
-
-    def product(X: list[list[int]], Y: list[list[int]]) -> list[list[int]]:
-        cols = list(zip(*Y))
-        return [[sum(map(mul, row, col)) for col in cols] for row in X]
-
     m = isqrt(n - 1) + 1
     baby = [S]
     for _ in range(m - 1):
-        baby.append(product(baby[-1], S))
-    for i, X in enumerate(baby, 1):
-        traces[i] = sum(X[a][a] for a in range(n))
+        baby.append(kernels.matmul(n, n, n, baby[-1], S))
+    traces[1:m + 1] = [sum(X[::n + 1]) for X in baby]
     G = giant = baby[-1]
     for j in range(1, (n - 1) // m + 1):
         if j > 1:
-            giant = product(giant, G)
-        cols = list(zip(*giant))
+            giant = kernels.matmul(n, n, n, giant, G)
+        transposed = [x for a in range(n) for x in giant[a::n]]
         for i in range(1, min(m, n - j * m) + 1):
-            X = baby[i - 1]
-            traces[i + j * m] = sum(sum(map(mul, X[a], cols[a])) for a in range(n))
+            traces[i + j * m] = sum(map(mul, baby[i - 1], transposed))
     return traces
 
 
@@ -599,7 +599,7 @@ def charpoly(M: Mat) -> Poly:
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n, D = M.rows, M.den
-    p = _power_traces([list(M.num[i * n:(i + 1) * n]) for i in range(n)])
+    p = _power_traces(n, M.num)
     e = [1] + [0] * n
     for k in range(1, n + 1):
         acc = 0

@@ -6,7 +6,9 @@ compute the same quantities another way, from fresh matrix powers,
 subspace sums and intersections, or the characteristic polynomial, so that
 the tests can compare the two. The characteristic polynomial and the
 rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
-over Fraction, and the rational-root theorem with a divisor scan. The
+over Fraction, and the rational-root theorem with a divisor scan; so has
+the default probe set, from a root search on each of the two
+characteristic polynomials where production searches one. The
 generator's ABA = ACA sampler has its first form here as well, the kernel
 of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
 intersection, by the kernel of the stacked bases, and the preimage route
@@ -23,7 +25,7 @@ from fractions import Fraction
 from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
-from ratspec.invariants import regularity_membership
+from ratspec.invariants import rational_eigenvalues, regularity_membership
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             preimage, quotient_dim, rank, rat)
 
@@ -224,6 +226,16 @@ def charpoly_fraction(M: Mat) -> Poly:
 
 
 _SCAN_LIMIT = 65536
+
+
+def default_probes_by_two_searches(t: OperatorTriple) -> list[Fraction]:
+    """default_probes from two root searches, one on each characteristic
+    polynomial: the union of the rational eigenvalues of AC and of BA, 1,
+    and the first two candidates outside that union."""
+    eigs = {lam for p in t.charpolys() for lam, _ in rational_eigenvalues(p)}
+    extras = [Fraction(c) for c in (2, 3, 5, 7, Fraction(1, 2), Fraction(3, 2),
+                                    11, 13, 17, 19, 23) if c not in eigs][:2]
+    return sorted(eigs | {_ONE} | set(extras))
 
 
 def _divisors_up_to(n: int, bound: int) -> list[int]:

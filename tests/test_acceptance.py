@@ -14,8 +14,9 @@ from math import comb
 import pytest
 
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
-                     eigenvalue_multiplicity, injective_by_preimage_in_ambient,
-                     k_n, k_n_via_sums, rational_eigenvalues_by_divisors)
+                     default_probes_by_two_searches, eigenvalue_multiplicity,
+                     injective_by_preimage_in_ambient, k_n, k_n_via_sums,
+                     rational_eigenvalues_by_divisors)
 from ratspec.cli import main, write_triple_document
 from ratspec.drazin import proof_identities, transfer
 from ratspec.genlab import (GenSpec, generate, paper_example,
@@ -268,6 +269,18 @@ def test_criterion_6_eigenvalues_match_divisor_scan(corpus):
             found += len(eigs)
     print(f"ACCEPTANCE 6: PASS - rational eigenvalues equal the divisor "
           f"scan's on {2 * len(corpus)} products ({found} distinct roots)")
+
+
+def test_criterion_6_one_root_search_gives_the_default_probes(corpus):
+    """The probes from one charpoly's roots equal those from both charpolys'."""
+    singular = 0
+    for _, t, _, _ in corpus:
+        probes = default_probes(t)
+        assert probes == default_probes_by_two_searches(t)
+        singular += Fraction(0) in probes
+    assert singular
+    print(f"ACCEPTANCE 6: PASS - default probes from one root search equal "
+          f"the two-search union on {len(corpus)} triples ({singular} with 0)")
 
 
 def test_criterion_7_shift_polynomials(corpus):

@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from ratspec.drazin import (drazin_inverse, nilpotency_index,
-                            proof_identities, transfer)
+from ratspec.drazin import (_nilpotent_of_degree, drazin_inverse,
+                            nilpotency_index, proof_identities, transfer)
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example, rational_spectrum_instance)
 from ratspec.intertwine import ConditionNotSatisfied, OperatorTriple
@@ -100,6 +100,20 @@ class TestNilpotencyIndex:
             assert nilpotency_index(M) == nilpotency_oracle(M), M
         assert all(nilpotency_oracle(M) is not None for M in nilpotent)
         assert max(nilpotency_oracle(M) for M in nilpotent) >= 3
+
+
+class TestNilpotencyDegree:
+    def test_power_test_agrees_with_the_index(self):
+        # _nilpotent_of_degree(M, d) says M^(d-1) != 0 and M^d = 0, with
+        # d <= 1 meaning M = 0 (index 0 or 1)
+        cases = [Mat.zero(0, 0), Mat.zero(1, 1), Mat.zero(3, 3),
+                 Mat.identity(2), jordan_block(2, 3), jordan_block(-1, 1)]
+        cases += [jordan_block(0, k) for k in range(1, 6)]
+        for M in cases:
+            ni = nilpotency_index(M)
+            for d in range(5):
+                expected = ni is not None and max(ni, 1) == max(d, 1)
+                assert _nilpotent_of_degree(M, d) == expected, (M, d)
 
 
 class TestDrazinInverse:

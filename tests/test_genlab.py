@@ -90,19 +90,6 @@ class TestPaperExample:
             paper_example(3, default_idempotent(2))
 
 
-class TestBlockMatrix:
-    def test_blocks_over_different_denominators(self):
-        halves = Mat.from_rows([[Fraction(1, 2), 1], [0, Fraction(-3, 4)]])
-        thirds = Mat.from_rows([[Fraction(2, 3)], [5]])
-        ints = Mat.from_rows([[4, 6]])
-        zero = Mat.zero(1, 1)
-        got = genlab._block_matrix([[halves, thirds], [ints, zero]])
-        rows = [halves.row(0) + thirds.row(0), halves.row(1) + thirds.row(1),
-                ints.row(0) + zero.row(0)]
-        assert got == Mat.from_rows(rows)
-        assert got.den == 12
-
-
 class TestGenerate:
     @pytest.mark.parametrize("template", CONFORMING)
     def test_conforming_templates(self, template):
@@ -272,6 +259,17 @@ class TestRationalSpectrum:
         ba_eigs = {lam for lam, _ in rational_eigenvalues(t.ba)}
         ac_eigs = {lam for lam, _ in rational_eigenvalues(t.ac)}
         assert (ba_eigs - {Fraction(0)}) == (ac_eigs - {Fraction(0)})
+
+    def test_is_a_template_of_generate(self):
+        # generate dispatches rational_spectrum to rational_spectrum_instance,
+        # which ignores the template its spec names
+        for n, seed, bound in ((1, 0, 5), (3, 4, 5), (5, 2, 2), (8, 1, 3)):
+            got = generate(GenSpec(template="rational_spectrum", block_dim=n,
+                                   seed=seed, entry_bound=bound))
+            want = rational_spectrum_instance(GenSpec(template="c_equals_b",
+                                                      block_dim=n, seed=seed,
+                                                      entry_bound=bound))
+            assert (got.A, got.B, got.C) == (want.A, want.B, want.C)
 
     def test_sequence_equalities_hold(self):
         t = rational_spectrum_instance(GenSpec(template="c_equals_b",

@@ -8,7 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import matrices
-from oracles import injective_by_preimage_in_ambient, power_identity
+from oracles import (default_probes_by_two_searches,
+                     injective_by_preimage_in_ambient, power_identity)
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
@@ -641,3 +642,21 @@ class TestDefaultProbes:
         eigs |= {lam for lam, _ in rational_eigenvalues(EX1.ba)}
         extras = [p for p in default_probes(EX1) if p not in eigs]
         assert len(extras) >= 2
+
+    @pytest.mark.parametrize("dx,dy", [(2, 3), (3, 5), (3, 2), (5, 3)])
+    def test_rectangular_triples_with_one_singular_product(self, dx, dy):
+        # AC is dy x dy of rank <= dx and BA is dx x dx of rank <= dy, so on
+        # a generic triple only the larger product is singular: 0 is then a
+        # root of one charpoly only, and must be a probe either way
+        seen = 0
+        for seed in range(8):
+            t = generate(GenSpec(template="c_equals_b", block_dim=dx, dim_y=dy,
+                                 seed=seed, entry_bound=3))
+            pba, pac = t.charpolys()
+            if (pba.coeffs[0] == 0) == (pac.coeffs[0] == 0):
+                continue
+            probes = default_probes(t)
+            assert Fraction(0) in probes
+            assert probes == default_probes_by_two_searches(t)
+            seen += 1
+        assert seen

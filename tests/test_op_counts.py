@@ -23,9 +23,10 @@ from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
 
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
-# document -> (rref calls, matmul calls) of one `verify --json`
-BOUNDS = {"paper_ex1": (73, 187), "rational_spectrum": (105, 227),
-          "c_equals_b_fractional": (101, 222)}
+# document -> (rref calls, matmul calls) of one `verify --json`; the matmul
+# calls include the characteristic polynomial's products
+BOUNDS = {"paper_ex1": (70, 150), "rational_spectrum": (102, 167),
+          "c_equals_b_fractional": (101, 164)}
 
 
 def _document(name):
@@ -61,6 +62,15 @@ def test_verify_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsy
     calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
     assert len(calls["rref"]) <= BOUNDS[name][0]
     assert len(calls["matmul"]) <= BOUNDS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(BOUNDS))
+def test_no_kernel_product_has_an_empty_side(name, tmp_path, monkeypatch, capsys):
+    # an empty product, and a containment with no rows to test or in the
+    # whole space, is answered without a kernel call; verify still exits 0,
+    # every check passing
+    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    assert [args[:3] for args in calls["matmul"] if 0 in args[:3]] == []
 
 
 def _operand_stats():

@@ -11,9 +11,9 @@ from conftest import matrices, naive_matmul, rationals, square_matrices
 from oracles import FractionMat, charpoly_fraction, intersect_by_kernel
 from ratspec import kernels
 from ratspec.intertwine import MapCache
-from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, inverse,
-                            kernel, map_subspace, poly_eval_mat, preimage,
-                            quotient_dim, rank, rref, solve)
+from ratspec.ratmat import (Mat, Poly, Subspace, block, charpoly, image,
+                            inverse, kernel, map_subspace, poly_eval_mat,
+                            preimage, quotient_dim, rank, rref, solve)
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -307,17 +307,17 @@ class TestCharpoly:
         rng = random.Random(12)
         for n in range(14):
             M = Mat.from_ints(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
-            S = [list(M.num[i * n:(i + 1) * n]) for i in range(n)]
-            assert _power_traces(S) == [
+            assert _power_traces(n, M.num) == [
                 sum((M ** k).entry(i, i) for i in range(n)) for k in range(n + 1)]
 
     def test_inexact_division_raises(self, monkeypatch):
         # k e_k from Newton's identities is divisible by k for an integer
-        # matrix; a faulty product breaks that at k = 2 on the identity
-        # (p_1 = 3, p_2 = 12, so 2 e_2 = 3 * 3 - 12), and the check must
-        # catch it
-        from ratspec import ratmat
-        monkeypatch.setattr(ratmat, "mul", lambda a, b: a * b + 1)
+        # matrix; a faulty kernel product breaks that at k = 2 on the
+        # identity (S^2 = I + J, so p_1 = 3, p_2 = 6 and 2 e_2 = 3 * 3 - 6),
+        # and the check must catch it
+        real = kernels.matmul
+        monkeypatch.setattr(kernels, "matmul",
+                            lambda *args: [x + 1 for x in real(*args)])
         with pytest.raises(ArithmeticError,
                            match="Newton's identities: 2 e_2 is not divisible by 2"):
             charpoly(Mat.identity(3))
@@ -381,6 +381,74 @@ class TestPolyEval:
         got = poly_eval_mat(q, diag)
         for i in range(n):
             assert got.entry(i, i) == q(diag.entry(i, i))
+
+
+class TestNoKernelCall:
+    """Questions with an empty side or nothing to decide skip the kernels."""
+
+    @pytest.fixture
+    def matmuls(self, monkeypatch):
+        calls = []
+        real = kernels.matmul
+
+        def spy(*args):
+            calls.append(args[:3])
+            return real(*args)
+
+        monkeypatch.setattr(kernels, "matmul", spy)
+        return calls
+
+    @pytest.mark.parametrize("m,k,n", [(0, 3, 2), (2, 0, 3), (3, 2, 0), (0, 0, 0)])
+    def test_empty_products_are_zero_over_den_1(self, matmuls, m, k, n):
+        left = Mat(m, k, [Fraction(i + 1, 3) for i in range(m * k)])
+        right = Mat(k, n, [Fraction(-i, 5) for i in range(k * n)])
+        got = left @ right
+        assert matmuls == []
+        assert got == Mat.zero(m, n) and got.den == 1
+        assert (FractionMat.of(left) @ FractionMat.of(right)).entries == got.data
+
+    def test_containments_with_nothing_to_decide(self, matmuls):
+        plane = span(3, E1, E2)
+        assert plane.contains_rows(Mat.zero(0, 3))
+        assert Subspace.full(3).contains(plane)
+        assert Subspace.full(3).contains_vector([Fraction(1, 2), 7, -1])
+        assert Subspace.zero(3).contains(Subspace.zero(3))
+        assert matmuls == []
+        assert not plane.contains_vector(E3) and matmuls == [(1, 2, 3)]
+
+
+class TestBlockMatrix:
+    def test_blocks_over_different_denominators(self):
+        halves = Mat.from_rows([[Fraction(1, 2), 1], [0, Fraction(-3, 4)]])
+        thirds = Mat.from_rows([[Fraction(2, 3)], [5]])
+        ints = Mat.from_rows([[4, 6]])
+        zero = Mat.zero(1, 1)
+        got = block([[halves, thirds], [ints, zero]])
+        rows = [halves.row(0) + thirds.row(0), halves.row(1) + thirds.row(1),
+                ints.row(0) + zero.row(0)]
+        assert got == Mat.from_rows(rows)
+        assert got.den == 12
+
+    def test_matrix_beside_the_identity(self):
+        # [M | I], the block that inverse reduces
+        M = Mat.from_rows([[Fraction(1, 6), 2, 0], [Fraction(-5, 4), 1, 3],
+                           [0, Fraction(7, 10), Fraction(1, 3)]])
+        got = block([[M, Mat.identity(3)]])
+        assert got == Mat.from_rows([list(M.row(i)) + [int(i == j) for j in range(3)]
+                                     for i in range(3)])
+        assert got.den == 60
+        assert (got.rows, got.cols) == (3, 6)
+
+    def test_matrix_beside_a_column(self):
+        # [M | b], the block that solve reduces, with b over its own
+        # denominator, and the empty system
+        M = Mat.from_rows([[Fraction(1, 2), 3], [Fraction(2, 9), -1]])
+        b = Mat.from_rows([[Fraction(5, 7)], [Fraction(-1, 3)]])
+        got = block([[M, b]])
+        assert got == Mat.from_rows([list(M.row(i)) + list(b.row(i)) for i in range(2)])
+        assert got.den == 126
+        empty = block([[Mat.zero(0, 3), Mat.zero(0, 1)]])
+        assert (empty.rows, empty.cols, empty.num, empty.den) == (0, 4, (), 1)
 
 
 class TestSolveInverse:

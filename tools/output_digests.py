@@ -13,8 +13,10 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   (`corpus_triples` in tests/test_acceptance.py);
 - `verify --json` and `drazin --json` at the scale target: c_equals_b,
   aba_eq_aca, conjugated and direct_sum at dim 24 and rational_spectrum at
-  dim 22, seed 3, entry bound 2, whose operands reach hundreds of bits.
-The last line counts the runs (774). The documents are generated by the
+  dim 22, seed 3, entry bound 2, whose operands reach hundreds of bits;
+- `generate` to stdout for every template at dims 2, 8 and the cap (24,
+  or 22 for rational_spectrum), seeds 0-2, default entry bound.
+The last line counts the runs (846). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -84,17 +86,26 @@ def _scale_target_runs(workdir: Path):
     from ratspec import cli, genlab
 
     for template, dim in SCALE_TARGET:
-        if template == "rational_spectrum":
-            t = genlab.rational_spectrum_instance(genlab.GenSpec(
-                template="c_equals_b", block_dim=dim, seed=3, entry_bound=2))
-        else:
-            t = genlab.generate(genlab.GenSpec(template=template, block_dim=dim,
-                                               seed=3, entry_bound=2))
+        t = genlab.generate(genlab.GenSpec(template=template, block_dim=dim,
+                                           seed=3, entry_bound=2))
         path = workdir / f"{template}-{dim}.json"
         cli.write_triple_document(t, str(path))
         label = f"scale/{template} dim {dim}"
         yield f"{label} verify", ["verify", str(path), "--json"]
         yield f"{label} drazin", ["drazin", str(path), "--json"]
+
+
+def _generate_runs():
+    """(label, argv) of `generate` to stdout for every template."""
+    from ratspec import genlab
+
+    for template in genlab.TEMPLATES:
+        cap = 22 if template == "rational_spectrum" else 24
+        for dim in (2, 8, cap):
+            for seed in range(3):
+                yield (f"generate/{template} dim {dim} seed {seed}",
+                       ["generate", "--template", template, "--dim", str(dim),
+                        "--seed", str(seed)])
 
 
 def main() -> int:
@@ -111,7 +122,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
-                     _scale_target_runs(workdir)):
+                     _scale_target_runs(workdir), _generate_runs()):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
