@@ -210,6 +210,41 @@ def _map_witness(qm: intertwine.QuotientMap) -> str:
     return f"{why} ({dims}, rank {rank(qm.matrix)})"
 
 
+def _sequence_witness(seq: intertwine.SequenceReport) -> str:
+    """Where AC - lam and BA - lam part: the first unequal row with its
+    (AC, BA) pairs, or else the totals, ascent and descent that differ."""
+    row = next((r for r in seq.rows if not r.equal), None)
+    if row is not None:
+        return (f"first unequal row at lambda={seq.lam}, n={row.n}: (AC, BA) "
+                f"c = ({row.c_ac}, {row.c_ba}), c' = ({row.cp_ac}, {row.cp_ba}), "
+                f"k = ({row.k_ac}, {row.k_ba})")
+    differ = [f"{what} ({ac}, {ba})" for what, ac, ba in (
+        ("totals (c, c', k)", seq.totals_ac, seq.totals_ba),
+        ("ascent", seq.asc_ac, seq.asc_ba),
+        ("descent", seq.dsc_ac, seq.dsc_ba)) if ac != ba]
+    return f"at lambda={seq.lam} the rows agree; (AC, BA) differ in " + ", ".join(differ)
+
+
+def _transfer_identities(tr: drazin.TransferReport) -> dict[str, bool]:
+    """The transfer's identities by name; it is verified iff all hold."""
+    return {"commutes": tr.commutes, "inner": tr.inner,
+            "residual_nilpotent": tr.residual_nilpotent,
+            "matches_direct": tr.matches_direct}
+
+
+def _proof_identities(pi: drazin.ProofIdentitiesReport) -> dict[str, bool]:
+    """The proof identities by name."""
+    return {"commutation": pi.commutation, "residual_is_bpa": pi.residual_is_bpa,
+            "cycle": pi.cycle, "pac_matches": pi.pac_matches,
+            "pac_nilpotent": pi.pac_nilpotent}
+
+
+def _failed(identities: dict[str, bool]) -> str:
+    """"failed: " and the names of the identities that fail, or ""."""
+    failed = [name for name, holds in identities.items() if not holds]
+    return f"failed: {', '.join(failed)}" if failed else ""
+
+
 def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
                      n_max: int | None = None) -> dict:
     """The full verifier battery; the exit-status contract reads its verdicts.
@@ -218,7 +253,9 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
     well-definedness and two-way injectivity of the three quotient maps,
     sequence equalities, pointwise regularity-spectrum agreement, nonzero
     charpoly match, shift operators for n <= 4, Drazin transfer and the
-    transfer proof identities.
+    transfer proof identities. A failing check's detail says where it
+    fails; a Drazin inverse that raises fails the transfer check with its
+    message, and the proof identities, which need the transfer, with it.
     """
     checks: list[dict[str, Any]] = []
 
@@ -253,9 +290,13 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         add("quotient_maps", not failed,
             f"{len(failed)} map(s) failed; first: {failed[0]}" if failed else "")
 
-        seq_ok = all(intertwine.verify_sequence_equalities(t, lam, top).all_equal
-                     for lam in nonzero)
-        add("sequence_equalities", seq_ok)
+        seq_detail = ""
+        for lam in nonzero:
+            seq = intertwine.verify_sequence_equalities(t, lam, top)
+            if not seq.all_equal:
+                seq_detail = _sequence_witness(seq)
+                break
+        add("sequence_equalities", not seq_detail, seq_detail)
 
         theo = intertwine.verify_theorem(t, probes)
         failing = [row for row in theo.rows if not row.equal]
@@ -275,12 +316,16 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
             shift_detail = str(exc)
         add("shift_polys", not shift_detail, shift_detail)
 
-        tr = drazin.transfer(t)
-        add("drazin_transfer", tr.verified and tr.matches_direct)
-        pi = drazin.proof_identities(t, tr)
-        add("drazin_proof_identities",
-            pi.commutation and pi.residual_is_bpa and pi.cycle
-            and pi.pac_matches and pi.pac_nilpotent)
+        try:
+            tr = drazin.transfer(t)
+        except ArithmeticError as exc:
+            add("drazin_transfer", False, f"drazin_inverse raised: {exc}")
+            add("drazin_proof_identities", False, "not checked: no transfer")
+        else:
+            detail = _failed(_transfer_identities(tr))
+            add("drazin_transfer", not detail, detail)
+            detail = _failed(_proof_identities(drazin.proof_identities(t, tr)))
+            add("drazin_proof_identities", not detail, detail)
 
     return {"checks": checks, "passed": all(c["passed"] for c in checks)}
 
@@ -292,21 +337,10 @@ def build_drazin_report(t: OperatorTriple) -> dict:
         "index_ac": tr.s_ac.index,
         "S": _matrix_doc(tr.s_ac.inverse, "S"),
         "T": _matrix_doc(tr.candidate, "T"),
-        "identities": {
-            "commutes": tr.commutes,
-            "inner": tr.inner,
-            "residual_nilpotent": tr.residual_nilpotent,
-            "matches_direct": tr.matches_direct,
-        },
+        "identities": _transfer_identities(tr),
         # a zero residual (index 1, or 0 on a 0x0 space) is reported as 0
         "residual_nilpotency_index": 0 if tr.residual_index == 1 else tr.residual_index,
-        "proof_identities": {
-            "commutation": pi.commutation,
-            "residual_is_bpa": pi.residual_is_bpa,
-            "cycle": pi.cycle,
-            "pac_matches": pi.pac_matches,
-            "pac_nilpotent": pi.pac_nilpotent,
-        },
+        "proof_identities": _proof_identities(pi),
         "verified": tr.verified and tr.matches_direct,
     }
 

@@ -167,7 +167,8 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
     """Verify the identity chain used to justify the transfer, entrywise.
 
     S, its index, AC S, (AC)^2 S and the candidate B S^2 A are read from the
-    transfer report tr of the same triple.
+    transfer report tr of the same triple. When C == B the four words of
+    the cycle are one word, and none of them is formed.
     """
     _require_condition(t)
     S = tr.s_ac.inverse
@@ -179,10 +180,14 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
     pa = P @ t.A
     ba = t.ba
     residual_is_bpa = (tr.candidate @ ba @ ba - ba) == t.B @ pa
-    # (PA)X(PA)Y(PA) = [(PA)X] [(PA)Y(PA)] for X, Y in {B, C}
-    pab, pac = pa @ t.B, pa @ t.C
-    pabpa, pacpa = pab @ pa, pac @ pa
-    cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
+    pac = pa @ t.C
+    if t.C == t.B:
+        cycle = True  # the four words are one
+    else:
+        # (PA)X(PA)Y(PA) = [(PA)X] [(PA)Y(PA)] for X, Y in {B, C}
+        pab = pa @ t.B
+        pabpa, pacpa = pab @ pa, pac @ pa
+        cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
     pac_matches = pac == tr.s_ac.core_part - ac  # (AC)^2 S - AC
     return ProofIdentitiesReport(commutation=commutation,
                                  residual_is_bpa=residual_is_bpa,

@@ -9,6 +9,13 @@ the resulting sequence equalities, the pointwise regularity-spectrum
 agreement, the nonzero characteristic-polynomial match, and the binomial
 shift operators B_n, C_n with (I-BA)^n = I - B_nA and (I-AC)^n = I - AC_n.
 
+Every verifier reads one OperatorTriple, which forms each product of the
+triple once: BA, AC, CA, ABA and ACA (only BA, AC and ABA when C == B), and
+the condition residuals from them by distributivity rather than from the
+four degree-5 products A(BA)^2, ABACA, ACABA and (AC)^2A. Its power chains
+are keyed by operator value, so equal operators (CA - 1 and BA - 1 when
+CA = BA, say) share one chain.
+
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
 Neighbouring maps share most of their work: the small spaces of the map at
@@ -81,18 +88,29 @@ class MapCache:
 
 
 class OperatorTriple:
-    """(A, B, C) with A: X -> Y and B, C: Y -> X, products precomputed.
+    """(A, B, C) with A: X -> Y and B, C: Y -> X, each product formed once.
 
-    The residuals of the three chained equalities and the condition flag are
-    evaluated once at construction and cached; all public attributes are
-    treated as immutable. map_cache is the MapCache that the quotient maps
-    and the inclusion lemma of this triple share.
+    Construction forms BA, AC, CA, ABA and ACA; when C == B, CA and ACA are
+    BA and ABA, so it forms only BA, AC and ABA. The residuals of the three
+    chained equalities A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A
+    come by distributivity from D = BA - CA and E = ACA - ABA:
+        r1 = ABA D,  r2 = -r1 - E BA,  r3 = r1 + E D,
+    and a product with a zero D or E is not formed. So a triple costs 3
+    products when C == B, 6 when ABA = ACA and 8 otherwise. AB is formed on
+    the first read of ab (AC itself when C == B). All public attributes are
+    treated as immutable.
+
+    The power chains of the triple are keyed by operator value, so equal
+    operators share one chain: the chains of CA - 1 and AB - 1 are those of
+    BA - 1 and AC - 1 whenever the operators agree, as they do for every
+    C == B triple. map_cache is the MapCache that the quotient maps and the
+    inclusion lemma of this triple share.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
-                 "ba", "ac", "ab", "ca", "aba", "aca", "residuals",
-                 "condition_holds", "map_cache", "_chains", "_ca_ab_chains",
-                 "_charpolys")
+                 "ba", "ac", "ca", "aba", "aca", "residuals",
+                 "condition_holds", "map_cache", "_ab", "_power_chains",
+                 "_chains", "_charpolys")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -106,20 +124,27 @@ class OperatorTriple:
         self.dim_y = A.rows
         self.ba = B @ A
         self.ac = A @ C
-        self.ab = A @ B
-        self.ca = C @ A
         self.aba = A @ self.ba
-        self.aca = A @ self.ca
-        p1 = self.aba @ self.ba     # A(BA)^2
-        p2 = self.aba @ self.ca     # ABACA
-        p3 = self.aca @ self.ba     # ACABA
-        p4 = self.aca @ self.ca     # (AC)^2 A
-        self.residuals = (p1 - p2, p2 - p3, p3 - p4)
+        if C == B:
+            self.ca, self.aca, self._ab = self.ba, self.aba, self.ac
+        else:
+            self.ca = C @ A
+            self.aca = A @ self.ca
+            self._ab = None
+        self.residuals = _residuals(self.ba, self.aba, self.ba - self.ca,
+                                    self.aca - self.aba)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self.map_cache = MapCache()
-        self._chains = {}
-        self._ca_ab_chains: tuple[PowerChain, PowerChain] | None = None
+        self._power_chains: dict[Mat, PowerChain] = {}
+        self._chains: dict[Fraction, tuple[PowerChain, PowerChain]] = {}
         self._charpolys: tuple[Poly, Poly] | None = None
+
+    @property
+    def ab(self) -> Mat:
+        """AB, formed on the first read."""
+        if self._ab is None:
+            self._ab = self.A @ self.B
+        return self._ab
 
     def charpolys(self) -> tuple[Poly, Poly]:
         """The characteristic polynomials of BA and AC.
@@ -131,6 +156,13 @@ class OperatorTriple:
             self._charpolys = (charpoly(self.ba), charpoly(self.ac))
         return self._charpolys
 
+    def _chain(self, T: Mat) -> PowerChain:
+        """The one PowerChain of the square operator T on this triple."""
+        chain = self._power_chains.get(T)
+        if chain is None:
+            chain = self._power_chains[T] = PowerChain(T)
+        return chain
+
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
         """The power chains of BA - lam and AC - lam; lam must be nonzero.
 
@@ -140,21 +172,37 @@ class OperatorTriple:
         lam = rat(lam)
         if lam == 0:
             raise ValueError("lambda must be nonzero")
-        if lam not in self._chains:
-            self._chains[lam] = (PowerChain(self.ba.shifted(lam)),
-                                 PowerChain(self.ac.shifted(lam)))
-        return self._chains[lam]
+        pair = self._chains.get(lam)
+        if pair is None:
+            pair = self._chains[lam] = (self._chain(self.ba.shifted(lam)),
+                                        self._chain(self.ac.shifted(lam)))
+        return pair
 
     def ca_ab_chains(self) -> tuple[PowerChain, PowerChain]:
-        """The power chains of CA - 1 and AB - 1, built on the first request."""
-        if self._ca_ab_chains is None:
-            self._ca_ab_chains = (PowerChain(self.ca.shifted(1)),
-                                  PowerChain(self.ab.shifted(1)))
-        return self._ca_ab_chains
+        """The power chains of CA - 1 and AB - 1: those of chains(1) where
+        CA = BA or AB = AC."""
+        return self._chain(self.ca.shifted(1)), self._chain(self.ab.shifted(1))
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
                 f"condition={'holds' if self.condition_holds else 'fails'})")
+
+
+def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
+    """A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A from
+    D = BA - CA and E = ACA - ABA, forming no product with a zero side.
+
+    ABACA = ABA(BA - D) and ACABA = (ABA + E)BA, so the first two are ABA D
+    and -ABA D - E BA; the third is ACA D = (ABA + E)D. E = -AD, so a zero
+    D makes all three zero.
+    """
+    if D.is_zero():
+        zero = Mat.zero(aba.rows, D.cols)
+        return zero, zero, zero
+    r1 = aba @ D
+    if E.is_zero():
+        return r1, -r1, r1
+    return r1, -r1 - E @ ba, r1 + E @ D
 
 
 @dataclass(frozen=True)
@@ -205,10 +253,11 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
 
     For Q = c x^k the ranges and kernels of Q(T - I) are those of
     (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
-    CA - 1 and AB - 1; any other Q is evaluated at the four shifts, and the
-    kernel of Q(T - I) is row-reduced only when its range is not the whole
-    space. The containments go through the triple's MapCache, so the ones
-    on the chains at 1 are decided once with the quotient maps at 1.
+    CA - 1 and AB - 1; any other Q is evaluated once at each distinct
+    shift (twice when C == B), and the kernel of Q(T - I) is row-reduced
+    only when its range is not the whole space. The containments go
+    through the triple's MapCache, so the ones on the chains at 1 are
+    decided once with the quotient maps at 1.
     """
     _require_condition(t)
     k = Q.degree
@@ -216,8 +265,12 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
         spaces = [(c.image(k), c.kernel(k)) for c in (ca, ab, ba, ac)]
     else:
-        spaces = [_range_and_kernel(poly_eval_mat(Q, T.shifted(1)))
-                  for T in (t.ca, t.ab, t.ba, t.ac)]
+        operators = (t.ca, t.ab, t.ba, t.ac)
+        evaluated: dict[Mat, tuple[Subspace, Subspace]] = {}
+        for T in operators:
+            if T not in evaluated:
+                evaluated[T] = _range_and_kernel(poly_eval_mat(Q, T.shifted(1)))
+        spaces = [evaluated[T] for T in operators]
     (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
     into = t.map_cache.maps_into
     return InclusionReport(
@@ -521,11 +574,12 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     B_n = sum_{k=1..n} (-1)^(k-1) C(n,k) B(AB)^(k-1) and C_n mirrors it with
     (CA)^(k-1)C. Both are built from B_1 = B, C_1 = C by the recurrence
     B_k = B + B_(k-1)(I-AB) and C_k = C + (I-CA)C_(k-1), which follows from
-    (I-BA)^k = (I - B_(k-1)A)(I-BA). Verifies, for every k = 1..n in one
-    pass, (I-BA)^k = I - B_kA, (I-AC)^k = I - AC_k and that (A, B_k, C_k)
-    again satisfies the intertwining condition before returning; at k = 1
-    that triple is t. A failing identity raises ArithmeticError naming it and
-    the first k where it fails.
+    (I-BA)^k = (I - B_(k-1)A)(I-BA); when C == B, C_k is B_k, as
+    (BA)^j B = B(AB)^j, and is not formed a second time. Verifies, for
+    every k = 1..n in one pass, (I-BA)^k = I - B_kA, (I-AC)^k = I - AC_k and
+    that (A, B_k, C_k) again satisfies the intertwining condition before
+    returning; at k = 1 that triple is t. A failing identity raises
+    ArithmeticError naming it and the first k where it fails.
     """
     _require_condition(t)
     if n < 1:
@@ -535,10 +589,12 @@ def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:
     i_ab, i_ca = i_y - t.ab, i_x - t.ca
     i_ba, i_ac = i_x - t.ba, i_y - t.ac
     bn, cn = t.B, t.C
+    same = t.C == t.B
     pow_ba, pow_ac = i_ba, i_ac
     for k in range(1, n + 1):
         if k > 1:
-            bn, cn = t.B + bn @ i_ab, t.C + i_ca @ cn
+            bn = t.B + bn @ i_ab
+            cn = bn if same else t.C + i_ca @ cn
             pow_ba, pow_ac = pow_ba @ i_ba, pow_ac @ i_ac
         # B_1 = B and C_1 = C, so (A, B_1, C_1) is t itself
         tk = OperatorTriple(t.A, bn, cn) if k > 1 else t

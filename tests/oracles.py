@@ -12,9 +12,11 @@ characteristic polynomials where production searches one. The
 generator's ABA = ACA sampler has its first form here as well, the kernel
 of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
 intersection, by the kernel of the stacked bases, and the preimage route
-to a quotient map's injectivity, on the whole space. FractionMat is the
-entrywise-Fraction matrix that Mat's integer-numerator arithmetic is
-checked against.
+to a quotient map's injectivity, on the whole space. The condition
+residuals are here as differences of the four products A(BA)^2, ABACA,
+ACABA and (AC)^2A, where production forms at most three products by
+distributivity. FractionMat is the entrywise-Fraction matrix that Mat's
+integer-numerator arithmetic is checked against.
 """
 
 from __future__ import annotations
@@ -194,6 +196,15 @@ def _deflate_poly(p: Poly, r: Fraction) -> Poly:
         carry = cs[i] + carry * r if i < len(cs) - 1 else cs[i]
         out[i - 1] = carry
     return Poly(out)
+
+
+def residuals_by_four_products(A: Mat, B: Mat, C: Mat) -> tuple[Mat, Mat, Mat]:
+    """A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A, each product
+    formed afresh from A, B and C."""
+    ba, ca = B @ A, C @ A
+    aba, aca = A @ ba, A @ ca
+    p1, p2, p3, p4 = aba @ ba, aba @ ca, aca @ ba, aca @ ca
+    return p1 - p2, p2 - p3, p3 - p4
 
 
 def power_identity(t: OperatorTriple, k: int) -> bool:

@@ -19,8 +19,7 @@ from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      rational_eigenvalues_by_divisors)
 from ratspec.cli import main, write_triple_document
 from ratspec.drazin import proof_identities, transfer
-from ratspec.genlab import (GenSpec, generate, paper_example,
-                            rational_spectrum_instance)
+from ratspec.genlab import GenSpec, generate, paper_example
 from ratspec.intertwine import (OperatorTriple, check_condition,
                                 default_probes, gamma_map,
                                 induced_quotient_map, inclusion_lemma,
@@ -68,12 +67,7 @@ def corpus_triples():
     tools/output_digests.py runs the CLI on these same triples.
     """
     for template, kwargs in _corpus_specs():
-        if template == "rational_spectrum":
-            t = rational_spectrum_instance(
-                GenSpec(template="c_equals_b", **kwargs))
-        else:
-            t = generate(GenSpec(template=template, **kwargs))
-        yield template, t
+        yield template, generate(GenSpec(template=template, **kwargs))
 
 
 @pytest.fixture(scope="module")

@@ -751,3 +751,103 @@ class TestCheckWitness:
         assert self._check(t, "theorem_memberships") == (
             "first failing lambda=2: membership in sigma_Ri(AC) and sigma_Ri(BA) "
             "differs for i in [3, 6]; skipped 1 zero probe(s)")
+
+
+class TestSequenceAndDrazinWitness:
+    """A failing sequence or Drazin check names where it fails.
+
+    All three checks pass on conforming triples, so each failure is
+    injected: a profile of AC - 1 that differs from BA - 1's in one field,
+    an identity of the transfer or of the proof that reads False, or a
+    Drazin inverse that raises.
+    """
+
+    @staticmethod
+    def _details(t):
+        result = run_verification(t)
+        assert len(result["checks"]) == 9
+        return {c["name"]: (c["passed"], c["detail"]) for c in result["checks"]}
+
+    @staticmethod
+    def _fault_at_one(monkeypatch, t, changes):
+        # the profile of AC - 1 with the fields that changes(profile) gives;
+        # the real profiles of AC - 1 and BA - 1 are returned
+        import dataclasses
+
+        from ratspec import intertwine
+        ac_at_1 = t.chains(1)[1]
+        real = intertwine.profile
+
+        def faulty(chain):
+            got = real(chain)
+            return dataclasses.replace(got, **changes(got)) if chain is ac_at_1 else got
+
+        monkeypatch.setattr(intertwine, "profile", faulty)
+        return real(ac_at_1), real(t.chains(1)[0])
+
+    def test_passing_details_are_empty(self):
+        details = self._details(paper_example(1, default_idempotent(2)))
+        for name in ("sequence_equalities", "drazin_transfer",
+                     "drazin_proof_identities"):
+            assert details[name] == (True, "")
+
+    def test_sequences_name_the_first_unequal_row(self, monkeypatch):
+        t = paper_example(1, default_idempotent(2))
+        ac, ba = self._fault_at_one(monkeypatch, t, lambda p: {
+            "c_seq": (p.c_seq[0] + 1,) + p.c_seq[1:],
+            "k_seq": (p.k_seq[0], p.k_seq[1] + 2) + p.k_seq[2:]})
+        assert self._details(t)["sequence_equalities"] == (False, (
+            f"first unequal row at lambda=1, n=0: (AC, BA) "
+            f"c = ({ac.c_seq[0] + 1}, {ba.c_seq[0]}), "
+            f"c' = ({ac.cp_seq[0]}, {ba.cp_seq[0]}), k = ({ac.k_seq[0]}, {ba.k_seq[0]})"))
+
+    def test_sequences_name_the_totals_and_degrees_that_differ(self, monkeypatch):
+        t = paper_example(1, default_idempotent(2))
+        ac, ba = self._fault_at_one(monkeypatch, t, lambda p: {
+            "k_total": p.k_total + 1, "dsc": p.dsc + 1})
+        assert ac.asc == ba.asc
+        totals = ((ac.c_total, ac.cp_total, ac.k_total + 1),
+                  (ba.c_total, ba.cp_total, ba.k_total))
+        assert self._details(t)["sequence_equalities"] == (False, (
+            f"at lambda=1 the rows agree; (AC, BA) differ in totals (c, c', k) "
+            f"{totals}, descent ({ac.dsc + 1}, {ba.dsc})"))
+
+    @pytest.mark.parametrize("check, report, field", [
+        ("drazin_transfer", "transfer", "inner"),
+        ("drazin_transfer", "transfer", "matches_direct"),
+        ("drazin_proof_identities", "proof_identities", "cycle"),
+        ("drazin_proof_identities", "proof_identities", "pac_nilpotent"),
+    ])
+    def test_drazin_checks_name_the_failed_identity(self, check, report, field,
+                                                     monkeypatch):
+        import dataclasses
+
+        from ratspec import drazin
+        real = getattr(drazin, report)
+        monkeypatch.setattr(drazin, report, lambda *args: dataclasses.replace(
+            real(*args), **{field: False}))
+        details = self._details(paper_example(2, default_idempotent(2)))
+        assert details[check] == (False, f"failed: {field}")
+        other = ({"drazin_transfer", "drazin_proof_identities"} - {check}).pop()
+        assert details[other] == (True, "")
+
+    def test_a_raising_drazin_inverse_fails_the_transfer_check(
+            self, monkeypatch, ex1_file, capsys):
+        from ratspec import drazin
+
+        def raising(T):
+            raise ArithmeticError("core block is singular")
+
+        monkeypatch.setattr(drazin, "drazin_inverse", raising)
+        details = self._details(paper_example(1, default_idempotent(2)))
+        assert details["drazin_transfer"] == (
+            False, "drazin_inverse raised: core block is singular")
+        assert details["drazin_proof_identities"] == (False, "not checked: no transfer")
+        assert all(passed for name, (passed, _) in details.items()
+                   if not name.startswith("drazin_"))
+        capsys.readouterr()
+        assert main(["verify", ex1_file]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert ("FAIL  drazin_transfer  (drazin_inverse raised: core block is "
+                "singular)") in out
+        assert err == "first failing check: drazin_transfer\n"

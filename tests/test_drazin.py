@@ -9,7 +9,7 @@ import pytest
 from ratspec.drazin import (_nilpotent_of_degree, drazin_inverse,
                             nilpotency_index, proof_identities, transfer)
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
-                            paper_example, rational_spectrum_instance)
+                            paper_example)
 from ratspec.intertwine import ConditionNotSatisfied, OperatorTriple
 from ratspec.ratmat import Mat, inverse, kernel, rref
 
@@ -279,8 +279,7 @@ class TestTransfer:
             assert rep.matches_direct
 
     def test_generated_mixed_spectrum(self):
-        t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                               block_dim=4, seed=13))
+        t = generate(GenSpec(template="rational_spectrum", block_dim=4, seed=13))
         rep = transfer(t)
         assert rep.verified and rep.matches_direct
 

@@ -176,9 +176,8 @@ class TestDimensionCap:
 
     def test_rational_spectrum_at_the_cap(self, solves):
         # Y is X padded by 1 or 2, so X stops at 22; seed 5 pads by 2
-        t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                               block_dim=22, seed=5,
-                                               entry_bound=2))
+        t = generate(GenSpec(template="rational_spectrum", block_dim=22, seed=5,
+                             entry_bound=2))
         assert (t.dim_x, t.dim_y) == (22, 24)
         assert t.condition_holds
         assert solves == [22 * t.dim_y]
@@ -246,16 +245,15 @@ class TestDirectSum:
 class TestRationalSpectrum:
     def test_full_rational_splitting(self):
         for seed in range(6):
-            t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                                   block_dim=3, seed=seed))
+            t = generate(GenSpec(template="rational_spectrum", block_dim=3,
+                                 seed=seed))
             assert t.condition_holds
             for M in (t.ac, t.ba):
                 eigs = rational_eigenvalues(M)
                 assert sum(m for _, m in eigs) == M.rows  # splits over Q
 
     def test_planted_eigenvalues_show_up(self):
-        t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                               block_dim=4, seed=3))
+        t = generate(GenSpec(template="rational_spectrum", block_dim=4, seed=3))
         ba_eigs = {lam for lam, _ in rational_eigenvalues(t.ba)}
         ac_eigs = {lam for lam, _ in rational_eigenvalues(t.ac)}
         assert (ba_eigs - {Fraction(0)}) == (ac_eigs - {Fraction(0)})
@@ -272,8 +270,7 @@ class TestRationalSpectrum:
             assert (got.A, got.B, got.C) == (want.A, want.B, want.C)
 
     def test_sequence_equalities_hold(self):
-        t = rational_spectrum_instance(GenSpec(template="c_equals_b",
-                                               block_dim=3, seed=9))
+        t = generate(GenSpec(template="rational_spectrum", block_dim=3, seed=9))
         for lam, _ in rational_eigenvalues(t.ac):
             if lam != 0:
                 assert verify_sequence_equalities(t, lam).all_equal

@@ -19,7 +19,7 @@ import tempfile
 from pathlib import Path
 
 from ratspec.cli import main, write_triple_document
-from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
+from ratspec.genlab import GenSpec, generate
 from ratspec.intertwine import OperatorTriple
 from ratspec.ratmat import Mat
 
@@ -60,8 +60,8 @@ def documents() -> dict[str, OperatorTriple]:
     for name, (template, seed) in LARGE_BOUND.items():
         docs[name] = generate(GenSpec(template=template, block_dim=9, seed=seed,
                                       entry_bound=2))
-    docs["rational_spectrum"] = rational_spectrum_instance(
-        GenSpec(template="c_equals_b", block_dim=3, seed=1, entry_bound=2))
+    docs["rational_spectrum"] = generate(
+        GenSpec(template="rational_spectrum", block_dim=3, seed=1, entry_bound=2))
     for dx, dy in ((0, 0), (0, 2), (2, 0)):
         docs[f"zero_{dx}x{dy}"] = OperatorTriple(
             Mat.zero(dy, dx), Mat.zero(dx, dy), Mat.zero(dx, dy))

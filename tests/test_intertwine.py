@@ -4,12 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrices
 from oracles import (default_probes_by_two_searches,
-                     injective_by_preimage_in_ambient, power_identity)
+                     injective_by_preimage_in_ambient, power_identity,
+                     residuals_by_four_products)
+from ratspec import kernels
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
@@ -74,6 +76,115 @@ class TestCondition:
         assert "dim_x=6" in repr(EX1) and "condition=holds" in repr(EX1)
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=1))
         assert "condition=fails" in repr(bad)
+
+
+#: sparse small integers, so that C - B, CA - BA and ACA - ABA often vanish
+SPARSE_INTS = st.sampled_from([0, 0, 0, 0, 1, -1, 2, -3])
+
+
+def _int_matrix(data, rows, cols):
+    return Mat.from_ints(rows, cols, data.draw(
+        st.lists(SPARSE_INTS, min_size=rows * cols, max_size=rows * cols)))
+
+
+def _count_products(monkeypatch, make):
+    """(make(), the number of kernel products it formed)."""
+    calls = []
+    real = kernels.matmul
+
+    def recorded(*args):
+        calls.append(args)
+        return real(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(kernels, "matmul", recorded)
+        out = make()
+    return out, len(calls)
+
+
+class TestResiduals:
+    """The residuals by distributivity against the four products formed afresh."""
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_match_the_four_product_oracle(self, data):
+        dx = data.draw(st.integers(1, 4))
+        dy = dx if data.draw(st.booleans()) else data.draw(st.integers(1, 4))
+        if data.draw(st.booleans()):
+            # rank-deficient A, through a narrower middle space
+            r = data.draw(st.integers(0, min(dx, dy) - 1))
+            A = _int_matrix(data, dy, r) @ _int_matrix(data, r, dx)
+        else:
+            A = _int_matrix(data, dy, dx)
+        B = _int_matrix(data, dx, dy)
+        C = B + _int_matrix(data, dx, dy)
+        t = OperatorTriple(A, B, C)
+        assert t.residuals == residuals_by_four_products(A, B, C)
+        assert t.condition_holds == all(m.is_zero() for m in t.residuals)
+        assert t.ab == A @ B
+        assert (t.ba, t.ac, t.ca) == (B @ A, A @ C, C @ A)
+        assert (t.aba, t.aca) == (A @ B @ A, A @ C @ A)
+
+    @pytest.mark.parametrize("a, b, c, zero", [
+        ((-1, 0, 0, 1), (1, 0, 0, 0), (0, -1, 0, 0), (False, False, True)),
+        ((0, 0, 0, -1), (0, 0, 0, 1), (0, 0, 0, 2), (False, True, False)),
+        ((0, 0, 1, 0), (0, 1, 0, 0), (0, 0, 0, 0), (False, True, True)),
+        ((0, -1, -1, 0), (0, 0, 0, -1), (0, 0, 1, 0), (True, False, False)),
+        ((-1, 0, 0, -1), (-1, 0, 0, 0), (-1, 0, -1, 0), (True, False, True)),
+        ((-1, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0), (True, True, False)),
+    ])
+    def test_partially_vanishing_residuals(self, a, b, c, zero):
+        A, B, C = (Mat.from_ints(2, 2, m) for m in (a, b, c))
+        t = OperatorTriple(A, B, C)
+        assert t.residuals == residuals_by_four_products(A, B, C)
+        assert tuple(m.is_zero() for m in t.residuals) == zero
+
+    def test_e_zero_with_d_nonzero(self):
+        # A(B - C) = 0 gives ABA = ACA while BA != CA: r1 = ABA D is formed
+        # and r2 = -r1, r3 = r1 with no further product
+        A = Mat.from_rows([[1, 0], [0, 0]])
+        B = Mat.from_rows([[1, 2], [3, 4]])
+        C = B + Mat.from_rows([[0, 0], [1, 2]])
+        t = OperatorTriple(A, B, C)
+        assert t.residuals == residuals_by_four_products(A, B, C)
+        assert t.aba == t.aca and t.ba != t.ca and t.condition_holds
+
+    @pytest.mark.parametrize("which", ["c_equals_b", "aba_eq_aca", "paper_ex1",
+                                       "paper_ex2", "nonconforming"])
+    def test_fixed_cases(self, which):
+        t = generate(GenSpec(template=which, block_dim=4, seed=2))
+        assert t.residuals == residuals_by_four_products(t.A, t.B, t.C)
+        assert t.ab == t.A @ t.B
+
+    @pytest.mark.parametrize("which, products", [("c_equals_b", 3),
+                                                 ("aba_eq_aca", 6),
+                                                 ("paper_ex1", 8),
+                                                 ("nonconforming", 8)])
+    def test_constructor_products(self, which, products, monkeypatch):
+        # 3 when C == B, 6 when ABA = ACA (E = 0), 8 otherwise
+        g = generate(GenSpec(template=which, block_dim=4, seed=2))
+        t, calls = _count_products(monkeypatch,
+                                   lambda: OperatorTriple(g.A, g.B, g.C))
+        assert calls == products
+        assert (t.C == t.B) == (which == "c_equals_b")
+        assert (t.aba == t.aca) == (which in ("c_equals_b", "aba_eq_aca"))
+        # AB is formed on the first read, and is AC itself when C == B
+        ab, calls = _count_products(monkeypatch, lambda: t.ab)
+        assert ab == g.A @ g.B and calls == (0 if which == "c_equals_b" else 1)
+        assert _count_products(monkeypatch, lambda: t.ab) == (ab, 0)
+
+    def test_c_equals_b_shares_the_chains_at_one(self):
+        t = generate(GenSpec(template="c_equals_b", block_dim=3, seed=1, dim_y=4))
+        assert all(x is y for x, y in zip(t.ca_ab_chains(), t.chains(1)))
+
+    def test_equal_operators_share_one_chain(self):
+        # (B - C)A = 0: CA = BA, so CA - 1 shares BA - 1's chain; AB != AC
+        A = Mat.from_rows([[1, 0], [0, 0]])
+        B = Mat.from_rows([[1, 2], [3, 4]])
+        t = OperatorTriple(A, B, B + Mat.from_rows([[0, 1], [0, 2]]))
+        (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
+        assert ca is ba and ab is not ac
+        assert ab.T == t.ab.shifted(1) and ac.T == t.ac.shifted(1)
 
 
 class TestScaling:
@@ -177,7 +288,8 @@ class TestInclusionLemma:
 
     def test_kernel_only_of_a_singular_evaluation(self, monkeypatch):
         # by rank-nullity a full-rank Q(T - I) has kernel 0, so only the
-        # singular evaluations are row-reduced a second time
+        # singular evaluations are row-reduced a second time, and each
+        # distinct operator is evaluated once (CA = BA and AB = AC when C == B)
         from ratspec import intertwine
         from ratspec.ratmat import rank
         calls = []
@@ -196,11 +308,15 @@ class TestInclusionLemma:
             for t in triples:
                 calls.clear()
                 inclusion_lemma(t, Q)
-                qs = [poly_eval_mat(Q, T.shifted(1)) for T in (t.ca, t.ab, t.ba, t.ac)]
+                distinct = list(dict.fromkeys((t.ca, t.ab, t.ba, t.ac)))
+                qs = [poly_eval_mat(Q, T.shifted(1)) for T in distinct]
                 assert calls == [q for q in qs if rank(q) < q.rows]
                 singular += len(calls)
                 full += len(qs) - len(calls)
         assert singular and full
+        # with A = I all four products of the shear triple are the shear
+        shear_t = triples[-1]
+        assert {shear_t.ca, shear_t.ab, shear_t.ba, shear_t.ac} == {shear}
 
     def test_random_cubic_on_generated(self):
         rng = random.Random(31)
@@ -562,6 +678,17 @@ class TestShiftPolys:
         bn, cn = shift_polys(t, 2)
         assert bn == t.B.scaled(2) - t.B @ t.ab
         assert cn == t.C.scaled(2) - t.ca @ t.C
+
+    def test_c_equals_b_forms_c_n_as_b_n(self):
+        # (BA)^j B = B(AB)^j, so C_n = B_n: shift_polys returns B_n twice,
+        # and it equals C_n from the recurrence C_k = C + (I-CA)C_(k-1)
+        t = generate(GenSpec(template="c_equals_b", block_dim=3, seed=1, dim_y=4))
+        i_x = Mat.identity(t.dim_x)
+        cn = t.C
+        for n in range(1, 5):
+            bn, got = shift_polys(t, n)
+            cn = t.C + (i_x - t.ca) @ cn if n > 1 else cn
+            assert got is bn and got == cn
 
     def test_identities_up_to_4_on_examples(self):
         i_x = Mat.identity(EX1.dim_x)

@@ -19,14 +19,14 @@ import pytest
 
 from ratspec import kernels
 from ratspec.cli import EXIT_OK, main, write_triple_document
-from ratspec.genlab import GenSpec, generate, rational_spectrum_instance
+from ratspec.genlab import GenSpec, generate
 
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (70, 150), "rational_spectrum": (102, 167),
-          "c_equals_b_fractional": (101, 164)}
+BOUNDS = {"paper_ex1": (70, 143), "rational_spectrum": (99, 145),
+          "c_equals_b_fractional": (95, 120)}
 
 
 def _document(name):
@@ -35,8 +35,8 @@ def _document(name):
     if name == "c_equals_b_fractional":
         return generate(GenSpec(template="c_equals_b", block_dim=3, seed=0,
                                 entry_bound=3))
-    return rational_spectrum_instance(GenSpec(template="c_equals_b", block_dim=3,
-                                              seed=1, entry_bound=2))
+    return generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1,
+                            entry_bound=2))
 
 
 def _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys):

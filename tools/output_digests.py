@@ -14,9 +14,13 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
 - `verify --json` and `drazin --json` at the scale target: c_equals_b,
   aba_eq_aca, conjugated and direct_sum at dim 24 and rational_spectrum at
   dim 22, seed 3, entry bound 2, whose operands reach hundreds of bits;
+- `verify --json` and `report --json` on paper_ex1 and paper_ex2 at block
+  dim 12 (36 x 36), the templates with ABA != ACA, whose condition
+  residuals take every product, and on nonconforming at dim 24, seed 3,
+  entry bound 2;
 - `generate` to stdout for every template at dims 2, 8 and the cap (24,
   or 22 for rational_spectrum), seeds 0-2, default entry bound.
-The last line counts the runs (846). The documents are generated by the
+The last line counts the runs (852). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -95,6 +99,25 @@ def _scale_target_runs(workdir: Path):
         yield f"{label} drazin", ["drazin", str(path), "--json"]
 
 
+#: (template, block dim) of the documents whose condition residuals take
+#: every product (ABA != ACA), all at seed 3, entry bound 2
+RESIDUAL_PATH = (("paper_ex1", 12), ("paper_ex2", 12), ("nonconforming", 24))
+
+
+def _residual_path_runs(workdir: Path):
+    """(label, argv) of `verify --json` and `report --json` where ABA != ACA."""
+    from ratspec import cli, genlab
+
+    for template, dim in RESIDUAL_PATH:
+        t = genlab.generate(genlab.GenSpec(template=template, block_dim=dim,
+                                           seed=3, entry_bound=2))
+        path = workdir / f"{template}-{dim}.json"
+        cli.write_triple_document(t, str(path))
+        label = f"residuals/{template} dim {dim}"
+        yield f"{label} verify", ["verify", str(path), "--json"]
+        yield f"{label} report", ["report", str(path), "--json"]
+
+
 def _generate_runs():
     """(label, argv) of `generate` to stdout for every template."""
     from ratspec import genlab
@@ -122,7 +145,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         workdir = Path(tmp)
         for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
-                     _scale_target_runs(workdir), _generate_runs()):
+                     _scale_target_runs(workdir), _residual_path_runs(workdir),
+                     _generate_runs()):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
