@@ -23,8 +23,9 @@ n are the big ones at n + 1, and the three map families and the inclusion
 lemma meet in the same chain subspaces. So every triple owns a MapCache,
 which forms the carried rows V ACA^T of each subspace V and decides each
 containment ACA(V) <= W once; the chains themselves keep each sum
-R(T) + N(T^n). The preimage route of injectivity forms its own product
-K ACA V^T, so that it shares no cached input with the rank route.
+R(T) + N(T^n). Production decides injectivity by the rank of each map's
+matrix. The preimage route forms its own product K ACA V^T, so that it
+shares no cached input with the rank route; the tests keep it as an oracle.
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -296,11 +297,11 @@ class QuotientMap:
     target_big/target_small, x + source_small |-> carrier x + target_small.
     matrix holds the action on a representative basis expressed in target
     quotient coordinates (None when the map is not well defined). Injectivity
-    is decidable two independent ways: by the rank of matrix, and by the
-    subspace predicate {x in source_big : carrier x in target_small} <=
-    source_small; both are exposed so that they can be compared. The second
-    forms its own product from source_big and carrier, so that a wrong
-    carried row in the MapCache that built matrix cannot sway both.
+    is decidable two independent ways: by the rank of matrix, which the
+    verifiers use, and by the subspace predicate {x in source_big : carrier
+    x in target_small} <= source_small, which the tests compare against it.
+    The second forms its own product from source_big and carrier, so that a
+    wrong carried row in the MapCache that built matrix cannot sway both.
     """
 
     source_big: Subspace

@@ -18,7 +18,7 @@ from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      injective_by_preimage_in_ambient, k_n, k_n_via_sums,
                      rational_eigenvalues_by_divisors)
 from ratspec.cli import main, write_triple_document
-from ratspec.drazin import proof_identities, transfer
+from ratspec.drazin import drazin_inverse, proof_identities, transfer
 from ratspec.genlab import GenSpec, generate, paper_example
 from ratspec.intertwine import (OperatorTriple, check_condition,
                                 default_probes, gamma_map,
@@ -317,6 +317,7 @@ def test_criterion_8_drazin_transfer(corpus):
         rep = transfer(t)
         assert rep.commutes and rep.inner and rep.residual_nilpotent
         assert rep.matches_direct
+        assert rep.candidate == drazin_inverse(t.ba).inverse
         pi = proof_identities(t, rep)
         assert pi.commutation and pi.residual_is_bpa and pi.cycle
         assert pi.pac_matches and pi.pac_nilpotent

@@ -491,6 +491,39 @@ class TestDrazinCommand:
         assert doc["residual_nilpotency_index"] == 0
         assert doc["verified"]
 
+    def test_a_raising_drazin_inverse_exits_1(self, monkeypatch, ex1_file, capsys):
+        from ratspec import drazin
+
+        def raising(T):
+            raise ArithmeticError("core block is singular")
+
+        monkeypatch.setattr(drazin, "drazin_inverse", raising)
+        assert main(["drazin", ex1_file]) == EXIT_FAIL
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: drazin_inverse raised: core block is singular\n"
+
+    def test_a_failed_transfer_exits_1(self, monkeypatch, ex1_file, capsys):
+        # an S that is twice the Drazin inverse of AC gives the candidate
+        # 4T: it still commutes with BA, but 4T BA 4T = 16T, and (BA)^2 4T - BA
+        # is 3 BA on the core; matches_direct fails with them
+        import dataclasses
+
+        from ratspec import drazin
+        real = drazin.drazin_inverse
+
+        def doubled(T):
+            res = real(T)
+            return dataclasses.replace(res, inverse=res.inverse.scaled(2))
+
+        monkeypatch.setattr(drazin, "drazin_inverse", doubled)
+        assert main(["drazin", ex1_file, "--json"]) == EXIT_FAIL
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["identities"] == {"commutes": True, "inner": False,
+                                     "residual_nilpotent": False,
+                                     "matches_direct": False}
+        assert not doc["verified"]
+
     def test_report_matches_library(self, ex1_file, capsys):
         with open(ex1_file) as fh:
             t, _ = parse_triple_document(fh.read())
@@ -571,9 +604,9 @@ class TestRunVerification:
         expected = [chain for lam in nonzero for chain in t.chains(lam)[::-1]]
         assert len(read) == len(expected)
         assert all(a is b for a, b in zip(read, expected))
-        # one Drazin inverse of AC and one of BA, shared by the transfer
-        # check and the proof identities
-        assert drazin_of == [t.ac, t.ba]
+        # one Drazin inverse, of AC, shared by the transfer check and the
+        # proof identities; the inverse of BA is read off the identities
+        assert drazin_of == [t.ac]
         names = [c["name"] for c in result["checks"]]
         assert names == ["condition", "inclusion_lemma", "quotient_maps",
                          "sequence_equalities", "theorem_memberships",
@@ -609,7 +642,8 @@ class TestQuotientMapWitness:
     """A failing quotient map names itself in the check's detail.
 
     On conforming triples every map passes, so each failure is injected: a
-    builder with a faulty carrier, or an injectivity route that lies.
+    builder with a faulty carrier, or a rank route that lies. Injectivity is
+    decided by rank alone; the preimage route is a test oracle.
     """
 
     @staticmethod
@@ -667,27 +701,34 @@ class TestQuotientMapWitness:
             f"{qm.source_dim}, target dim {qm.target_dim})" in self._detail(t)
 
     def test_routes_disagree(self, monkeypatch):
+        # a preimage route that says no is never asked: the rank route alone
+        # decides, and every map passes
         from ratspec import intertwine
-        t = paper_example(2, default_idempotent(2))
-        lam = next(x for x in intertwine.default_probes(t) if x)
-        first = intertwine.gamma_map(t, 0, lam)
+        asked = []
         monkeypatch.setattr(intertwine.QuotientMap, "injective_by_preimage",
-                            lambda qm: False)
-        detail = self._detail(t)
-        assert detail.endswith(
-            f"first: gamma at lambda={lam}, n=0: routes disagree (injective by "
-            f"rank True, by preimage False) (source dim {first.source_dim}, "
-            f"target dim {first.target_dim}, rank {first.source_dim})")
+                            lambda qm: asked.append(qm) or False)
+        t = paper_example(2, default_idempotent(2))
+        check = run_verification(t)["checks"][2]
+        assert check == {"name": "quotient_maps", "passed": True, "detail": ""}
+        assert asked == []
 
     def test_witness_reaches_the_rendered_table(self, monkeypatch, ex1_file, capsys):
+        # a rank route that says no fails the first map with a moving source;
+        # the witness reports the matrix's true rank
         from ratspec import intertwine
+        with open(ex1_file) as fh:
+            t, _ = parse_triple_document(fh.read())
+        lam = next(x for x in intertwine.default_probes(t) if x)
+        first = intertwine.gamma_map(t, 0, lam)
         monkeypatch.setattr(intertwine.QuotientMap, "injective_by_rank",
                             lambda qm: False)
         assert main(["verify", ex1_file]) == EXIT_FAIL
         out = capsys.readouterr().out
         line = next(x for x in out.splitlines() if "quotient_maps" in x)
-        assert "map(s) failed; first: gamma at lambda=" in line
-        assert "routes disagree (injective by rank False, by preimage True)" in line
+        assert line.startswith("FAIL  quotient_maps")
+        assert (f"map(s) failed; first: gamma at lambda={lam}, n=0: not injective "
+                f"(source dim {first.source_dim}, target dim {first.target_dim}, "
+                f"rank {first.source_dim})") in line
 
 
 class TestCheckWitness:
@@ -812,22 +853,30 @@ class TestSequenceAndDrazinWitness:
             f"at lambda=1 the rows agree; (AC, BA) differ in totals (c, c', k) "
             f"{totals}, descent ({ac.dsc + 1}, {ba.dsc})"))
 
-    @pytest.mark.parametrize("check, report, field", [
-        ("drazin_transfer", "transfer", "inner"),
-        ("drazin_transfer", "transfer", "matches_direct"),
-        ("drazin_proof_identities", "proof_identities", "cycle"),
-        ("drazin_proof_identities", "proof_identities", "pac_nilpotent"),
+    # matches_direct is read off the three identities (the Drazin inverse
+    # is unique), so it fails with any of them and cannot fail alone
+    @pytest.mark.parametrize("check, report, changes, failed", [
+        pytest.param("drazin_transfer", "transfer", {"inner": False},
+                     "inner, matches_direct", id="drazin_transfer-inner"),
+        pytest.param("drazin_transfer", "transfer", {"residual_index": None},
+                     "residual_nilpotent, matches_direct",
+                     id="drazin_transfer-residual_nilpotent"),
+        pytest.param("drazin_proof_identities", "proof_identities",
+                     {"cycle": False}, "cycle", id="drazin_proof_identities-cycle"),
+        pytest.param("drazin_proof_identities", "proof_identities",
+                     {"pac_nilpotent": False}, "pac_nilpotent",
+                     id="drazin_proof_identities-pac_nilpotent"),
     ])
-    def test_drazin_checks_name_the_failed_identity(self, check, report, field,
-                                                     monkeypatch):
+    def test_drazin_checks_name_the_failed_identity(self, check, report, changes,
+                                                     failed, monkeypatch):
         import dataclasses
 
         from ratspec import drazin
         real = getattr(drazin, report)
         monkeypatch.setattr(drazin, report, lambda *args: dataclasses.replace(
-            real(*args), **{field: False}))
+            real(*args), **changes))
         details = self._details(paper_example(2, default_idempotent(2)))
-        assert details[check] == (False, f"failed: {field}")
+        assert details[check] == (False, f"failed: {failed}")
         other = ({"drazin_transfer", "drazin_proof_identities"} - {check}).pop()
         assert details[other] == (True, "")
 

@@ -269,7 +269,7 @@ class TestTransfer:
         rep = transfer(t)
         assert rep.verified and rep.matches_direct
         assert rep.s_ac.index <= 1
-        assert rep.candidate == inverse(t.ba)
+        assert rep.candidate == inverse(t.ba) == drazin_inverse(t.ba).inverse
 
     def test_paper_examples(self):
         for which in (1, 2):
@@ -277,11 +277,34 @@ class TestTransfer:
             rep = transfer(t)
             assert rep.verified
             assert rep.matches_direct
+            assert rep.candidate == drazin_inverse(t.ba).inverse
 
     def test_generated_mixed_spectrum(self):
         t = generate(GenSpec(template="rational_spectrum", block_dim=4, seed=13))
         rep = transfer(t)
         assert rep.verified and rep.matches_direct
+        assert rep.candidate == drazin_inverse(t.ba).inverse
+
+    def test_matches_direct_fails_on_a_perturbed_candidate(self, monkeypatch):
+        # a wrong S for AC gives a wrong candidate; matches_direct, read off
+        # the identities, still says whether it is the direct inverse of BA
+        from ratspec import drazin
+        real = drazin.drazin_inverse
+        perturbations = (lambda S: S.scaled(2),
+                         lambda S: S + Mat.identity(S.rows))
+        triples = [paper_example(w, default_idempotent(2)) for w in (1, 2)]
+        triples.append(generate(GenSpec(template="rational_spectrum",
+                                        block_dim=3, seed=1)))
+        for perturb in perturbations:
+            def perturbed(T, perturb=perturb):
+                res = real(T)
+                return dataclasses.replace(res, inverse=perturb(res.inverse))
+
+            monkeypatch.setattr(drazin, "drazin_inverse", perturbed)
+            for t in triples:
+                rep = transfer(t)
+                assert not rep.matches_direct
+                assert rep.candidate != real(t.ba).inverse
 
     def test_reverse_direction(self):
         # (A^T, C^T, B^T) also satisfies the condition and swaps the roles of

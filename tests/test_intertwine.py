@@ -564,18 +564,24 @@ class TestMapCache:
         assert not cache.maps_into(M, line, line)
 
     def test_preimage_route_reads_no_cached_rows(self, monkeypatch):
-        # with every carried row wrong (zero), the rank route sees a zero
-        # matrix while the preimage route, which forms its own product, still
-        # sees the injective map: a faulty cache cannot sway both routes
+        # production decides injectivity by rank, on the cached carried rows;
+        # with every carried row wrong (zero) the rank route sees a zero
+        # matrix, while the preimage routes, which form their own products,
+        # still see the injective map: the oracle catches a faulty cache
         from ratspec import intertwine
+        t = OperatorTriple(EX1.A, EX1.B, EX1.C)
+        builders = (gamma_map, psi_map, phi_map)
+        for qm in (b(t, n, 1) for n in range(3) for b in builders):
+            assert qm.injective_by_rank() == injective_by_preimage_in_ambient(qm)
         monkeypatch.setattr(intertwine.MapCache, "carried",
                             lambda cache, M, V: Mat.zero(V.dim, M.rows))
         t = OperatorTriple(EX1.A, EX1.B, EX1.C)
-        maps = [b(t, n, 1) for n in range(3) for b in (gamma_map, psi_map, phi_map)]
+        maps = [b(t, n, 1) for n in range(3) for b in builders]
         moving = [qm for qm in maps if qm.source_dim]
         assert moving
         for qm in moving:
             assert qm.well_defined and not qm.injective_by_rank()
+            assert injective_by_preimage_in_ambient(qm)
             assert qm.injective_by_preimage()
 
 

@@ -25,8 +25,8 @@ TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (70, 143), "rational_spectrum": (99, 145),
-          "c_equals_b_fractional": (95, 120)}
+BOUNDS = {"paper_ex1": (56, 119), "rational_spectrum": (77, 111),
+          "c_equals_b_fractional": (73, 86)}
 
 
 def _document(name):
