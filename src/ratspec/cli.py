@@ -42,20 +42,12 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # document I/O
 
-def _fraction(s: str, where: str) -> Fraction:
-    # Python caps int-string conversion (4300 digits by default)
-    try:
-        return Fraction(s)
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def _parse_entry(s: Any, where: str) -> tuple[int, int]:
     """The entry "p" or "p/q" as (p, q), not necessarily in lowest terms."""
     if not isinstance(s, str) or not ENTRY_RE.fullmatch(s):
         raise ParseError(f"{where}: {s!r} is not a rational string p or p/q")
     p, _, q = s.partition("/")
-    # int() meets the same int-string limit, with the same message, as Fraction()
+    # Python caps int-string conversion (4300 digits by default)
     try:
         return int(p), int(q) if q else 1
     except ValueError as exc:
@@ -136,7 +128,7 @@ def _read(path: str) -> str:
 # machine-readable reports
 
 def _rat_str(x: Fraction, where: str) -> str:
-    # the int-string limit that _fraction meets on input also caps output
+    # the int-string limit that _parse_entry meets on input also caps output
     try:
         return str(x)
     except ValueError as exc:
@@ -417,7 +409,7 @@ def _lambda_args(values: list[str] | None) -> list[Fraction] | None:
     for v in values:
         if not ENTRY_RE.fullmatch(v):
             raise ParseError(f"--lambda {v!r} is not a rational p or p/q")
-        out.append(_fraction(v, "--lambda"))
+        out.append(Fraction(*_parse_entry(v, "--lambda")))
     return out
 
 

@@ -5,11 +5,13 @@ At finite dimension every square T is Drazin invertible: with d the index
 invertible on the first summand and nilpotent on the second, and the Drazin
 inverse S inverts the core and kills the nilpotent part. S is formed from the
 r x r core block of T (r = rank T^d), the only matrix inverted, and the
-check of its three defining identities reads TS once. One power test
-decides a known nilpotency degree, of T^2 S - T and of PA.C in the proof
-identities. Everything here is exact; "Riesz" collapses to "nilpotent" on
-rational matrices, so the generalized statements specialize to the
-classical Drazin inverse.
+check of its three defining identities reads TS once. Nilpotency is decided
+by products alone: at finite dimension M is nilpotent iff M^dim = 0
+(Cayley-Hamilton), so nilpotency_index multiplies out M, M^2, ... until a
+power vanishes, and the same routine decides the known degrees of T^2 S - T
+and of PA.C in the proof identities. Everything here is exact; "Riesz"
+collapses to "nilpotent" on rational matrices, so the generalized statements
+specialize to the classical Drazin inverse.
 """
 
 from __future__ import annotations
@@ -25,15 +27,22 @@ from ratspec.ratmat import Mat, image, inverse, kernel, rref  # noqa: F401
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
 
-    Read off the power chain: M is nilpotent iff the ranks of its powers
-    stabilize at 0, and then the stabilization index is the least such k.
-    The zero matrix has index 1 (on a nonzero space); a 0x0 matrix has
-    index 0 by convention.
+    M, M^2, ... are multiplied out until a power is zero: index k takes
+    k - 1 products and no row reduction. By Cayley-Hamilton a nilpotent M
+    has M^dim = 0, so the search stops at dim, after at most dim - 1
+    products. The zero matrix has index 1 (on a nonzero space); a 0x0
+    matrix has index 0 by convention.
     """
     if not M.is_square:
         raise ValueError("nilpotency of a non-square matrix")
-    chain = PowerChain(M)
-    return chain.stable if chain.rank(chain.stable) == 0 else None
+    if M.rows == 0:
+        return 0
+    power = M
+    for k in range(1, M.rows):
+        if power.is_zero():
+            return k
+        power = power @ M
+    return M.rows if power.is_zero() else None
 
 
 @dataclass(frozen=True)
@@ -102,11 +111,8 @@ def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
 
 
 def _nilpotent_of_degree(M: Mat, d: int) -> bool:
-    """M^(d-1) != 0 and M^d = 0; at d <= 1, M = 0 (Drazin index 0 or 1)."""
-    if d <= 1:
-        return M.is_zero()
-    below = M ** (d - 1)
-    return not below.is_zero() and (below @ M).is_zero()
+    """M has nilpotency index d: M^(d-1) != 0 and M^d = 0; at d <= 1, M = 0."""
+    return M.is_zero() if d <= 1 else nilpotency_index(M) == d
 
 
 @dataclass(frozen=True)

@@ -75,21 +75,18 @@ def random_matrix(rng: random.Random, rows: int, cols: int, bound: int) -> Mat:
 
 def random_unimodular(rng: random.Random, n: int, bound: int) -> Mat:
     """Product of a unit lower and unit upper triangular matrix (det 1)."""
-    lo = [[rat(0)] * n for _ in range(n)]
-    up = [[rat(0)] * n for _ in range(n)]
+    lo = [int(i == j) for i in range(n) for j in range(n)]
+    up = list(lo)
     for i in range(n):
-        lo[i][i] = rat(1)
-        up[i][i] = rat(1)
         for j in range(i):
-            lo[i][j] = Fraction(rng.randint(-bound, bound))
-            up[j][i] = Fraction(rng.randint(-bound, bound))
-    return Mat.from_rows(lo) @ Mat.from_rows(up)
+            lo[i * n + j] = rng.randint(-bound, bound)
+            up[j * n + i] = rng.randint(-bound, bound)
+    return Mat.from_ints(n, n, lo) @ Mat.from_ints(n, n, up)
 
 
 def default_idempotent(m: int) -> Mat:
     """The rank-one coordinate projection diag(1, 0, ..., 0) on Q^m."""
-    return Mat(m, m, [rat(1) if i == 0 and j == 0 else rat(0)
-                      for i in range(m) for j in range(m)])
+    return Mat.from_ints(m, m, [int(k == 0) for k in range(m * m)])
 
 
 def paper_example(which: int, P: Mat) -> OperatorTriple:

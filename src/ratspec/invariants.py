@@ -255,9 +255,10 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
     smallest prime p with g mod p squarefree, the roots of g mod p found
     by evaluation at 0..p-1, and each root Newton-Hensel-lifted until the
     modulus passes twice the Cauchy root bound of f, read as a symmetric
-    residue. Each candidate is tested by exact evaluation and deflated by
-    synthetic division for its multiplicity. Every step is in integers, and
-    the search ends for every input.
+    residue. Each candidate r is tested by exact evaluation and x - r is
+    divided out, by the exact division that also forms g, once per
+    multiplicity. Every step is in integers, and the search ends for every
+    input.
     """
     p = T
     if isinstance(T, Mat):
@@ -288,7 +289,7 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
         for r in _integer_root_candidates(coeffs):
             mult = 0
             while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
-                coeffs = _deflate(coeffs, r)
+                coeffs = _exact_quotient(coeffs, [-r, 1])
                 mult += 1
             if mult:
                 out.append((Fraction(r, D), mult))
@@ -358,14 +359,12 @@ def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
     rem = list(f)
     quot = [0] * (len(f) - len(h) + 1)
     for i in range(len(quot) - 1, -1, -1):
-        qi, r = divmod(rem[i + len(h) - 1], h[-1])
-        if r:
-            raise ArithmeticError("squarefree part: gcd(f, f') does not divide f")
-        quot[i] = qi
+        # a remainder stays at i + len(h) - 1, unread, for any(rem) below
+        quot[i] = qi = rem[i + len(h) - 1] // h[-1]
         for j, c in enumerate(h):
             rem[i + j] -= qi * c
     if any(rem):
-        raise ArithmeticError("squarefree part: gcd(f, f') does not divide f")
+        raise ArithmeticError("exact quotient: the divisor does not divide f")
     return quot
 
 
@@ -418,13 +417,3 @@ def _eval_int(coeffs: list[int], x: int) -> int:
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc
-
-
-def _deflate(coeffs: list[int], r: int) -> list[int]:
-    # synthetic division by (x - r); exact when r is a root
-    out = [0] * (len(coeffs) - 1)
-    carry = 0
-    for i in range(len(coeffs) - 1, 0, -1):
-        carry = coeffs[i] + carry * r if i < len(coeffs) - 1 else coeffs[i]
-        out[i - 1] = carry
-    return out

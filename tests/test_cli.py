@@ -219,8 +219,12 @@ class TestExitCodes:
             assert main([cmd, str(p)]) == EXIT_INPUT
             assert "not valid JSON" in capsys.readouterr().err
 
-    def test_bad_lambda_flag(self, ex1_file):
-        assert main(["report", ex1_file, "--lambda", "0.5"]) == EXIT_INPUT
+    def test_bad_lambda_flag(self, ex1_file, capsys):
+        for cmd in ("verify", "report"):
+            assert main([cmd, ex1_file, "--lambda", "0.5"]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err == "error: --lambda '0.5' is not a rational p or p/q\n"
+            assert captured.out == ""
 
     def test_overlong_numbers(self, tmp_path, ex1_file, capsys):
         # past Python's int-string limit: a diagnosed input error, no traceback
@@ -233,6 +237,17 @@ class TestExitCodes:
             assert "A[0][0]" in capsys.readouterr().err
             assert main([cmd, ex1_file, "--lambda", huge]) == EXIT_INPUT
             assert "--lambda" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["7" * 5000, "1/" + "3" * 5000])
+    def test_overlong_lambda_diagnostic(self, ex1_file, value, capsys):
+        # the message is the one Fraction(value) raises, after "--lambda: "
+        with pytest.raises(ValueError) as expected:
+            Fraction(value)
+        for cmd in ("verify", "report"):
+            assert main([cmd, ex1_file, "--lambda", value]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err == f"error: --lambda: {expected.value}\n"
+            assert captured.out == ""
 
     @pytest.mark.parametrize("entry", ["7" * 5000, "-1/" + "3" * 4400,
                                        "7" * 4400 + "/" + "3" * 5000])

@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
+from ratspec import kernels
 from ratspec.drazin import (_nilpotent_of_degree, drazin_inverse,
                             nilpotency_index, proof_identities, transfer)
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
-                            paper_example)
+                            paper_example, random_unimodular)
 from ratspec.intertwine import ConditionNotSatisfied, OperatorTriple
 from ratspec.ratmat import Mat, inverse, kernel, rref
 
@@ -114,6 +115,53 @@ class TestNilpotencyDegree:
             for d in range(5):
                 expected = ni is not None and max(ni, 1) == max(d, 1)
                 assert _nilpotent_of_degree(M, d) == expected, (M, d)
+
+
+def _kernel_calls(monkeypatch, f, *args):
+    """(f(*args), {kernel: number of calls made by f})."""
+    calls = {"rref": 0, "matmul": 0}
+    for name in calls:
+        real = getattr(kernels, name)
+
+        def counted(*kargs, name=name, real=real):
+            calls[name] += 1
+            return real(*kargs)
+
+        monkeypatch.setattr(kernels, name, counted)
+    result = f(*args)
+    monkeypatch.undo()
+    return result, calls
+
+
+class TestNilpotencyByProducts:
+    """Nilpotency is decided by multiplying powers out, with no row reduction."""
+
+    def test_nilpotent_inputs_take_index_minus_one_products(self, monkeypatch):
+        rng = random.Random(5)
+        n = 6
+        # N strictly upper triangular with a nonzero superdiagonal: index n
+        N = Mat.from_ints(n, n, [(1 if j == i + 1 else rng.randint(-2, 2))
+                                 if j > i else 0
+                                 for i in range(n) for j in range(n)])
+        P = random_unimodular(rng, n, 2)
+        cases = [(J3, 3), (P @ N @ inverse(P), n), (jordan_block(0, 24), 24),
+                 (Mat.zero(4, 4), 1)]
+        for M, index in cases:
+            assert nilpotency_oracle(M) == index
+            for f, args, want in ((nilpotency_index, (M,), index),
+                                  (_nilpotent_of_degree, (M, index), True)):
+                got, calls = _kernel_calls(monkeypatch, f, *args)
+                assert got == want
+                assert calls["rref"] == 0 and calls["matmul"] <= index - 1, f
+
+    def test_a_non_nilpotent_input_stops_at_its_dimension(self, monkeypatch):
+        M = random_unimodular(random.Random(8), 24, 2)
+        assert nilpotency_oracle(M) is None
+        for f, args, want in ((nilpotency_index, (M,), None),
+                              (_nilpotent_of_degree, (M, 24), False)):
+            got, calls = _kernel_calls(monkeypatch, f, *args)
+            assert got is want
+            assert calls["rref"] == 0 and calls["matmul"] <= 24, f
 
 
 class TestDrazinInverse:

@@ -19,8 +19,12 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   residuals take every product, and on nonconforming at dim 24, seed 3,
   entry bound 2;
 - `generate` to stdout for every template at dims 2, 8 and the cap (24,
-  or 22 for rational_spectrum), seeds 0-2, default entry bound.
-The last line counts the runs (852). The documents are generated by the
+  or 22 for rational_spectrum), seeds 0-2, default entry bound;
+- `verify`, `verify --json`, `report --json`, `drazin` and `drazin --json`
+  on the zero triples with (dim_x, dim_y) = (0, 0), (0, 3) and (3, 0), where
+  AC or BA acts on the empty space: its nilpotency index is 0 by convention
+  and its Drazin inverse is the empty matrix.
+The last line counts the runs (867). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -131,6 +135,28 @@ def _generate_runs():
                         "--seed", str(seed)])
 
 
+#: (dim_x, dim_y) of the zero triples with an empty space
+ZERO_DIM = ((0, 0), (0, 3), (3, 0))
+
+
+def _zero_dim_runs(workdir: Path):
+    """(label, argv) of every command on the zero triples with an empty space."""
+    from ratspec import cli
+    from ratspec.intertwine import OperatorTriple
+    from ratspec.ratmat import Mat
+
+    for dx, dy in ZERO_DIM:
+        t = OperatorTriple(Mat.zero(dy, dx), Mat.zero(dx, dy), Mat.zero(dx, dy))
+        path = str(workdir / f"zero-{dx}x{dy}.json")
+        cli.write_triple_document(t, path)
+        label = f"zero-dim/{dx}x{dy}"
+        yield f"{label} verify-text", ["verify", path]
+        yield f"{label} verify", ["verify", path, "--json"]
+        yield f"{label} report", ["report", path, "--json"]
+        yield f"{label} drazin-text", ["drazin", path]
+        yield f"{label} drazin", ["drazin", path, "--json"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -146,7 +172,7 @@ def main() -> int:
         workdir = Path(tmp)
         for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
                      _scale_target_runs(workdir), _residual_path_runs(workdir),
-                     _generate_runs()):
+                     _generate_runs(), _zero_dim_runs(workdir)):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
