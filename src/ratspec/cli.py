@@ -34,6 +34,11 @@ EXIT_INPUT = 2
 #: is zero, and each row costs output, so a larger value exits 2.
 NMAX_CEILING = 1000
 
+#: Largest dim_x or dim_y a document may declare: the largest that generate
+#: writes (paper_ex at block dim 24). The dense work grows about as dim^2.5,
+#: so a document of a few KB above it could run for minutes; it exits 2.
+DIM_CEILING = 72
+
 
 class ParseError(ValueError):
     """Malformed document or unprintable result, with a field-level diagnostic."""
@@ -84,6 +89,9 @@ def parse_triple_document(text: str) -> tuple[OperatorTriple, dict]:
     if any(not isinstance(d, int) or isinstance(d, bool) or d < 0
            for d in (dim_x, dim_y)):
         raise ParseError("dim_x and dim_y must be nonnegative integers")
+    if max(dim_x, dim_y) > DIM_CEILING:
+        raise ParseError(f"dim_x and dim_y are capped at {DIM_CEILING}, "
+                         f"got ({dim_x}, {dim_y})")
     A = _parse_matrix(doc["A"], "A", dim_y, dim_x)
     B = _parse_matrix(doc["B"], "B", dim_x, dim_y)
     C = _parse_matrix(doc["C"], "C", dim_x, dim_y)

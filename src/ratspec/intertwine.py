@@ -16,6 +16,16 @@ four degree-5 products A(BA)^2, ABACA, ACABA and (AC)^2A. Its power chains
 are keyed by operator value, so equal operators (CA - 1 and BA - 1 when
 CA = BA, say) share one chain.
 
+Every regularity spectrum lies in the spectrum, the root set of the
+characteristic polynomial. So the charpolys of BA and AC, which the probe
+search and the charpoly match need anyway, decide which probed operators
+are invertible: p(T) is invertible iff gcd(charpoly(T), p) = 1, which for
+p = x - lambda is charpoly(T)(lambda) != 0, and CA and AB read theirs off
+AC and BA by Sylvester's identity. An invertible operator gets the trivial
+chain (stable at 0, range the whole space, kernel 0) with no power and no
+row reduction; a singular one is multiplied out and row-reduced. The tests
+keep the row-reduced chain of every operator as the oracle.
+
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
 Neighbouring maps share most of their work: the small spaces of the map at
@@ -38,8 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ratspec.invariants import (PowerChain, profile, rational_eigenvalues,
-                                sigma_memberships)
+from ratspec.invariants import (PowerChain, coprime, profile,
+                                rational_eigenvalues, sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             poly_eval_mat, rank, rat)
 
@@ -151,42 +161,71 @@ class OperatorTriple:
         """The characteristic polynomials of BA and AC.
 
         Built on the first request and kept on the triple, so the probe
-        search and the charpoly match share them.
+        search, the charpoly match and the invertibility of every probed
+        operator share them.
         """
         if self._charpolys is None:
             self._charpolys = (charpoly(self.ba), charpoly(self.ac))
         return self._charpolys
 
-    def _chain(self, T: Mat) -> PowerChain:
-        """The one PowerChain of the square operator T on this triple."""
+    def ca_ab_charpolys(self) -> tuple[Poly, Poly]:
+        """The characteristic polynomials of CA and AB, by Sylvester's identity:
+        x^(dy-dx) charpoly(CA) = charpoly(AC) and
+        x^(dx-dy) charpoly(AB) = charpoly(BA)."""
+        pba, pac = self.charpolys()
+        shift = self.dim_x - self.dim_y
+        return _times_x_power(pac, shift), _times_x_power(pba, -shift)
+
+    def _chain(self, T: Mat, invertible: bool) -> PowerChain:
+        """The one PowerChain of the square operator T on this triple;
+        invertible is T's invertibility, decided from a charpoly."""
         chain = self._power_chains.get(T)
         if chain is None:
-            chain = self._power_chains[T] = PowerChain(T)
+            chain = self._power_chains[T] = PowerChain(T, invertible)
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
         """The power chains of BA - lam and AC - lam; lam must be nonzero.
 
         Built on the first request for each lam and kept on the triple, so
-        every verifier at lam shares one pair of chains.
+        every verifier at lam shares one pair of chains. T - lam is
+        invertible iff charpoly(T)(lam) != 0, and then its chain is the
+        trivial one, with no power and no row reduction; the tests compare
+        it with the row-reduced PowerChain(T - lam).
         """
         lam = rat(lam)
         if lam == 0:
             raise ValueError("lambda must be nonzero")
         pair = self._chains.get(lam)
         if pair is None:
-            pair = self._chains[lam] = (self._chain(self.ba.shifted(lam)),
-                                        self._chain(self.ac.shifted(lam)))
+            pba, pac = self.charpolys()
+            pair = self._chains[lam] = (
+                self._chain(self.ba.shifted(lam), pba(lam) != 0),
+                self._chain(self.ac.shifted(lam), pac(lam) != 0))
         return pair
 
     def ca_ab_chains(self) -> tuple[PowerChain, PowerChain]:
         """The power chains of CA - 1 and AB - 1: those of chains(1) where
-        CA = BA or AB = AC."""
-        return self._chain(self.ca.shifted(1)), self._chain(self.ab.shifted(1))
+        CA = BA or AB = AC.
+
+        By Sylvester's identity (ca_ab_charpolys) CA - 1 is invertible iff
+        charpoly(AC)(1) != 0, and AB - 1 iff charpoly(BA)(1) != 0: an
+        invertible one gets the trivial chain, and the tests keep the
+        row-reduced chain as the oracle.
+        """
+        pba, pac = self.charpolys()
+        return (self._chain(self.ca.shifted(1), pac(1) != 0),
+                self._chain(self.ab.shifted(1), pba(1) != 0))
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
                 f"condition={'holds' if self.condition_holds else 'fails'})")
+
+
+def _times_x_power(p: Poly, k: int) -> Poly:
+    """x^k p; for k < 0, p over x^-k, whose low coefficients Sylvester's
+    identity makes zero."""
+    return Poly([0] * k + list(p.coeffs)) if k >= 0 else Poly(p.coeffs[-k:])
 
 
 def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
@@ -254,11 +293,13 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
 
     For Q = c x^k the ranges and kernels of Q(T - I) are those of
     (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
-    CA - 1 and AB - 1; any other Q is evaluated once at each distinct
-    shift (twice when C == B), and the kernel of Q(T - I) is row-reduced
-    only when its range is not the whole space. The containments go
-    through the triple's MapCache, so the ones on the chains at 1 are
-    decided once with the quotient maps at 1.
+    CA - 1 and AB - 1. For any other Q, Q(T - I) is invertible iff
+    charpoly(T) and Q(x - 1) are coprime, read off the triple's charpolys;
+    then its range is the whole space and its kernel 0, with no evaluation.
+    Otherwise Q is evaluated once at each distinct shift (twice when
+    C == B) and row-reduced; the tests keep that route as the oracle of the
+    coprime case. The containments go through the triple's MapCache, so the
+    ones on the chains at 1 are decided once with the quotient maps at 1.
     """
     _require_condition(t)
     k = Q.degree
@@ -267,10 +308,18 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         spaces = [(c.image(k), c.kernel(k)) for c in (ca, ab, ba, ac)]
     else:
         operators = (t.ca, t.ab, t.ba, t.ac)
+        shifted_q = Poly([])
+        for c in reversed(Q.coeffs):  # Q(x - 1) by Horner
+            shifted_q = shifted_q * Poly([-1, 1]) + Poly([c])
         evaluated: dict[Mat, tuple[Subspace, Subspace]] = {}
-        for T in operators:
-            if T not in evaluated:
-                evaluated[T] = _range_and_kernel(poly_eval_mat(Q, T.shifted(1)))
+        for T, p in zip(operators, (*t.ca_ab_charpolys(), *t.charpolys())):
+            if T in evaluated:
+                continue
+            if coprime(p, shifted_q):
+                evaluated[T] = Subspace.full(T.rows), Subspace.zero(T.rows)
+            else:
+                M = poly_eval_mat(Q, T.shifted(1))
+                evaluated[T] = image(M), kernel(M)
         spaces = [evaluated[T] for T in operators]
     (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
     into = t.map_cache.maps_into
@@ -280,13 +329,6 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
         aca_range=into(t.aca, r_ba, r_ac),
         aca_kernel=into(t.aca, n_ba, n_ac),
     )
-
-
-def _range_and_kernel(M: Mat) -> tuple[Subspace, Subspace]:
-    """R(M) and N(M) of a square M; N(M) = 0 when R(M) is the whole space,
-    by rank-nullity, with no second row reduction."""
-    r = image(M)
-    return r, (Subspace.zero(M.cols) if r.dim == M.cols else kernel(M))
 
 
 @dataclass(frozen=True)

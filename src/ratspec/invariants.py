@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, lcm
 
 from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
 
@@ -76,19 +76,26 @@ class PowerChain:
     the subspace at s without computing T^n. R(T^0) is the whole space and
     is not row-reduced. The sums R(T) + N(T^n) of the mixed chain are kept
     too, so each is formed once however many maps read it.
+
+    invertible=True states that T is invertible, as the caller has decided
+    from the characteristic polynomial (coprime): the chain is then trivial,
+    stable at 0 with every range the whole space and every kernel 0, and it
+    forms no power and row-reduces nothing. The tests keep the row-reduced
+    chain of the same T as its oracle.
     """
 
     __slots__ = ("T", "_powers", "_images", "_kernels", "_sums", "_stable",
                  "_profile")
 
-    def __init__(self, T: Mat):
+    def __init__(self, T: Mat, invertible: bool = False):
         _require_square(T)
         self.T = T
         self._powers = [Mat.identity(T.rows)]
         self._images = [Subspace.full(T.rows)]
-        self._kernels: dict[int, Subspace] = {}
+        self._kernels: dict[int, Subspace] = (
+            {0: Subspace.zero(T.rows)} if invertible else {})
         self._sums: dict[int, Subspace] = {}
-        self._stable: int | None = None
+        self._stable: int | None = 0 if invertible else None
         self._profile: InvariantProfile | None = None
 
     def _index(self, n: int) -> int:
@@ -317,12 +324,37 @@ def _integer_root_candidates(f: list[int]) -> list[int]:
     return [a - q if 2 * a > q else a for a in roots]
 
 
+def coprime(p: Poly, q: Poly) -> bool:
+    """Whether gcd(p, q) = 1 over Q, by the primitive PRS of _gcd.
+
+    With p the characteristic polynomial of T, the eigenvalues of q(T) are
+    q(mu) for the roots mu of p, so q(T) is invertible iff p and q are
+    coprime. Production decides that invertibility here, with no power of
+    T and no row reduction, and the tests keep the rank of q(T) as the
+    oracle.
+    """
+    a, b = _integer_coeffs(p), _integer_coeffs(q)
+    g = _gcd(a, b) if a and b else a or b
+    return len(g) == 1
+
+
+def _integer_coeffs(p: Poly) -> list[int]:
+    # p times the lcm of its denominators, lowest degree first
+    den = lcm(*[c.denominator for c in p.coeffs])
+    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+
+
 def _squarefree_part(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for monic f, the gcd by a primitive PRS over Z."""
-    a, b = _primitive(f), _primitive(_derivative(f))
+    """f / gcd(f, f') for monic f."""
+    return _exact_quotient(f, _gcd(f, _derivative(f)))
+
+
+def _gcd(a: list[int], b: list[int]) -> list[int]:
+    """The primitive gcd of the nonzero a and b, by a primitive PRS over Z."""
+    a, b = _primitive(a), _primitive(b)
     while r := _pseudo_remainder(a, b):
         a, b = b, _primitive(r)
-    return _exact_quotient(f, b)
+    return b
 
 
 def _derivative(f: list[int]) -> list[int]:

@@ -17,17 +17,17 @@ from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      default_probes_by_two_searches, eigenvalue_multiplicity,
                      injective_by_preimage_in_ambient, k_n, k_n_via_sums,
                      rational_eigenvalues_by_divisors)
-from ratspec.cli import main, write_triple_document
+from ratspec.cli import INCLUSION_QS, main, write_triple_document
 from ratspec.drazin import drazin_inverse, proof_identities, transfer
 from ratspec.genlab import GenSpec, generate, paper_example
-from ratspec.intertwine import (OperatorTriple, check_condition,
+from ratspec.intertwine import (MapCache, OperatorTriple, check_condition,
                                 default_probes, gamma_map,
                                 induced_quotient_map, inclusion_lemma,
                                 nonzero_charpoly_match, phi_map, psi_map,
                                 scaled, shift_polys,
                                 verify_sequence_equalities, verify_theorem)
-from ratspec.invariants import profile, rational_eigenvalues
-from ratspec.ratmat import Mat, Poly, image, kernel
+from ratspec.invariants import PowerChain, profile, rational_eigenvalues
+from ratspec.ratmat import Mat, Poly, image, kernel, poly_eval_mat
 
 
 def _corpus_specs():
@@ -213,6 +213,53 @@ def test_criterion_3_shared_chains_skip_nothing(corpus):
                 compared += 3
     print(f"ACCEPTANCE 3b: PASS - {compared} chain-built quotient maps equal "
           "the freshly built ones")
+
+
+def test_criterion_3_charpoly_decided_chains_equal_row_reduced_ones(corpus):
+    """Every chain the triple hands out equals the row-reduced PowerChain."""
+    decided = singular = 0
+    for _, t, probes, _ in corpus:
+        chains = list(t.ca_ab_chains())
+        for lam in {*probes, Fraction(1), Fraction(2), Fraction(1, 2)}:
+            chains += t.chains(lam)
+        for chain in chains:
+            oracle = PowerChain(chain.T)
+            assert chain.stable == oracle.stable
+            for n in range(chain.T.rows + 2):
+                assert chain.image(n) == oracle.image(n)
+                assert chain.kernel(n) == oracle.kernel(n)
+                assert chain.range_plus_kernel(n) == oracle.range_plus_kernel(n)
+            assert profile(chain) == profile(oracle)
+            if oracle.rank(1) == chain.T.rows:
+                decided += 1
+            else:
+                singular += 1
+    assert decided and singular
+    print(f"ACCEPTANCE 3d: PASS - {decided} charpoly-decided invertible and "
+          f"{singular} singular chains equal the row-reduced ones")
+
+
+def test_criterion_4_inclusion_subspaces_are_the_evaluated_ones(corpus, monkeypatch):
+    """The lemma's R and N of Q(T - I) are those of the evaluated polynomial."""
+    seen = []
+    real = MapCache.maps_into
+
+    def recorded(cache, M, U, W):
+        seen.append((U, W))
+        return real(cache, M, U, W)
+
+    monkeypatch.setattr(MapCache, "maps_into", recorded)
+    for _, t, _, _ in corpus:
+        for q in INCLUSION_QS:
+            seen.clear()
+            assert inclusion_lemma(t, q).all_hold
+            evaluated = [poly_eval_mat(q, T.shifted(1))
+                         for T in (t.ca, t.ab, t.ba, t.ac)]
+            (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = (
+                (image(M), kernel(M)) for M in evaluated)
+            assert seen == [(r_ca, r_ab), (n_ca, n_ab), (r_ba, r_ac), (n_ba, n_ac)]
+    print(f"ACCEPTANCE 4b: PASS - inclusion subspaces of {len(INCLUSION_QS)} "
+          f"polynomials equal the evaluated ones on {len(corpus)} triples")
 
 
 def test_criterion_4_inclusion_lemma(corpus):

@@ -10,11 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ratspec.cli import (EXIT_FAIL, EXIT_INPUT, EXIT_OK, NMAX_CEILING,
-                         ParseError, build_drazin_report, build_report, main,
-                         parse_triple_document, run_verification,
-                         triple_document, write_triple_document)
+from ratspec.cli import (DIM_CEILING, EXIT_FAIL, EXIT_INPUT, EXIT_OK,
+                         NMAX_CEILING, ParseError, build_drazin_report,
+                         build_report, main, parse_triple_document,
+                         run_verification, triple_document,
+                         write_triple_document)
 from ratspec.genlab import GenSpec, default_idempotent, generate, paper_example
+from ratspec.intertwine import OperatorTriple
 from ratspec.ratmat import Mat
 
 
@@ -317,6 +319,36 @@ class TestExitCodes:
                          str(NMAX_CEILING), "--json"]) == EXIT_OK
             capsys.readouterr()
 
+    @pytest.mark.parametrize("dims", [(73, 0), (0, 73), (73, 73)])
+    def test_dimension_past_ceiling(self, tmp_path, dims, capsys):
+        # a zero document one past the ceiling exits 2 before its matrices
+        # are read; without the ceiling its dense products would run
+        dx, dy = dims
+        p = tmp_path / "wide.json"
+        write_triple_document(OperatorTriple(Mat.zero(dy, dx), Mat.zero(dx, dy),
+                                             Mat.zero(dx, dy)), str(p))
+        for argv in (["verify"], ["verify", "--json"], ["report", "--json"],
+                     ["drazin", "--json"]):
+            assert main([*argv, str(p)]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err == ("error: dim_x and dim_y are capped at 72, "
+                                    f"got ({dx}, {dy})\n")
+            assert captured.out == ""
+
+    def test_dimension_ceiling_admits_every_generated_document(self, tmp_path,
+                                                               capsys):
+        # paper_ex at block dim 24 is the largest document generate writes
+        assert DIM_CEILING == 72
+        t = generate(GenSpec(template="paper_ex1", block_dim=24))
+        assert max(t.dim_x, t.dim_y) == DIM_CEILING
+        parsed, _ = parse_triple_document(json.dumps(triple_document(t)))
+        assert (parsed.A, parsed.B, parsed.C) == (t.A, t.B, t.C)
+        p = tmp_path / "edge.json"
+        write_triple_document(OperatorTriple(Mat.zero(0, 72), Mat.zero(72, 0),
+                                             Mat.zero(72, 0)), str(p))
+        assert main(["verify", str(p), "--json"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["passed"]
+
     def test_nmax_past_dimension_keeps_rows(self, ex1_file, capsys):
         assert main(["report", ex1_file, "--lambda", "1", "--nmax", "8",
                      "--json"]) == EXIT_OK
@@ -562,9 +594,9 @@ class TestRunVerification:
         chained = []
         real_chain = intertwine.PowerChain
 
-        def counting_chain(T):
+        def counting_chain(T, invertible=False):
             chained.append(T)
-            return real_chain(T)
+            return real_chain(T, invertible)
 
         monkeypatch.setattr(intertwine, "PowerChain", counting_chain)
         shifted_by = []

@@ -12,6 +12,7 @@ from oracles import (default_probes_by_two_searches,
                      injective_by_preimage_in_ambient, power_identity,
                      residuals_by_four_products)
 from ratspec import kernels
+from ratspec.cli import INCLUSION_QS
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
@@ -21,9 +22,9 @@ from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
                                 phi_map, psi_map, scaled,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
-from ratspec.invariants import profile
-from ratspec.ratmat import (Mat, Poly, Subspace, image, map_subspace,
-                            poly_eval_mat, solve)
+from ratspec.invariants import PowerChain, coprime, profile, sigma_memberships
+from ratspec.ratmat import (Mat, Poly, Subspace, image, kernel, map_subspace,
+                            poly_eval_mat, rank, solve)
 
 P2 = default_idempotent(2)
 EX1 = paper_example(1, P2)
@@ -287,9 +288,9 @@ class TestInclusionLemma:
                             (t.aca, kernel(q["ba"]), kernel(q["ac"]))]
 
     def test_kernel_only_of_a_singular_evaluation(self, monkeypatch):
-        # by rank-nullity a full-rank Q(T - I) has kernel 0, so only the
-        # singular evaluations are row-reduced a second time, and each
-        # distinct operator is evaluated once (CA = BA and AB = AC when C == B)
+        # a full-rank Q(T - I) is read off the charpoly as (whole, 0), so
+        # only the singular evaluations are row-reduced, and each distinct
+        # operator is evaluated once (CA = BA and AB = AC when C == B)
         from ratspec import intertwine
         from ratspec.ratmat import rank
         calls = []
@@ -318,6 +319,63 @@ class TestInclusionLemma:
         shear_t = triples[-1]
         assert {shear_t.ca, shear_t.ab, shear_t.ba, shear_t.ac} == {shear}
 
+    def test_coprime_q_is_not_evaluated(self, monkeypatch):
+        # Q(T - I) is invertible iff charpoly(T) and Q(x - 1) are coprime;
+        # then inclusion_lemma reads the whole space and 0 off the charpoly
+        from ratspec import intertwine
+        evaluated = []
+        real = intertwine.poly_eval_mat
+
+        def recorded(Q, M):
+            evaluated.append(M)
+            return real(Q, M)
+
+        monkeypatch.setattr(intertwine, "poly_eval_mat", recorded)
+        Q = INCLUSION_QS[-1]
+        shifted_q = Poly([Fraction(-5, 2), Fraction(15, 2), Fraction(-9, 2), 1])
+        assert all(Q(x - 1) == shifted_q(x) for x in range(5))
+        decided = 0
+        for t in conforming_samples():
+            evaluated.clear()
+            assert inclusion_lemma(t, Q).all_hold
+            chis = (*t.ca_ab_charpolys(), *t.charpolys())
+            operators = (t.ca, t.ab, t.ba, t.ac)
+            assert evaluated == list(dict.fromkeys(
+                T.shifted(1) for T, p in zip(operators, chis)
+                if not coprime(p, shifted_q)))
+            decided += len(set(operators)) - len(evaluated)
+        assert decided
+
+    def test_fallback_when_q_shifted_divides_the_charpoly(self, monkeypatch):
+        # T = I + companion(Q) + [2]: T - I is companion(Q) + [1], so
+        # Q(x - 1) divides charpoly(T) and Q(T - I) has rank 1; the lemma
+        # must evaluate it and check the inclusions on its R and N
+        from ratspec import intertwine
+        Q = INCLUSION_QS[-1]
+        c0, c1, c2 = Q.coeffs[:3]
+        T = Mat.identity(4) + Mat.from_rows([[0, 0, -c0, 0], [1, 0, -c1, 0],
+                                             [0, 1, -c2, 0], [0, 0, 0, 1]])
+        t = OperatorTriple(Mat.identity(4), T, T)
+        assert {t.ca, t.ab, t.ba, t.ac} == {T}
+        evaluated, seen = [], []
+        real_eval, real_into = intertwine.poly_eval_mat, MapCache.maps_into
+
+        def recorded_eval(Q, M):
+            evaluated.append(M)
+            return real_eval(Q, M)
+
+        def recorded_into(cache, M, U, W):
+            seen.append((U, W))
+            return real_into(cache, M, U, W)
+
+        monkeypatch.setattr(intertwine, "poly_eval_mat", recorded_eval)
+        monkeypatch.setattr(MapCache, "maps_into", recorded_into)
+        assert inclusion_lemma(t, Q).all_hold
+        assert evaluated == [T.shifted(1)]
+        q = real_eval(Q, T.shifted(1))
+        assert rank(q) == 1
+        assert seen == [(image(q), image(q)), (kernel(q), kernel(q))] * 2
+
     def test_random_cubic_on_generated(self):
         rng = random.Random(31)
         t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=8))
@@ -330,6 +388,65 @@ class TestInclusionLemma:
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=3))
         with pytest.raises(ConditionNotSatisfied):
             inclusion_lemma(bad, Poly([0, 1]))
+
+
+class TestCharpolyDecidedChains:
+    """Off the spectrum the chains are read off the charpolys alone."""
+
+    def test_no_kernel_call_off_the_spectrum(self, monkeypatch):
+        # fresh triples, so that no chain is cached from another test
+        triples = [OperatorTriple(t.A, t.B, t.C) for t in conforming_samples()]
+        probes = []
+        for t in triples:
+            pba, pac = t.charpolys()
+            probes.append(next(lam for lam in map(Fraction, (2, 3, 5, 7, 97))
+                               if pba(lam) and pac(lam)))
+            t.ab  # formed on the first read, a product of the triple
+        calls = []
+        for name in ("rref", "matmul"):
+            real = getattr(kernels, name)
+
+            def recorded(*args, name=name, real=real):
+                calls.append(name)
+                return real(*args)
+
+            monkeypatch.setattr(kernels, name, recorded)
+        for t, lam in zip(triples, probes):
+            chains = list(t.chains(lam))
+            pca, pab = t.ca_ab_charpolys()
+            if pca(1) and pab(1):
+                chains += t.ca_ab_chains()
+            for chain in chains:
+                assert chain.stable == 0
+                for n in range(chain.T.rows + 2):
+                    assert chain.image(n).dim == chain.T.rows
+                    assert chain.kernel(n).dim == 0
+                    assert chain.range_plus_kernel(n).dim == chain.T.rows
+                assert profile(chain).c_total == 0
+                assert not any(sigma_memberships(chain))
+            assert verify_sequence_equalities(t, lam).all_equal
+            assert verify_theorem(t, [lam]).all_equal
+        assert calls == []
+
+    def test_ca_ab_charpolys_by_sylvester(self):
+        from ratspec.ratmat import charpoly
+        for t in conforming_samples():
+            assert t.ca_ab_charpolys() == (charpoly(t.ca), charpoly(t.ab))
+
+    def test_chains_without_the_condition(self):
+        # the nonzero charpolys of AC and BA need not agree here: with
+        # A = B = 1 and C = 2, AB - 1 = BA - 1 = 0 while CA - 1 = AC - 1 = 1
+        t = OperatorTriple(Mat.from_rows([[1]]), Mat.from_rows([[1]]),
+                           Mat.from_rows([[2]]))
+        bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=1))
+        assert not (t.condition_holds or bad.condition_holds)
+        for u in (t, bad):
+            chains = [*u.ca_ab_chains(), *u.chains(1), *u.chains(2)]
+            for chain in chains:
+                oracle = PowerChain(chain.T)
+                assert chain.stable == oracle.stable
+                assert profile(chain) == profile(oracle)
+        assert [c.stable for c in t.ca_ab_chains()] == [0, 1]
 
 
 class TestQuotientMaps:

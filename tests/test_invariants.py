@@ -4,17 +4,18 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from conftest import square_matrices
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      eigenvalue_multiplicity, fredholm_index, k_n, k_n_via_sums,
                      sigma_R_membership)
-from ratspec.invariants import (PowerChain, _squarefree_part, profile,
-                                rational_eigenvalues, regularity_membership,
-                                sigma_memberships)
-from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
+from ratspec.invariants import (PowerChain, _squarefree_part, coprime,
+                                profile, rational_eigenvalues,
+                                regularity_membership, sigma_memberships)
+from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
+                            poly_eval_mat, rank)
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 J2_PLUS_1 = Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])  # diag(J_2, 1)
@@ -386,3 +387,52 @@ class TestPlantedRoots:
         assert rational_eigenvalues(p) == [
             (Fraction(-big, 7), 3), (Fraction(1), 1), (Fraction(3, 2), 2),
             (Fraction(big), 4)]
+
+
+_small_int_squares = st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
+    .map(lambda d: Mat.from_ints(n, n, d)))
+
+# p = scale * q * prod (x - r): small integer roots, which small integer
+# matrices often have, times a quadratic without rational roots
+_probe_polys = st.builds(
+    lambda roots, q, scale: _poly_with_roots(
+        [(r, 1, 1) for r in roots], q, 0) * Poly([scale]),
+    st.lists(st.integers(-2, 2), max_size=2),
+    st.sampled_from([Poly([1]), Poly([1, 0, 1]), Poly([-2, 0, 1]),
+                     Poly([1, 1, 1]), Poly([-1, -1, 1])]),
+    st.sampled_from([Fraction(1), Fraction(-3, 2)]))
+
+
+class TestCoprimeDecidesInvertibility:
+    """p(T) is invertible iff gcd(charpoly(T), p) = 1; the rank is the oracle."""
+
+    @given(_small_int_squares, _probe_polys)
+    @example(Mat.from_rows([[0, -1], [1, 0]]), Poly([1, 0, 1]))
+    @example(Mat.from_rows([[0, -1], [1, 0]]), Poly([-1, 0, 1]))
+    @example(Mat.from_rows([[1, 1], [1, 0]]), Poly([-1, -1, 1]))
+    @example(Mat.from_rows([[2, 0], [0, 3]]), Poly([-2, 1]))
+    @example(Mat.from_rows([[2, 0], [0, 3]]), Poly([Fraction(1, 2)]))
+    def test_coprime_iff_full_rank(self, T, p):
+        full = rank(poly_eval_mat(p, T)) == T.rows
+        assert coprime(charpoly(T), p) == full
+
+    def test_zero_and_constant_polynomials(self):
+        x, zero = Poly([0, 1]), Poly([])
+        assert coprime(Poly([1]), zero) and coprime(zero, Poly([-2]))
+        assert not coprime(x, zero) and not coprime(zero, zero)
+        assert coprime(Poly([Fraction(2, 3)]), x)
+        assert not coprime(Poly([0, 0, Fraction(1, 2)]), Poly([0, 3]))
+
+    @given(square_matrices(4))
+    def test_invertible_chain_equals_the_row_reduced_one(self, M):
+        assume(charpoly(M)(0) != 0)
+        fast, oracle = PowerChain(M, invertible=True), PowerChain(M)
+        assert fast.stable == oracle.stable == 0
+        for n in range(M.rows + 3):
+            assert fast.image(n) == oracle.image(n)
+            assert fast.kernel(n) == oracle.kernel(n)
+            assert fast.range_plus_kernel(n) == oracle.range_plus_kernel(n)
+        assert fast.stable_power() == oracle.stable_power()
+        assert profile(fast) == profile(oracle)
+        assert sigma_memberships(fast) == sigma_memberships(oracle)

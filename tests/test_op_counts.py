@@ -25,8 +25,8 @@ TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (53, 117), "rational_spectrum": (75, 109),
-          "c_equals_b_fractional": (71, 84)}
+BOUNDS = {"paper_ex1": (41, 105), "rational_spectrum": (58, 96),
+          "c_equals_b_fractional": (57, 74)}
 
 
 def _document(name):

@@ -6,9 +6,10 @@
 Runs `ratspec.cli.main` in-process, with stdout captured, and prints one
 line per run: a label, the exit code and the SHA-256 of stdout. The runs are
 - `verify`, `verify --json`, `verify --json` with verify_wide's flags,
-  `report --json` and `drazin --json` on the first-round documents of the
-  three ratbench workloads at seeds 11 and 12 (36 documents a seed, some of
-  them nonconforming);
+  `report --json`, `report --json` with verify_wide's flags (explicit
+  probes, where the chains still read the charpolys) and `drazin --json`
+  on the first-round documents of the three ratbench workloads at seeds 11
+  and 12 (36 documents a seed, some of them nonconforming);
 - `verify` and `report` on the 202 triples of the acceptance corpus
   (`corpus_triples` in tests/test_acceptance.py);
 - `verify --json` and `drazin --json` at the scale target: c_equals_b,
@@ -24,7 +25,7 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   on the zero triples with (dim_x, dim_y) = (0, 0), (0, 3) and (3, 0), where
   AC or BA acts on the empty space: its nilpotency index is 0 by convention
   and its Drazin inverse is the empty matrix.
-The last line counts the runs (867). The documents are generated by the
+The last line counts the runs (939). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -68,6 +69,7 @@ def _ratbench_runs(workdir: Path):
                 yield f"{label} verify", ["verify", path, "--json"]
                 yield f"{label} verify-wide", ["verify", path, *wide_flags]
                 yield f"{label} report", ["report", path, "--json"]
+                yield f"{label} report-wide", ["report", path, *wide_flags]
                 yield f"{label} drazin", ["drazin", path, "--json"]
 
 
