@@ -176,12 +176,16 @@ class OperatorTriple:
         shift = self.dim_x - self.dim_y
         return _times_x_power(pac, shift), _times_x_power(pba, -shift)
 
-    def _chain(self, T: Mat, invertible: bool) -> PowerChain:
-        """The one PowerChain of the square operator T on this triple;
-        invertible is T's invertibility, decided from a charpoly."""
-        chain = self._power_chains.get(T)
+    def _chain(self, T: Mat, p: Poly, lam: Fraction) -> PowerChain:
+        """The one PowerChain of T - lam on this triple, p the charpoly of T.
+
+        T - lam is invertible iff p(lam) != 0; that is evaluated only when
+        the chain is built, so each chain's invertibility is decided once.
+        """
+        shifted = T.shifted(lam)
+        chain = self._power_chains.get(shifted)
         if chain is None:
-            chain = self._power_chains[T] = PowerChain(T, invertible)
+            chain = self._power_chains[shifted] = PowerChain(shifted, p(lam) != 0)
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
@@ -199,9 +203,8 @@ class OperatorTriple:
         pair = self._chains.get(lam)
         if pair is None:
             pba, pac = self.charpolys()
-            pair = self._chains[lam] = (
-                self._chain(self.ba.shifted(lam), pba(lam) != 0),
-                self._chain(self.ac.shifted(lam), pac(lam) != 0))
+            pair = self._chains[lam] = (self._chain(self.ba, pba, lam),
+                                        self._chain(self.ac, pac, lam))
         return pair
 
     def ca_ab_chains(self) -> tuple[PowerChain, PowerChain]:
@@ -214,8 +217,7 @@ class OperatorTriple:
         row-reduced chain as the oracle.
         """
         pba, pac = self.charpolys()
-        return (self._chain(self.ca.shifted(1), pac(1) != 0),
-                self._chain(self.ab.shifted(1), pba(1) != 0))
+        return self._chain(self.ca, pac, 1), self._chain(self.ab, pba, 1)
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
@@ -603,12 +605,13 @@ def nonzero_charpoly_match(t: OperatorTriple) -> bool:
     """Equal nonzero eigenvalue structure, as an exact polynomial identity.
 
     The characteristic polynomials of AC and BA, after dividing out all
-    powers of the variable and normalizing monic, must coincide; this covers
-    irrational and complex eigenvalues without extracting any root.
+    powers of the variable, must coincide; this covers irrational and
+    complex eigenvalues without extracting any root. Both are monic, and
+    dividing out x^k keeps the leading coefficient.
     """
     _require_condition(t)
     pba, pac = (p.strip_zero_roots()[0] for p in t.charpolys())
-    return pac.monic() == pba.monic()
+    return pac == pba
 
 
 def shift_polys(t: OperatorTriple, n: int) -> tuple[Mat, Mat]:

@@ -9,13 +9,17 @@ powers stabilizes by n = dim (Cayley-Hamilton), so all sequences have length
 dim+1 and the "infimum over an empty set" branch of the general theory cannot
 occur here.
 
-Every sequence is read off one PowerChain: c_n and c'_n are both
-rank T^n - rank T^(n+1), and k_n is the drop in dim R(T^n) cap N(T). The
-chain also keeps the sums R(T) + N(T^n), which the mixed quotient maps of
-ratspec.intertwine read. The single-index forms c_n, cp_n, k_n and their
-complement/intersection/sum twins (Grabiner's identities), which the tests
-compare profile against, live in tests/oracles.py with the other test-only
-oracles.
+Every sequence is read off one PowerChain, built to its stabilization
+index when it is made: c_n and c'_n are both rank T^n - rank T^(n+1), and
+k_n is the drop in dim R(T^n) cap N(T). The chain also keeps the sums
+R(T) + N(T^n), which the mixed quotient maps of ratspec.intertwine read.
+The single-index forms c_n, cp_n, k_n and their complement/intersection/sum
+twins (Grabiner's identities), which the tests compare profile against,
+live in tests/oracles.py with the other test-only oracles.
+
+Rational eigenvalues are the rational roots of the characteristic
+polynomial, found by Zassenhaus' linear factors over Z with Hensel lifting
+from a prime at which each root is simple.
 
 Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
 finite-dimensional semantics: every subspace of a finite-dimensional space is
@@ -68,14 +72,15 @@ class InvariantProfile:
 
 
 class PowerChain:
-    """The powers T^n of one square T with their ranges and kernels, filled lazily.
+    """The powers T^n of one square T with their ranges and kernels.
 
-    Powers are multiplied out only until the ranks stop falling: stable is
-    the least s with rank T^s = rank T^(s+1). From s on every range and every
-    kernel equals the one at s, so image(n) and kernel(n) for n > s return
-    the subspace at s without computing T^n. R(T^0) is the whole space and
-    is not row-reduced. The sums R(T) + N(T^n) of the mixed chain are kept
-    too, so each is formed once however many maps read it.
+    The constructor multiplies out T, T^2, ... until the ranks stop falling:
+    stable is the least s with rank T^s = rank T^(s+1), at most dim T. From
+    s on every range and every kernel equals the one at s, so image(n),
+    kernel(n) and range_plus_kernel(n) read index min(n, s). R(T^0) is the
+    whole space and is not row-reduced. The kernels and the sums
+    R(T) + N(T^n) of the mixed chain are formed on their first read, each
+    once however many maps read it.
 
     invertible=True states that T is invertible, as the caller has decided
     from the characteristic polynomial (coprime): the chain is then trivial,
@@ -84,7 +89,7 @@ class PowerChain:
     chain of the same T as its oracle.
     """
 
-    __slots__ = ("T", "_powers", "_images", "_kernels", "_sums", "_stable",
+    __slots__ = ("T", "stable", "_powers", "_images", "_kernels", "_sums",
                  "_profile")
 
     def __init__(self, T: Mat, invertible: bool = False):
@@ -95,40 +100,30 @@ class PowerChain:
         self._kernels: dict[int, Subspace] = (
             {0: Subspace.zero(T.rows)} if invertible else {})
         self._sums: dict[int, Subspace] = {}
-        self._stable: int | None = 0 if invertible else None
         self._profile: InvariantProfile | None = None
-
-    def _index(self, n: int) -> int:
-        """min(n, stable), extending the chain only as far as that needs."""
-        while self._stable is None and len(self._images) <= n:
-            self._powers.append(self._powers[-1] @ self.T)
-            img = image(self._powers[-1])
+        while not invertible:
+            power = self._powers[-1] @ T
+            img = image(power)
             if img.dim == self._images[-1].dim:
-                self._stable = len(self._images) - 1
-            else:
-                self._images.append(img)
-        return n if self._stable is None else min(n, self._stable)
-
-    @property
-    def stable(self) -> int:
-        """The stabilization index s (ascent = descent), at most dim T."""
-        self._index(self.T.rows + 1)
-        return self._stable
+                break
+            self._powers.append(power)
+            self._images.append(img)
+        self.stable = len(self._images) - 1
 
     def image(self, n: int) -> Subspace:
         """R(T^n)."""
-        return self._images[self._index(n)]
+        return self._images[min(n, self.stable)]
 
     def kernel(self, n: int) -> Subspace:
         """N(T^n)."""
-        n = self._index(n)
+        n = min(n, self.stable)
         if n not in self._kernels:
             self._kernels[n] = kernel(self._powers[n])
         return self._kernels[n]
 
     def range_plus_kernel(self, n: int) -> Subspace:
         """R(T) + N(T^n); at n = 0 that is R(T) itself."""
-        n = self._index(n)
+        n = min(n, self.stable)
         if n not in self._sums:
             self._sums[n] = self.image(1).sum(self.kernel(n)) if n else self.image(1)
         return self._sums[n]
@@ -254,18 +249,18 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
     """All rational eigenvalues with algebraic multiplicities, ascending.
 
     T may be given as its characteristic polynomial p, when one is already
-    built. p is scaled to f(x) = D^n p(x/D), monic over Z (D is built up
-    from p's denominators), so every rational root of f is an integer and
-    lam = root/D. Zero roots are stripped first. The candidates are the
-    linear factors of Zassenhaus' method: the squarefree part
-    g = f / gcd(f, f') by a primitive remainder sequence over Z, the
-    smallest prime p with g mod p squarefree, the roots of g mod p found
-    by evaluation at 0..p-1, and each root Newton-Hensel-lifted until the
-    modulus passes twice the Cauchy root bound of f, read as a symmetric
-    residue. Each candidate r is tested by exact evaluation and x - r is
-    divided out, by the exact division that also forms g, once per
-    multiplicity. Every step is in integers, and the search ends for every
-    input.
+    built. Zero roots are stripped first (Poly.strip_zero_roots). The rest
+    is scaled to f(x) = D^n p(x/D), monic over Z (D is built up from p's
+    denominators), so every rational root of f is an integer and
+    lam = root/D. The candidates are the linear factors of Zassenhaus'
+    method: the squarefree part g = f / gcd(f, f') by a primitive remainder
+    sequence over Z, the roots of g modulo the smallest prime p at which
+    every one of them is simple, found by evaluation at 0..p-1, and each
+    root Newton-Hensel-lifted until the modulus passes twice the Cauchy
+    root bound of f, read as a symmetric residue. Each candidate r is
+    tested by exact evaluation and x - r is divided out, by the exact
+    division that also forms g, once per multiplicity. Every step is in
+    integers, and the search ends for every input.
     """
     p = T
     if isinstance(T, Mat):
@@ -273,6 +268,7 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
         p = charpoly(T)
     if not p.coeffs or p.coeffs[-1] != 1:
         raise ValueError("rational eigenvalues need a monic characteristic polynomial")
+    p, k = p.strip_zero_roots()
     n = p.degree
     D = 1
     for i in range(n - 1, -1, -1):
@@ -285,14 +281,8 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
         if scaled.denominator != 1:
             raise ArithmeticError("integer charpoly scaling failed")
         coeffs.append(scaled.numerator)
-    out: list[tuple[Fraction, int]] = []
-    k = 0
-    while coeffs[k] == 0:
-        k += 1
-    if k:
-        out.append((Fraction(0), k))
-        coeffs = coeffs[k:]
-    if len(coeffs) > 1:
+    out = [(Fraction(0), k)] if k else []
+    if n:
         for r in _integer_root_candidates(coeffs):
             mult = 0
             while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
@@ -307,15 +297,24 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
 def _integer_root_candidates(f: list[int]) -> list[int]:
     """A list holding every integer root of the monic f, each once.
 
-    Each root of the squarefree part g is a simple root of g mod p, so it
-    lifts uniquely, and modulo q > 2 * bound its symmetric residue is the
-    root itself.
+    g, the squarefree part of f, has every integer root r of f as a root,
+    so r mod p is a root of g mod p. The prime p is the smallest at which
+    every root of g mod p is simple (g'(a) != 0 mod p); every prime not
+    dividing the discriminant of g qualifies, so the search ends. A simple
+    root lifts uniquely, and modulo q > 2 * bound its symmetric residue is
+    r itself.
     """
     g = _squarefree_part(f)
-    p = _squarefree_prime(g)
-    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy: every |root| < bound
-    roots = [a for a in range(p) if _eval_mod(g, a, p) == 0]
     dg = _derivative(g)
+    p = 1
+    while True:
+        p += 1
+        if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
+            continue
+        roots = [a for a in range(p) if _eval_mod(g, a, p) == 0]
+        if all(_eval_mod(dg, a, p) for a in roots):
+            break
+    bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy: every |root| < bound
     q = p
     while q <= 2 * bound:
         q *= q
@@ -398,43 +397,6 @@ def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
     if any(rem):
         raise ArithmeticError("exact quotient: the divisor does not divide f")
     return quot
-
-
-def _squarefree_prime(g: list[int]) -> int:
-    """The smallest prime p with g mod p squarefree, for monic squarefree g.
-
-    Only the finitely many primes dividing the discriminant of g fail, so
-    the search ends.
-    """
-    p = 2
-    while True:
-        if all(p % d for d in range(2, isqrt(p) + 1)):
-            gp = _reduce_mod(g, p)
-            dp = _reduce_mod(_derivative(g), p)
-            if len(_gcd_mod(gp, dp, p)) == 1:
-                return p
-        p += 1
-
-
-def _reduce_mod(f: list[int], p: int) -> list[int]:
-    out = [c % p for c in f]
-    while out and out[-1] == 0:
-        out.pop()
-    return out
-
-
-def _gcd_mod(a: list[int], b: list[int], p: int) -> list[int]:
-    # Euclid over GF(p); a and b reduced, the result up to a unit
-    while b:
-        inv = pow(b[-1], -1, p)
-        while len(a) >= len(b):
-            t = a[-1] * inv % p
-            shift = len(a) - len(b)
-            a = a[:shift] + [(x - t * y) % p for x, y in zip(a[shift:], b)]
-            while a and a[-1] == 0:
-                a.pop()
-        a, b = b, a
-    return a
 
 
 def _eval_mod(coeffs: list[int], x: int, q: int) -> int:

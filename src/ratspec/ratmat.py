@@ -27,10 +27,11 @@ its forward pass, since its reduced form is the identity over zero rows. An
 echelon basis row holds 1 at its pivot and the other rows 0 there, so the
 rows X of a subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that
 test on U @ M^T. The same basis gives, with no reduction, rows K with
-W = {y : K y = 0} (Subspace.annihilator). An empty product, and a
-containment with no rows or in the whole space, need no kernel call. block
-lays out blocks over the lcm of their denominators; inverse and solve reduce
-the [M | I] and [M | b] it builds.
+W = {y : K y = 0} (Subspace.annihilator). An empty product, the row
+reduction of a matrix with no rows or no columns, and a containment with
+no rows or in the whole space, need no kernel call. block lays out blocks
+over the lcm of their denominators; inverse and solve reduce the [M | I]
+and [M | b] it builds.
 
 charpoly reads the power sums tr(S^k) of the integer numerators S off about
 2 sqrt(n) products and turns them into its coefficients by Newton's
@@ -260,7 +261,13 @@ def block(layout: Sequence[Sequence[Mat]]) -> Mat:
 
 
 def rref(M: Mat) -> tuple[Mat, tuple[int, ...]]:
-    """Reduced row echelon form and pivot columns."""
+    """Reduced row echelon form and pivot columns.
+
+    A matrix with no rows or no columns is its own reduced form, with no
+    pivots, and needs no kernel call.
+    """
+    if not (M.rows and M.cols):
+        return M, ()
     num, den, pivots = kernels.rref(M.rows, M.cols, M.num)
     return Mat.from_ints(M.rows, M.cols, num, den), pivots
 
@@ -400,8 +407,6 @@ class Subspace:
 
 def _row_space(M: Mat) -> Subspace:
     """The span of M's rows: its reduced echelon form, cut to its rank."""
-    if not M.rows:
-        return Subspace.zero(M.cols)
     R, pivots = rref(M)
     return Subspace(R.submatrix(range(len(pivots)), range(M.cols)), pivots)
 

@@ -178,6 +178,16 @@ class TestResiduals:
         t = generate(GenSpec(template="c_equals_b", block_dim=3, seed=1, dim_y=4))
         assert all(x is y for x, y in zip(t.ca_ab_chains(), t.chains(1)))
 
+    def test_a_second_ca_ab_chains_evaluates_no_charpoly(self, monkeypatch):
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=1))
+        first = t.ca_ab_chains()
+        evaluated = []
+        real = Poly.__call__
+        monkeypatch.setattr(Poly, "__call__",
+                            lambda p, x: evaluated.append(x) or real(p, x))
+        assert all(x is y for x, y in zip(t.ca_ab_chains(), first))
+        assert evaluated == []
+
     def test_equal_operators_share_one_chain(self):
         # (B - C)A = 0: CA = BA, so CA - 1 shares BA - 1's chain; AB != AC
         A = Mat.from_rows([[1, 0], [0, 0]])

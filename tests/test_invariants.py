@@ -316,6 +316,23 @@ class TestRationalEigenvalues:
         M = Mat.from_rows([[Fraction(99991, 3), 1], [0, 7]])
         assert rational_eigenvalues(M) == [(Fraction(7), 1), (Fraction(99991, 3), 1)]
 
+    def test_prime_where_only_the_roots_are_simple(self, monkeypatch):
+        # g = (x^2 + 1)(x^2 + 3x + 1)(x - 2): at 2 the root 1 is double, so 2
+        # is rejected; at 3, g = (x^2 + 1)^2 (x - 2) is not squarefree, but
+        # its one root 2 is simple, so the search stops there
+        from ratspec import invariants
+        moduli = set()
+        real = invariants._eval_mod
+        monkeypatch.setattr(invariants, "_eval_mod",
+                            lambda f, x, q: moduli.add(q) or real(f, x, q))
+        p = Poly([1, 0, 1]) * Poly([1, 3, 1]) * Poly([-2, 1])
+        assert rational_eigenvalues(p) == [(Fraction(2), 1)]
+        assert sorted(q for q in moduli if q < 9) == [2, 3]
+
+    def test_roots_colliding_mod_two(self):
+        p = Poly([-1, 1]) * Poly([-3, 1])
+        assert rational_eigenvalues(p) == [(Fraction(1), 1), (Fraction(3), 1)]
+
     def test_polynomial_form_matches_matrix_form(self):
         rng = random.Random(12)
         for _ in range(20):

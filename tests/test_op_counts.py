@@ -25,8 +25,8 @@ TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (41, 105), "rational_spectrum": (58, 96),
-          "c_equals_b_fractional": (57, 74)}
+BOUNDS = {"paper_ex1": (32, 105), "rational_spectrum": (43, 96),
+          "c_equals_b_fractional": (42, 74)}
 
 
 def _document(name):
@@ -66,11 +66,13 @@ def test_verify_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsy
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_no_kernel_product_has_an_empty_side(name, tmp_path, monkeypatch, capsys):
-    # an empty product, and a containment with no rows to test or in the
-    # whole space, is answered without a kernel call; verify still exits 0,
-    # every check passing
+    # an empty product, the row reduction of a matrix with no rows or no
+    # columns, and a containment with no rows to test or in the whole space,
+    # are answered without a kernel call; verify still exits 0, every check
+    # passing
     calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
     assert [args[:3] for args in calls["matmul"] if 0 in args[:3]] == []
+    assert [args[:2] for args in calls["rref"] if 0 in args[:2]] == []
 
 
 def _operand_stats():

@@ -416,6 +416,20 @@ class TestNoKernelCall:
         assert matmuls == []
         assert not plane.contains_vector(E3) and matmuls == [(1, 2, 3)]
 
+    @pytest.mark.parametrize("m,n", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_row_reductions(self, monkeypatch, m, n):
+        # a matrix with no rows or no columns is its own reduced form, with
+        # no pivots, as the kernel would return it
+        reductions = []
+        real = kernels.rref
+        monkeypatch.setattr(kernels, "rref",
+                            lambda *args: reductions.append(args) or real(*args))
+        M = Mat.zero(m, n)
+        assert rref(M) == (M, ()) and rank(M) == 0
+        assert image(M.transpose()) == Subspace.zero(n)
+        assert reductions == []
+        assert real(m, n, []) == (list(M.num), M.den, ())
+
 
 class TestBlockMatrix:
     def test_blocks_over_different_denominators(self):

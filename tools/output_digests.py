@@ -12,9 +12,11 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   and 12 (36 documents a seed, some of them nonconforming);
 - `verify` and `report` on the 202 triples of the acceptance corpus
   (`corpus_triples` in tests/test_acceptance.py);
-- `verify --json` and `drazin --json` at the scale target: c_equals_b,
-  aba_eq_aca, conjugated and direct_sum at dim 24 and rational_spectrum at
-  dim 22, seed 3, entry bound 2, whose operands reach hundreds of bits;
+- `verify --json`, `report --json` and `drazin --json` at the scale
+  target: c_equals_b, aba_eq_aca, conjugated and direct_sum at dim 24 and
+  rational_spectrum at dim 22, seed 3, entry bound 2, whose operands reach
+  hundreds of bits (`report` lists the probes, the rational roots of
+  charpolys of degree 22-24, which `verify` does not print);
 - `verify --json` and `report --json` on paper_ex1 and paper_ex2 at block
   dim 12 (36 x 36), the templates with ABA != ACA, whose condition
   residuals take every product, and on nonconforming at dim 24, seed 3,
@@ -25,7 +27,7 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   on the zero triples with (dim_x, dim_y) = (0, 0), (0, 3) and (3, 0), where
   AC or BA acts on the empty space: its nilpotency index is 0 by convention
   and its Drazin inverse is the empty matrix.
-The last line counts the runs (939). The documents are generated by the
+The last line counts the runs (944). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -92,7 +94,8 @@ SCALE_TARGET = (("c_equals_b", 24), ("aba_eq_aca", 24), ("conjugated", 24),
 
 
 def _scale_target_runs(workdir: Path):
-    """(label, argv) of `verify --json` and `drazin --json` at the scale target."""
+    """(label, argv) of `verify --json`, `report --json` and `drazin --json`
+    at the scale target."""
     from ratspec import cli, genlab
 
     for template, dim in SCALE_TARGET:
@@ -102,6 +105,7 @@ def _scale_target_runs(workdir: Path):
         cli.write_triple_document(t, str(path))
         label = f"scale/{template} dim {dim}"
         yield f"{label} verify", ["verify", str(path), "--json"]
+        yield f"{label} report", ["report", str(path), "--json"]
         yield f"{label} drazin", ["drazin", str(path), "--json"]
 
 
