@@ -117,11 +117,16 @@ def triple_document(t: OperatorTriple, metadata: dict | None = None) -> dict:
     return doc
 
 
+def _write_json(obj: dict, fh) -> None:
+    """obj as indented JSON and a newline: every JSON document ratspec writes."""
+    json.dump(obj, fh, indent=1)
+    fh.write("\n")
+
+
 def write_triple_document(t: OperatorTriple, path: str,
                           metadata: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(triple_document(t, metadata), fh, indent=1)
-        fh.write("\n")
+        _write_json(triple_document(t, metadata), fh)
 
 
 def _read(path: str) -> str:
@@ -179,8 +184,8 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
             "dsc": [seq.dsc_ac, seq.dsc_ba],
             "dis": [prof_ac.dis, prof_ba.dis],
             "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
-            "hyper_range_dim": [prof_ac.hyper_range.dim, prof_ba.hyper_range.dim],
-            "hyper_kernel_dim": [prof_ac.hyper_kernel.dim, prof_ba.hyper_kernel.dim],
+            "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
+            "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
             "sequences_hold": seq.all_equal,
             "sigma_memberships": {
                 "ac": list(theo.in_sigma_ac),
@@ -401,8 +406,7 @@ def _render_drazin(report: dict, out) -> None:
 def _emit(obj: dict, as_json: bool, render) -> None:
     """Print obj to stdout as indented JSON, or as the text render draws."""
     if as_json:
-        json.dump(obj, sys.stdout, indent=1)
-        print()
+        _write_json(obj, sys.stdout)
     else:
         render(obj, sys.stdout)
 
@@ -464,8 +468,7 @@ def cmd_generate(args) -> int:
             return EXIT_INPUT
         print(f"wrote {args.out}")
     else:
-        json.dump(triple_document(t, meta), sys.stdout, indent=1)
-        print()
+        _write_json(triple_document(t, meta), sys.stdout)
     return EXIT_OK
 
 

@@ -23,10 +23,11 @@ from a prime at which each root is simple.
 
 Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
 finite-dimensional semantics: every subspace of a finite-dimensional space is
-closed and every dimension count is finite, which trivializes all classes
-except R_1 (surjective), R_6 (injective) and R_11 (semi-regular, k(T) = 0),
-and those three all say that T is invertible. The trivializations are
-recorded as notes rather than silently dropped.
+closed and every dimension count is finite, so every class holds for every
+operator except R_1 (surjective), R_6 (injective) and R_11 (semi-regular,
+k(T) = 0), and those three all say that T is invertible: one verdict, read
+off the power chain. The tests keep the totals c, c', k in their
+complement, intersection and sum forms as the oracle.
 """
 
 from __future__ import annotations
@@ -36,8 +37,6 @@ from fractions import Fraction
 from math import gcd, isqrt, lcm
 
 from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
-
-_N_REGULARITIES = 19
 
 
 def _require_square(T: Mat) -> None:
@@ -51,7 +50,9 @@ class InvariantProfile:
 
     Sequences run n = 0..dim. The essential degrees asc_e, dsc_e, dis_e are 0
     for every finite-dimensional operator (every count is finite, so the
-    defining infima are attained at n = 0).
+    defining infima are attained at n = 0). The hyper-kernel N(T^s) and
+    hyper-range R(T^s), s the stabilization index, enter by their dimensions
+    dim - rank T^s and rank T^s; the subspaces are on the power chain.
     """
 
     dim: int
@@ -67,8 +68,8 @@ class InvariantProfile:
     k_total: int
     c_total: int
     cp_total: int
-    hyper_kernel: Subspace
-    hyper_range: Subspace
+    hyper_kernel_dim: int
+    hyper_range_dim: int
 
 
 class PowerChain:
@@ -173,67 +174,26 @@ def profile(T: Mat | PowerChain) -> InvariantProfile:
         k_total=sum(k_seq),
         c_total=sum(c_seq),
         cp_total=sum(c_seq),
-        hyper_kernel=chain.kernel(d),
-        hyper_range=chain.image(d),
+        hyper_kernel_dim=d - chain.rank(s),
+        hyper_range_dim=chain.rank(s),
     )
     return chain._profile
 
 
-#: Trivialization notes for the regularity classes whose defining conditions
-#: (finiteness of a count, closedness of a subspace) always hold at finite
-#: dimension. Indexed 1..19; classes absent here carry real content.
-TRIVIAL_NOTES: dict[int, str] = {
-    2: "c(T) is always finite at finite dimension",
-    3: "c_d(T) = 0 at d = dim and every subspace is closed",
-    4: "every c_n(T) is finite",
-    5: "every c_n(T) is finite and every subspace is closed",
-    7: "c'(T) is always finite; ranges are closed",
-    8: "c'_d(T) = 0 at d = dim and every subspace is closed",
-    9: "every c'_n(T) is finite; ranges are closed",
-    10: "every c'_n(T) is finite and every subspace is closed",
-    12: "k(T) is always finite; ranges are closed",
-    13: "k_n(T) = 0 from n = dim on and every subspace is closed",
-    14: "every k_n(T) is finite; ranges are closed",
-    15: "every k_n(T) is finite and every subspace is closed",
-    16: "c_d(T) = 0 at d = dim; R(T)+N(T^d) is closed",
-    17: "c_d(T) is finite; R(T)+N(T^d) is closed",
-    18: "k_n(T) = 0 from n = dim on; R(T)+N(T^d) is closed",
-    19: "k_n(T) is finite from n = dim on; R(T)+N(T^d) is closed",
-}
-
-
-@dataclass(frozen=True)
-class RegularityClass:
-    """Membership of one operator in R_1..R_19, with trivialization notes."""
-
-    memberships: tuple[bool, ...]
-    notes: dict[int, str]
-
-    def is_member(self, i: int) -> bool:
-        """Membership in R_i, i in 1..19."""
-        if not 1 <= i <= _N_REGULARITIES:
-            raise ValueError("regularity index out of range 1..19")
-        return self.memberships[i - 1]
-
-
-def regularity_membership(T: Mat | PowerChain) -> RegularityClass:
-    """Evaluate all nineteen regularity memberships for T.
+def regularity_membership(T: Mat | PowerChain) -> tuple[bool, ...]:
+    """Membership of T in R_1..R_19, in that order.
 
     At finite dimension R_1 is surjectivity (c(T) = 0), R_6 injectivity
     (c'(T) = 0) and R_11 semi-regularity (k(T) = 0). Since k(T) =
     dim N(T) - dim(N(T) cap R(T^dim)) and T is injective on its hyper-range,
-    k(T) = dim N(T); so all three mean that T is invertible, one rank test,
-    read off T's power chain (which may be given instead of T). Every other
-    class holds unconditionally, with the reason recorded in notes.
+    k(T) = dim N(T); so all three mean that T is invertible, which is that
+    its power chain (which may be given instead of T) is stable at 0. Every
+    other class holds for every T.
     """
     chain = T if isinstance(T, PowerChain) else PowerChain(T)
-    flags = [True] * _N_REGULARITIES
-    flags[0] = flags[5] = flags[10] = chain.rank(1) == chain.T.rows
-    notes = dict(TRIVIAL_NOTES)
-    notes[1] = "c(T) = 0 iff T is surjective"
-    notes[6] = "c'(T) = 0 iff T is injective (ranges are closed)"
-    notes[11] = "k(T) = 0 iff T is semi-regular (ranges are closed)"
-    return RegularityClass(memberships=tuple(flags), notes=notes)
+    flags = [True] * 19
+    flags[0] = flags[5] = flags[10] = chain.stable == 0
+    return tuple(flags)
 
 
 def sigma_memberships(shifted: PowerChain) -> tuple[bool, ...]:
@@ -242,7 +202,7 @@ def sigma_memberships(shifted: PowerChain) -> tuple[bool, ...]:
     shifted is the power chain of T - lam; lam is in sigma_{R_i}(T) iff
     T - lam is not a member of R_i.
     """
-    return tuple(not f for f in regularity_membership(shifted).memberships)
+    return tuple(not f for f in regularity_membership(shifted))
 
 
 def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:

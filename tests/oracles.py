@@ -27,7 +27,7 @@ from fractions import Fraction
 from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
-from ratspec.invariants import rational_eigenvalues, regularity_membership
+from ratspec.invariants import rational_eigenvalues
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             preimage, quotient_dim, rank, rat)
 
@@ -161,8 +161,20 @@ def k_n_via_sums(T: Mat, n: int) -> int:
 
 
 def sigma_R_membership(T: Mat, lam: int | Fraction, i: int) -> bool:
-    """True iff lam is in sigma_{R_i}(T), i.e. T - lam is not in R_i."""
-    return not regularity_membership(T.shifted(rat(lam))).is_member(i)
+    """True iff lam is in sigma_{R_i}(T), i.e. T - lam is not in R_i.
+
+    At finite dimension R_1, R_6 and R_11 say that the total c, c' or k of
+    T - lam is 0, each summed here over n = 0..dim from its complement,
+    intersection or sum form; every other class holds for every operator.
+    """
+    if not 1 <= i <= 19:
+        raise ValueError("regularity index out of range 1..19")
+    total = {1: c_n_via_complement, 6: cp_n_via_intersection,
+             11: k_n_via_sums}.get(i)
+    if total is None:
+        return False
+    S = T.shifted(rat(lam))
+    return sum(total(S, n) for n in range(S.rows + 1)) != 0
 
 
 def fredholm_index(T: Mat) -> int:

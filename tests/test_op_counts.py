@@ -1,10 +1,11 @@
-"""Kernel call counts of `verify --json`, held as upper bounds.
+"""Kernel call counts of `verify --json` and `report --json`, held as upper
+bounds.
 
 Every rank decision and every product goes through kernels.rref and
 kernels.matmul, and their call counts on a fixed document are deterministic.
-A change that makes verify do more linear algebra raises a count past its
-bound here, even where the timings are too noisy to show it. A change that
-lowers a count records the new count as the bound.
+A change that makes verify or report do more linear algebra raises a count
+past its bound here, even where the timings are too noisy to show it. A
+change that lowers a count records the new count as the bound.
 
 The kernels compute over the integers: a Mat is integer numerators over one
 common denominator, and what reaches a kernel is numerators only. A Fraction
@@ -28,6 +29,10 @@ TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 BOUNDS = {"paper_ex1": (32, 105), "rational_spectrum": (43, 96),
           "c_equals_b_fractional": (42, 74)}
 
+# document -> (rref calls, matmul calls) of one `report --json`, whose
+# profiles count the hyper-spaces by rank
+REPORT_BOUNDS = {"rational_spectrum_dim5": (52, 28)}
+
 
 def _document(name):
     if name == "paper_ex1":
@@ -35,12 +40,16 @@ def _document(name):
     if name == "c_equals_b_fractional":
         return generate(GenSpec(template="c_equals_b", block_dim=3, seed=0,
                                 entry_bound=3))
+    if name == "rational_spectrum_dim5":
+        return generate(GenSpec(template="rational_spectrum", block_dim=5,
+                                seed=0, entry_bound=2))
     return generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1,
                             entry_bound=2))
 
 
-def _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys):
-    """Run `verify --json` on the document; {kernel: [args of each call]}."""
+def _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys,
+                                command="verify"):
+    """Run `<command> --json` on the document; {kernel: [args of each call]}."""
     path = tmp_path / f"{name}.json"
     write_triple_document(_document(name), str(path))
     calls = {"rref": [], "matmul": []}
@@ -52,16 +61,24 @@ def _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys):
             return real(*args)
 
         monkeypatch.setattr(kernels, kernel, recorded)
-    assert main(["verify", str(path), "--json"]) == EXIT_OK
+    assert main([command, str(path), "--json"]) == EXIT_OK
     capsys.readouterr()
     return calls
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
 def test_verify_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsys):
-    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    calls = _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
     assert len(calls["rref"]) <= BOUNDS[name][0]
     assert len(calls["matmul"]) <= BOUNDS[name][1]
+
+
+@pytest.mark.parametrize("name", sorted(REPORT_BOUNDS))
+def test_report_stays_within_its_kernel_calls(name, tmp_path, monkeypatch, capsys):
+    calls = _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys,
+                                        "report")
+    assert len(calls["rref"]) <= REPORT_BOUNDS[name][0]
+    assert len(calls["matmul"]) <= REPORT_BOUNDS[name][1]
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDS))
@@ -70,7 +87,7 @@ def test_no_kernel_product_has_an_empty_side(name, tmp_path, monkeypatch, capsys
     # columns, and a containment with no rows to test or in the whole space,
     # are answered without a kernel call; verify still exits 0, every check
     # passing
-    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    calls = _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
     assert [args[:3] for args in calls["matmul"] if 0 in args[:3]] == []
     assert [args[:2] for args in calls["rref"] if 0 in args[:2]] == []
 
@@ -86,7 +103,7 @@ def test_no_fraction_reaches_the_kernels(tmp_path, monkeypatch, capsys):
     name = "c_equals_b_fractional"
     t = _document(name)
     assert any(M.den > 1 for M in (t.A, t.B, t.C))
-    calls = _verify_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    calls = _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
     assert len(calls["rref"]) <= BOUNDS[name][0]
     assert len(calls["matmul"]) <= BOUNDS[name][1]
     operands = ([args[2] for args in calls["rref"]]

@@ -1,9 +1,10 @@
 """The names the benchmark's span tracer wraps still exist in ratspec.
 
-ratbench/tracer.py wraps ratspec functions by name (its LAYERS table), and
-its self-tests read a few module aliases. Moving or renaming one of them
-would break only the traced benchmark run, so this test resolves every
-pinned name here. The tracer module is loaded from its file and not changed.
+ratbench/tracer.py wraps ratspec functions by name (its LAYERS table); its
+self-tests read module aliases, and its workloads and worker call generate,
+write and run functions by name. Moving or renaming one of them would break
+only the benchmark run, so this test resolves every pinned name here. The
+tracer module is loaded from its file and not changed.
 """
 
 import importlib
@@ -14,10 +15,19 @@ import pytest
 
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
-# aliases the benchmark self-tests read besides the LAYERS table
+# names the benchmark reads besides the LAYERS table: the aliases its
+# self-tests check, and what its workloads and worker call to generate, write
+# and run a document
 ALIASES = ("ratspec.drazin.image", "ratspec.drazin.kernel",
            "ratspec.cli.profile", "ratspec._kernels_py.matmul",
-           "ratspec.kernels.BACKEND")
+           "ratspec.kernels.BACKEND", "ratspec.invariants.charpoly",
+           "ratspec.intertwine.image", "ratspec.intertwine.rational_eigenvalues",
+           "ratspec.cli.OperatorTriple", "ratspec.genlab.GenSpec",
+           "ratspec.genlab.generate", "ratspec.genlab.paper_example",
+           "ratspec.genlab.random_unimodular",
+           "ratspec.genlab.rational_spectrum_instance",
+           "ratspec.cli.triple_document", "ratspec.cli.write_triple_document",
+           "ratspec.cli.main")
 
 
 def _load_layers() -> dict[str, tuple[str, tuple[str, ...]]]:
