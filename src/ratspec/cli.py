@@ -5,6 +5,13 @@ Triples travel as JSON documents with every entry a rational string
 The machine-readable report dict is the source of truth; the printed tables
 are rendered from it and never re-derive a verdict.
 
+Every JSON document ratspec writes (a report, a triple document) comes from
+one writer, _write_json: the bytes json.dump(obj, fh, indent=1) writes and a
+newline, built as one string from C-escaped strings and int reprs and
+written at once. On input, each matrix entry is checked against ENTRY_RE and
+read as integers; its field label, such as A[1][2], is formed only for the
+error message.
+
 Exit codes: 0 = pass, 1 = verification failure, 2 = input/parse error.
 """
 
@@ -16,6 +23,7 @@ import json
 import re
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from math import lcm
 from typing import Any, Sequence
 
@@ -47,29 +55,26 @@ class ParseError(ValueError):
 # ---------------------------------------------------------------------------
 # document I/O
 
-def _parse_entry(s: Any, where: str) -> tuple[int, int]:
-    """The entry "p" or "p/q" as (p, q), not necessarily in lowest terms."""
-    if not isinstance(s, str) or not ENTRY_RE.fullmatch(s):
-        raise ParseError(f"{where}: {s!r} is not a rational string p or p/q")
-    p, _, q = s.partition("/")
-    # Python caps int-string conversion (4300 digits by default)
-    try:
-        return int(p), int(q) if q else 1
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}") from exc
-
-
 def _parse_matrix(obj: Any, name: str, rows: int, cols: int) -> Mat:
     """The matrix of the entries' numerators over the lcm of their denominators;
     Mat.from_ints reduces it to lowest terms."""
     if not isinstance(obj, list) or len(obj) != rows:
         raise ParseError(f"{name}: expected {rows} rows")
+    match = ENTRY_RE.fullmatch
     entries = []
     for i, row in enumerate(obj):
         if not isinstance(row, list) or len(row) != cols:
             raise ParseError(f"{name}[{i}]: expected {cols} entries")
         for j, s in enumerate(row):
-            entries.append(_parse_entry(s, f"{name}[{i}][{j}]"))
+            if not isinstance(s, str) or not match(s):
+                raise ParseError(f"{name}[{i}][{j}]: {s!r} is not a rational "
+                                 "string p or p/q")
+            p, _, q = s.partition("/")
+            # Python caps int-string conversion (4300 digits by default)
+            try:
+                entries.append((int(p), int(q) if q else 1))
+            except ValueError as exc:
+                raise ParseError(f"{name}[{i}][{j}]: {exc}") from exc
     den = lcm(*[q for _, q in entries])
     return Mat.from_ints(rows, cols, [p * (den // q) for p, q in entries], den)
 
@@ -117,10 +122,43 @@ def triple_document(t: OperatorTriple, metadata: dict | None = None) -> dict:
     return doc
 
 
+#: The text of each JSON scalar ratspec writes, by exact type.
+_SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
+                bool: {True: "true", False: "false"}.__getitem__,
+                type(None): lambda _: "null"}
+
+
+def _json_text(obj: Any, newline: str) -> str:
+    """obj as json.dump(obj, fh, indent=1) writes it; newline is the line
+    break and indent before obj's closing bracket. Keys must be strings. A
+    float, a Fraction or any other type raises TypeError: ratspec writes
+    none of them (json.dump too raises it for a Fraction)."""
+    text = _SCALAR_TEXT.get(type(obj))
+    if text is not None:
+        return text(obj)
+    inner = newline + " "
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        return ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+            for key, value in obj.items()]) + newline + "}")
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        try:  # a list of scalars in one pass
+            items = [_SCALAR_TEXT[type(x)](x) for x in obj]
+        except KeyError:
+            items = [_json_text(x, inner) for x in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def _write_json(obj: dict, fh) -> None:
-    """obj as indented JSON and a newline: every JSON document ratspec writes."""
-    json.dump(obj, fh, indent=1)
-    fh.write("\n")
+    """obj as indented JSON and a newline, in one write: every JSON document
+    ratspec writes, byte for byte what json.dump(obj, fh, indent=1) writes
+    before the newline (the tests keep json.dump as the oracle)."""
+    fh.write(_json_text(obj, "\n") + "\n")
 
 
 def write_triple_document(t: OperatorTriple, path: str,
@@ -141,7 +179,7 @@ def _read(path: str) -> str:
 # machine-readable reports
 
 def _rat_str(x: Fraction, where: str) -> str:
-    # the int-string limit that _parse_entry meets on input also caps output
+    # the int-string limit that _parse_matrix meets on input also caps output
     try:
         return str(x)
     except ValueError as exc:
@@ -421,7 +459,10 @@ def _lambda_args(values: list[str] | None) -> list[Fraction] | None:
     for v in values:
         if not ENTRY_RE.fullmatch(v):
             raise ParseError(f"--lambda {v!r} is not a rational p or p/q")
-        out.append(Fraction(*_parse_entry(v, "--lambda")))
+        try:
+            out.append(Fraction(v))
+        except ValueError as exc:
+            raise ParseError(f"--lambda: {exc}") from exc
     return out
 
 

@@ -7,8 +7,10 @@ the zero matrix has den == 1. Equal matrices are therefore equal field for
 field. Subspace is a subspace of Q^n held as its reduced-echelon basis, a Mat
 in that form, with the pivot columns of the reduction that made it; that
 makes subspace equality a structural comparison too. Poly is a dense
-univariate polynomial over fractions.Fraction (aliased Rat), coefficients
-lowest degree first.
+univariate polynomial with fractions.Fraction (aliased Rat) coefficients,
+lowest degree first; its value at a/b is one Horner pass on integers, the
+coefficients' numerators over the lcm of their denominators, and one
+Fraction at the end.
 
 Fractions appear only where values enter (Mat(...), Mat.from_rows,
 Subspace.from_vectors, a shift or a scale factor) and where they leave
@@ -513,11 +515,18 @@ class Poly:
         return len(self.coeffs) - 1
 
     def __call__(self, x: int | Fraction) -> Fraction:
+        """p(a/b) = sum N_i a^i b^(d-i) / (L b^d), N_i = L c_i over the lcm L
+        of the coefficients' denominators: one Horner pass on integers."""
+        if not self.coeffs:
+            return _ZERO
         x = rat(x)
-        acc = _ZERO
+        a, b = x.numerator, x.denominator
+        den = lcm(*[c.denominator for c in self.coeffs])
+        acc, scale = 0, 1
         for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+            acc = acc * a + c.numerator * (den // c.denominator) * scale
+            scale *= b
+        return Fraction(acc, den * scale // b)  # scale = b^(d+1)
 
     def __add__(self, other: "Poly") -> "Poly":
         a, b = self.coeffs, other.coeffs

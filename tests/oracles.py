@@ -4,19 +4,20 @@ Production reads every per-operator quantity off one PowerChain and every
 per-lambda quantity off the triple's shared chains. The functions here
 compute the same quantities another way, from fresh matrix powers,
 subspace sums and intersections, or the characteristic polynomial, so that
-the tests can compare the two. The characteristic polynomial and the
-rational eigenvalues have their textbook forms here too: Faddeev-LeVerrier
-over Fraction, and the rational-root theorem with a divisor scan; so has
-the default probe set, from a root search on each of the two
-characteristic polynomials where production searches one. The
-generator's ABA = ACA sampler has its first form here as well, the kernel
-of the dx*dy x dx*dy Kronecker matrix of C |-> ACA, and so has the subspace
-intersection, by the kernel of the stacked bases, and the preimage route
-to a quotient map's injectivity, on the whole space. The condition
-residuals are here as differences of the four products A(BA)^2, ABACA,
-ACABA and (AC)^2A, where production forms at most three products by
-distributivity. FractionMat is the entrywise-Fraction matrix that Mat's
-integer-numerator arithmetic is checked against.
+the tests can compare the two. The characteristic polynomial, its
+evaluation and the rational eigenvalues have their textbook forms here
+too: Faddeev-LeVerrier and Horner's rule over Fraction, and the
+rational-root theorem with a divisor scan; so has the default probe set,
+from a root search on each of the two characteristic polynomials where
+production searches one. The generator's ABA = ACA sampler has its first
+form here as well, the kernel of the dx*dy x dx*dy Kronecker matrix of
+C |-> ACA, and so has the subspace intersection, by the kernel of the
+stacked bases, and the preimage route to a quotient map's injectivity, on
+the whole space. The condition residuals are here as differences of the
+four products A(BA)^2, ABACA, ACABA and (AC)^2A, where production forms at
+most three products by distributivity. FractionMat is the
+entrywise-Fraction matrix that Mat's integer-numerator arithmetic is
+checked against.
 """
 
 from __future__ import annotations
@@ -229,6 +230,15 @@ def power_identity(t: OperatorTriple, k: int) -> bool:
     left = t.aba @ ca_shift ** k == ab_shift ** k @ t.aba
     right = t.aca @ ba_shift ** k == ac_shift ** k @ t.aca
     return left and right
+
+
+def poly_eval_fraction(p: Poly, x: int | Fraction) -> Fraction:
+    """p(x) by Horner's rule over Fraction, one normalization per step."""
+    x = rat(x)
+    acc = _ZERO
+    for c in reversed(p.coeffs):
+        acc = acc * x + c
+    return acc
 
 
 def charpoly_fraction(M: Mat) -> Poly:

@@ -1,5 +1,6 @@
 """CLI contract: document round-trips, exit codes, renderer fidelity."""
 
+import io
 import json
 import os
 import tempfile
@@ -11,8 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratspec.cli import (DIM_CEILING, EXIT_FAIL, EXIT_INPUT, EXIT_OK,
-                         NMAX_CEILING, ParseError, build_drazin_report,
-                         build_report, main, parse_triple_document,
+                         NMAX_CEILING, ParseError, _write_json,
+                         build_drazin_report, build_report, main,
+                         parse_triple_document,
                          run_verification, triple_document,
                          write_triple_document)
 from ratspec.genlab import GenSpec, default_idempotent, generate, paper_example
@@ -125,6 +127,46 @@ class TestParseErrors:
             assert main(["verify", str(p)]) == EXIT_INPUT
 
 
+class TestEntryDiagnostics:
+    """The exact error line for a bad entry away from the first row and column:
+    A is dim_y x dim_x = 2 x 3 and C is dim_x x dim_y = 3 x 2."""
+
+    @staticmethod
+    def _document(tmp_path, name, i, j, entry):
+        doc = {"dim_x": 3, "dim_y": 2, "A": [["1", "0", "1/2"], ["0", "-1", "2"]],
+               "B": [["1", "0"], ["0", "1"], ["1", "1"]],
+               "C": [["1", "0"], ["0", "1"], ["1", "1"]]}
+        doc[name][i][j] = entry
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    @pytest.mark.parametrize("name, i, j", [("A", 1, 2), ("C", 2, 0), ("B", 1, 1)])
+    @pytest.mark.parametrize("entry, shown", [(5, "5"), (None, "None"),
+                                              ([1], "[1]"), ("1/0", "'1/0'"),
+                                              ("1.5", "'1.5'"), ("", "''")])
+    def test_not_a_rational_string(self, tmp_path, capsys, name, i, j, entry, shown):
+        path = self._document(tmp_path, name, i, j, entry)
+        for cmd in ("verify", "report"):
+            assert main([cmd, path, "--json"]) == EXIT_INPUT
+            captured = capsys.readouterr()
+            assert captured.err == (f"error: {name}[{i}][{j}]: {shown} is not a "
+                                    "rational string p or p/q\n")
+            assert captured.out == ""
+
+    @pytest.mark.parametrize("name, i, j", [("A", 1, 2), ("C", 2, 0)])
+    @pytest.mark.parametrize("entry", ["7" * 5000, "1/" + "3" * 5000])
+    def test_past_the_int_string_limit(self, tmp_path, capsys, name, i, j, entry):
+        path = self._document(tmp_path, name, i, j, entry)
+        message = ("Exceeds the limit (4300 digits) for integer string "
+                   "conversion: value has 5000 digits; use "
+                   "sys.set_int_max_str_digits() to increase the limit")
+        assert main(["report", path, "--json"]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {name}[{i}][{j}]: {message}\n"
+        assert captured.out == ""
+
+
 _json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: (st.lists(inner, max_size=4)
@@ -176,6 +218,52 @@ class TestParserFuzz:
                          ["report", path, "--json"],
                          ["drazin", path]):
                 assert main(argv) in (EXIT_OK, EXIT_FAIL, EXIT_INPUT)
+
+
+# strings with quotes, backslashes, control characters, non-ASCII and a
+# lone surrogate, which JSON escapes as \uXXXX
+_awkward_text = st.text(st.characters() | st.sampled_from(
+    '"\\/\x00\x08\x1f\x7f\n\t\u00e9\u2028\ud800\U0001f600'))
+_written_values = st.recursive(
+    st.none() | st.booleans() | st.integers()
+    | st.integers(min_value=-(1 << 300), max_value=1 << 300) | _awkward_text
+    | st.sampled_from([[], {}, ()]),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.lists(inner, max_size=5).map(tuple)
+                   | st.dictionaries(_awkward_text, inner, max_size=5)),
+    max_leaves=30)
+
+
+class _Writes(list):
+    """A text file that records each write."""
+    write = list.append
+
+
+class TestJsonWriter:
+    @settings(max_examples=150)
+    @given(_written_values)
+    def test_writes_what_json_dump_writes(self, obj):
+        expected = io.StringIO()
+        json.dump(obj, expected, indent=1)
+        fh = _Writes()
+        _write_json(obj, fh)
+        assert fh == [expected.getvalue() + "\n"]
+
+    def test_reports(self, ex1_file, capsys):
+        t, _ = parse_triple_document(open(ex1_file).read())
+        for obj in (build_report(t, None, None), run_verification(t),
+                    build_drazin_report(t), triple_document(t, {"n": 1})):
+            fh = _Writes()
+            _write_json(obj, fh)
+            assert fh == [json.dumps(obj, indent=1) + "\n"]
+
+    @pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), Fraction(2)])
+    def test_floats_and_fractions_raise(self, value):
+        for obj in (value, [1, value], {"a": [True, {"b": value}]}, (value,)):
+            fh = _Writes()
+            with pytest.raises(TypeError):
+                _write_json(obj, fh)
+            assert fh == []
 
 
 class TestExitCodes:

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
-from oracles import FractionMat, charpoly_fraction, intersect_by_kernel
+from oracles import (FractionMat, charpoly_fraction, intersect_by_kernel,
+                     poly_eval_fraction)
 from ratspec import kernels
 from ratspec.intertwine import MapCache
 from ratspec.ratmat import (Mat, Poly, Subspace, block, charpoly, image,
@@ -321,6 +322,33 @@ class TestCharpoly:
         with pytest.raises(ArithmeticError,
                            match="Newton's identities: 2 e_2 is not divisible by 2"):
             charpoly(Mat.identity(3))
+
+
+# numerators and denominators of up to about 400 bits
+wide_rationals = st.builds(Fraction,
+                           st.integers(min_value=-(1 << 400), max_value=1 << 400),
+                           st.integers(min_value=1, max_value=1 << 400))
+
+
+class TestPolyCall:
+    @given(st.lists(wide_rationals, max_size=13), wide_rationals)
+    def test_matches_fraction_horner(self, coeffs, x):
+        p = Poly(coeffs)
+        for at in (x, -x, 0):
+            value = p(at)
+            assert type(value) is Fraction
+            assert value == poly_eval_fraction(p, at)
+
+    @given(wide_rationals, wide_rationals)
+    def test_zero_and_constant_polynomials(self, c, x):
+        assert Poly([])(x) == 0 and Poly([0, 0])(x) == 0
+        assert Poly([c])(x) == c
+
+    def test_int_and_string_coefficients(self):
+        # 3/2 + 3/2 x - 3/2 x^2 + x^3 at x = -1/3, by hand: 3/2 - 1/2 - 1/6 - 1/27
+        q = Poly(["3/2", "3/2", "-3/2", 1])
+        assert q(Fraction(-1, 3)) == Fraction(43, 54)
+        assert q(2) == poly_eval_fraction(q, 2) == Fraction(13, 2)
 
 
 class TestPolyEval:
