@@ -14,9 +14,8 @@ from hypothesis import strategies as st
 from ratspec.cli import (DIM_CEILING, EXIT_FAIL, EXIT_INPUT, EXIT_OK,
                          NMAX_CEILING, ParseError, _write_json,
                          build_drazin_report, build_report, main,
-                         parse_triple_document,
-                         run_verification, triple_document,
-                         write_triple_document)
+                         parse_triple_document, run_verification,
+                         triple_document, write_triple_document)
 from ratspec.genlab import GenSpec, default_idempotent, generate, paper_example
 from ratspec.intertwine import OperatorTriple
 from ratspec.ratmat import Mat
@@ -249,8 +248,8 @@ class TestJsonWriter:
         _write_json(obj, fh)
         assert fh == [expected.getvalue() + "\n"]
 
-    def test_reports(self, ex1_file, capsys):
-        t, _ = parse_triple_document(open(ex1_file).read())
+    def test_reports(self):
+        t = paper_example(1, default_idempotent(2))
         for obj in (build_report(t, None, None), run_verification(t),
                     build_drazin_report(t), triple_document(t, {"n": 1})):
             fh = _Writes()
