@@ -4,12 +4,16 @@ At finite dimension every square T is Drazin invertible: with d the index
 (where the rank of T^d stabilizes), Q^n splits as R(T^d) + N(T^d), T is
 invertible on the first summand and nilpotent on the second, and the Drazin
 inverse S inverts the core and kills the nilpotent part. S is formed from the
-r x r core block of T (r = rank T^d), the only matrix inverted, and the
-check of its three defining identities reads TS once. Nilpotency is decided
-by products alone: at finite dimension M is nilpotent iff M^dim = 0
-(Cayley-Hamilton), so nilpotency_index multiplies out M, M^2, ... until a
-power vanishes, and the same routine decides the known degrees of T^2 S - T
-and of PA.C in the proof identities. Everything here is exact; "Riesz"
+r x r core block of T (r = rank T^d), the only matrix inverted and the only
+row reduction past T's power chain, and the check of its three defining
+identities reads TS once. Nilpotency is decided by products alone: at finite
+dimension M is nilpotent iff M^dim = 0 (Cayley-Hamilton), so
+nilpotency_index multiplies out M, M^2, ... until a power vanishes, and the
+same routine decides the known degree of T^2 S - T. The transfer and the
+proof identities share their products: the proof identities read ST, T^2 S
+and T(BA) off the Drazin result and the transfer report, and take the
+degree of PA.C from that of (AC)^2 S - AC when the two are equal.
+Everything here is exact; "Riesz"
 collapses to "nilpotent" on rational matrices, so the generalized statements
 specialize to the classical Drazin inverse.
 """
@@ -22,7 +26,7 @@ from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import PowerChain
 # image and kernel are not called here; they stay importable as drazin.image
 # and drazin.kernel, which the ratbench tracer self-tests read
-from ratspec.ratmat import Mat, image, inverse, kernel, rref  # noqa: F401
+from ratspec.ratmat import Mat, image, inverse, kernel  # noqa: F401
 
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
@@ -51,13 +55,14 @@ class DrazinResult:
 
     TS = ST, STS = S, and T^2 S - T is nilpotent; T = core_part +
     nilpotent_part with both products zero and index = asc(T) = dsc(T).
-    projection is TS = ST, the projection onto R(T^d) along N(T^d), and
-    core_part is T^2 S = T (TS).
+    projection is TS, the projection onto R(T^d) along N(T^d), st is ST,
+    which the check found equal to it, and core_part is T^2 S = T (TS).
     """
 
     inverse: Mat
     index: int
     projection: Mat
+    st: Mat
     core_part: Mat
     nilpotent_part: Mat
 
@@ -66,8 +71,10 @@ def drazin_inverse(T: Mat) -> DrazinResult:
     """Drazin inverse S = U (W T U)^-1 W from the core block at d = asc(T).
 
     d is the stabilization index of T's PowerChain. The columns U are the
-    chain's basis of R(T^d); the rows W are the nonzero rows of rref(T^d),
-    so N(W) = N(T^d). T maps R(T^d) onto itself, and W is injective there
+    chain's basis of R(T^d). The chain row-reduced R(T^d) as the row space
+    of (T^d)^T, whose pivot columns are r independent rows of T^d; those
+    rows are W, so W spans the rows of T^d and N(W) = N(T^d), with no
+    further row reduction. T maps R(T^d) onto itself, and W is injective there
     because R(T^d) and N(T^d) meet in 0, so the r x r core block W T U is
     invertible. S is then the inverse of T on R(T^d) and zero on N(T^d);
     no basis of N(T^d) is formed. At index 0 T is invertible and S is its
@@ -82,24 +89,22 @@ def drazin_inverse(T: Mat) -> DrazinResult:
         if S is None:
             raise ArithmeticError("index 0 but T is singular")
     else:
-        U = chain.image(d).basis_matrix().transpose()
-        R, pivots = rref(chain.stable_power())
-        if len(pivots) != U.cols:
-            raise ArithmeticError("core-nilpotent split failed")
-        W = R.submatrix(range(len(pivots)), range(T.cols))
+        img = chain.image(d)
+        U = img.basis_matrix().transpose()
+        W = chain.stable_power().submatrix(img.pivots, range(T.cols))
         core_inv = inverse(W @ T @ U)
         if core_inv is None:
             raise ArithmeticError("core block is singular")
         S = U @ core_inv @ W
-    ts, core = _verify_drazin(T, S, d)
-    return DrazinResult(inverse=S, index=d, projection=ts, core_part=core,
-                        nilpotent_part=T - core)
+    ts, st, core = _verify_drazin(T, S, d)
+    return DrazinResult(inverse=S, index=d, projection=ts, st=st,
+                        core_part=core, nilpotent_part=T - core)
 
 
-def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
-    """Check the three defining identities; (TS, T^2 S), read off TS."""
-    ts = T @ S
-    if S @ T != ts:
+def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat, Mat]:
+    """Check the three defining identities; (TS, ST, T^2 S), read off TS."""
+    ts, st = T @ S, S @ T
+    if st != ts:
         raise ArithmeticError("TS != ST")
     if S @ ts != S:
         raise ArithmeticError("STS != S")
@@ -107,7 +112,7 @@ def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
     core = T @ ts
     if not _nilpotent_of_degree(core - T, d):
         raise ArithmeticError("nilpotency degree of T^2 S - T != index")
-    return ts, core
+    return ts, st, core
 
 
 def _nilpotent_of_degree(M: Mat, d: int) -> bool:
@@ -121,6 +126,7 @@ class TransferReport:
 
     s_ac: DrazinResult
     candidate: Mat           # B S^2 A
+    cand_ba: Mat             # T(BA)
     commutes: bool           # T(BA) = (BA)T
     inner: bool              # T(BA)T = T
     residual_index: int | None  # nilpotency index of (BA)^2 T - BA
@@ -150,7 +156,8 @@ def transfer(t: OperatorTriple) -> TransferReport:
 
     The three defining identities are checked directly, and by uniqueness
     of the Drazin inverse they hold exactly when the candidate is the
-    Drazin inverse of BA; that inverse is not formed here.
+    Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
+    on the report, where the proof identities read it.
     """
     _require_condition(t)
     s_res = drazin_inverse(t.ac)
@@ -161,8 +168,9 @@ def transfer(t: OperatorTriple) -> TransferReport:
     commutes = cand_ba == ba_cand
     inner = cand_ba @ cand == cand
     residual_index = nilpotency_index(ba @ ba_cand - ba)
-    return TransferReport(s_ac=s_res, candidate=cand, commutes=commutes,
-                          inner=inner, residual_index=residual_index)
+    return TransferReport(s_ac=s_res, candidate=cand, cand_ba=cand_ba,
+                          commutes=commutes, inner=inner,
+                          residual_index=residual_index)
 
 
 @dataclass(frozen=True)
@@ -180,31 +188,32 @@ class ProofIdentitiesReport:
 def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesReport:
     """Verify the identity chain used to justify the transfer, entrywise.
 
-    S, its index, AC S, (AC)^2 S and the candidate B S^2 A are read from the
-    transfer report tr of the same triple. When C == B the four words of
-    the cycle are one word, and none of them is formed.
+    S, its index, AC S, SAC, (AC)^2 S, the candidate B S^2 A and T(BA) are
+    read from the transfer report tr of the same triple, so no product is
+    formed twice. When PA.B == PA.C (always when C == B) the four words of
+    the cycle are one word, and none of them is formed. drazin_inverse has
+    verified that (AC)^2 S - AC is nilpotent of degree index, so when PA.C
+    equals it, so is PA.C, with no product.
     """
     _require_condition(t)
-    S = tr.s_ac.inverse
     d = tr.s_ac.index
-    ac = t.ac
     ac_s = tr.s_ac.projection  # AC S
-    commutation = ac_s == S @ ac
-    P = ac_s.shifted(1)
-    pa = P @ t.A
+    commutation = ac_s == tr.s_ac.st
+    pa = ac_s.shifted(1) @ t.A  # P = AC S - I
     ba = t.ba
-    residual_is_bpa = (tr.candidate @ ba @ ba - ba) == t.B @ pa
+    residual_is_bpa = (tr.cand_ba @ ba - ba) == t.B @ pa
     pac = pa @ t.C
-    if t.C == t.B:
+    pab = pac if t.C == t.B else pa @ t.B
+    if pab == pac:
         cycle = True  # the four words are one
     else:
         # (PA)X(PA)Y(PA) = [(PA)X] [(PA)Y(PA)] for X, Y in {B, C}
-        pab = pa @ t.B
         pabpa, pacpa = pab @ pa, pac @ pa
         cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
-    pac_matches = pac == tr.s_ac.core_part - ac  # (AC)^2 S - AC
+    pac_matches = pac == tr.s_ac.core_part - t.ac  # (AC)^2 S - AC
     return ProofIdentitiesReport(commutation=commutation,
                                  residual_is_bpa=residual_is_bpa,
                                  cycle=cycle, pac_matches=pac_matches,
-                                 pac_nilpotent=_nilpotent_of_degree(pac, d),
+                                 pac_nilpotent=(pac_matches
+                                                or _nilpotent_of_degree(pac, d)),
                                  index=d)

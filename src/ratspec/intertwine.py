@@ -10,9 +10,10 @@ agreement, the nonzero characteristic-polynomial match, and the binomial
 shift operators B_n, C_n with (I-BA)^n = I - B_nA and (I-AC)^n = I - AC_n.
 
 Every verifier reads one OperatorTriple, which forms each product of the
-triple once: BA, AC, CA, ABA and ACA (only BA, AC and ABA when C == B), and
-the condition residuals from them by distributivity rather than from the
-four degree-5 products A(BA)^2, ABACA, ACABA and (AC)^2A. Its power chains
+triple once: BA, AC, CA, ABA and ACA (only BA and AC when C == B, and ABA =
+ACA on its first read), and the condition residuals from them by
+distributivity rather than from the four degree-5 products A(BA)^2, ABACA,
+ACABA and (AC)^2A. Its power chains
 are keyed by operator value, so equal operators (CA - 1 and BA - 1 when
 CA = BA, say) share one chain.
 
@@ -101,15 +102,18 @@ class MapCache:
 class OperatorTriple:
     """(A, B, C) with A: X -> Y and B, C: Y -> X, each product formed once.
 
-    Construction forms BA, AC, CA, ABA and ACA; when C == B, CA and ACA are
-    BA and ABA, so it forms only BA, AC and ABA. The residuals of the three
-    chained equalities A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A
-    come by distributivity from D = BA - CA and E = ACA - ABA:
+    Construction forms BA, AC and CA (BA itself when C == B). The residuals
+    of the three chained equalities A(BA)^2 - ABACA, ABACA - ACABA and
+    ACABA - (AC)^2A come by distributivity from D = BA - CA and
+    E = ACA - ABA:
         r1 = ABA D,  r2 = -r1 - E BA,  r3 = r1 + E D,
-    and a product with a zero D or E is not formed. So a triple costs 3
-    products when C == B, 6 when ABA = ACA and 8 otherwise. AB is formed on
-    the first read of ab (AC itself when C == B). All public attributes are
-    treated as immutable.
+    and a product with a zero D or E is not formed. A zero D makes E = -AD
+    and all three residuals zero, and ACA = ABA; ABA and ACA are then one
+    matrix, formed on the first read of aba or aca. Otherwise construction
+    forms ABA and ACA. So a triple costs 2 products when C == B, 3 when
+    CA = BA, 6 when ABA = ACA and 8 otherwise. AB is formed on the first
+    read of ab (AC itself when C == B). All public attributes are treated
+    as immutable.
 
     The power chains of the triple are keyed by operator value, so equal
     operators share one chain: the chains of CA - 1 and AB - 1 are those of
@@ -119,7 +123,7 @@ class OperatorTriple:
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
-                 "ba", "ac", "ca", "aba", "aca", "residuals",
+                 "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
                  "_chains", "_charpolys")
 
@@ -135,20 +139,36 @@ class OperatorTriple:
         self.dim_y = A.rows
         self.ba = B @ A
         self.ac = A @ C
-        self.aba = A @ self.ba
         if C == B:
-            self.ca, self.aca, self._ab = self.ba, self.aba, self.ac
+            self.ca, self._ab = self.ba, self.ac
         else:
-            self.ca = C @ A
-            self.aca = A @ self.ca
-            self._ab = None
-        self.residuals = _residuals(self.ba, self.aba, self.ba - self.ca,
-                                    self.aca - self.aba)
+            self.ca, self._ab = C @ A, None
+        D = self.ba - self.ca
+        if D.is_zero():
+            self._aba = self._aca = None
+            zero = Mat.zero(self.dim_y, self.dim_x)
+            self.residuals = (zero, zero, zero)
+        else:
+            self._aba, self._aca = A @ self.ba, A @ self.ca
+            self.residuals = _residuals(self.ba, self._aba, D,
+                                        self._aca - self._aba)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self.map_cache = MapCache()
         self._power_chains: dict[Mat, PowerChain] = {}
         self._chains: dict[Fraction, tuple[PowerChain, PowerChain]] = {}
         self._charpolys: tuple[Poly, Poly] | None = None
+
+    @property
+    def aba(self) -> Mat:
+        """ABA; when CA = BA, formed on the first read of aba or aca."""
+        if self._aba is None:
+            self._aba = self._aca = self.A @ self.ba
+        return self._aba
+
+    @property
+    def aca(self) -> Mat:
+        """ACA, which is ABA when CA = BA."""
+        return self.aba if self._aca is None else self._aca
 
     @property
     def ab(self) -> Mat:
@@ -231,16 +251,12 @@ def _times_x_power(p: Poly, k: int) -> Poly:
 
 
 def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
-    """A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A from
-    D = BA - CA and E = ACA - ABA, forming no product with a zero side.
+    """A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A from a nonzero
+    D = BA - CA and E = ACA - ABA, forming no product with a zero E.
 
     ABACA = ABA(BA - D) and ACABA = (ABA + E)BA, so the first two are ABA D
-    and -ABA D - E BA; the third is ACA D = (ABA + E)D. E = -AD, so a zero
-    D makes all three zero.
+    and -ABA D - E BA; the third is ACA D = (ABA + E)D.
     """
-    if D.is_zero():
-        zero = Mat.zero(aba.rows, D.cols)
-        return zero, zero, zero
     r1 = aba @ D
     if E.is_zero():
         return r1, -r1, r1

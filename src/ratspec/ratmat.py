@@ -349,8 +349,9 @@ class Subspace:
         return self.contains_rows(Mat(1, len(v), [rat(x) for x in v]))
 
     def contains(self, other: "Subspace") -> bool:
-        """True iff every basis vector of other lies in self."""
-        return self.contains_rows(other._basis)
+        """True iff every basis vector of other lies in self; an equal
+        subspace with no product."""
+        return self == other or self.contains_rows(other._basis)
 
     def annihilator(self) -> Mat:
         """Rows K with self = {y : K y = 0}: a basis of the orthogonal complement.
@@ -378,12 +379,17 @@ class Subspace:
         row with zero left half is u + w = 0 (u in U, w in W) with right half
         u, and these right halves are the reduced-echelon basis of U cap W.
         Row scaling leaves the reduction alone, so the numerators of U and W
-        are stacked.
+        are stacked. A zero or whole-space side gives the answer with no
+        reduction.
         """
         self._same_ambient(other)
         n = self.ambient_dim
         if not (self.dim and other.dim):
             return Subspace.zero(n)
+        if self.dim == n:
+            return other
+        if other.dim == n:
+            return self
         u, w = self._basis.num, other._basis.num
         zeros = (0,) * n
         stacked = ([x for i in range(0, len(u), n) for x in u[i:i + n] * 2]

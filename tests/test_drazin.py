@@ -12,6 +12,7 @@ from ratspec.drazin import (_nilpotent_of_degree, drazin_inverse,
 from ratspec.genlab import (GenSpec, default_idempotent, generate,
                             paper_example, random_unimodular)
 from ratspec.intertwine import ConditionNotSatisfied, OperatorTriple
+from ratspec.invariants import PowerChain
 from ratspec.ratmat import Mat, inverse, kernel, rref
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
@@ -308,6 +309,48 @@ class TestCoreBlock:
         assert kernels == []
 
 
+def drazin_by_rref_rows(T: Mat) -> Mat:
+    """S = U (W T U)^-1 W with W the nonzero rows of rref(T^d), d = asc(T)."""
+    chain = PowerChain(T)
+    d = chain.stable
+    if d == 0:
+        return inverse(T)
+    U = chain.image(d).basis_matrix().transpose()
+    R, pivots = rref(chain.stable_power())
+    W = R.submatrix(range(len(pivots)), range(T.cols))
+    return U @ inverse(W @ T @ U) @ W
+
+
+class TestRowsOfThePower:
+    """W is taken from the rows of T^d, with no row reduction of T^d."""
+
+    def test_matches_the_row_reduced_rows(self):
+        rng = random.Random(17)
+        cases = [with_index(rng, c, n) for c, n in ((2, 1), (3, 2), (1, 3), (0, 2))]
+        cases += [random_square(rng, rng.randint(1, 5)) for _ in range(10)]
+        for T in cases:
+            assert drazin_inverse(T).inverse == drazin_by_rref_rows(T)
+
+    def test_transfer_matches_the_row_reduced_rows_of_ba(self):
+        triples = [paper_example(w, default_idempotent(2)) for w in (1, 2)]
+        triples += [generate(GenSpec(template=which, block_dim=4, seed=5))
+                    for which in ("aba_eq_aca", "c_equals_b", "rational_spectrum")]
+        for t in triples:
+            cand = transfer(t).candidate
+            assert cand == drazin_inverse(t.ba).inverse == drazin_by_rref_rows(t.ba)
+            assert transfer(t).s_ac.inverse == drazin_by_rref_rows(t.ac)
+
+    def test_no_row_reduction_past_the_power_chain(self, monkeypatch):
+        rng = random.Random(4)
+        for core_dim, nil_dim in ((3, 0), (2, 2), (0, 2), (1, 3)):
+            T = with_index(rng, core_dim, nil_dim)
+            _, chain_calls = _kernel_calls(monkeypatch, PowerChain, T)
+            _, calls = _kernel_calls(monkeypatch, drazin_inverse, T)
+            # the one further reduction inverts the core block, which is
+            # empty when the core is
+            assert calls["rref"] == chain_calls["rref"] + (core_dim > 0)
+
+
 class TestTransfer:
     def test_invertible_classical_case(self):
         # C = B with BA invertible: S = (AC)^-1 and T = (BA)^-1
@@ -443,6 +486,50 @@ class TestProofIdentities:
             assert tr.commutes == (cand @ ba == ba @ cand)
             assert tr.inner == (cand @ ba @ cand == cand)
             assert tr.residual_index == nilpotency_index(ba @ ba @ cand - ba)
+
+    def test_cycle_shortcut_agrees_with_the_four_words(self):
+        # paper_ex1/ex2 have PA.B != PA.C; the hand triple has A(C - B) = 0,
+        # so PA.B == PA.C with C != B, and the four words are not formed
+        A = Mat.from_rows([[1, 0], [0, 0]])
+        B = Mat.from_rows([[1, 2], [3, 4]])
+        hand = OperatorTriple(A, B, B + Mat.from_rows([[0, 0], [1, 2]]))
+        cases = [paper_example(w, default_idempotent(2)) for w in (1, 2)]
+        cases += [hand, generate(GenSpec(template="c_equals_b", block_dim=4,
+                                         seed=3))]
+        shortcut = []
+        for t in cases:
+            tr = transfer(t)
+            pa = tr.s_ac.projection.shifted(1) @ t.A
+            B, C = t.B, t.C
+            words = (pa @ B @ pa @ B @ pa, pa @ B @ pa @ C @ pa,
+                     pa @ C @ pa @ B @ pa, pa @ C @ pa @ C @ pa)
+            assert proof_identities(t, tr).cycle == (len(set(words)) == 1)
+            shortcut.append(pa @ B == pa @ C)
+        assert shortcut == [False, False, True, True]
+        assert hand.C != hand.B and hand.condition_holds
+
+    def test_pac_nilpotent_agrees_with_the_power_test(self):
+        triples = [paper_example(w, default_idempotent(2)) for w in (1, 2)]
+        triples += [generate(GenSpec(template=which, block_dim=4, seed=seed))
+                    for which in ("aba_eq_aca", "c_equals_b", "conjugated",
+                                  "rational_spectrum") for seed in (1, 6)]
+        indices = []
+        for t in triples:
+            tr = transfer(t)
+            rep = proof_identities(t, tr)
+            pac = tr.s_ac.projection.shifted(1) @ t.A @ t.C
+            assert rep.pac_nilpotent == _nilpotent_of_degree(pac, rep.index)
+            assert rep.pac_matches and rep.pac_nilpotent
+            indices.append(rep.index)
+        assert max(indices) >= 2
+
+    def test_shared_products_equal_the_ones_formed_afresh(self):
+        for w in (1, 2):
+            t = paper_example(w, default_idempotent(2))
+            tr = transfer(t)
+            S = tr.s_ac.inverse
+            assert tr.s_ac.st == S @ t.ac == tr.s_ac.projection
+            assert tr.cand_ba == tr.candidate @ t.ba
 
     def test_nilpotency_non_square_rejected(self):
         with pytest.raises(ValueError):

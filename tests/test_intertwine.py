@@ -13,7 +13,7 @@ from oracles import (default_probes_by_two_searches,
                      residuals_by_four_products)
 from ratspec import kernels
 from ratspec.cli import INCLUSION_QS
-from ratspec.genlab import (GenSpec, default_idempotent, generate,
+from ratspec.genlab import (TEMPLATES, GenSpec, default_idempotent, generate,
                             paper_example)
 from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
                                 check_condition, default_probes, gamma_map,
@@ -157,12 +157,13 @@ class TestResiduals:
         assert t.residuals == residuals_by_four_products(t.A, t.B, t.C)
         assert t.ab == t.A @ t.B
 
-    @pytest.mark.parametrize("which, products", [("c_equals_b", 3),
+    @pytest.mark.parametrize("which, products", [("c_equals_b", 2),
                                                  ("aba_eq_aca", 6),
                                                  ("paper_ex1", 8),
                                                  ("nonconforming", 8)])
     def test_constructor_products(self, which, products, monkeypatch):
-        # 3 when C == B, 6 when ABA = ACA (E = 0), 8 otherwise
+        # 2 when C == B (ABA = ACA on its first read), 6 when ABA = ACA
+        # (E = 0), 8 otherwise
         g = generate(GenSpec(template=which, block_dim=4, seed=2))
         t, calls = _count_products(monkeypatch,
                                    lambda: OperatorTriple(g.A, g.B, g.C))
@@ -173,6 +174,25 @@ class TestResiduals:
         ab, calls = _count_products(monkeypatch, lambda: t.ab)
         assert ab == g.A @ g.B and calls == (0 if which == "c_equals_b" else 1)
         assert _count_products(monkeypatch, lambda: t.ab) == (ab, 0)
+
+    @pytest.mark.parametrize("which", TEMPLATES)
+    def test_aba_and_aca_are_the_products(self, which):
+        # formed at construction or, when CA = BA, on the first read
+        t = generate(GenSpec(template=which, block_dim=3, seed=0))
+        assert t.aba == t.A @ t.ba and t.aca == t.A @ t.ca
+
+    def test_ca_equal_to_ba_forms_aba_on_the_first_read(self, monkeypatch):
+        # C == B, and C != B with (C - B)A = 0: ABA = ACA is one product,
+        # formed on the first read of either
+        A = Mat.from_rows([[1, 0], [0, 0]])
+        B = Mat.from_rows([[1, 2], [3, 4]])
+        for C, products in ((B, 2), (B + Mat.from_rows([[0, 1], [0, 2]]), 3)):
+            t, calls = _count_products(monkeypatch, lambda: OperatorTriple(A, B, C))
+            assert calls == products and t.ca == t.ba and t.condition_holds
+            aca, calls = _count_products(monkeypatch, lambda: t.aca)
+            assert aca == A @ B @ A and calls == 1
+            assert _count_products(monkeypatch, lambda: t.aba) == (aca, 0)
+            assert t.aba is t.aca
 
     def test_c_equals_b_shares_the_chains_at_one(self):
         t = generate(GenSpec(template="c_equals_b", block_dim=3, seed=1, dim_y=4))

@@ -5,11 +5,17 @@ Fractions and eliminates over Q. matmul has two routes, a dot-product loop
 below PACK_MIN rows or columns and Kronecker-packed rows from there up; the
 properties draw shapes on both sides of that cut-off, and both routes are
 also run on every drawn product, so that neither can drift from the other.
+The packed route itself packs in 64-bit lanes when every entry of the result
+fits one and in wider shifted slots otherwise; both are run on every product
+that fits a lane, and the cut-off between them is pinned at its edges.
 """
 
 import random
+import sys
+from array import array
 from fractions import Fraction
 from math import gcd
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given
@@ -17,7 +23,8 @@ from hypothesis import strategies as st
 
 from conftest import naive_matmul, naive_rref
 from ratspec import _kernels_py, kernels
-from ratspec._kernels_py import PACK_MIN, _matmul_dots, _matmul_packed
+from ratspec._kernels_py import (PACK_MIN, _matmul_dots, _matmul_lanes,
+                                 _matmul_packed, _matmul_slots)
 
 
 def _rand_flat(rng, size, bound=24):
@@ -130,6 +137,124 @@ def test_matmul_zero_and_empty_operands(m, k, n):
     assert kernels.matmul(m, k, n, [0] * (m * k), [5] * (k * n)) == zeros
     assert kernels.matmul(m, k, n, [5] * (m * k), [0] * (k * n)) == zeros
     assert _matmul_packed(m, k, n, [0] * (m * k), [0] * (k * n)) == zeros
+
+
+def _top(k, a, b):
+    """k max|a| max|b|, the bound on every entry of the product."""
+    return k * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+
+
+@st.composite
+def lane_products(draw, max_dim=14):
+    """(m, k, n, a, b) whose every product entry fits a signed 64-bit lane."""
+    m, n = (draw(st.integers(0, max_dim)) for _ in range(2))
+    k = draw(st.integers(1, max_dim))
+    bits = draw(st.sampled_from((0, 1, 5, 24, 29)))
+    entry = st.integers(-(1 << bits), 1 << bits)
+    a = draw(st.lists(entry, min_size=m * k, max_size=m * k))
+    b = draw(st.lists(entry, min_size=k * n, max_size=k * n))
+    for i in draw(st.sets(st.integers(0, max(m - 1, 0)), max_size=m)):
+        a[i * k:(i + 1) * k] = [0] * k
+    return m, k, n, a, b
+
+
+@given(lane_products())
+def test_lanes_match_the_slots_and_the_textbook_product(product):
+    m, k, n, a, b = product
+    top = _top(k, a, b)
+    assert top < 1 << 63
+    want = naive_matmul(m, k, n, _as_fractions(a), _as_fractions(b))
+    got = _matmul_lanes(*product)
+    assert all(type(x) is int for x in got)
+    assert got == want
+    assert _matmul_slots(*product, top.bit_length() + 1) == want
+
+
+def _signed_product(m, k, n, a_entry, b_entry, seed):
+    """Entries +-a_entry and +-b_entry with one sign per row of a and per
+    column of b, so that every c_ij is +-k a_entry b_entry."""
+    rng = random.Random(seed)
+    row_sign = [rng.choice((-1, 1)) for _ in range(m)]
+    col_sign = [rng.choice((-1, 1)) for _ in range(n)]
+    a = [row_sign[i] * a_entry for i in range(m) for _ in range(k)]
+    b = [col_sign[j] * b_entry for _ in range(k) for j in range(n)]
+    c = k * a_entry * b_entry
+    return a, b, [row_sign[i] * col_sign[j] * c for i in range(m) for j in range(n)]
+
+
+def _recording_lanes(monkeypatch):
+    calls = []
+
+    def recorded(*args):
+        calls.append(args[:3])
+        return _matmul_lanes(*args)
+
+    monkeypatch.setattr(_kernels_py, "_matmul_lanes", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("m, n", [(PACK_MIN, PACK_MIN), (PACK_MIN + 2, PACK_MIN + 5)])
+@pytest.mark.parametrize("k", [1, 7])
+def test_lanes_hold_results_of_absolute_value_two_to_the_63_minus_one(m, k, n,
+                                                                     monkeypatch):
+    # 2^63 - 1 = 7 * 1317624576693539401: every c_ij is +-(2^63 - 1), the
+    # widest value a lane holds, and top is that value
+    a, b, want = _signed_product(m, k, n, ((1 << 63) - 1) // k, 1, m + k + n)
+    assert _top(k, a, b) == (1 << 63) - 1
+    assert {abs(c) for c in want} == {(1 << 63) - 1}
+    assert len(set(want)) == 2
+    calls = _recording_lanes(monkeypatch)
+    assert kernels.matmul(m, k, n, a, b) == want
+    assert calls == [(m, k, n)]
+    assert _matmul_lanes(m, k, n, a, b) == _matmul_dots(m, k, n, a, b) == want
+
+
+@pytest.mark.parametrize("k, a_entry, b_entry", [(1, 1 << 62, 2), (2, 1 << 31, 1 << 31),
+                                                 (8, 1 << 30, 1 << 30)])
+def test_a_top_of_two_to_the_63_takes_the_wide_route(k, a_entry, b_entry, monkeypatch):
+    # every c_ij is +-2^63, one past what a lane holds
+    m, n = PACK_MIN, PACK_MIN + 1
+    a, b, want = _signed_product(m, k, n, a_entry, b_entry, k)
+    assert _top(k, a, b) == 1 << 63
+    calls = _recording_lanes(monkeypatch)
+    assert kernels.matmul(m, k, n, a, b) == want
+    assert calls == []
+    assert _matmul_slots(m, k, n, a, b, 65) == _matmul_dots(m, k, n, a, b) == want
+
+
+class _OtherOrderArray(array):
+    """An array whose tobytes lays items out in the byte order opposite to
+    the host's, as the host of that order would."""
+
+    def tobytes(self):
+        swapped = array(self.typecode, self)
+        swapped.byteswap()
+        return swapped.tobytes()
+
+
+def _other_order_view(data):
+    """memoryview(data), whose cast reads items in the opposite byte order."""
+    def cast(typecode):
+        items = array(typecode)
+        items.frombytes(data)
+        items.byteswap()
+        return items
+    return SimpleNamespace(cast=cast)
+
+
+@given(lane_products())
+def test_lanes_follow_the_host_byte_order(product):
+    # a host of the other byte order: sys.byteorder names it, and array and
+    # memoryview lay 64-bit items out in it
+    m, k, n, a, b = product
+    want = _matmul_dots(*product)
+    other = "big" if sys.byteorder == "little" else "little"
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_kernels_py, "sys", SimpleNamespace(byteorder=other))
+        mp.setattr(_kernels_py, "array", _OtherOrderArray)
+        mp.setattr(_kernels_py, "memoryview", _other_order_view, raising=False)
+        got = _matmul_lanes(*product)
+    assert got == want
 
 
 def _invertible(rng, n, bound):

@@ -26,12 +26,12 @@ TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (32, 105), "rational_spectrum": (43, 96),
-          "c_equals_b_fractional": (42, 74)}
+BOUNDS = {"paper_ex1": (29, 98), "rational_spectrum": (38, 78),
+          "c_equals_b_fractional": (37, 61)}
 
 # document -> (rref calls, matmul calls) of one `report --json`, whose
 # profiles count the hyper-spaces by rank
-REPORT_BOUNDS = {"rational_spectrum_dim5": (52, 28)}
+REPORT_BOUNDS = {"rational_spectrum_dim5": (44, 26)}
 
 
 def _document(name):

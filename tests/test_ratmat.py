@@ -121,6 +121,15 @@ class TestSubspaceLattice:
         assert Subspace.zero(2).contains(Subspace.zero(2))
         assert not Subspace.zero(2).contains(span(2, E1[:2]))
 
+    def test_contains_an_equal_subspace_with_no_product(self, monkeypatch):
+        calls = []
+        real = kernels.matmul
+        monkeypatch.setattr(kernels, "matmul",
+                            lambda *args: calls.append(args) or real(*args))
+        U = span(3, E1, (1, 1, 1))
+        assert U.contains(span(3, (1, 1, 1), (2, 1, 1))) and calls == []
+        assert not U.contains(span(3, E2)) and len(calls) == 1
+
     def test_contains_combination(self):
         assert span(3, E1, E2).contains(span(3, (1, 1, 0)))
         assert not span(3, E1, E2).contains(span(3, (1, 1, 1)))
@@ -162,7 +171,8 @@ class TestSubspaceLattice:
             got = U.intersect(W)
         assert got == intersect_by_kernel(U, W)
         assert got.dim + U.sum(W).dim == U.dim + W.dim
-        assert len(calls) == (1 if U.dim and W.dim else 0)
+        # a zero or whole-space side needs no reduction
+        assert len(calls) == (0 if {U.dim, W.dim} & {0, n} else 1)
 
     @given(st.data())
     def test_maps_into_agrees_with_the_mapped_subspace(self, data):
