@@ -35,13 +35,15 @@ the benchmark's first two seed-11 rounds (Python 3.11, 2 vCPUs), 72%
 (verify_wide), 95% (report_auto) and 96% (verify_corpus) of the matmul time
 was in this range, and the replay took 77 -> 64, 19 -> 14 and 50 -> 46 ms.
 
-Packing costs about one Python step per entry of
-the right operand and saves one per entry of the result, so a product with
-fewer than PACK_MIN rows or columns keeps the plain dot-product loop:
-replaying the products of the benchmark's first two seed-11 rounds through
-both routes (Python 3.11, 2 vCPUs), packing ran 0.5-0.8x as fast as the
-loop at min(m, n) <= 4, 0.91x at 5, 0.98-0.99x at 6, and 1.16-1.5x from
-7 up.
+Packing costs about one Python step per entry of the right operand and
+saves one per entry of the result, so a product with fewer than PACK_MIN
+rows or columns keeps the plain dot-product loop. Replaying every product
+of two seed-11 rounds of each benchmark workload through _matmul_dots and
+_matmul_packed (Python 3.11, 2 vCPUs, best of 9, three runs), packing ran
+this fast relative to the loop on verify_corpus: 0.46-0.49x at
+min(m, n) = 1, 0.56-0.57x at 2, 0.68-0.71x at 3, 0.83-0.87x at 4,
+0.95-1.08x at 5, 0.98-1.10x at 6 and 1.41-1.46x from 7 up (1.56-1.86x on
+verify_wide and 1.62-1.70x on report_auto). The routes break even at 5 and 6.
 
 The kernels are the only implementation; ratspec.kernels re-exports them
 and the test suite checks them against plain textbook rational elimination

@@ -13,19 +13,19 @@ Every verifier reads one OperatorTriple, which forms each product of the
 triple once: BA, AC, CA, ABA and ACA (only BA and AC when C == B, and ABA =
 ACA on its first read), and the condition residuals from them by
 distributivity rather than from the four degree-5 products A(BA)^2, ABACA,
-ACABA and (AC)^2A. Its power chains
-are keyed by operator value, so equal operators (CA - 1 and BA - 1 when
-CA = BA, say) share one chain.
+ACABA and (AC)^2A.
 
-Every regularity spectrum lies in the spectrum, the root set of the
-characteristic polynomial. So the charpolys of BA and AC, which the probe
-search and the charpoly match need anyway, decide which probed operators
-are invertible: p(T) is invertible iff gcd(charpoly(T), p) = 1, which for
-p = x - lambda is charpoly(T)(lambda) != 0, and CA and AB read theirs off
-AC and BA by Sylvester's identity. An invertible operator gets the trivial
-chain (stable at 0, range the whole space, kernel 0) with no power and no
-row reduction; a singular one is multiplied out and row-reduced. The tests
-keep the row-reduced chain of every operator as the oracle.
+Every probed operator is q(T) for T one of BA, AC, CA and AB: q is
+x - lambda at each probe, and x - 1 or Q(x - 1) in the inclusion lemma. Its
+power chain comes from one accessor, OperatorTriple.chain. Every regularity
+spectrum lies in the root set of the characteristic polynomial, so the
+charpolys of BA and AC (CA and AB read theirs off them by Sylvester's
+identity) decide invertibility: q(T) is invertible iff coprime(charpoly(T),
+q), the one place that is decided. Every invertible operator on Q^n has the
+identity's chain, which the triple keeps once per dimension, with no power
+and no row reduction; a singular q(T) is evaluated once, and equal
+operators share its chain. The tests keep the row-reduced chain of every
+operator as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -51,7 +51,8 @@ from fractions import Fraction
 
 from ratspec.invariants import (PowerChain, coprime, profile,
                                 rational_eigenvalues, sigma_memberships)
-from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
+# image stays importable for ratbench's alias self-tests, unused here
+from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,  # noqa: F401
                             poly_eval_mat, rank, rat)
 
 
@@ -115,10 +116,10 @@ class OperatorTriple:
     read of ab (AC itself when C == B). All public attributes are treated
     as immutable.
 
-    The power chains of the triple are keyed by operator value, so equal
-    operators share one chain: the chains of CA - 1 and AB - 1 are those of
-    BA - 1 and AC - 1 whenever the operators agree, as they do for every
-    C == B triple. map_cache is the MapCache that the quotient maps and the
+    chain(T, p, q) gives every probed operator's power chain, keyed by
+    value, so equal operators share one: CA - 1 and AB - 1 share those of
+    BA - 1 and AC - 1 whenever the operators agree, as on every C == B
+    triple. map_cache is the MapCache that the quotient maps and the
     inclusion lemma of this triple share.
     """
 
@@ -154,7 +155,8 @@ class OperatorTriple:
                                         self._aca - self._aba)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self.map_cache = MapCache()
-        self._power_chains: dict[Mat, PowerChain] = {}
+        # a dimension for its trivial chain, (T, q) and q(T) for a singular one
+        self._power_chains: dict[int | tuple[Mat, Poly] | Mat, PowerChain] = {}
         self._chains: dict[Fraction, tuple[PowerChain, PowerChain]] = {}
         self._charpolys: tuple[Poly, Poly] | None = None
 
@@ -196,48 +198,45 @@ class OperatorTriple:
         shift = self.dim_x - self.dim_y
         return _times_x_power(pac, shift), _times_x_power(pba, -shift)
 
-    def _chain(self, T: Mat, p: Poly, lam: Fraction) -> PowerChain:
-        """The one PowerChain of T - lam on this triple, p the charpoly of T.
+    def chain(self, T: Mat, p: Poly, q: Poly) -> PowerChain:
+        """The PowerChain of q(T) on this triple, p the charpoly of T.
 
-        T - lam is invertible iff p(lam) != 0; that is evaluated only when
-        the chain is built, so each chain's invertibility is decided once.
+        Every invertible q(T) (coprime(p, q)) shares the trivial chain of its
+        dimension; a singular one is evaluated once per distinct (T, q), and
+        its chain is keyed by value.
         """
-        shifted = T.shifted(lam)
-        chain = self._power_chains.get(shifted)
+        if coprime(p, q):
+            chain = self._power_chains.get(T.rows)
+            if chain is None:
+                chain = self._power_chains[T.rows] = PowerChain(
+                    Mat.identity(T.rows), invertible=True)
+            return chain
+        key = (T, q)
+        chain = self._power_chains.get(key)
         if chain is None:
-            chain = self._power_chains[shifted] = PowerChain(shifted, p(lam) != 0)
+            op = poly_eval_mat(q, T)
+            chain = self._power_chains.get(op)
+            if chain is None:
+                chain = self._power_chains[op] = PowerChain(op)
+            self._power_chains[key] = chain
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
         """The power chains of BA - lam and AC - lam; lam must be nonzero.
 
-        Built on the first request for each lam and kept on the triple, so
-        every verifier at lam shares one pair of chains. T - lam is
-        invertible iff charpoly(T)(lam) != 0, and then its chain is the
-        trivial one, with no power and no row reduction; the tests compare
-        it with the row-reduced PowerChain(T - lam).
+        Built on the first request for each lam, as chain(T, p, x - lam),
+        and kept on the triple, so every verifier at lam shares one pair.
         """
         lam = rat(lam)
         if lam == 0:
             raise ValueError("lambda must be nonzero")
         pair = self._chains.get(lam)
         if pair is None:
+            q = Poly([-lam, 1])
             pba, pac = self.charpolys()
-            pair = self._chains[lam] = (self._chain(self.ba, pba, lam),
-                                        self._chain(self.ac, pac, lam))
+            pair = self._chains[lam] = (self.chain(self.ba, pba, q),
+                                        self.chain(self.ac, pac, q))
         return pair
-
-    def ca_ab_chains(self) -> tuple[PowerChain, PowerChain]:
-        """The power chains of CA - 1 and AB - 1: those of chains(1) where
-        CA = BA or AB = AC.
-
-        By Sylvester's identity (ca_ab_charpolys) CA - 1 is invertible iff
-        charpoly(AC)(1) != 0, and AB - 1 iff charpoly(BA)(1) != 0: an
-        invertible one gets the trivial chain, and the tests keep the
-        row-reduced chain as the oracle.
-        """
-        pba, pac = self.charpolys()
-        return self._chain(self.ca, pac, 1), self._chain(self.ab, pba, 1)
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
@@ -292,6 +291,9 @@ def scaled(t: OperatorTriple, lam: int | Fraction) -> OperatorTriple:
     return OperatorTriple(t.A.scaled(1 / lam), t.B, t.C)
 
 
+_X_MINUS_1 = Poly([-1, 1])
+
+
 @dataclass(frozen=True)
 class InclusionReport:
     """The four inclusion-lemma statements for one polynomial Q."""
@@ -309,43 +311,31 @@ class InclusionReport:
 def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
     """Check all four subspace inclusions for the polynomial Q.
 
-    For Q = c x^k the ranges and kernels of Q(T - I) are those of
-    (T - I)^k, read off the triple's chains at 1 (BA, AC) and its chains of
-    CA - 1 and AB - 1. For any other Q, Q(T - I) is invertible iff
-    charpoly(T) and Q(x - 1) are coprime, read off the triple's charpolys;
-    then its range is the whole space and its kernel 0, with no evaluation.
-    Otherwise Q is evaluated once at each distinct shift (twice when
-    C == B) and row-reduced; the tests keep that route as the oracle of the
-    coprime case. The containments go through the triple's MapCache, so the
-    ones on the chains at 1 are decided once with the quotient maps at 1.
+    The ranges and kernels of Q(T - I) are read off the triple's chains
+    (OperatorTriple.chain) of CA, AB, BA and AC: for Q = c x^k those of
+    (T - I)^k, at x - 1 and index k, with BA and AC's from chains(1); for
+    any other Q those of q(T) at index 1, q = Q(x - 1). The containments go
+    through the triple's MapCache, so the ones on the chains at 1 are
+    decided once with the quotient maps at 1.
     """
     _require_condition(t)
+    (pca, pab), (pba, pac) = t.ca_ab_charpolys(), t.charpolys()
     k = Q.degree
     if k >= 1 and not any(Q.coeffs[:-1]):
-        (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
-        spaces = [(c.image(k), c.kernel(k)) for c in (ca, ab, ba, ac)]
+        q, index = _X_MINUS_1, k
+        ba, ac = t.chains(1)
     else:
-        operators = (t.ca, t.ab, t.ba, t.ac)
-        shifted_q = Poly([])
+        q, index = Poly([]), 1
         for c in reversed(Q.coeffs):  # Q(x - 1) by Horner
-            shifted_q = shifted_q * Poly([-1, 1]) + Poly([c])
-        evaluated: dict[Mat, tuple[Subspace, Subspace]] = {}
-        for T, p in zip(operators, (*t.ca_ab_charpolys(), *t.charpolys())):
-            if T in evaluated:
-                continue
-            if coprime(p, shifted_q):
-                evaluated[T] = Subspace.full(T.rows), Subspace.zero(T.rows)
-            else:
-                M = poly_eval_mat(Q, T.shifted(1))
-                evaluated[T] = image(M), kernel(M)
-        spaces = [evaluated[T] for T in operators]
-    (r_ca, n_ca), (r_ab, n_ab), (r_ba, n_ba), (r_ac, n_ac) = spaces
+            q = q * _X_MINUS_1 + Poly([c])
+        ba, ac = t.chain(t.ba, pba, q), t.chain(t.ac, pac, q)
+    ca, ab = t.chain(t.ca, pca, q), t.chain(t.ab, pab, q)
     into = t.map_cache.maps_into
     return InclusionReport(
-        aba_range=into(t.aba, r_ca, r_ab),
-        aba_kernel=into(t.aba, n_ca, n_ab),
-        aca_range=into(t.aca, r_ba, r_ac),
-        aca_kernel=into(t.aca, n_ba, n_ac),
+        aba_range=into(t.aba, ca.image(index), ab.image(index)),
+        aba_kernel=into(t.aba, ca.kernel(index), ab.kernel(index)),
+        aca_range=into(t.aca, ba.image(index), ac.image(index)),
+        aca_kernel=into(t.aca, ba.kernel(index), ac.kernel(index)),
     )
 
 

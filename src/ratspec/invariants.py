@@ -86,8 +86,9 @@ class PowerChain:
     invertible=True states that T is invertible, as the caller has decided
     from the characteristic polynomial (coprime): the chain is then trivial,
     stable at 0 with every range the whole space and every kernel 0, and it
-    forms no power and row-reduces nothing. The tests keep the row-reduced
-    chain of the same T as its oracle.
+    forms no power and row-reduces nothing. Every invertible operator on Q^n
+    has that chain, so ratspec.intertwine shares one, on the identity, per
+    dimension; the tests keep each operator's row-reduced chain as oracle.
     """
 
     __slots__ = ("T", "stable", "_powers", "_images", "_kernels", "_sums",
@@ -288,10 +289,15 @@ def coprime(p: Poly, q: Poly) -> bool:
 
     With p the characteristic polynomial of T, the eigenvalues of q(T) are
     q(mu) for the roots mu of p, so q(T) is invertible iff p and q are
-    coprime. Production decides that invertibility here, with no power of
-    T and no row reduction, and the tests keep the rank of q(T) as the
-    oracle.
+    coprime. Production decides that invertibility here and nowhere else,
+    with no power of T and no row reduction, and the tests keep the rank
+    of q(T) as the oracle. A linear q = a x + b shares a factor with p iff
+    its one root -b/a is a root of p: one evaluation, and the tests keep
+    the PRS as its oracle.
     """
+    if q.degree == 1:
+        b, a = q.coeffs
+        return p(-b / a) != 0
     a, b = _integer_coeffs(p), _integer_coeffs(q)
     g = _gcd(a, b) if a and b else a or b
     return len(g) == 1

@@ -218,19 +218,22 @@ def test_criterion_3_shared_chains_skip_nothing(corpus):
 def test_criterion_3_charpoly_decided_chains_equal_row_reduced_ones(corpus):
     """Every chain the triple hands out equals the row-reduced PowerChain."""
     decided = singular = 0
+    x_minus_1 = Poly([-1, 1])
     for _, t, probes, _ in corpus:
-        chains = list(t.ca_ab_chains())
+        pca, pab = t.ca_ab_charpolys()
+        chains = [(t.chain(t.ca, pca, x_minus_1), t.ca.shifted(1)),
+                  (t.chain(t.ab, pab, x_minus_1), t.ab.shifted(1))]
         for lam in {*probes, Fraction(1), Fraction(2), Fraction(1, 2)}:
-            chains += t.chains(lam)
-        for chain in chains:
-            oracle = PowerChain(chain.T)
+            chains += zip(t.chains(lam), (t.ba.shifted(lam), t.ac.shifted(lam)))
+        for chain, op in chains:
+            oracle = PowerChain(op)
             assert chain.stable == oracle.stable
-            for n in range(chain.T.rows + 2):
+            for n in range(op.rows + 2):
                 assert chain.image(n) == oracle.image(n)
                 assert chain.kernel(n) == oracle.kernel(n)
                 assert chain.range_plus_kernel(n) == oracle.range_plus_kernel(n)
             assert profile(chain) == profile(oracle)
-            if oracle.rank(1) == chain.T.rows:
+            if oracle.rank(1) == op.rows:
                 decided += 1
             else:
                 singular += 1

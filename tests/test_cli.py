@@ -12,13 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratspec.cli import (DIM_CEILING, EXIT_FAIL, EXIT_INPUT, EXIT_OK,
-                         NMAX_CEILING, ParseError, _write_json,
+                         INCLUSION_QS, NMAX_CEILING, ParseError, _write_json,
                          build_drazin_report, build_report, main,
                          parse_triple_document, run_verification,
                          triple_document, write_triple_document)
 from ratspec.genlab import GenSpec, default_idempotent, generate, paper_example
 from ratspec.intertwine import OperatorTriple
-from ratspec.ratmat import Mat
+from ratspec.ratmat import Mat, poly_eval_mat, rank
 
 
 @pytest.fixture
@@ -565,7 +565,8 @@ class TestReportCommand:
 
     def test_each_chain_profiled_once(self, monkeypatch):
         # profile intersects R(T^n) with N(T) once per n = 0..stable; the
-        # sequence rows and the report's own columns share that one profile
+        # sequence rows and the report's own columns share that one profile,
+        # and every invertible probe of one dimension shares one chain
         from ratspec.ratmat import Subspace
         calls = []
         real_intersect = Subspace.intersect
@@ -577,10 +578,9 @@ class TestReportCommand:
         monkeypatch.setattr(Subspace, "intersect", counting_intersect)
         t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
         report = build_report(t, None, None)
-        expected = 0
-        for probe in report["probes"]:
-            ba, ac = t.chains(Fraction(probe["lambda"]))
-            expected += ba.stable + ac.stable + 2
+        chains = {id(c): c for probe in report["probes"]
+                  for c in t.chains(Fraction(probe["lambda"]))}
+        expected = sum(c.stable + 1 for c in chains.values())
         assert report["probes"] and len(calls) == expected
 
 
@@ -724,14 +724,21 @@ class TestRunVerification:
         monkeypatch.setattr(drazin, "drazin_inverse", counting_drazin)
         t = paper_example(2, default_idempotent(2))
         result = run_verification(t)
-        # no scaled triple; the chains of BA - lam and AC - lam, built once
-        # per nonzero probe and shared by every verifier, and one chain each
-        # of CA - 1 and AB - 1 for the inclusion lemma
+        # no scaled triple; one chain per distinct singular probed operator,
+        # shared by every verifier: BA - lam and AC - lam at each nonzero
+        # probe, CA - 1 and AB - 1 and the cubic's Q(T - I) for the
+        # inclusion lemma; every invertible one of a dimension shares the
+        # identity's chain, built once
         assert scaled_at == []
         nonzero = [x for x in intertwine.default_probes(t) if x]
-        assert Counter(chained) == Counter(
-            [T for lam in nonzero for T in (t.ba.shifted(lam), t.ac.shifted(lam))]
-            + [t.ca.shifted(1), t.ab.shifted(1)])
+        cubic = INCLUSION_QS[3]
+        probed = ([T.shifted(lam) for lam in nonzero for T in (t.ba, t.ac)]
+                  + [t.ca.shifted(1), t.ab.shifted(1)]
+                  + [poly_eval_mat(cubic, T.shifted(1))
+                     for T in (t.ca, t.ab, t.ba, t.ac)])
+        expected = {op if rank(op) < op.rows else Mat.identity(op.rows)
+                    for op in probed}
+        assert Counter(chained) == Counter(expected)
         # the theorem rows read those same chain objects, AC - lam first,
         # and neither shift nor chain anything themselves
         assert theorem_cost == [(0, 0)]
@@ -910,19 +917,19 @@ class TestCheckWitness:
 
     def test_theorem_names_the_first_failing_lambda(self, monkeypatch):
         # the memberships of AC - 2 lose R_3 and gain R_6; the rows at 1 and
-        # 3 stay equal, and lambda = 0 is still skipped
+        # 3 stay equal, and lambda = 0 is still skipped. The fault is
+        # injected by lambda: AC - 2 and AC - 3 share the invertible chain
         from ratspec import intertwine
         t = paper_example(1, default_idempotent(2))
-        ac_at_2 = t.chains(2)[1]
-        real = intertwine.sigma_memberships
+        real = intertwine.TheoremRow
 
-        def faulty(chain):
-            got = list(real(chain))
-            if chain is ac_at_2:
+        def faulty(lam, in_sigma_ac, in_sigma_ba):
+            got = list(in_sigma_ac)
+            if lam == 2:
                 got[2], got[5] = not got[2], not got[5]
-            return tuple(got)
+            return real(lam=lam, in_sigma_ac=tuple(got), in_sigma_ba=in_sigma_ba)
 
-        monkeypatch.setattr(intertwine, "sigma_memberships", faulty)
+        monkeypatch.setattr(intertwine, "TheoremRow", faulty)
         assert self._check(t, "theorem_memberships") == (
             "first failing lambda=2: membership in sigma_Ri(AC) and sigma_Ri(BA) "
             "differs for i in [3, 6]; skipped 1 zero probe(s)")

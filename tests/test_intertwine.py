@@ -23,10 +23,11 @@ from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
 from ratspec.invariants import PowerChain, coprime, profile, sigma_memberships
-from ratspec.ratmat import (Mat, Poly, Subspace, image, kernel, map_subspace,
+from ratspec.ratmat import (Mat, Poly, Subspace, block, image, kernel, map_subspace,
                             poly_eval_mat, rank, solve)
 
 P2 = default_idempotent(2)
+X_MINUS_1 = Poly([-1, 1])
 EX1 = paper_example(1, P2)
 EX2 = paper_example(2, P2)
 
@@ -195,25 +196,51 @@ class TestResiduals:
             assert t.aba is t.aca
 
     def test_c_equals_b_shares_the_chains_at_one(self):
-        t = generate(GenSpec(template="c_equals_b", block_dim=3, seed=1, dim_y=4))
-        assert all(x is y for x, y in zip(t.ca_ab_chains(), t.chains(1)))
+        # the chains of CA - 1 and AB - 1 are those at 1, invertible (the
+        # generated triple) or singular (the shear, with 1 an eigenvalue),
+        # and they are the chains of the real operators
+        i3 = Mat.identity(3)
+        shear = i3 + Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
+        for t in (generate(GenSpec(template="c_equals_b", block_dim=3, seed=1,
+                                   dim_y=4)),
+                  OperatorTriple(i3, shear, shear)):
+            pca, pab = t.ca_ab_charpolys()
+            ca_ab = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+            assert all(x is y for x, y in zip(ca_ab, t.chains(1)))
+            for chain, T in zip(ca_ab, (t.ca, t.ab)):
+                oracle = PowerChain(T.shifted(1))
+                assert chain.stable == oracle.stable
+                assert profile(chain) == profile(oracle)
 
     def test_a_second_ca_ab_chains_evaluates_no_charpoly(self, monkeypatch):
+        # a second request at a lambda evaluates no charpoly; a second
+        # chain of CA - 1 and AB - 1 hands back the same objects, deciding
+        # invertibility by one evaluation of the linear x - 1 each and
+        # evaluating no polynomial of a matrix
+        from ratspec import intertwine
         t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=1))
-        first = t.ca_ab_chains()
-        evaluated = []
+        pca, pab = t.ca_ab_charpolys()
+        first = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+        pair = t.chains(1)
+        evaluated, matrices = [], []
         real = Poly.__call__
         monkeypatch.setattr(Poly, "__call__",
                             lambda p, x: evaluated.append(x) or real(p, x))
-        assert all(x is y for x, y in zip(t.ca_ab_chains(), first))
-        assert evaluated == []
+        monkeypatch.setattr(intertwine, "poly_eval_mat",
+                            lambda q, T: matrices.append(T))
+        assert t.chains(1) is pair and evaluated == []
+        again = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+        assert all(x is y for x, y in zip(again, first))
+        assert evaluated == [1, 1] and matrices == []
 
     def test_equal_operators_share_one_chain(self):
         # (B - C)A = 0: CA = BA, so CA - 1 shares BA - 1's chain; AB != AC
         A = Mat.from_rows([[1, 0], [0, 0]])
         B = Mat.from_rows([[1, 2], [3, 4]])
         t = OperatorTriple(A, B, B + Mat.from_rows([[0, 1], [0, 2]]))
-        (ba, ac), (ca, ab) = t.chains(1), t.ca_ab_chains()
+        pca, pab = t.ca_ab_charpolys()
+        (ba, ac) = t.chains(1)
+        ca, ab = t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1)
         assert ca is ba and ab is not ac
         assert ab.T == t.ab.shifted(1) and ac.T == t.ac.shifted(1)
 
@@ -237,7 +264,8 @@ class TestScaling:
         lam = Fraction(2)
         s = scaled(EX1, lam)
         ba, ac = EX1.chains(lam)
-        assert (ba.T, ac.T) == (EX1.ba.shifted(lam), EX1.ac.shifted(lam))
+        assert (ba.stable, ac.stable) == (PowerChain(EX1.ba.shifted(lam)).stable,
+                                          PowerChain(EX1.ac.shifted(lam)).stable)
         for n in range(3):
             lhs = (EX1.ba.shifted(lam)) ** n
             rhs = (s.ba.shifted(1)) ** n
@@ -320,21 +348,24 @@ class TestInclusionLemma:
     def test_kernel_only_of_a_singular_evaluation(self, monkeypatch):
         # a full-rank Q(T - I) is read off the charpoly as (whole, 0), so
         # only the singular evaluations are row-reduced, and each distinct
-        # operator is evaluated once (CA = BA and AB = AC when C == B)
-        from ratspec import intertwine
+        # operator is evaluated once (CA = BA and AB = AC when C == B); its
+        # chain row-reduces the kernel of q(T) = Q(T - I)
+        from ratspec import invariants
         from ratspec.ratmat import rank
         calls = []
-        real = intertwine.kernel
+        real = invariants.kernel
 
         def recorded(M):
             calls.append(M)
             return real(M)
 
-        monkeypatch.setattr(intertwine, "kernel", recorded)
+        monkeypatch.setattr(invariants, "kernel", recorded)
         singular = full = 0
         i3 = Mat.identity(3)
         shear = i3 + Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
-        triples = [*conforming_samples(), OperatorTriple(i3, shear, shear)]
+        # fresh triples, so that no chain is cached from another test
+        triples = [*(OperatorTriple(t.A, t.B, t.C) for t in conforming_samples()),
+                   OperatorTriple(i3, shear, shear)]
         for Q in (Poly([0, 1, 1]), Poly([1, 0, 1]), Poly(["3/2", "3/2", "-3/2", 1])):
             for t in triples:
                 calls.clear()
@@ -390,9 +421,9 @@ class TestInclusionLemma:
         evaluated, seen = [], []
         real_eval, real_into = intertwine.poly_eval_mat, MapCache.maps_into
 
-        def recorded_eval(Q, M):
-            evaluated.append(M)
-            return real_eval(Q, M)
+        def recorded_eval(q, M):
+            evaluated.append((q, M))
+            return real_eval(q, M)
 
         def recorded_into(cache, M, U, W):
             seen.append((U, W))
@@ -401,7 +432,8 @@ class TestInclusionLemma:
         monkeypatch.setattr(intertwine, "poly_eval_mat", recorded_eval)
         monkeypatch.setattr(MapCache, "maps_into", recorded_into)
         assert inclusion_lemma(t, Q).all_hold
-        assert evaluated == [T.shifted(1)]
+        shifted_q = Poly([Fraction(-5, 2), Fraction(15, 2), Fraction(-9, 2), 1])
+        assert evaluated == [(shifted_q, T)]
         q = real_eval(Q, T.shifted(1))
         assert rank(q) == 1
         assert seen == [(image(q), image(q)), (kernel(q), kernel(q))] * 2
@@ -442,16 +474,17 @@ class TestCharpolyDecidedChains:
 
             monkeypatch.setattr(kernels, name, recorded)
         for t, lam in zip(triples, probes):
-            chains = list(t.chains(lam))
+            chains = list(zip(t.chains(lam), (t.ba, t.ac)))
             pca, pab = t.ca_ab_charpolys()
             if pca(1) and pab(1):
-                chains += t.ca_ab_chains()
-            for chain in chains:
+                chains += [(t.chain(t.ca, pca, X_MINUS_1), t.ca),
+                           (t.chain(t.ab, pab, X_MINUS_1), t.ab)]
+            for chain, T in chains:
                 assert chain.stable == 0
-                for n in range(chain.T.rows + 2):
-                    assert chain.image(n).dim == chain.T.rows
+                for n in range(T.rows + 2):
+                    assert chain.image(n).dim == T.rows
                     assert chain.kernel(n).dim == 0
-                    assert chain.range_plus_kernel(n).dim == chain.T.rows
+                    assert chain.range_plus_kernel(n).dim == T.rows
                 assert profile(chain).c_total == 0
                 assert not any(sigma_memberships(chain))
             assert verify_sequence_equalities(t, lam).all_equal
@@ -471,12 +504,131 @@ class TestCharpolyDecidedChains:
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=1))
         assert not (t.condition_holds or bad.condition_holds)
         for u in (t, bad):
-            chains = [*u.ca_ab_chains(), *u.chains(1), *u.chains(2)]
-            for chain in chains:
-                oracle = PowerChain(chain.T)
+            pca, pab = u.ca_ab_charpolys()
+            chains = [(u.chain(u.ca, pca, X_MINUS_1), u.ca.shifted(1)),
+                      (u.chain(u.ab, pab, X_MINUS_1), u.ab.shifted(1))]
+            for lam in (1, 2):
+                chains += zip(u.chains(lam), (u.ba.shifted(lam), u.ac.shifted(lam)))
+            for chain, op in chains:
+                oracle = PowerChain(op)
                 assert chain.stable == oracle.stable
                 assert profile(chain) == profile(oracle)
-        assert [c.stable for c in t.ca_ab_chains()] == [0, 1]
+            if u is t:
+                assert [c.stable for c, _ in chains[:2]] == [0, 1]
+
+
+def _companion(q):
+    """The companion matrix of the monic q."""
+    d = q.degree
+    rows = [[0] * d for _ in range(d)]
+    for i in range(d):
+        if i:
+            rows[i][i - 1] = 1
+        rows[i][d - 1] = -q.coeffs[i]
+    return Mat.from_rows(rows)
+
+
+# Q(x - 1) for the inclusion lemma's cubic, an irreducible quadratic, a
+# Jordan block at 2, x - 2, x - 1/2 and a nilpotent block
+COMPANION_POLYS = (Poly(["-5/2", "15/2", "-9/2", 1]), Poly([-2, 0, 1]),
+                   Poly([4, -4, 1]), Poly([-2, 1]), Poly(["-1/2", 1]),
+                   Poly([0, 0, 1]))
+
+
+def _companion_triple(polys):
+    """A = [I; 0] embeds X in Y, B = C = [J | 1] with J the companion blocks
+    of polys: BA = J on X, and AC on the larger Y."""
+    J = Mat.identity(0)
+    for q in polys:
+        K = _companion(q)
+        J = block([[J, Mat.zero(J.rows, K.cols)], [Mat.zero(K.rows, J.cols), K]])
+    n = J.rows
+    A = block([[Mat.identity(n)], [Mat.zero(1, n)]])
+    B = block([[J, Mat.from_rows([[1]] * n)]])
+    return OperatorTriple(A, B, B)
+
+
+_accessor_triples = st.one_of(
+    st.builds(lambda template, dim, seed: generate(
+                  GenSpec(template=template, block_dim=dim, seed=seed,
+                          entry_bound=3)),
+              st.sampled_from(["c_equals_b", "aba_eq_aca", "conjugated",
+                               "rational_spectrum", "paper_ex1", "nonconforming"]),
+              st.integers(2, 4), st.integers(0, 10 ** 6)),
+    st.builds(lambda dim, dy, seed: generate(
+                  GenSpec(template="c_equals_b", block_dim=dim, seed=seed,
+                          entry_bound=3, dim_y=dy)),
+              st.integers(1, 4), st.integers(1, 4), st.integers(0, 10 ** 6)),
+    st.lists(st.sampled_from(COMPANION_POLYS), min_size=1, max_size=3)
+    .map(_companion_triple))
+
+
+def _probes(t):
+    """(T, p, q) for T in BA, AC, CA and AB, p its charpoly: x - lam at its
+    rational nonzero eigenvalues (and 2x - 2 lam there) and at
+    non-eigenvalues, Q(x - 1) for the inclusion lemma's cubic, and q
+    sharing a factor with p."""
+    from ratspec.invariants import rational_eigenvalues
+    for T, p in zip((t.ba, t.ac, t.ca, t.ab), (*t.charpolys(), *t.ca_ab_charpolys())):
+        eigs = {lam for lam, _ in rational_eigenvalues(p) if lam}
+        for lam in sorted(eigs | {Fraction(1), Fraction(2), Fraction(1, 2), Fraction(7)}):
+            yield T, p, Poly([-lam, 1])
+        yield T, p, COMPANION_POLYS[0]
+        yield T, p, p.strip_zero_roots()[0] * Poly([3, 1])
+        for lam in eigs:
+            yield T, p, Poly([-2 * lam, 2])
+            yield T, p, Poly([-lam, 1]) * Poly([1, 0, 1])
+
+
+def _assert_same_chain(chain, oracle):
+    n = oracle.T.rows
+    assert chain.stable == oracle.stable
+    for i in range(n + 2):
+        assert chain.image(i) == oracle.image(i)
+        assert chain.kernel(i) == oracle.kernel(i)
+        assert chain.range_plus_kernel(i) == oracle.range_plus_kernel(i)
+
+
+class TestOneChainAccessor:
+    """chain(T, p, q) against the row-reduced PowerChain(q(T))."""
+
+    @given(_accessor_triples)
+    @settings(max_examples=25)
+    def test_chain_equals_the_row_reduced_one(self, t):
+        for T, p, q in _probes(t):
+            _assert_same_chain(t.chain(T, p, q), PowerChain(poly_eval_mat(q, T)))
+
+    @given(_accessor_triples)
+    @settings(max_examples=25)
+    def test_shared_trivial_chain_stands_for_every_invertible_operator(self, t):
+        trivial = {}
+        for T, p, q in _probes(t):
+            op = poly_eval_mat(q, T)
+            if rank(op) < op.rows:
+                continue
+            chain = t.chain(T, p, q)
+            assert trivial.setdefault(op.rows, chain) is chain
+            _assert_same_chain(chain, PowerChain(op))
+        assert all(c.T == Mat.identity(n) for n, c in trivial.items())
+
+    def test_singular_cubic_evaluated_once_per_operator(self, monkeypatch):
+        # B = C = [companion(Q(x - 1)) + [2] | 1]: CA is BA and AB is AC, so
+        # Q(T - I) is evaluated once for each, however often it is asked for;
+        # it is singular, of rank 1 on X and 2 on Y
+        from ratspec import intertwine
+        t = _companion_triple([COMPANION_POLYS[0], COMPANION_POLYS[3]])
+        evaluated = []
+        real = intertwine.poly_eval_mat
+        monkeypatch.setattr(intertwine, "poly_eval_mat",
+                            lambda q, T: evaluated.append(T) or real(q, T))
+        assert inclusion_lemma(t, INCLUSION_QS[3]).all_hold
+        assert inclusion_lemma(t, INCLUSION_QS[3]).all_hold
+        assert evaluated == list(dict.fromkeys((t.ca, t.ab, t.ba, t.ac)))
+        assert len(evaluated) == 2
+        for T, p in zip((t.ba, t.ac), t.charpolys()):
+            chain = t.chain(T, p, COMPANION_POLYS[0])
+            _assert_same_chain(chain, PowerChain(real(COMPANION_POLYS[0], T)))
+            assert chain.rank(1) == T.rows - 3
 
 
 class TestQuotientMaps:

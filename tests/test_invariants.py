@@ -7,11 +7,12 @@ import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
-from conftest import square_matrices
+from conftest import rationals, square_matrices
 from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
                      eigenvalue_multiplicity, fredholm_index, k_n, k_n_via_sums,
                      sigma_R_membership)
-from ratspec.invariants import (PowerChain, _squarefree_part, coprime,
+from ratspec.invariants import (PowerChain, _gcd, _integer_coeffs,
+                                _squarefree_part, coprime,
                                 profile, rational_eigenvalues,
                                 regularity_membership, sigma_memberships)
 from ratspec.ratmat import (Mat, Poly, charpoly, image, kernel,
@@ -432,6 +433,18 @@ class TestCoprimeDecidesInvertibility:
         assert not coprime(x, zero) and not coprime(zero, zero)
         assert coprime(Poly([Fraction(2, 3)]), x)
         assert not coprime(Poly([0, 0, Fraction(1, 2)]), Poly([0, 3]))
+
+    @given(st.lists(rationals, max_size=4), rationals,
+           rationals.filter(bool), st.booleans())
+    @example([], Fraction(1), Fraction(2), False)
+    @example([1], Fraction(3), Fraction(-1, 2), True)
+    def test_linear_q_agrees_with_the_prs(self, coeffs, lam, a, root):
+        # q = a(x - lam), with lam a root of p when root is set: one
+        # evaluation at -q_0/q_1 against the gcd of the PRS
+        p = Poly(coeffs) * (Poly([-lam, 1]) if root else Poly([1]))
+        q = Poly([-a * lam, a])
+        A, B = _integer_coeffs(p), _integer_coeffs(q)
+        assert coprime(p, q) == (bool(A) and len(_gcd(A, B)) == 1)
 
     @given(square_matrices(4))
     def test_invertible_chain_equals_the_row_reduced_one(self, M):

@@ -23,6 +23,7 @@ from ratspec.cli import EXIT_OK, main, write_triple_document
 from ratspec.genlab import GenSpec, generate
 
 TRACER = Path(__file__).resolve().parent.parent / "ratbench" / "tracer.py"
+DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
@@ -33,8 +34,26 @@ BOUNDS = {"paper_ex1": (29, 98), "rational_spectrum": (38, 78),
 # profiles count the hyper-spaces by rank
 REPORT_BOUNDS = {"rational_spectrum_dim5": (44, 26)}
 
+# document -> (rref calls, matmul calls, evaluations of the cubic) of one
+# `verify --json` on the documents whose inclusion lemma meets a singular
+# Q(T - I), Q the cubic of INCLUSION_QS (tools/output_digests.py). Its chain
+# forms I q(T) and q(T)^2 and row-reduces R(q(T)^2) to find it stable at 1:
+# two products and one rref more per chain than the image and kernel of
+# q(T) alone, 15/46 -> 16/48 on the companion document and 25/50 -> 27/54 on
+# its conjugate, where BA and AC differ.
+SINGULAR_INCLUSION_BOUNDS = {"companion": (16, 48, 1), "conjugated": (27, 54, 2)}
+
+
+def _load(path, name):
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
 
 def _document(name):
+    if name in SINGULAR_INCLUSION_BOUNDS:
+        return dict(_load(DIGESTS, "_output_digests").singular_inclusion_triples())[name]
     if name == "paper_ex1":
         return generate(GenSpec(template="paper_ex1", block_dim=2))
     if name == "c_equals_b_fractional":
@@ -92,11 +111,28 @@ def test_no_kernel_product_has_an_empty_side(name, tmp_path, monkeypatch, capsys
     assert [args[:2] for args in calls["rref"] if 0 in args[:2]] == []
 
 
+@pytest.mark.parametrize("name", sorted(SINGULAR_INCLUSION_BOUNDS))
+def test_singular_inclusion_route_stays_within_its_kernel_calls(
+        name, tmp_path, monkeypatch, capsys):
+    # the cubic's Q(T - I) is singular, evaluated once per distinct operator
+    from ratspec import intertwine
+    cubics = []
+    real = intertwine.poly_eval_mat
+
+    def recorded(q, T):
+        if q.degree == 3:
+            cubics.append(T)
+        return real(q, T)
+
+    monkeypatch.setattr(intertwine, "poly_eval_mat", recorded)
+    calls = _run_recording_kernel_calls(name, tmp_path, monkeypatch, capsys)
+    rrefs, matmuls, evaluations = SINGULAR_INCLUSION_BOUNDS[name]
+    assert len(calls["rref"]) <= rrefs and len(calls["matmul"]) <= matmuls
+    assert len(cubics) == evaluations
+
+
 def _operand_stats():
-    spec = importlib.util.spec_from_file_location("_ratbench_tracer", TRACER)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module._operand_stats
+    return _load(TRACER, "_ratbench_tracer")._operand_stats
 
 
 def test_no_fraction_reaches_the_kernels(tmp_path, monkeypatch, capsys):

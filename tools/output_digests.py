@@ -26,8 +26,11 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
 - `verify`, `verify --json`, `report --json`, `drazin` and `drazin --json`
   on the zero triples with (dim_x, dim_y) = (0, 0), (0, 3) and (3, 0), where
   AC or BA acts on the empty space: its nilpotency index is 0 by convention
-  and its Drazin inverse is the empty matrix.
-The last line counts the runs (944). The documents are generated by the
+  and its Drazin inverse is the empty matrix;
+- `verify`, `verify --json`, `report --json` and `drazin --json` on the two
+  documents whose inclusion lemma meets a singular Q(T - I) for the cubic
+  Q of `cli.INCLUSION_QS` (`singular_inclusion_triples`).
+The last line counts the runs (952). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -163,6 +166,44 @@ def _zero_dim_runs(workdir: Path):
         yield f"{label} drazin", ["drazin", path, "--json"]
 
 
+def singular_inclusion_triples():
+    """(label, triple) of the documents whose inclusion lemma evaluates a
+    singular Q(T - I), Q the cubic of cli.INCLUSION_QS.
+
+    A = I_4 and B = C = companion(Q(x - 1)) + [2], with
+    Q(x - 1) = x^3 - 9/2 x^2 + 15/2 x - 5/2, so Q(T - I) has rank 1; and a
+    genlab.conjugate copy of it, where BA and AC differ.
+    """
+    import random
+    from fractions import Fraction
+
+    from ratspec import genlab
+    from ratspec.intertwine import OperatorTriple
+    from ratspec.ratmat import Mat
+
+    half = Fraction(1, 2)
+    T = Mat.from_rows([[0, 0, 5 * half, 0], [1, 0, -15 * half, 0],
+                       [0, 1, 9 * half, 0], [0, 0, 0, 2]])
+    t = OperatorTriple(Mat.identity(4), T, T)
+    rng = random.Random(0)
+    U, V = (genlab.random_unimodular(rng, 4, 1) for _ in range(2))
+    return [("companion", t), ("conjugated", genlab.conjugate(t, U, V))]
+
+
+def _singular_inclusion_runs(workdir: Path):
+    """(label, argv) of the commands on the singular inclusion documents."""
+    from ratspec import cli
+
+    for name, t in singular_inclusion_triples():
+        path = str(workdir / f"singular-inclusion-{name}.json")
+        cli.write_triple_document(t, path)
+        label = f"singular-inclusion/{name}"
+        yield f"{label} verify-text", ["verify", path]
+        yield f"{label} verify", ["verify", path, "--json"]
+        yield f"{label} report", ["report", path, "--json"]
+        yield f"{label} drazin", ["drazin", path, "--json"]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -178,7 +219,8 @@ def main() -> int:
         workdir = Path(tmp)
         for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
                      _scale_target_runs(workdir), _residual_path_runs(workdir),
-                     _generate_runs(), _zero_dim_runs(workdir)):
+                     _generate_runs(), _zero_dim_runs(workdir),
+                     _singular_inclusion_runs(workdir)):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
