@@ -10,7 +10,7 @@ identities reads TS once. Nilpotency is decided by products alone: at finite
 dimension M is nilpotent iff M^dim = 0 (Cayley-Hamilton), so
 nilpotency_index multiplies out M, M^2, ... until a power vanishes, and the
 same routine decides the known degree of T^2 S - T. The transfer and the
-proof identities share their products: the proof identities read ST, T^2 S
+proof identities share their products: the proof identities read TS, T^2 S
 and T(BA) off the Drazin result and the transfer report, and take the
 degree of PA.C from that of (AC)^2 S - AC when the two are equal.
 Everything here is exact; "Riesz"
@@ -55,14 +55,13 @@ class DrazinResult:
 
     TS = ST, STS = S, and T^2 S - T is nilpotent; T = core_part +
     nilpotent_part with both products zero and index = asc(T) = dsc(T).
-    projection is TS, the projection onto R(T^d) along N(T^d), st is ST,
-    which the check found equal to it, and core_part is T^2 S = T (TS).
+    projection is TS, the projection onto R(T^d) along N(T^d), which the
+    check found equal to ST, and core_part is T^2 S = T (TS).
     """
 
     inverse: Mat
     index: int
     projection: Mat
-    st: Mat
     core_part: Mat
     nilpotent_part: Mat
 
@@ -96,15 +95,15 @@ def drazin_inverse(T: Mat) -> DrazinResult:
         if core_inv is None:
             raise ArithmeticError("core block is singular")
         S = U @ core_inv @ W
-    ts, st, core = _verify_drazin(T, S, d)
-    return DrazinResult(inverse=S, index=d, projection=ts, st=st,
+    ts, core = _verify_drazin(T, S, d)
+    return DrazinResult(inverse=S, index=d, projection=ts,
                         core_part=core, nilpotent_part=T - core)
 
 
-def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat, Mat]:
-    """Check the three defining identities; (TS, ST, T^2 S), read off TS."""
-    ts, st = T @ S, S @ T
-    if st != ts:
+def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat]:
+    """Check the three defining identities; (TS, T^2 S), read off TS."""
+    ts = T @ S
+    if S @ T != ts:
         raise ArithmeticError("TS != ST")
     if S @ ts != S:
         raise ArithmeticError("STS != S")
@@ -112,7 +111,7 @@ def _verify_drazin(T: Mat, S: Mat, d: int) -> tuple[Mat, Mat, Mat]:
     core = T @ ts
     if not _nilpotent_of_degree(core - T, d):
         raise ArithmeticError("nilpotency degree of T^2 S - T != index")
-    return ts, st, core
+    return ts, core
 
 
 def _nilpotent_of_degree(M: Mat, d: int) -> bool:
@@ -188,17 +187,17 @@ class ProofIdentitiesReport:
 def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesReport:
     """Verify the identity chain used to justify the transfer, entrywise.
 
-    S, its index, AC S, SAC, (AC)^2 S, the candidate B S^2 A and T(BA) are
-    read from the transfer report tr of the same triple, so no product is
-    formed twice. When PA.B == PA.C (always when C == B) the four words of
-    the cycle are one word, and none of them is formed. drazin_inverse has
-    verified that (AC)^2 S - AC is nilpotent of degree index, so when PA.C
-    equals it, so is PA.C, with no product.
+    S, its index, AC S, (AC)^2 S, the candidate B S^2 A and T(BA) are read
+    from the transfer report tr of the same triple, so no product is formed
+    twice. drazin_inverse has checked, before returning S, that AC S = S AC
+    and that (AC)^2 S - AC is nilpotent of degree index: so commutation
+    holds, and when PA.C equals (AC)^2 S - AC, PA.C has that degree, with
+    no product. When PA.B == PA.C (always when C == B) the four words of
+    the cycle are one word, and none of them is formed.
     """
     _require_condition(t)
     d = tr.s_ac.index
     ac_s = tr.s_ac.projection  # AC S
-    commutation = ac_s == tr.s_ac.st
     pa = ac_s.shifted(1) @ t.A  # P = AC S - I
     ba = t.ba
     residual_is_bpa = (tr.cand_ba @ ba - ba) == t.B @ pa
@@ -211,7 +210,7 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
         pabpa, pacpa = pab @ pa, pac @ pa
         cycle = pab @ pabpa == pab @ pacpa == pac @ pabpa == pac @ pacpa
     pac_matches = pac == tr.s_ac.core_part - t.ac  # (AC)^2 S - AC
-    return ProofIdentitiesReport(commutation=commutation,
+    return ProofIdentitiesReport(commutation=True,
                                  residual_is_bpa=residual_is_bpa,
                                  cycle=cycle, pac_matches=pac_matches,
                                  pac_nilpotent=(pac_matches

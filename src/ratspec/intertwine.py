@@ -23,9 +23,9 @@ charpolys of BA and AC (CA and AB read theirs off them by Sylvester's
 identity) decide invertibility: q(T) is invertible iff coprime(charpoly(T),
 q), the one place that is decided. Every invertible operator on Q^n has the
 identity's chain, which the triple keeps once per dimension, with no power
-and no row reduction; a singular q(T) is evaluated once, and equal
-operators share its chain. The tests keep the row-reduced chain of every
-operator as the oracle.
+and no row reduction; a singular q(T) is evaluated once per distinct
+(T, q), and equal T share its chain. The tests keep the row-reduced chain
+of every operator as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -117,10 +117,10 @@ class OperatorTriple:
     as immutable.
 
     chain(T, p, q) gives every probed operator's power chain, keyed by
-    value, so equal operators share one: CA - 1 and AB - 1 share those of
-    BA - 1 and AC - 1 whenever the operators agree, as on every C == B
-    triple. map_cache is the MapCache that the quotient maps and the
-    inclusion lemma of this triple share.
+    (T, q) with T compared by value, so equal operators share one: CA - 1
+    and AB - 1 share those of BA - 1 and AC - 1 whenever CA = BA and
+    AB = AC, as on every C == B triple. map_cache is the MapCache that the
+    quotient maps and the inclusion lemma of this triple share.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
@@ -155,8 +155,8 @@ class OperatorTriple:
                                         self._aca - self._aba)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self.map_cache = MapCache()
-        # a dimension for its trivial chain, (T, q) and q(T) for a singular one
-        self._power_chains: dict[int | tuple[Mat, Poly] | Mat, PowerChain] = {}
+        # a dimension for its trivial chain, (T, q) for a singular one
+        self._power_chains: dict[int | tuple[Mat, Poly], PowerChain] = {}
         self._chains: dict[Fraction, tuple[PowerChain, PowerChain]] = {}
         self._charpolys: tuple[Poly, Poly] | None = None
 
@@ -202,8 +202,8 @@ class OperatorTriple:
         """The PowerChain of q(T) on this triple, p the charpoly of T.
 
         Every invertible q(T) (coprime(p, q)) shares the trivial chain of its
-        dimension; a singular one is evaluated once per distinct (T, q), and
-        its chain is keyed by value.
+        dimension; a singular one is evaluated once per distinct (T, q), T
+        and q compared by value.
         """
         if coprime(p, q):
             chain = self._power_chains.get(T.rows)
@@ -214,11 +214,7 @@ class OperatorTriple:
         key = (T, q)
         chain = self._power_chains.get(key)
         if chain is None:
-            op = poly_eval_mat(q, T)
-            chain = self._power_chains.get(op)
-            if chain is None:
-                chain = self._power_chains[op] = PowerChain(op)
-            self._power_chains[key] = chain
+            chain = self._power_chains[key] = PowerChain(poly_eval_mat(q, T))
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:

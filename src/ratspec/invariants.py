@@ -9,11 +9,12 @@ powers stabilizes by n = dim (Cayley-Hamilton), so all sequences have length
 dim+1 and the "infimum over an empty set" branch of the general theory cannot
 occur here.
 
-Every sequence is read off one PowerChain, built to its stabilization
-index when it is made: c_n and c'_n are both rank T^n - rank T^(n+1), and
-k_n is the drop in dim R(T^n) cap N(T). The chain also keeps the sums
-R(T) + N(T^n), which the mixed quotient maps of ratspec.intertwine read.
-The single-index forms c_n, cp_n, k_n and their complement/intersection/sum
+Every sequence is read off the ranks of one PowerChain, built to its
+stabilization index when it is made: c_n and c'_n are both
+rank T^n - rank T^(n+1), and by rank-nullity so is dim R(T^n) cap N(T),
+whose drop is k_n. The chain also keeps the kernels and the sums
+R(T) + N(T^n), which the quotient maps of ratspec.intertwine read. The
+single-index forms c_n, cp_n, k_n and their complement/intersection/sum
 twins (Grabiner's identities), which the tests compare profile against,
 live in tests/oracles.py with the other test-only oracles.
 
@@ -48,9 +49,10 @@ def _require_square(T: Mat) -> None:
 class InvariantProfile:
     """All invariant sequences and degrees of one square operator.
 
-    Sequences run n = 0..dim. The essential degrees asc_e, dsc_e, dis_e are 0
-    for every finite-dimensional operator (every count is finite, so the
-    defining infima are attained at n = 0). The hyper-kernel N(T^s) and
+    Sequences run n = 0..dim, all read off the ranks of T^n (see profile).
+    The essential degrees asc_e, dsc_e, dis_e are 0 for every
+    finite-dimensional operator (every count is finite, so the defining
+    infima are attained at n = 0). The hyper-kernel N(T^s) and
     hyper-range R(T^s), s the stabilization index, enter by their dimensions
     dim - rank T^s and rank T^s; the subspaces are on the power chain.
     """
@@ -75,13 +77,14 @@ class InvariantProfile:
 class PowerChain:
     """The powers T^n of one square T with their ranges and kernels.
 
-    The constructor multiplies out T, T^2, ... until the ranks stop falling:
-    stable is the least s with rank T^s = rank T^(s+1), at most dim T. From
-    s on every range and every kernel equals the one at s, so image(n),
-    kernel(n) and range_plus_kernel(n) read index min(n, s). R(T^0) is the
-    whole space and is not row-reduced. The kernels and the sums
-    R(T) + N(T^n) of the mixed chain are formed on their first read, each
-    once however many maps read it.
+    The constructor row-reduces R(T), R(T^2), ... from T itself until the
+    ranks stop falling: stable is the least s with rank T^s = rank T^(s+1),
+    at most dim T. From s on every range and every kernel equals the one at
+    s, so image(n), kernel(n) and range_plus_kernel(n) read index min(n, s).
+    R(T^0) and R(T) + N(T^s) (Fitting's lemma) are the whole space and
+    N(T^0) is 0, and none of them is row-reduced. The other kernels and
+    sums R(T) + N(T^n) are formed on their first read, each once however
+    many maps read it.
 
     invertible=True states that T is invertible, as the caller has decided
     from the characteristic polynomial (coprime): the chain is then trivial,
@@ -99,18 +102,18 @@ class PowerChain:
         self.T = T
         self._powers = [Mat.identity(T.rows)]
         self._images = [Subspace.full(T.rows)]
-        self._kernels: dict[int, Subspace] = (
-            {0: Subspace.zero(T.rows)} if invertible else {})
-        self._sums: dict[int, Subspace] = {}
+        self._kernels = {0: Subspace.zero(T.rows)}
         self._profile: InvariantProfile | None = None
+        power = T
         while not invertible:
-            power = self._powers[-1] @ T
             img = image(power)
             if img.dim == self._images[-1].dim:
                 break
             self._powers.append(power)
             self._images.append(img)
+            power = power @ T
         self.stable = len(self._images) - 1
+        self._sums = {self.stable: self._images[0]}
 
     def image(self, n: int) -> Subspace:
         """R(T^n)."""
@@ -140,8 +143,9 @@ class PowerChain:
 
 
 def profile(T: Mat | PowerChain) -> InvariantProfile:
-    """Full invariant profile of T, read off its power chain.
+    """Full invariant profile of T, read off the ranks of its power chain.
 
+    k_n = c_n - c_(n+1) by rank-nullity, with no kernel or intersection.
     T may be given as that PowerChain, when one is already built; the
     profile is then kept on the chain and later calls return it.
     """
@@ -150,14 +154,13 @@ def profile(T: Mat | PowerChain) -> InvariantProfile:
         return chain._profile
     d = chain.T.rows
     s = chain.stable
-    ker1 = chain.kernel(1)
 
-    def drops(dims: list[int]) -> tuple[int, ...]:
+    def drops(dims: tuple[int, ...]) -> tuple[int, ...]:
         # consecutive differences n = 0..d of dimensions constant from s on
         return tuple(dims[min(n, s)] - dims[min(n + 1, s)] for n in range(d + 1))
 
-    c_seq = drops([chain.rank(n) for n in range(s + 1)])
-    k_seq = drops([chain.image(n).intersect(ker1).dim for n in range(s + 1)])
+    c_seq = drops(tuple(chain.rank(n) for n in range(s + 1)))
+    k_seq = drops(c_seq)  # dim R(T^n) cap N(T) = c_n, by rank-nullity
     dis = max((n + 1 for n in range(d + 1) if k_seq[n] != 0), default=0)
 
     chain._profile = InvariantProfile(

@@ -564,24 +564,36 @@ class TestReportCommand:
         assert doc == json.loads(json.dumps(fresh))
 
     def test_each_chain_profiled_once(self, monkeypatch):
-        # profile intersects R(T^n) with N(T) once per n = 0..stable; the
-        # sequence rows and the report's own columns share that one profile,
-        # and every invertible probe of one dimension shares one chain
+        # the sequence rows and the report's own columns share one profile
+        # per chain, and every invertible probe of one dimension shares one
+        # chain; k_n is read off the ranks, so nothing is intersected
+        from ratspec import invariants
         from ratspec.ratmat import Subspace
-        calls = []
+        built, intersected = [], []
+        real_profile = invariants.InvariantProfile
         real_intersect = Subspace.intersect
 
+        def counting_profile(**fields):
+            built.append(1)
+            return real_profile(**fields)
+
         def counting_intersect(self, other):
-            calls.append(1)
+            intersected.append(1)
             return real_intersect(self, other)
 
+        monkeypatch.setattr(invariants, "InvariantProfile", counting_profile)
         monkeypatch.setattr(Subspace, "intersect", counting_intersect)
-        t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
-        report = build_report(t, None, None)
-        chains = {id(c): c for probe in report["probes"]
-                  for c in t.chains(Fraction(probe["lambda"]))}
-        expected = sum(c.stable + 1 for c in chains.values())
-        assert report["probes"] and len(calls) == expected
+        # every probe of the first shares the identity chain; the second has
+        # singular chains at its rational eigenvalues
+        for spec in (GenSpec(template="aba_eq_aca", block_dim=4, seed=2),
+                     GenSpec(template="rational_spectrum", block_dim=3, seed=1)):
+            built.clear()
+            t = generate(spec)
+            report = build_report(t, None, None)
+            chains = {id(c) for probe in report["probes"]
+                      for c in t.chains(Fraction(probe["lambda"]))}
+            assert report["probes"] and len(built) == len(chains)
+        assert len(chains) > 2 and intersected == []
 
 
 class TestRendererFidelity:

@@ -457,10 +457,11 @@ class TestProofIdentities:
             proof_identities(bad, transfer(good))
 
     def test_shared_products_give_the_written_out_flags(self):
-        # with a wrong S the identities can fail; every flag must still be
-        # the one of the products written out in full. The Drazin result
-        # carries AC S and (AC)^2 S with its S, so a wrong one carries them
-        # for the wrong S
+        # with a wrong S the identities can fail; every flag read off the
+        # shared products must still be the one of the products written out
+        # in full. The Drazin result carries AC S and (AC)^2 S with its S, so
+        # a wrong one carries them for the wrong S. Commutation is not among
+        # them: drazin_inverse raises on an S with AC S != S AC
         rng = random.Random(5)
         for which in (1, 2):
             t = paper_example(which, default_idempotent(2))
@@ -473,7 +474,6 @@ class TestProofIdentities:
                 rep = proof_identities(t, wrong)
                 ac, A, B, C = t.ac, t.A, t.B, t.C
                 pa = (ac @ S).shifted(1) @ A
-                assert rep.commutation == (ac @ S == S @ ac)
                 assert rep.cycle == (pa @ B @ pa @ B @ pa == pa @ B @ pa @ C @ pa
                                      == pa @ C @ pa @ B @ pa == pa @ C @ pa @ C @ pa)
                 assert rep.pac_matches == (pa @ C == ac @ ac @ S - ac)
@@ -528,7 +528,7 @@ class TestProofIdentities:
             t = paper_example(w, default_idempotent(2))
             tr = transfer(t)
             S = tr.s_ac.inverse
-            assert tr.s_ac.st == S @ t.ac == tr.s_ac.projection
+            assert S @ t.ac == tr.s_ac.projection
             assert tr.cand_ba == tr.candidate @ t.ba
 
     def test_nilpotency_non_square_rejected(self):

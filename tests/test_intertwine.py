@@ -382,30 +382,35 @@ class TestInclusionLemma:
 
     def test_coprime_q_is_not_evaluated(self, monkeypatch):
         # Q(T - I) is invertible iff charpoly(T) and Q(x - 1) are coprime;
-        # then inclusion_lemma reads the whole space and 0 off the charpoly
+        # then inclusion_lemma reads the whole space and 0 off the charpoly,
+        # and only a singular one is evaluated, as Q(x - 1) at T, once per
+        # distinct operator. The companion triple's Q(T - I) is singular
         from ratspec import intertwine
         evaluated = []
         real = intertwine.poly_eval_mat
 
-        def recorded(Q, M):
-            evaluated.append(M)
-            return real(Q, M)
+        def recorded(q, M):
+            evaluated.append((q, M))
+            return real(q, M)
 
         monkeypatch.setattr(intertwine, "poly_eval_mat", recorded)
         Q = INCLUSION_QS[-1]
         shifted_q = Poly([Fraction(-5, 2), Fraction(15, 2), Fraction(-9, 2), 1])
         assert all(Q(x - 1) == shifted_q(x) for x in range(5))
-        decided = 0
-        for t in conforming_samples():
+        decided = singular = 0
+        triples = [*(OperatorTriple(t.A, t.B, t.C) for t in conforming_samples()),
+                   _companion_triple([COMPANION_POLYS[0], COMPANION_POLYS[3]])]
+        for t in triples:
             evaluated.clear()
             assert inclusion_lemma(t, Q).all_hold
             chis = (*t.ca_ab_charpolys(), *t.charpolys())
             operators = (t.ca, t.ab, t.ba, t.ac)
             assert evaluated == list(dict.fromkeys(
-                T.shifted(1) for T, p in zip(operators, chis)
+                (shifted_q, T) for T, p in zip(operators, chis)
                 if not coprime(p, shifted_q)))
             decided += len(set(operators)) - len(evaluated)
-        assert decided
+            singular += len(evaluated)
+        assert decided and singular
 
     def test_fallback_when_q_shifted_divides_the_charpoly(self, monkeypatch):
         # T = I + companion(Q) + [2]: T - I is companion(Q) + [1], so

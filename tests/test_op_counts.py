@@ -27,21 +27,21 @@ DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (29, 98), "rational_spectrum": (38, 78),
-          "c_equals_b_fractional": (37, 61)}
+BOUNDS = {"paper_ex1": (23, 93), "rational_spectrum": (26, 73),
+          "c_equals_b_fractional": (25, 56)}
 
 # document -> (rref calls, matmul calls) of one `report --json`, whose
-# profiles count the hyper-spaces by rank
-REPORT_BOUNDS = {"rational_spectrum_dim5": (44, 26)}
+# profiles read every sequence and the hyper-spaces off the chain's ranks
+REPORT_BOUNDS = {"rational_spectrum_dim5": (18, 18)}
 
 # document -> (rref calls, matmul calls, evaluations of the cubic) of one
 # `verify --json` on the documents whose inclusion lemma meets a singular
 # Q(T - I), Q the cubic of INCLUSION_QS (tools/output_digests.py). Its chain
-# forms I q(T) and q(T)^2 and row-reduces R(q(T)^2) to find it stable at 1:
-# two products and one rref more per chain than the image and kernel of
-# q(T) alone, 15/46 -> 16/48 on the companion document and 25/50 -> 27/54 on
-# its conjugate, where BA and AC differ.
-SINGULAR_INCLUSION_BOUNDS = {"companion": (16, 48, 1), "conjugated": (27, 54, 2)}
+# starts from q(T) itself, forms q(T)^2 and row-reduces R(q(T)^2) to find it
+# stable at 1: one product and one rref more per chain than the image and
+# kernel of q(T) alone. The conjugated document has two such chains, as BA
+# and AC differ there.
+SINGULAR_INCLUSION_BOUNDS = {"companion": (13, 45, 1), "conjugated": (21, 49, 2)}
 
 
 def _load(path, name):
