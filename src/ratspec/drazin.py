@@ -5,17 +5,18 @@ At finite dimension every square T is Drazin invertible: with d the index
 invertible on the first summand and nilpotent on the second, and the Drazin
 inverse S inverts the core and kills the nilpotent part. S is formed from the
 r x r core block of T (r = rank T^d), the only matrix inverted and the only
-row reduction past T's power chain, and the check of its three defining
-identities reads TS once. Nilpotency is decided by products alone: at finite
-dimension M is nilpotent iff M^dim = 0 (Cayley-Hamilton), so
-nilpotency_index multiplies out M, M^2, ... until a power vanishes, and the
-same routine decides the known degree of T^2 S - T. The transfer and the
-proof identities share their products: the proof identities read TS, T^2 S
-and T(BA) off the Drazin result and the transfer report, and take the
-degree of PA.C from that of (AC)^2 S - AC when the two are equal.
-Everything here is exact; "Riesz"
-collapses to "nilpotent" on rational matrices, so the generalized statements
-specialize to the classical Drazin inverse.
+row reduction past T's power chain, which the transfer takes from the
+triple's accessor (OperatorTriple.chain at q = x): it stops at the rank that
+charpoly(AC) gives, and an invertible AC has the shared identity chain, with
+no row reduction. The check of its three defining identities reads TS once.
+Nilpotency is decided by products alone: M is nilpotent iff M^dim = 0
+(Cayley-Hamilton), so nilpotency_index multiplies out M, M^2, ... until a
+power vanishes, and the same routine decides the known degree of T^2 S - T.
+The proof identities read TS, T^2 S and T(BA) off the Drazin result and the
+transfer report, and take the degree of PA.C from that of (AC)^2 S - AC
+when the two are equal. Everything here is exact; "Riesz" collapses to
+"nilpotent" on rational matrices, so the generalized statements specialize
+to the classical Drazin inverse.
 """
 
 from __future__ import annotations
@@ -26,7 +27,8 @@ from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import PowerChain
 # image and kernel are not called here; they stay importable as drazin.image
 # and drazin.kernel, which the ratbench tracer self-tests read
-from ratspec.ratmat import Mat, image, inverse, kernel  # noqa: F401
+from ratspec.ratmat import Mat, Poly, image, inverse, kernel  # noqa: F401
+
 
 def nilpotency_index(M: Mat) -> int | None:
     """Smallest k >= 1 with M^k = 0, or None if M is not nilpotent.
@@ -66,10 +68,11 @@ class DrazinResult:
     nilpotent_part: Mat
 
 
-def drazin_inverse(T: Mat) -> DrazinResult:
+def drazin_inverse(T: Mat, chain: PowerChain | None = None) -> DrazinResult:
     """Drazin inverse S = U (W T U)^-1 W from the core block at d = asc(T).
 
-    d is the stabilization index of T's PowerChain. The columns U are the
+    d is the stable index of chain, T's PowerChain (the identity's for an
+    invertible T), built here only when none is given. The columns U are the
     chain's basis of R(T^d). The chain row-reduced R(T^d) as the row space
     of (T^d)^T, whose pivot columns are r independent rows of T^d; those
     rows are W, so W spans the rows of T^d and N(W) = N(T^d), with no
@@ -81,7 +84,7 @@ def drazin_inverse(T: Mat) -> DrazinResult:
     """
     if not T.is_square:
         raise ValueError("Drazin inverse of a non-square matrix")
-    chain = PowerChain(T)
+    chain = PowerChain(T) if chain is None else chain
     d = chain.stable
     if d == 0:
         S = inverse(T)
@@ -156,10 +159,11 @@ def transfer(t: OperatorTriple) -> TransferReport:
     The three defining identities are checked directly, and by uniqueness
     of the Drazin inverse they hold exactly when the candidate is the
     Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
-    on the report, where the proof identities read it.
+    on the report, where the proof identities read it. AC's chain at 0
+    comes from the triple's accessor.
     """
     _require_condition(t)
-    s_res = drazin_inverse(t.ac)
+    s_res = drazin_inverse(t.ac, t.chain(t.ac, t.charpolys()[1], Poly([0, 1])))
     S = s_res.inverse
     cand = t.B @ (S @ S) @ t.A
     ba = t.ba

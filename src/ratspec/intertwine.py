@@ -16,16 +16,17 @@ distributivity rather than from the four degree-5 products A(BA)^2, ABACA,
 ACABA and (AC)^2A.
 
 Every probed operator is q(T) for T one of BA, AC, CA and AB: q is
-x - lambda at each probe, and x - 1 or Q(x - 1) in the inclusion lemma. Its
-power chain comes from one accessor, OperatorTriple.chain. Every regularity
-spectrum lies in the root set of the characteristic polynomial, so the
-charpolys of BA and AC (CA and AB read theirs off them by Sylvester's
-identity) decide invertibility: q(T) is invertible iff coprime(charpoly(T),
-q), the one place that is decided. Every invertible operator on Q^n has the
-identity's chain, which the triple keeps once per dimension, with no power
-and no row reduction; a singular q(T) is evaluated once per distinct
-(T, q), and equal T share its chain. The tests keep the row-reduced chain
-of every operator as the oracle.
+x - lambda at each probe, x - 1 or Q(x - 1) in the inclusion lemma, and x
+for AC's Drazin inverse. Its power chain comes from one accessor,
+OperatorTriple.chain, and the charpolys of BA and AC (CA and AB read theirs
+off them by Sylvester's identity) fix where it ends: m =
+hyper_kernel_dim(charpoly(T), q) is dim N(q(T)^dim), so q(T) is invertible
+iff m = 0, the one place that is decided, and otherwise its chain stops at
+rank dim - m (invariants.PowerChain). Every invertible operator on Q^n has the
+identity's chain, kept once per dimension, with no power and no row
+reduction; a singular q(T) is evaluated once per distinct (T, q), and equal
+T share its chain. The tests keep the row-reduced chain of every operator
+as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from ratspec.invariants import (PowerChain, coprime, profile,
+from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
                                 rational_eigenvalues, sigma_memberships)
 # image stays importable for ratbench's alias self-tests, unused here
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,  # noqa: F401
@@ -201,20 +202,16 @@ class OperatorTriple:
     def chain(self, T: Mat, p: Poly, q: Poly) -> PowerChain:
         """The PowerChain of q(T) on this triple, p the charpoly of T.
 
-        Every invertible q(T) (coprime(p, q)) shares the trivial chain of its
-        dimension; a singular one is evaluated once per distinct (T, q), T
-        and q compared by value.
+        Every invertible q(T) (hyper_kernel_dim(p, q) = 0) shares the trivial
+        chain of its dimension; a singular one is evaluated once per distinct
+        (T, q), compared by value, and given hyper_kernel_dim(p, q).
         """
-        if coprime(p, q):
-            chain = self._power_chains.get(T.rows)
-            if chain is None:
-                chain = self._power_chains[T.rows] = PowerChain(
-                    Mat.identity(T.rows), invertible=True)
-            return chain
-        key = (T, q)
+        m = hyper_kernel_dim(p, q)
+        key = (T, q) if m else T.rows
         chain = self._power_chains.get(key)
         if chain is None:
-            chain = self._power_chains[key] = PowerChain(poly_eval_mat(q, T))
+            op = poly_eval_mat(q, T) if m else Mat.identity(T.rows)
+            chain = self._power_chains[key] = PowerChain(op, m)
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:

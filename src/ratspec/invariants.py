@@ -3,32 +3,33 @@
 For a square T the sequences c_n (consecutive range-quotient dimensions),
 c'_n (consecutive kernel-quotient dimensions) and k_n (null-space dimensions
 of the induced maps between consecutive range quotients) are computed exactly,
-together with the derived degrees: ascent, descent, degree of stable
-iteration, and the totals c, c', k. Every chain of kernels and ranges of
-powers stabilizes by n = dim (Cayley-Hamilton), so all sequences have length
-dim+1 and the "infimum over an empty set" branch of the general theory cannot
-occur here.
+with the ascent, descent, degree of stable iteration and totals c, c', k.
+Every chain of kernels and ranges of powers stabilizes by n = dim
+(Cayley-Hamilton), so all sequences have length dim+1 and the "infimum over
+an empty set" branch of the general theory cannot occur here.
 
-Every sequence is read off the ranks of one PowerChain, built to its
-stabilization index when it is made: c_n and c'_n are both
-rank T^n - rank T^(n+1), and by rank-nullity so is dim R(T^n) cap N(T),
+Every sequence is read off the ranks of one PowerChain: c_n and c'_n are
+both rank T^n - rank T^(n+1), and by rank-nullity so is dim R(T^n) cap N(T),
 whose drop is k_n. The chain also keeps the kernels and the sums
 R(T) + N(T^n), which the quotient maps of ratspec.intertwine read. The
-single-index forms c_n, cp_n, k_n and their complement/intersection/sum
-twins (Grabiner's identities), which the tests compare profile against,
-live in tests/oracles.py with the other test-only oracles.
+single-index forms and Grabiner's complement/intersection/sum twins live in
+tests/oracles.py, as the oracles of profile.
+
+Two facts fix most of a chain before any row reduction. Fitting's floor:
+rank T^n falls strictly until it reaches dim - m, m = dim N(T^dim), and then
+stays; for T = q(M), m is the degree of the q-primary part of M's
+characteristic polynomial (hyper_kernel_dim). Weyr's rule: the drops
+rank T^(n-1) - rank T^n = dim(R(T^(n-1)) cap N(T)) never increase, since
+R(T^n) lies in R(T^(n-1)), so R(T^n) cap N(T) shrinks. So once a drop is 1,
+every later drop is 1 until the floor.
 
 Rational eigenvalues are the rational roots of the characteristic
 polynomial, found by Zassenhaus' linear factors over Z with Hensel lifting
 from a prime at which each root is simple.
 
-Membership in the nineteen regularity classes R_1..R_19 is evaluated with the
-finite-dimensional semantics: every subspace of a finite-dimensional space is
-closed and every dimension count is finite, so every class holds for every
-operator except R_1 (surjective), R_6 (injective) and R_11 (semi-regular,
-k(T) = 0), and those three all say that T is invertible: one verdict, read
-off the power chain. The tests keep the totals c, c', k in their
-complement, intersection and sum forms as the oracle.
+Membership in the nineteen regularity classes R_1..R_19 is, at finite
+dimension, one invertibility verdict read off the power chain
+(regularity_membership); the tests keep the totals c, c', k as oracle.
 """
 
 from __future__ import annotations
@@ -77,53 +78,74 @@ class InvariantProfile:
 class PowerChain:
     """The powers T^n of one square T with their ranges and kernels.
 
-    The constructor row-reduces R(T), R(T^2), ... from T itself until the
-    ranks stop falling: stable is the least s with rank T^s = rank T^(s+1),
-    at most dim T. From s on every range and every kernel equals the one at
-    s, so image(n), kernel(n) and range_plus_kernel(n) read index min(n, s).
-    R(T^0) and R(T) + N(T^s) (Fitting's lemma) are the whole space and
-    N(T^0) is 0, and none of them is row-reduced. The other kernels and
-    sums R(T) + N(T^n) are formed on their first read, each once however
-    many maps read it.
-
-    invertible=True states that T is invertible, as the caller has decided
-    from the characteristic polynomial (coprime): the chain is then trivial,
-    stable at 0 with every range the whole space and every kernel 0, and it
-    forms no power and row-reduces nothing. Every invertible operator on Q^n
-    has that chain, so ratspec.intertwine shares one, on the identity, per
-    dimension; the tests keep each operator's row-reduced chain as oracle.
+    stable is the least s with rank T^s = rank T^(s+1), at most dim T; from
+    s on every range and kernel is the one at s, so image(n), kernel(n),
+    range_plus_kernel(n) and rank(n) read index min(n, s). R(T^0) and
+    R(T) + N(T^s) (Fitting's lemma) are the whole space and N(T^0) is 0.
+    With no hyper_kernel_dim, R(T), R(T^2), ... are row-reduced until the
+    ranks stop falling. hyper_kernel_dim = m = dim N(T^s), read off a
+    characteristic polynomial, fixes the rest (Fitting's floor and Weyr's
+    rule, in the module docstring): the chain stops at the first rank
+    dim - m, with no T^(s+1), and once a drop is 1 or the floor is 1 away
+    the later unit drops are written down; m = 0 is an invertible T. Powers,
+    kernels, sums and the images not row-reduced here are formed on first
+    read, each checked against its rank; a rank that breaks the rules
+    raises ArithmeticError. The tests keep the chain without m as oracle.
     """
 
-    __slots__ = ("T", "stable", "_powers", "_images", "_kernels", "_sums",
-                 "_profile")
+    __slots__ = ("T", "stable", "_ranks", "_powers", "_images", "_kernels",
+                 "_sums", "_profile")
 
-    def __init__(self, T: Mat, invertible: bool = False):
+    def __init__(self, T: Mat, hyper_kernel_dim: int | None = None):
         _require_square(T)
+        d = T.rows
         self.T = T
-        self._powers = [Mat.identity(T.rows)]
-        self._images = [Subspace.full(T.rows)]
-        self._kernels = {0: Subspace.zero(T.rows)}
+        self._powers = [Mat.identity(d)]
+        self._images = {0: Subspace.full(d)}
+        self._kernels = {0: Subspace.zero(d)}
         self._profile: InvariantProfile | None = None
-        power = T
-        while not invertible:
-            img = image(power)
-            if img.dim == self._images[-1].dim:
-                break
-            self._powers.append(power)
-            self._images.append(img)
-            power = power @ T
-        self.stable = len(self._images) - 1
+        ranks = [d]
+        if hyper_kernel_dim is None:
+            while (img := image(self._power(len(ranks)))).dim < ranks[-1]:
+                self._images[len(ranks)] = img
+                ranks.append(img.dim)
+        else:
+            drop, floor = hyper_kernel_dim, d - hyper_kernel_dim
+            while min(drop, ranks[-1] - floor) > 1:
+                img = self._images[len(ranks)] = image(self._power(len(ranks)))
+                if not floor <= img.dim < ranks[-1]:
+                    raise ArithmeticError(f"power chain ranks {ranks}, {img.dim} "
+                                          f"miss the floor {floor}")
+                drop = ranks[-1] - img.dim
+                ranks.append(img.dim)
+            ranks.extend(range(ranks[-1] - 1, floor - 1, -1))
+        self._ranks = ranks
+        self.stable = len(ranks) - 1
         self._sums = {self.stable: self._images[0]}
+
+    def _power(self, n: int) -> Mat:
+        # T^n, multiplying out the powers not yet formed from T^1 = T
+        while (k := len(self._powers)) <= n:
+            self._powers.append(self._powers[-1] @ self.T if k > 1 else self.T)
+        return self._powers[n]
+
+    def _checked(self, n: int, space: Subspace, dim: int) -> Subspace:
+        if space.dim != dim:
+            raise ArithmeticError(f"power chain level {n} has dimension {space.dim}, "
+                                  f"predicted {dim} from ranks {self._ranks}")
+        return space
 
     def image(self, n: int) -> Subspace:
         """R(T^n)."""
-        return self._images[min(n, self.stable)]
+        if (n := min(n, self.stable)) not in self._images:
+            self._images[n] = self._checked(n, image(self._power(n)), self._ranks[n])
+        return self._images[n]
 
     def kernel(self, n: int) -> Subspace:
         """N(T^n)."""
-        n = min(n, self.stable)
-        if n not in self._kernels:
-            self._kernels[n] = kernel(self._powers[n])
+        if (n := min(n, self.stable)) not in self._kernels:
+            K = kernel(self._power(n))
+            self._kernels[n] = self._checked(n, K, self.T.rows - self._ranks[n])
         return self._kernels[n]
 
     def range_plus_kernel(self, n: int) -> Subspace:
@@ -134,12 +156,12 @@ class PowerChain:
         return self._sums[n]
 
     def rank(self, n: int) -> int:
-        """rank T^n."""
-        return self.image(n).dim
+        """rank T^n, read off the ranks the chain holds."""
+        return self._ranks[min(n, self.stable)]
 
     def stable_power(self) -> Mat:
         """T^s at the stabilization index s."""
-        return self._powers[self.stable]
+        return self._power(self.stable)
 
 
 def profile(T: Mat | PowerChain) -> InvariantProfile:
@@ -287,23 +309,23 @@ def _integer_root_candidates(f: list[int]) -> list[int]:
     return [a - q if 2 * a > q else a for a in roots]
 
 
-def coprime(p: Poly, q: Poly) -> bool:
-    """Whether gcd(p, q) = 1 over Q, by the primitive PRS of _gcd.
+def hyper_kernel_dim(p: Poly, q: Poly) -> int:
+    """dim N(q(T)^s) for s >= dim, p the characteristic polynomial of T.
 
-    With p the characteristic polynomial of T, the eigenvalues of q(T) are
-    q(mu) for the roots mu of p, so q(T) is invertible iff p and q are
-    coprime. Production decides that invertibility here and nowhere else,
-    with no power of T and no row reduction, and the tests keep the rank
-    of q(T) as the oracle. A linear q = a x + b shares a factor with p iff
-    its one root -b/a is a root of p: one evaluation, and the tests keep
-    the PRS as its oracle.
+    That is the degree of p's q-primary part (p, q nonzero), 0 exactly when
+    q(T) is invertible: the one invertibility decision production makes.
+    One evaluation at its root decides a linear q. Otherwise gcd(p, q), by
+    the primitive PRS of _gcd (for a linear q, its primitive factor), is
+    divided out of p exactly until it is 1, summing its degrees; all in
+    integers. The tests keep dim - rank q(T)^dim and the gcd as oracles.
     """
-    if q.degree == 1:
-        b, a = q.coeffs
-        return p(-b / a) != 0
-    a, b = _integer_coeffs(p), _integer_coeffs(q)
-    g = _gcd(a, b) if a and b else a or b
-    return len(g) == 1
+    if q.degree == 1 and p(-q.coeffs[0] / q.coeffs[1]):
+        return 0
+    f, g, m = _integer_coeffs(p), _integer_coeffs(q), 0
+    while len(h := _gcd(f, g)) > 1:
+        f = _exact_quotient(f, h)
+        m += len(h) - 1
+    return m
 
 
 def _integer_coeffs(p: Poly) -> list[int]:

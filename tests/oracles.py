@@ -7,7 +7,8 @@ subspace sums and intersections, or the characteristic polynomial, so that
 the tests can compare the two. The characteristic polynomial, its
 evaluation and the rational eigenvalues have their textbook forms here
 too: Faddeev-LeVerrier and Horner's rule over Fraction, and the
-rational-root theorem with a divisor scan; so has the default probe set,
+rational-root theorem with a divisor scan; so has the invertibility of
+q(T), as gcd(charpoly(T), q) = 1; so has the default probe set,
 from a root search on each of the two characteristic polynomials where
 production searches one. The generator's ABA = ACA sampler has its first
 form here as well, the kernel of the dx*dy x dx*dy Kronecker matrix of
@@ -28,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
-from ratspec.invariants import rational_eigenvalues
+from ratspec.invariants import _gcd, _integer_coeffs, rational_eigenvalues
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             preimage, quotient_dim, rank, rat)
 
@@ -198,6 +199,22 @@ def eigenvalue_multiplicity(T: Mat, lam: int | Fraction) -> int:
         p = _deflate_poly(p, lam)
         mult += 1
     return mult
+
+
+def coprime(p: Poly, q: Poly) -> bool:
+    """Whether gcd(p, q) = 1 over Q, by the primitive PRS of invariants._gcd.
+
+    With p the characteristic polynomial of T, q(T) is invertible iff p and
+    q are coprime; production reads that off hyper_kernel_dim(p, q) = 0. A
+    linear q = a x + b shares a factor with p iff its one root -b/a is a
+    root of p: one evaluation, against the PRS in the tests.
+    """
+    if q.degree == 1:
+        b, a = q.coeffs
+        return p(-b / a) != 0
+    a, b = _integer_coeffs(p), _integer_coeffs(q)
+    g = _gcd(a, b) if a and b else a or b
+    return len(g) == 1
 
 
 def _deflate_poly(p: Poly, r: Fraction) -> Poly:

@@ -13,10 +13,10 @@ from math import comb
 
 import pytest
 
-from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
-                     default_probes_by_two_searches, eigenvalue_multiplicity,
-                     injective_by_preimage_in_ambient, k_n, k_n_via_sums,
-                     rational_eigenvalues_by_divisors)
+from oracles import (c_n, c_n_via_complement, coprime, cp_n,
+                     cp_n_via_intersection, default_probes_by_two_searches,
+                     eigenvalue_multiplicity, injective_by_preimage_in_ambient,
+                     k_n, k_n_via_sums, rational_eigenvalues_by_divisors)
 from ratspec.cli import INCLUSION_QS, main, write_triple_document
 from ratspec.drazin import drazin_inverse, proof_identities, transfer
 from ratspec.genlab import GenSpec, generate, paper_example
@@ -26,8 +26,10 @@ from ratspec.intertwine import (MapCache, OperatorTriple, check_condition,
                                 nonzero_charpoly_match, phi_map, psi_map,
                                 scaled, shift_polys,
                                 verify_sequence_equalities, verify_theorem)
-from ratspec.invariants import PowerChain, profile, rational_eigenvalues
+from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
+                                rational_eigenvalues)
 from ratspec.ratmat import Mat, Poly, image, kernel, poly_eval_mat
+from test_intertwine import COMPANION_POLYS, _companion_triple
 
 
 def _corpus_specs():
@@ -240,6 +242,41 @@ def test_criterion_3_charpoly_decided_chains_equal_row_reduced_ones(corpus):
     assert decided and singular
     print(f"ACCEPTANCE 3d: PASS - {decided} charpoly-decided invertible and "
           f"{singular} singular chains equal the row-reduced ones")
+
+
+def test_criterion_3_hyper_kernel_dims_equal_the_row_reduced_ones(corpus):
+    """hyper_kernel_dim(p, q) = dim - rank q(T)^dim; 0 iff gcd(p, q) = 1.
+
+    T runs over BA, AC, CA and AB of the corpus, the companion triple (with
+    the irreducible x^2 - 2 and its square) and the zero-dimension triples;
+    q over x, x - 1, x - lam at each rational eigenvalue and Q(x - 1) for
+    the inclusion lemma's cubic Q.
+    """
+    shifted_cubic = Poly([])
+    for c in reversed(INCLUSION_QS[3].coeffs):
+        shifted_cubic = shifted_cubic * Poly([-1, 1]) + Poly([c])
+    quadratic = COMPANION_POLYS[1]
+    cases = [(t, [Poly([-lam, 1]) for lam in eigs]) for _, t, _, eigs in corpus]
+    cases.append((_companion_triple([quadratic, quadratic, COMPANION_POLYS[3]]),
+                  [quadratic, quadratic * quadratic]))
+    cases += [(OperatorTriple(Mat.zero(dy, dx), Mat.zero(dx, dy),
+                              Mat.zero(dx, dy)), [])
+              for dx, dy in ((0, 0), (0, 3), (3, 0))]
+    zero = positive = 0
+    for t, qs in cases:
+        operators = zip((t.ba, t.ac, t.ca, t.ab),
+                        (*t.charpolys(), *t.ca_ab_charpolys()))
+        for T, p in dict(operators).items():
+            for q in (Poly([0, 1]), Poly([-1, 1]), shifted_cubic, *qs):
+                m = hyper_kernel_dim(p, q)
+                oracle = PowerChain(poly_eval_mat(q, T))
+                assert m == T.rows - oracle.rank(T.rows)
+                assert coprime(p, q) == (m == 0)
+                zero += m == 0
+                positive += m > 0
+    assert zero and positive
+    print(f"ACCEPTANCE 3e: PASS - {zero} zero and {positive} positive "
+          "hyper-kernel dimensions equal the row-reduced ones")
 
 
 def test_criterion_4_inclusion_subspaces_are_the_evaluated_ones(corpus, monkeypatch):

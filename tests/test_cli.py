@@ -640,7 +640,7 @@ class TestDrazinCommand:
     def test_a_raising_drazin_inverse_exits_1(self, monkeypatch, ex1_file, capsys):
         from ratspec import drazin
 
-        def raising(T):
+        def raising(T, chain=None):
             raise ArithmeticError("core block is singular")
 
         monkeypatch.setattr(drazin, "drazin_inverse", raising)
@@ -658,8 +658,8 @@ class TestDrazinCommand:
         from ratspec import drazin
         real = drazin.drazin_inverse
 
-        def doubled(T):
-            res = real(T)
+        def doubled(T, chain=None):
+            res = real(T, chain)
             return dataclasses.replace(res, inverse=res.inverse.scaled(2))
 
         monkeypatch.setattr(drazin, "drazin_inverse", doubled)
@@ -693,9 +693,9 @@ class TestRunVerification:
         chained = []
         real_chain = intertwine.PowerChain
 
-        def counting_chain(T, invertible=False):
+        def counting_chain(T, hyper_kernel_dim=None):
             chained.append(T)
-            return real_chain(T, invertible)
+            return real_chain(T, hyper_kernel_dim)
 
         monkeypatch.setattr(intertwine, "PowerChain", counting_chain)
         shifted_by = []
@@ -729,9 +729,9 @@ class TestRunVerification:
         drazin_of = []
         real_drazin = drazin.drazin_inverse
 
-        def counting_drazin(T):
+        def counting_drazin(T, chain=None):
             drazin_of.append(T)
-            return real_drazin(T)
+            return real_drazin(T, chain)
 
         monkeypatch.setattr(drazin, "drazin_inverse", counting_drazin)
         t = paper_example(2, default_idempotent(2))
@@ -739,15 +739,17 @@ class TestRunVerification:
         # no scaled triple; one chain per distinct singular probed operator,
         # shared by every verifier: BA - lam and AC - lam at each nonzero
         # probe, CA - 1 and AB - 1 and the cubic's Q(T - I) for the
-        # inclusion lemma; every invertible one of a dimension shares the
-        # identity's chain, built once
+        # inclusion lemma, and AC itself for its Drazin inverse; every
+        # invertible one of a dimension shares the identity's chain, built
+        # once
         assert scaled_at == []
         nonzero = [x for x in intertwine.default_probes(t) if x]
         cubic = INCLUSION_QS[3]
         probed = ([T.shifted(lam) for lam in nonzero for T in (t.ba, t.ac)]
                   + [t.ca.shifted(1), t.ab.shifted(1)]
                   + [poly_eval_mat(cubic, T.shifted(1))
-                     for T in (t.ca, t.ab, t.ba, t.ac)])
+                     for T in (t.ca, t.ab, t.ba, t.ac)]
+                  + [t.ac])
         expected = {op if rank(op) < op.rows else Mat.identity(op.rows)
                     for op in probed}
         assert Counter(chained) == Counter(expected)
@@ -1037,7 +1039,7 @@ class TestSequenceAndDrazinWitness:
             self, monkeypatch, ex1_file, capsys):
         from ratspec import drazin
 
-        def raising(T):
+        def raising(T, chain=None):
             raise ArithmeticError("core block is singular")
 
         monkeypatch.setattr(drazin, "drazin_inverse", raising)

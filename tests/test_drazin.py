@@ -387,8 +387,8 @@ class TestTransfer:
         triples.append(generate(GenSpec(template="rational_spectrum",
                                         block_dim=3, seed=1)))
         for perturb in perturbations:
-            def perturbed(T, perturb=perturb):
-                res = real(T)
+            def perturbed(T, chain=None, perturb=perturb):
+                res = real(T, chain)
                 return dataclasses.replace(res, inverse=perturb(res.inverse))
 
             monkeypatch.setattr(drazin, "drazin_inverse", perturbed)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import matrices
-from oracles import (default_probes_by_two_searches,
+from oracles import (coprime, default_probes_by_two_searches,
                      injective_by_preimage_in_ambient, power_identity,
                      residuals_by_four_products)
 from ratspec import kernels
@@ -22,7 +22,7 @@ from ratspec.intertwine import (ConditionNotSatisfied, MapCache, OperatorTriple,
                                 phi_map, psi_map, scaled,
                                 shift_polys, verify_sequence_equalities,
                                 verify_theorem)
-from ratspec.invariants import PowerChain, coprime, profile, sigma_memberships
+from ratspec.invariants import PowerChain, profile, sigma_memberships
 from ratspec.ratmat import (Mat, Poly, Subspace, block, image, kernel, map_subspace,
                             poly_eval_mat, rank, solve)
 

@@ -1,22 +1,27 @@
 """Invariant sequences, degrees, regularities, rational eigenvalues."""
 
+import json
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import rationals, square_matrices
-from oracles import (c_n, c_n_via_complement, cp_n, cp_n_via_intersection,
-                     eigenvalue_multiplicity, fredholm_index, k_n, k_n_via_sums,
-                     sigma_R_membership)
+from oracles import (c_n, c_n_via_complement, coprime, cp_n,
+                     cp_n_via_intersection, eigenvalue_multiplicity,
+                     fredholm_index, k_n, k_n_via_sums, sigma_R_membership)
+from ratspec.cli import main, write_triple_document
+from ratspec.genlab import random_unimodular
+from ratspec.intertwine import OperatorTriple
 from ratspec.invariants import (PowerChain, _gcd, _integer_coeffs,
-                                _squarefree_part, coprime,
+                                _squarefree_part, hyper_kernel_dim,
                                 profile, rational_eigenvalues,
                                 regularity_membership, sigma_memberships)
-from ratspec.ratmat import (Mat, Poly, charpoly, image, kernel,
-                            poly_eval_mat, rank)
+from ratspec.ratmat import (Mat, Poly, block, charpoly, image, inverse,
+                            kernel, poly_eval_mat, rank)
+from test_drazin import jordan_block
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 J2_PLUS_1 = Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])  # diag(J_2, 1)
@@ -449,7 +454,7 @@ class TestCoprimeDecidesInvertibility:
     @given(square_matrices(4))
     def test_invertible_chain_equals_the_row_reduced_one(self, M):
         assume(charpoly(M)(0) != 0)
-        fast, oracle = PowerChain(M, invertible=True), PowerChain(M)
+        fast, oracle = PowerChain(M, hyper_kernel_dim=0), PowerChain(M)
         assert fast.stable == oracle.stable == 0
         for n in range(M.rows + 3):
             assert fast.image(n) == oracle.image(n)
@@ -458,3 +463,113 @@ class TestCoprimeDecidesInvertibility:
         assert fast.stable_power() == oracle.stable_power()
         assert profile(fast) == profile(oracle)
         assert sigma_memberships(fast) == sigma_memberships(oracle)
+
+
+def _conjugated_blocks(blocks, seed=5):
+    """U diag(blocks) U^-1 with a fixed unimodular U, so no level is sparse."""
+    J = Mat.identity(0)
+    for K in blocks:
+        J = block([[J, Mat.zero(J.rows, K.cols)], [Mat.zero(K.rows, J.cols), K]])
+    U = random_unimodular(random.Random(seed), J.rows, 1)
+    return U @ J @ inverse(U)
+
+
+# J_3(2) + J_1(2) + J_2(-1): the drops at 2 are 2, 1, 1 and at -1 are 1, 1
+MIXED = _conjugated_blocks([jordan_block(2, 3), jordan_block(2, 1),
+                            jordan_block(-1, 2)])
+# with J_3(1/2) appended, the triple A = I, B = C = that operator probes a
+# single Jordan block of size 3 at 1/2
+SINGLE_J3 = _conjugated_blocks([jordan_block(2, 3), jordan_block(2, 1),
+                                jordan_block(-1, 2), jordan_block(Fraction(1, 2), 3)])
+# J_2(3) + J_2(3) + J_1(1): the last drop at 3 is 2, so a floor one too high
+# shows in the rank of the level the chain stops at
+TWO_J2 = _conjugated_blocks([jordan_block(3, 2), jordan_block(3, 2),
+                             jordan_block(1, 1)])
+CASES = [(MIXED, 2, 4), (MIXED, -1, 2), (SINGLE_J3, Fraction(1, 2), 3),
+         (SINGLE_J3, 2, 4), (TWO_J2, 3, 4)]
+_READS = ("rank", "image", "kernel", "range_plus_kernel")
+
+
+def _read(chain, name, n):
+    return chain.stable_power() if name == "stable_power" else getattr(chain, name)(n)
+
+
+def _read_all(chain):
+    return [_read(chain, name, n) for name in _READS
+            for n in range(chain.T.rows + 2)] + [chain.stable_power()]
+
+
+class TestPredictedLevels:
+    """PowerChain(T, m) against the row-reduced PowerChain(T).
+
+    With m = dim N(T^s) the chain stops at rank dim - m (Fitting) and writes
+    down the unit drops that Weyr's rule gives; its other levels are formed
+    on first read. The row-reduced chain is the oracle of every level.
+    """
+
+    def test_multiplicities_are_the_jordan_sizes(self):
+        for M, lam, m in CASES:
+            assert hyper_kernel_dim(charpoly(M), Poly([-lam, 1])) == m
+
+    @given(st.permutations([(name, n) for name in _READS for n in range(11)]
+                           + [("stable_power", None)]))
+    @settings(max_examples=15)
+    def test_levels_read_in_any_order_equal_the_oracle(self, reads):
+        t = OperatorTriple(Mat.identity(9), SINGLE_J3, SINGLE_J3)
+        pba = t.charpolys()[0]
+        for lam in (2, -1, Fraction(1, 2)):
+            q = Poly([-lam, 1])
+            chain, oracle = t.chain(t.ba, pba, q), PowerChain(t.ba.shifted(lam))
+            assert chain.stable == oracle.stable
+            for name, n in reads:
+                assert _read(chain, name, n) == _read(oracle, name, n)
+
+    @given(_small_int_squares, st.integers(-2, 2))
+    @example(J3, 0)
+    @example(jordan_block(1, 4), 1)
+    def test_every_chain_with_m_equals_the_row_reduced_one(self, M, r):
+        op = M.shifted(r)
+        chain = PowerChain(op, hyper_kernel_dim(charpoly(M), Poly([-r, 1])))
+        assert _read_all(chain) == _read_all(PowerChain(op))
+
+    def test_a_report_forms_no_power_past_the_last_computed_level(
+            self, tmp_path, monkeypatch, capsys):
+        # the drops at 2 are 2, 1, 1: T and T^2 are row-reduced, T^3 is
+        # predicted; at -1 and 1/2 the first drop is 1, so only T is
+        # row-reduced. The report's profiles equal the row-reduced ones
+        t = OperatorTriple(Mat.identity(9), SINGLE_J3, SINGLE_J3)
+        shifted = {lam: SINGLE_J3.shifted(lam) for lam in (2, -1, Fraction(1, 2))}
+        path = tmp_path / "single_j3.json"
+        write_triple_document(t, str(path))
+        products = []
+        real = Mat.__matmul__
+        monkeypatch.setattr(Mat, "__matmul__",
+                            lambda a, b: products.append(b) or real(a, b))
+        assert main(["report", str(path), "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        monkeypatch.setattr(Mat, "__matmul__", real)
+        powers = {lam: sum(b == op for b in products) for lam, op in shifted.items()}
+        assert powers == {2: 1, -1: 0, Fraction(1, 2): 0}
+        rows = {Fraction(p["lambda"]): p["rows"] for p in doc["probes"]}
+        for lam, op in shifted.items():
+            oracle = profile(PowerChain(op))
+            assert [r["c"] for r in rows[lam]] == [
+                [c, c] for c in oracle.c_seq[:len(rows[lam])]]
+            assert [r["k"] for r in rows[lam]] == [
+                [k, k] for k in oracle.k_seq[:len(rows[lam])]]
+
+    def test_a_wrong_multiplicity_raises(self):
+        # one too many: the chain predicts a rank below the true floor, and
+        # the level that should have it does not. One too few: on TWO_J2,
+        # whose last drop is 2, the level the chain stops at has rank 1, not
+        # 2. A last drop of 1 hides one too few: the stopping level then has
+        # the predicted rank, and only T^(s+1), which no chain with m forms,
+        # would show it
+        for M, lam, m in CASES:
+            op = M.shifted(lam)
+            assert _read_all(PowerChain(op, m)) == _read_all(PowerChain(op))
+            with pytest.raises(ArithmeticError, match="predicted|floor"):
+                _read_all(PowerChain(op, m + 1))
+        op = TWO_J2.shifted(3)
+        with pytest.raises(ArithmeticError, match="dimension 1, predicted 2"):
+            _read_all(PowerChain(op, 3))

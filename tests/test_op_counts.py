@@ -27,21 +27,23 @@ DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the characteristic polynomial's products
-BOUNDS = {"paper_ex1": (23, 93), "rational_spectrum": (26, 73),
-          "c_equals_b_fractional": (25, 56)}
+BOUNDS = {"paper_ex1": (18, 88), "rational_spectrum": (21, 68),
+          "c_equals_b_fractional": (20, 51)}
 
 # document -> (rref calls, matmul calls) of one `report --json`, whose
-# profiles read every sequence and the hyper-spaces off the chain's ranks
-REPORT_BOUNDS = {"rational_spectrum_dim5": (18, 18)}
+# profiles read every sequence and the hyper-spaces off the chain's ranks;
+# every chain ends at the rank the charpoly gives, and its unit drops are
+# written down, so a level is row-reduced only when its rank is open
+REPORT_BOUNDS = {"rational_spectrum_dim5": (2, 8)}
 
 # document -> (rref calls, matmul calls, evaluations of the cubic) of one
 # `verify --json` on the documents whose inclusion lemma meets a singular
 # Q(T - I), Q the cubic of INCLUSION_QS (tools/output_digests.py). Its chain
-# starts from q(T) itself, forms q(T)^2 and row-reduces R(q(T)^2) to find it
-# stable at 1: one product and one rref more per chain than the image and
-# kernel of q(T) alone. The conjugated document has two such chains, as BA
-# and AC differ there.
-SINGULAR_INCLUSION_BOUNDS = {"companion": (13, 45, 1), "conjugated": (21, 49, 2)}
+# starts from q(T) itself and stops there, since rank q(T) is already
+# dim - hyper_kernel_dim: no power and no rref past the image and kernel of
+# q(T). The conjugated document has two such chains, as BA and AC differ
+# there.
+SINGULAR_INCLUSION_BOUNDS = {"companion": (10, 43, 1), "conjugated": (16, 45, 2)}
 
 
 def _load(path, name):
