@@ -209,29 +209,37 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
             report["skipped_lambdas"].append(
                 {"lambda": "0", "note": "the theorem excludes 0"})
             continue
-        seq = intertwine.verify_sequence_equalities(t, lam, n_max)
-        theo = intertwine.verify_theorem(t, [lam]).rows[0]
-        ba, ac = t.chains(lam)  # the chains seq was read from
-        prof_ac, prof_ba = profile(ac), profile(ba)
-        report["probes"].append({
-            "lambda": _rat_str(lam, "lambda"),
-            "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
-                      "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
-            "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
-            "asc": [seq.asc_ac, seq.asc_ba],
-            "dsc": [seq.dsc_ac, seq.dsc_ba],
-            "dis": [prof_ac.dis, prof_ba.dis],
-            "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
-            "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
-            "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
-            "sequences_hold": seq.all_equal,
-            "sigma_memberships": {
-                "ac": list(theo.in_sigma_ac),
-                "ba": list(theo.in_sigma_ba),
-                "hold": theo.equal,
-            },
-        })
+        body = t.pair_result(lam, ("report", n_max),
+                             lambda ba, ac: _probe_body(t, lam, n_max))
+        report["probes"].append({"lambda": _rat_str(lam, "lambda"), **body})
     return report
+
+
+def _probe_body(t: OperatorTriple, lam: Fraction, n_max: int | None) -> dict:
+    """A probe's report entry after its label, read off the chains of
+    AC - lam and BA - lam; build_report forms it once per chain pair, and
+    the probes with one pair share its lists."""
+    seq = intertwine.verify_sequence_equalities(t, lam, n_max)
+    theo = intertwine.verify_theorem(t, [lam]).rows[0]
+    ba, ac = t.chains(lam)  # the chains seq was read from
+    prof_ac, prof_ba = profile(ac), profile(ba)
+    return {
+        "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
+                  "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
+        "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
+        "asc": [seq.asc_ac, seq.asc_ba],
+        "dsc": [seq.dsc_ac, seq.dsc_ba],
+        "dis": [prof_ac.dis, prof_ba.dis],
+        "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
+        "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
+        "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
+        "sequences_hold": seq.all_equal,
+        "sigma_memberships": {
+            "ac": list(theo.in_sigma_ac),
+            "ba": list(theo.in_sigma_ba),
+            "hold": theo.equal,
+        },
+    }
 
 
 #: The polynomials Q of the inclusion-lemma check: x, x^2, x^3 and one cubic.
@@ -248,6 +256,37 @@ def _map_witness(qm: intertwine.QuotientMap) -> str:
     if qm.injective_by_rank():
         return ""
     return f"not injective ({dims}, rank {rank(qm.matrix)})"
+
+
+def _map_failures(t: OperatorTriple, lambdas: list[Fraction], top: int) -> list[str]:
+    """Every failing quotient map at the nonzero lambdas, in their order:
+    which map, lambda, n and the witness. The witnesses are found once per
+    chain pair (OperatorTriple.pair_result); each lambda adds its label."""
+    failed = []
+    for lam in lambdas:
+        witnesses = t.pair_result(lam, ("maps", top),
+                                  lambda ba, ac: _pair_map_witnesses(t, lam, top))
+        failed.extend(f"{name} at lambda={lam}, n={n}: {witness}"
+                      for name, n, witness in witnesses)
+    return failed
+
+
+def _pair_map_witnesses(t: OperatorTriple, lam: Fraction,
+                        top: int) -> list[tuple[str, int, str]]:
+    """(map, n, witness) of each failing map at lam for n = 0..top."""
+    # once both chains are stable, every later n has the same four
+    # subspaces and the same carrier, so the same map as at stop
+    ba, ac = t.chains(lam)
+    stop = min(top, max(ba.stable, ac.stable))
+    out = []
+    for n in range(stop + 1):
+        for name, builder in (("gamma", intertwine.gamma_map),
+                              ("psi", intertwine.psi_map),
+                              ("phi", intertwine.phi_map)):
+            witness = _map_witness(builder(t, n, lam))
+            if witness:
+                out.append((name, n, witness))
+    return out
 
 
 def _sequence_witness(seq: intertwine.SequenceReport) -> str:
@@ -314,19 +353,7 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         qs_ok = all(intertwine.inclusion_lemma(t, q).all_hold for q in INCLUSION_QS)
         add("inclusion_lemma", qs_ok)
 
-        failed: list[str] = []
-        for lam in nonzero:
-            # once both chains are stable, every later n has the same four
-            # subspaces and the same carrier, so the same map as at stop
-            ba, ac = t.chains(lam)
-            stop = min(top, max(ba.stable, ac.stable))
-            for n in range(stop + 1):
-                for name, builder in (("gamma", intertwine.gamma_map),
-                                      ("psi", intertwine.psi_map),
-                                      ("phi", intertwine.phi_map)):
-                    witness = _map_witness(builder(t, n, lam))
-                    if witness:
-                        failed.append(f"{name} at lambda={lam}, n={n}: {witness}")
+        failed = _map_failures(t, nonzero, top)
         add("quotient_maps", not failed,
             f"{len(failed)} map(s) failed; first: {failed[0]}" if failed else "")
 

@@ -153,6 +153,9 @@ class TransferReport:
         return self.verified
 
 
+_X = Poly([0, 1])
+
+
 def transfer(t: OperatorTriple) -> TransferReport:
     """Form T = B S^2 A with S the Drazin inverse of AC and verify it inverts BA.
 
@@ -160,10 +163,11 @@ def transfer(t: OperatorTriple) -> TransferReport:
     of the Drazin inverse they hold exactly when the candidate is the
     Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
     on the report, where the proof identities read it. AC's chain at 0
-    comes from the triple's accessor.
+    comes from the triple's accessor, which reads AC's characteristic
+    polynomial and builds no other.
     """
     _require_condition(t)
-    s_res = drazin_inverse(t.ac, t.chain(t.ac, t.charpolys()[1], Poly([0, 1])))
+    s_res = drazin_inverse(t.ac, t.chain(t.ac, t.ac_charpoly(), _X))
     S = s_res.inverse
     cand = t.B @ (S @ S) @ t.A
     ba = t.ba

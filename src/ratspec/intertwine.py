@@ -22,11 +22,12 @@ OperatorTriple.chain, and the charpolys of BA and AC (CA and AB read theirs
 off them by Sylvester's identity) fix where it ends: m =
 hyper_kernel_dim(charpoly(T), q) is dim N(q(T)^dim), so q(T) is invertible
 iff m = 0, the one place that is decided, and otherwise its chain stops at
-rank dim - m (invariants.PowerChain). Every invertible operator on Q^n has the
-identity's chain, kept once per dimension, with no power and no row
-reduction; a singular q(T) is evaluated once per distinct (T, q), and equal
-T share its chain. The tests keep the row-reduced chain of every operator
-as the oracle.
+rank dim - m (invariants.PowerChain). Each distinct (T, q), compared by
+value, is looked up before anything is decided, so it is decided once.
+Every invertible operator on Q^n has the identity's chain, kept once per
+dimension, with no power and no row reduction; a singular q(T) is evaluated
+once per distinct (T, q), and equal T share its chain. The tests keep the
+row-reduced chain of every operator as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -38,6 +39,14 @@ containment ACA(V) <= W once; the chains themselves keep each sum
 R(T) + N(T^n). Production decides injectivity by the rank of each map's
 matrix. The preimage route forms its own product K ACA V^T, so that it
 shares no cached input with the rank route; the tests keep it as an oracle.
+
+What a verifier reads off the chains alone is the same at every lambda
+with the same chain pair, and on random triples most probes share one:
+every lambda at which BA - lambda and AC - lambda are invertible has the
+identity's pair. So the triple keeps such results per chain pair
+(OperatorTriple.pair_result): the quotient-map witnesses, the sequence rows
+with their totals, ascents and descents, and the sigma rows are built once
+per pair, and each lambda adds only its label.
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -121,13 +130,16 @@ class OperatorTriple:
     (T, q) with T compared by value, so equal operators share one: CA - 1
     and AB - 1 share those of BA - 1 and AC - 1 whenever CA = BA and
     AB = AC, as on every C == B triple. map_cache is the MapCache that the
-    quotient maps and the inclusion lemma of this triple share.
+    quotient maps and the inclusion lemma of this triple share, and
+    pair_result keeps what the verifiers read off each chain pair.
+    Everything is kept on the triple and lives as long as it does.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
-                 "_chains", "_charpolys")
+                 "_chains", "_pba", "_pac", "_ca_ab_charpolys",
+                 "_pair_results")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -156,10 +168,14 @@ class OperatorTriple:
                                         self._aca - self._aba)
         self.condition_holds = all(m.is_zero() for m in self.residuals)
         self.map_cache = MapCache()
-        # a dimension for its trivial chain, (T, q) for a singular one
+        # a dimension for its trivial chain, (T, q) for every decided one
         self._power_chains: dict[int | tuple[Mat, Poly], PowerChain] = {}
-        self._chains: dict[Fraction, tuple[PowerChain, PowerChain]] = {}
-        self._charpolys: tuple[Poly, Poly] | None = None
+        # lambda as (numerator, denominator)
+        self._chains: dict[tuple[int, int], tuple[PowerChain, PowerChain]] = {}
+        self._pba: Poly | None = None
+        self._pac: Poly | None = None
+        self._ca_ab_charpolys: tuple[Poly, Poly] | None = None
+        self._pair_results: dict[tuple[PowerChain, PowerChain], dict] = {}
 
     @property
     def aba(self) -> Mat:
@@ -180,38 +196,57 @@ class OperatorTriple:
             self._ab = self.A @ self.B
         return self._ab
 
+    def ba_charpoly(self) -> Poly:
+        """The characteristic polynomial of BA, built on the first request."""
+        if self._pba is None:
+            self._pba = charpoly(self.ba)
+        return self._pba
+
+    def ac_charpoly(self) -> Poly:
+        """The characteristic polynomial of AC, built on the first request;
+        the Drazin transfer reads it alone."""
+        if self._pac is None:
+            self._pac = charpoly(self.ac)
+        return self._pac
+
     def charpolys(self) -> tuple[Poly, Poly]:
         """The characteristic polynomials of BA and AC.
 
-        Built on the first request and kept on the triple, so the probe
-        search, the charpoly match and the invertibility of every probed
-        operator share them.
+        Each is built on its first request and kept on the triple, so the
+        probe search, the charpoly match and the invertibility of every
+        probed operator share them.
         """
-        if self._charpolys is None:
-            self._charpolys = (charpoly(self.ba), charpoly(self.ac))
-        return self._charpolys
+        return self.ba_charpoly(), self.ac_charpoly()
 
     def ca_ab_charpolys(self) -> tuple[Poly, Poly]:
         """The characteristic polynomials of CA and AB, by Sylvester's identity:
         x^(dy-dx) charpoly(CA) = charpoly(AC) and
-        x^(dx-dy) charpoly(AB) = charpoly(BA)."""
-        pba, pac = self.charpolys()
-        shift = self.dim_x - self.dim_y
-        return _times_x_power(pac, shift), _times_x_power(pba, -shift)
+        x^(dx-dy) charpoly(AB) = charpoly(BA). Formed once per triple."""
+        if self._ca_ab_charpolys is None:
+            pba, pac = self.charpolys()
+            shift = self.dim_x - self.dim_y
+            self._ca_ab_charpolys = (_times_x_power(pac, shift),
+                                     _times_x_power(pba, -shift))
+        return self._ca_ab_charpolys
 
     def chain(self, T: Mat, p: Poly, q: Poly) -> PowerChain:
         """The PowerChain of q(T) on this triple, p the charpoly of T.
 
-        Every invertible q(T) (hyper_kernel_dim(p, q) = 0) shares the trivial
-        chain of its dimension; a singular one is evaluated once per distinct
-        (T, q), compared by value, and given hyper_kernel_dim(p, q).
+        Each distinct (T, q), compared by value, is looked up before
+        anything is decided, and decided once, by hyper_kernel_dim(p, q).
+        Every invertible q(T) (hyper_kernel_dim 0) shares the trivial chain
+        of its dimension; a singular one is evaluated and given its
+        hyper_kernel_dim.
         """
-        m = hyper_kernel_dim(p, q)
-        key = (T, q) if m else T.rows
+        key = (T, q)
         chain = self._power_chains.get(key)
         if chain is None:
-            op = poly_eval_mat(q, T) if m else Mat.identity(T.rows)
-            chain = self._power_chains[key] = PowerChain(op, m)
+            m = hyper_kernel_dim(p, q)
+            if m:
+                chain = PowerChain(poly_eval_mat(q, T), m)
+            elif (chain := self._power_chains.get(T.rows)) is None:
+                chain = self._power_chains[T.rows] = PowerChain(Mat.identity(T.rows), 0)
+            self._power_chains[key] = chain
         return chain
 
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
@@ -221,15 +256,32 @@ class OperatorTriple:
         and kept on the triple, so every verifier at lam shares one pair.
         """
         lam = rat(lam)
-        if lam == 0:
+        a, b = lam.numerator, lam.denominator
+        if a == 0:
             raise ValueError("lambda must be nonzero")
-        pair = self._chains.get(lam)
+        pair = self._chains.get((a, b))
         if pair is None:
-            q = Poly([-lam, 1])
-            pba, pac = self.charpolys()
-            pair = self._chains[lam] = (self.chain(self.ba, pba, q),
-                                        self.chain(self.ac, pac, q))
+            q = Poly.from_ints([-a, b], b)  # x - a/b
+            pair = self._chains[a, b] = (self.chain(self.ba, self.ba_charpoly(), q),
+                                         self.chain(self.ac, self.ac_charpoly(), q))
         return pair
+
+    def pair_result(self, lam: int | Fraction, key: object, build):
+        """build(ba, ac) for the chain pair (ba, ac) = chains(lam), formed
+        once per pair and key.
+
+        A result read off the chains alone is the same at every lam with
+        that pair: every lam at which BA - lam and AC - lam are invertible
+        has the identity's pair, and equal operators share their chains.
+        So such a result is built once, and each lam adds only its label.
+        """
+        pair = self.chains(lam)
+        results = self._pair_results.get(pair)
+        if results is None:
+            results = self._pair_results[pair] = {}
+        if key not in results:
+            results[key] = build(*pair)
+        return results[key]
 
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
@@ -238,8 +290,13 @@ class OperatorTriple:
 
 def _times_x_power(p: Poly, k: int) -> Poly:
     """x^k p; for k < 0, p over x^-k, whose low coefficients Sylvester's
-    identity makes zero."""
-    return Poly([0] * k + list(p.coeffs)) if k >= 0 else Poly(p.coeffs[-k:])
+    identity makes zero: a nonzero one raises ArithmeticError."""
+    if k >= 0:
+        return Poly.from_ints((0,) * k + p.num, p.den)
+    if any(p.num[:-k]):
+        raise ArithmeticError(f"x^{-k} does not divide {p}, against Sylvester's "
+                              "identity")
+    return Poly.from_ints(p.num[-k:], p.den)
 
 
 def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
@@ -314,7 +371,7 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
     _require_condition(t)
     (pca, pab), (pba, pac) = t.ca_ab_charpolys(), t.charpolys()
     k = Q.degree
-    if k >= 1 and not any(Q.coeffs[:-1]):
+    if k >= 1 and not any(Q.num[:-1]):
         q, index = _X_MINUS_1, k
         ba, ac = t.chains(1)
     else:
@@ -498,15 +555,23 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
 
     Sequences are stabilizing, so indices past the matrix dimension are zero;
     also reports the totals c, c', k and ascent/descent on both sides. The
-    profiles are read off the shared chains of AC - lam and BA - lam.
+    profiles are read off the shared chains of AC - lam and BA - lam, and
+    the rows, totals, ascents and descents are formed once per chain pair
+    and n_max (OperatorTriple.pair_result).
     """
     _require_condition(t)
     lam = rat(lam)
-    ba, ac = t.chains(lam)
-    pac = profile(ac)
-    pba = profile(ba)
     if n_max is None:
         n_max = max(t.dim_x, t.dim_y)
+    fields = t.pair_result(lam, ("sequences", n_max),
+                           lambda ba, ac: _sequence_fields(ba, ac, n_max))
+    return SequenceReport(lam, *fields)
+
+
+def _sequence_fields(ba: PowerChain, ac: PowerChain, n_max: int) -> tuple:
+    """The fields of a SequenceReport after lam, read off the two chains."""
+    pac = profile(ac)
+    pba = profile(ba)
 
     def seq(s: tuple[int, ...], n: int) -> int:
         return s[n] if n < len(s) else 0
@@ -516,12 +581,9 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
                              cp_ac=seq(pac.cp_seq, n), cp_ba=seq(pba.cp_seq, n),
                              k_ac=seq(pac.k_seq, n), k_ba=seq(pba.k_seq, n))
                  for n in range(n_max + 1))
-    return SequenceReport(
-        lam=lam, rows=rows,
-        totals_ac=(pac.c_total, pac.cp_total, pac.k_total),
-        totals_ba=(pba.c_total, pba.cp_total, pba.k_total),
-        asc_ac=pac.asc, asc_ba=pba.asc, dsc_ac=pac.dsc, dsc_ba=pba.dsc,
-    )
+    return (rows, (pac.c_total, pac.cp_total, pac.k_total),
+            (pba.c_total, pba.cp_total, pba.k_total),
+            pac.asc, pba.asc, pac.dsc, pba.dsc)
 
 
 def default_probes(t: OperatorTriple) -> list[Fraction]:
@@ -534,7 +596,7 @@ def default_probes(t: OperatorTriple) -> list[Fraction]:
     """
     pba, pac = t.charpolys()
     eigs = {lam for lam, _ in rational_eigenvalues(pac)}
-    if not (pba.coeffs[0] and pac.coeffs[0]):
+    if not (pba.num[0] and pac.num[0]):
         eigs.add(Fraction(0))
     probes = set(eigs)
     probes.add(Fraction(1))
@@ -580,7 +642,8 @@ def verify_theorem(t: OperatorTriple,
                    lambdas: list[Fraction] | None = None) -> TheoremReport:
     """Pointwise sigma_{R_i}(AC) vs sigma_{R_i}(BA) agreement at each lam != 0.
 
-    Each row is read off the shared chains of AC - lam and BA - lam. lam = 0
+    Each row is read off the shared chains of AC - lam and BA - lam, its
+    memberships once per chain pair (OperatorTriple.pair_result). lam = 0
     entries are skipped with a note (the statements all exclude 0).
     """
     _require_condition(t)
@@ -593,10 +656,9 @@ def verify_theorem(t: OperatorTriple,
         if lam == 0:
             skipped.append(lam)
             continue
-        ba, ac = t.chains(lam)
-        rows.append(TheoremRow(lam=lam,
-                               in_sigma_ac=sigma_memberships(ac),
-                               in_sigma_ba=sigma_memberships(ba)))
+        in_ac, in_ba = t.pair_result(lam, "sigma", lambda ba, ac: (
+            sigma_memberships(ac), sigma_memberships(ba)))
+        rows.append(TheoremRow(lam=lam, in_sigma_ac=in_ac, in_sigma_ba=in_ba))
     return TheoremReport(rows=tuple(rows), skipped=tuple(skipped))
 
 

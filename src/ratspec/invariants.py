@@ -23,9 +23,16 @@ rank T^(n-1) - rank T^n = dim(R(T^(n-1)) cap N(T)) never increase, since
 R(T^n) lies in R(T^(n-1)), so R(T^n) cap N(T) shrinks. So once a drop is 1,
 every later drop is 1 until the floor.
 
+Every polynomial decision runs on a Poly's integer numerators. m for a
+linear q = x - a/b is the multiplicity of the root a/b: one Horner pass
+says whether it is a root, and exact division by bx - a counts it. Any
+other q goes through gcds by a primitive remainder sequence (PRS).
+
 Rational eigenvalues are the rational roots of the characteristic
 polynomial, found by Zassenhaus' linear factors over Z with Hensel lifting
-from a prime at which each root is simple.
+from a prime at which each root is simple. Their squarefree part is the
+polynomial itself when a mod-p certificate (p = 2^61 - 1) says so, as on
+every random charpoly, and comes from the PRS otherwise.
 
 Membership in the nineteen regularity classes R_1..R_19 is, at finite
 dimension, one invertibility verdict read off the power chain
@@ -36,7 +43,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, isqrt, lcm
+from math import gcd, isqrt
+from typing import Sequence
 
 from ratspec.ratmat import Mat, Poly, Subspace, charpoly, image, kernel
 
@@ -252,28 +260,25 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
     if isinstance(T, Mat):
         _require_square(T)
         p = charpoly(T)
-    if not p.coeffs or p.coeffs[-1] != 1:
+    if not p.num or p.num[-1] != p.den:
         raise ValueError("rational eigenvalues need a monic characteristic polynomial")
     p, k = p.strip_zero_roots()
-    n = p.degree
+    n, num, den = p.degree, p.num, p.den
     D = 1
     for i in range(n - 1, -1, -1):
         # p_i D^(n-i) is an integer once p_i's denominator divides D^(n-i)
-        d = p.coeffs[i].denominator
+        d = den // gcd(num[i], den)
         D *= d // gcd(d, D ** (n - i))
     coeffs = []
-    for i, c in enumerate(p.coeffs):
-        scaled = c * D ** (n - i)
-        if scaled.denominator != 1:
+    for i, c in enumerate(num):
+        scaled, rem = divmod(c * D ** (n - i), den)
+        if rem:
             raise ArithmeticError("integer charpoly scaling failed")
-        coeffs.append(scaled.numerator)
+        coeffs.append(scaled)
     out = [(Fraction(0), k)] if k else []
     if n:
         for r in _integer_root_candidates(coeffs):
-            mult = 0
-            while len(coeffs) > 1 and _eval_int(coeffs, r) == 0:
-                coeffs = _exact_quotient(coeffs, [-r, 1])
-                mult += 1
+            mult, coeffs = _divide_out(coeffs, r)
             if mult:
                 out.append((Fraction(r, D), mult))
     out.sort(key=lambda t: t[0])
@@ -314,32 +319,87 @@ def hyper_kernel_dim(p: Poly, q: Poly) -> int:
 
     That is the degree of p's q-primary part (p, q nonzero), 0 exactly when
     q(T) is invertible: the one invertibility decision production makes.
-    One evaluation at its root decides a linear q. Otherwise gcd(p, q), by
-    the primitive PRS of _gcd (for a linear q, its primitive factor), is
-    divided out of p exactly until it is 1, summing its degrees; all in
-    integers. The tests keep dim - rank q(T)^dim and the gcd as oracles.
+    A linear q, with root a/b in lowest terms, is decided on p's integer
+    numerators by _divide_out: one Horner pass, and exact division by
+    bx - a for the multiplicity. For any other q, gcd(p, q) by the
+    primitive PRS of _gcd is divided out of p exactly until it is 1,
+    summing its degrees (_primary_degree). The tests keep dim - rank
+    q(T)^dim, and _primary_degree for a linear q, as oracles.
     """
-    if q.degree == 1 and p(-q.coeffs[0] / q.coeffs[1]):
-        return 0
-    f, g, m = _integer_coeffs(p), _integer_coeffs(q), 0
+    if q.degree == 1:
+        root = Fraction(-q.num[0], q.num[1])
+        return _divide_out(p.num, root.numerator, root.denominator)[0]
+    return _primary_degree(p.num, q.num)
+
+
+def _divide_out(f: Sequence[int], a: int, b: int = 1) -> tuple[int, Sequence[int]]:
+    """(m, g) with f = (bx - a)^m g over Z and g(a/b) != 0; b > 0, gcd(a, b) = 1.
+
+    b^deg f * f(a/b) is one Horner pass; while it vanishes, bx - a, a
+    primitive factor of f (Gauss' lemma), is divided out exactly.
+    """
+    m = 0
+    while len(f) > 1 and _eval_int(f, a, b) == 0:
+        f = _exact_quotient(f, [-a, b])
+        m += 1
+    return m, f
+
+
+def _primary_degree(f: Sequence[int], g: Sequence[int]) -> int:
+    """The degree of the g-primary part of the integer polynomial f: gcd(f, g),
+    by the primitive PRS of _gcd, divided out exactly until it is 1."""
+    m = 0
     while len(h := _gcd(f, g)) > 1:
         f = _exact_quotient(f, h)
         m += len(h) - 1
     return m
 
 
-def _integer_coeffs(p: Poly) -> list[int]:
-    # p times the lcm of its denominators, lowest degree first
-    den = lcm(*[c.denominator for c in p.coeffs])
-    return [c.numerator * (den // c.denominator) for c in p.coeffs]
+#: The Mersenne prime 2^61 - 1 of the mod-p squarefree certificate.
+_P61 = (1 << 61) - 1
 
 
 def _squarefree_part(f: list[int]) -> list[int]:
-    """f / gcd(f, f') for monic f."""
-    return _exact_quotient(f, _gcd(f, _derivative(f)))
+    """f / gcd(f, f') for monic f.
+
+    The mod-p certificate comes first: when p does not divide lc(f) and
+    f mod p, f' mod p are coprime, p does not divide the discriminant of f,
+    so f is squarefree and is its own squarefree part. Otherwise the gcd
+    comes from the primitive PRS of _gcd, which the tests keep as oracle.
+    """
+    df = _derivative(f)
+    if f[-1] % _P61 and _coprime_mod(f, df, _P61):
+        return f
+    return _exact_quotient(f, _gcd(f, df))
 
 
-def _gcd(a: list[int], b: list[int]) -> list[int]:
+def _coprime_mod(a: Sequence[int], b: Sequence[int], p: int) -> bool:
+    """Whether a mod p and b mod p have a nonzero constant gcd over GF(p),
+    by Euclid's algorithm; p prime."""
+    a, b = _mod(a, p), _mod(b, p)
+    while b:
+        inv = pow(b[-1], -1, p)
+        while len(a) >= len(b):
+            t = a[-1] * inv % p
+            shift = len(a) - len(b)
+            for i in range(len(b) - 1):
+                a[shift + i] = (a[shift + i] - t * b[i]) % p
+            a.pop()
+            while a and not a[-1]:
+                a.pop()
+        a, b = b, a
+    return len(a) == 1
+
+
+def _mod(f: Sequence[int], p: int) -> list[int]:
+    # f's residues modulo p, zeros stripped from the top
+    r = [c % p for c in f]
+    while r and not r[-1]:
+        r.pop()
+    return r
+
+
+def _gcd(a: Sequence[int], b: Sequence[int]) -> list[int]:
     """The primitive gcd of the nonzero a and b, by a primitive PRS over Z."""
     a, b = _primitive(a), _primitive(b)
     while r := _pseudo_remainder(a, b):
@@ -351,7 +411,7 @@ def _derivative(f: list[int]) -> list[int]:
     return [i * c for i, c in enumerate(f)][1:]
 
 
-def _primitive(f: list[int]) -> list[int]:
+def _primitive(f: Sequence[int]) -> list[int]:
     # f over its content, with a positive leading coefficient
     c = 0
     for x in f:
@@ -376,7 +436,7 @@ def _pseudo_remainder(a: list[int], b: list[int]) -> list[int]:
     return a
 
 
-def _exact_quotient(f: list[int], h: list[int]) -> list[int]:
+def _exact_quotient(f: Sequence[int], h: Sequence[int]) -> list[int]:
     """f / h over Z; raises ArithmeticError unless h divides f exactly."""
     rem = list(f)
     quot = [0] * (len(f) - len(h) + 1)
@@ -397,8 +457,10 @@ def _eval_mod(coeffs: list[int], x: int, q: int) -> int:
     return acc
 
 
-def _eval_int(coeffs: list[int], x: int) -> int:
-    acc = 0
+def _eval_int(coeffs: Sequence[int], a: int, b: int = 1) -> int:
+    # b^deg * f(a/b), by Horner's rule
+    acc, scale = 0, 1
     for c in reversed(coeffs):
-        acc = acc * x + c
+        acc = acc * a + c * scale
+        scale *= b
     return acc

@@ -7,16 +7,16 @@ the zero matrix has den == 1. Equal matrices are therefore equal field for
 field. Subspace is a subspace of Q^n held as its reduced-echelon basis, a Mat
 in that form, with the pivot columns of the reduction that made it; that
 makes subspace equality a structural comparison too. Poly is a dense
-univariate polynomial with fractions.Fraction (aliased Rat) coefficients,
-lowest degree first; its value at a/b is one Horner pass on integers, the
-coefficients' numerators over the lcm of their denominators, and one
-Fraction at the end.
+univariate polynomial, lowest degree first, held the way Mat is: integer
+numerators num over one positive common denominator den, in lowest terms;
+its value at a/b is one Horner pass on integers and one Fraction at the end.
 
 Fractions appear only where values enter (Mat(...), Mat.from_rows,
-Subspace.from_vectors, a shift or a scale factor) and where they leave
-(entry, row, to_rows, Mat.data, Subspace.basis); the arithmetic in between
-runs on Python ints. This is the fraction-free idea of Bareiss (1968)
-carried through the whole layer.
+Subspace.from_vectors, Poly(...), a shift or a scale factor) and where they
+leave (entry, row, to_rows, Mat.data, Subspace.basis, Poly.coeffs), as
+fractions.Fraction, aliased Rat; the arithmetic in between runs on Python
+ints. This is the fraction-free idea of Bareiss (1968) carried through the
+whole layer.
 
 Rank decisions, kernels, images, the subspace lattice (sum, intersection by
 one Zassenhaus reduction, preimage, containment, quotient dimension) and the
@@ -37,7 +37,9 @@ and [M | b] it builds.
 
 charpoly reads the power sums tr(S^k) of the integer numerators S off about
 2 sqrt(n) products and turns them into its coefficients by Newton's
-identities, each division checked exact; Faddeev-LeVerrier is its oracle.
+identities, each division checked exact, and writes the coefficients'
+numerators over one power of the common denominator; Faddeev-LeVerrier is
+its oracle.
 """
 
 from __future__ import annotations
@@ -502,77 +504,113 @@ def inverse(M: Mat) -> Mat | None:
 
 
 class Poly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first."""
+    """Dense univariate polynomial over Q, lowest degree first.
 
-    __slots__ = ("coeffs",)
+    Held as Mat holds its entries: integer numerators num over one positive
+    common denominator den, in lowest terms (gcd(den, *num) == 1), with no
+    trailing zero numerator; the zero polynomial has no coefficients and
+    den == 1. Equal polynomials are therefore equal field for field, and
+    hash on integers. coeffs renders the coefficients as Fractions.
+    """
+
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs: Iterable[int | str | Fraction]):
         cs = [rat(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        # ints and Fractions are in lowest terms, so the lcm of their
+        # denominators is the least common one
+        den = lcm(*[c.denominator for c in cs])
+        num = [c.numerator * (den // c.denominator) for c in cs]
+        while num and not num[-1]:
+            num.pop()
+        _set(self, "num", tuple(num))
+        _set(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    @classmethod
+    def from_ints(cls, num: Iterable[int], den: int = 1) -> "Poly":
+        """The polynomial of integer numerators num over den, in lowest terms."""
+        num = list(num)
+        if den < 1:
+            raise ValueError("the common denominator must be positive")
+        while num and not num[-1]:
+            num.pop()
+        g = gcd(den, *num)
+        if g != 1:
+            num = [x // g for x in num]
+            den //= g
+        p = object.__new__(cls)
+        _set(p, "num", tuple(num))
+        _set(p, "den", den)
+        return p
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as Fractions, lowest degree first."""
+        return tuple([Fraction(x, self.den) for x in self.num])
+
     @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     def __call__(self, x: int | Fraction) -> Fraction:
-        """p(a/b) = sum N_i a^i b^(d-i) / (L b^d), N_i = L c_i over the lcm L
-        of the coefficients' denominators: one Horner pass on integers."""
-        if not self.coeffs:
+        """p(a/b) = sum N_i a^i b^(d-i) / (D b^d) for p = N/D: one Horner pass
+        on integers and one Fraction at the end."""
+        if not self.num:
             return _ZERO
         x = rat(x)
         a, b = x.numerator, x.denominator
-        den = lcm(*[c.denominator for c in self.coeffs])
         acc, scale = 0, 1
-        for c in reversed(self.coeffs):
-            acc = acc * a + c.numerator * (den // c.denominator) * scale
+        for c in reversed(self.num):
+            acc = acc * a + c * scale
             scale *= b
-        return Fraction(acc, den * scale // b)  # scale = b^(d+1)
+        return Fraction(acc, self.den * scale // b)  # scale = b^(d+1)
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        den = lcm(self.den, other.den)
+        a = [x * (den // self.den) for x in self.num]
+        b = [x * (den // other.den) for x in other.num]
         if len(a) < len(b):
             a, b = b, a
-        return Poly([c + (b[i] if i < len(b) else _ZERO) for i, c in enumerate(a)])
+        return Poly.from_ints([x + b[i] if i < len(b) else x for i, x in enumerate(a)],
+                              den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        if not self.coeffs or not other.coeffs:
-            return Poly([])
-        out = [_ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        if not self.num or not other.num:
+            return Poly.from_ints([])
+        out = [0] * (len(self.num) + len(other.num) - 1)
+        for i, a in enumerate(self.num):
             if a:
-                for j, b in enumerate(other.coeffs):
+                for j, b in enumerate(other.num):
                     out[i + j] += a * b
-        return Poly(out)
+        return Poly.from_ints(out, self.den * other.den)
 
     def monic(self) -> "Poly":
-        if not self.coeffs:
+        if not self.num or self.num[-1] == self.den:
             return self
-        lead = self.coeffs[-1]
-        return self if lead == 1 else Poly([c / lead for c in self.coeffs])
+        lead = self.num[-1]
+        return Poly.from_ints([-x for x in self.num] if lead < 0 else self.num, abs(lead))
 
     def strip_zero_roots(self) -> tuple["Poly", int]:
         """Factor out the highest power of the variable: (reduced, power)."""
-        if not self.coeffs:
+        if not self.num:
             return self, 0
         k = 0
-        while self.coeffs[k] == 0:
+        while not self.num[k]:
             k += 1
-        return Poly(self.coeffs[k:]), k
+        return (Poly.from_ints(self.num[k:], self.den) if k else self), k
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Poly) and self.coeffs == other.coeffs
+        return isinstance(other, Poly) and self.den == other.den and self.num == other.num
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.num, self.den))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.num:
             return "Poly(0)"
         terms = [f"{c}*x^{i}" for i, c in enumerate(self.coeffs) if c]
         return "Poly(" + " + ".join(terms) + ")"
@@ -614,7 +652,7 @@ def charpoly(M: Mat) -> Poly:
     division by k is exact for an integer matrix; it is checked, and
     ArithmeticError is raised if one is not. charpoly(S) has the
     coefficients (-1)^k e_k at x^(n-k), and those of charpoly(M) are them
-    over D^k.
+    over D^k: the numerators (-1)^k e_k D^(n-k) over D^n.
     """
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
@@ -630,8 +668,11 @@ def charpoly(M: Mat) -> Poly:
         if rem:
             raise ArithmeticError(f"Newton's identities: {k} e_{k} is not "
                                   f"divisible by {k}")
-    return Poly([Fraction(-e[k] if k & 1 else e[k], D ** k)
-                 for k in range(n, -1, -1)])
+    num, scale = [], 1
+    for k in range(n, -1, -1):
+        num.append((-e[k] if k & 1 else e[k]) * scale)
+        scale *= D
+    return Poly.from_ints(num, scale // D)
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import gcd
 
 from ratspec.intertwine import OperatorTriple, _require_condition
-from ratspec.invariants import _gcd, _integer_coeffs, rational_eigenvalues
+from ratspec.invariants import _gcd, rational_eigenvalues
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
                             preimage, quotient_dim, rank, rat)
 
@@ -212,7 +212,7 @@ def coprime(p: Poly, q: Poly) -> bool:
     if q.degree == 1:
         b, a = q.coeffs
         return p(-b / a) != 0
-    a, b = _integer_coeffs(p), _integer_coeffs(q)
+    a, b = p.num, q.num
     g = _gcd(a, b) if a and b else a or b
     return len(g) == 1
 

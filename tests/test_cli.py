@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ratspec.cli import (DIM_CEILING, EXIT_FAIL, EXIT_INPUT, EXIT_OK,
-                         INCLUSION_QS, NMAX_CEILING, ParseError, _write_json,
+                         INCLUSION_QS, NMAX_CEILING, ParseError, _map_failures,
+                         _write_json,
                          build_drazin_report, build_report, main,
                          parse_triple_document, run_verification,
                          triple_document, write_triple_document)
@@ -754,9 +755,12 @@ class TestRunVerification:
                     for op in probed}
         assert Counter(chained) == Counter(expected)
         # the theorem rows read those same chain objects, AC - lam first,
-        # and neither shift nor chain anything themselves
+        # once per distinct chain pair, and neither shift nor chain anything
+        # themselves
         assert theorem_cost == [(0, 0)]
-        expected = [chain for lam in nonzero for chain in t.chains(lam)[::-1]]
+        pairs = dict.fromkeys(t.chains(lam) for lam in nonzero)
+        assert len(pairs) < len(nonzero)  # two probes share a pair here
+        expected = [chain for pair in pairs for chain in pair[::-1]]
         assert len(read) == len(expected)
         assert all(a is b for a, b in zip(read, expected))
         # one Drazin inverse, of AC, shared by the transfer check and the
@@ -791,6 +795,81 @@ class TestRunVerification:
         result = run_verification(t)
         assert not result["passed"]
         assert [c["name"] for c in result["checks"]] == ["condition"]
+
+
+class TestPairResults:
+    """What a probe reads off its chain pair is formed once per pair; each
+    lambda adds only its label. Probes that share a pair must read exactly
+    what a fresh triple builds for that lambda alone."""
+
+    @staticmethod
+    def _fresh(t):
+        return OperatorTriple(t.A, t.B, t.C)
+
+    @settings(max_examples=20, deadline=None)
+    @given(st.sampled_from(["c_equals_b", "aba_eq_aca", "conjugated", "direct_sum",
+                            "paper_ex1", "rational_spectrum"]),
+           st.integers(2, 4), st.integers(0, 10 ** 6))
+    def test_pair_results_equal_fresh_ones(self, template, dim, seed):
+        from ratspec import intertwine
+        t = generate(GenSpec(template=template, block_dim=dim, seed=seed,
+                             entry_bound=2))
+        nonzero = [lam for lam in intertwine.default_probes(t) if lam]
+        report = build_report(t, None, None)
+        assert report["probes"] == [build_report(self._fresh(t), [lam], None)["probes"][0]
+                                    for lam in nonzero]
+        for lam in nonzero:
+            for n_max in (None, 1):
+                assert (intertwine.verify_sequence_equalities(t, lam, n_max)
+                        == intertwine.verify_sequence_equalities(self._fresh(t), lam,
+                                                                 n_max))
+        assert (intertwine.verify_theorem(t, nonzero).rows
+                == tuple(intertwine.verify_theorem(self._fresh(t), [lam]).rows[0]
+                         for lam in nonzero))
+
+    def test_probes_that_share_a_pair_build_its_maps_once(self, monkeypatch):
+        from ratspec import intertwine
+        t = generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1,
+                             entry_bound=2))
+        nonzero = [lam for lam in intertwine.default_probes(t) if lam]
+        pairs = dict.fromkeys(t.chains(lam) for lam in nonzero)
+        assert len(pairs) < len(nonzero)
+        built = []
+        real = intertwine.induced_quotient_map
+        monkeypatch.setattr(intertwine, "induced_quotient_map",
+                            lambda *args: built.append(args) or real(*args))
+        assert _map_failures(t, nonzero, t.dim_x) == []
+        assert len(built) == sum(3 * (min(t.dim_x, max(ba.stable, ac.stable)) + 1)
+                                 for ba, ac in pairs)
+
+    def test_a_fault_in_a_shared_map_lists_every_lambda_in_order(self, monkeypatch):
+        # every gamma map is made ill defined; lambda = 1, 2, 3 share the
+        # identity's chain pair, whose maps are built once, and still each
+        # of them is listed, in probe order, as a fresh triple per lambda
+        # lists it
+        from ratspec import intertwine
+        t = generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1,
+                             entry_bound=2))
+        real = intertwine.gamma_map
+
+        def ill_defined(t, n, lam):
+            qm = real(t, n, lam)
+            return intertwine.QuotientMap(qm.source_big, qm.source_small,
+                                          qm.target_big, qm.target_small,
+                                          qm.carrier, well_defined=False, matrix=None)
+
+        monkeypatch.setattr(intertwine, "gamma_map", ill_defined)
+        nonzero = [lam for lam in intertwine.default_probes(t) if lam]
+        shared = [lam for lam in nonzero if t.chains(lam) == t.chains(1)]
+        assert shared == [1, 2, 3]
+        top = t.dim_x
+        failed = _map_failures(t, nonzero, top)
+        assert failed == [f for lam in nonzero
+                          for f in _map_failures(self._fresh(t), [lam], top)]
+        listed = list(dict.fromkeys(f.split(", n=")[0] for f in failed))
+        assert listed == [f"gamma at lambda={lam}" for lam in nonzero]
+        check = run_verification(self._fresh(t))["checks"][2]
+        assert check["detail"] == f"{len(failed)} map(s) failed; first: {failed[0]}"
 
 
 class TestQuotientMapWitness:

@@ -214,24 +214,24 @@ class TestResiduals:
 
     def test_a_second_ca_ab_chains_evaluates_no_charpoly(self, monkeypatch):
         # a second request at a lambda evaluates no charpoly; a second
-        # chain of CA - 1 and AB - 1 hands back the same objects, deciding
-        # invertibility by one evaluation of the linear x - 1 each and
-        # evaluating no polynomial of a matrix
+        # chain of CA - 1 and AB - 1 hands back the same objects, looked up
+        # by (T, q) before any decision, so it decides nothing again and
+        # evaluates no polynomial of a matrix
         from ratspec import intertwine
         t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=1))
         pca, pab = t.ca_ab_charpolys()
         first = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
         pair = t.chains(1)
-        evaluated, matrices = [], []
-        real = Poly.__call__
-        monkeypatch.setattr(Poly, "__call__",
-                            lambda p, x: evaluated.append(x) or real(p, x))
+        decided, matrices = [], []
+        real = intertwine.hyper_kernel_dim
+        monkeypatch.setattr(intertwine, "hyper_kernel_dim",
+                            lambda p, q: decided.append(q) or real(p, q))
         monkeypatch.setattr(intertwine, "poly_eval_mat",
                             lambda q, T: matrices.append(T))
-        assert t.chains(1) is pair and evaluated == []
+        assert t.chains(1) is pair and decided == []
         again = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
         assert all(x is y for x, y in zip(again, first))
-        assert evaluated == [1, 1] and matrices == []
+        assert decided == [] and matrices == []
 
     def test_equal_operators_share_one_chain(self):
         # (B - C)A = 0: CA = BA, so CA - 1 shares BA - 1's chain; AB != AC
@@ -500,6 +500,24 @@ class TestCharpolyDecidedChains:
         from ratspec.ratmat import charpoly
         for t in conforming_samples():
             assert t.ca_ab_charpolys() == (charpoly(t.ca), charpoly(t.ab))
+            assert t.ca_ab_charpolys() is t.ca_ab_charpolys()
+
+    def test_an_inconsistent_charpoly_raises(self):
+        # dim X = 2 and dim Y = 1, so Sylvester's identity divides x out of
+        # charpoly(BA) for AB; a hand-built x^2 + 1 in its place has a
+        # nonzero constant term, which must raise rather than be dropped
+        from ratspec.intertwine import _times_x_power
+        t = OperatorTriple(Mat.from_rows([[1, 2]]), Mat.from_rows([[1], [0]]),
+                           Mat.from_rows([[1], [0]]))
+        assert t.ca_ab_charpolys()[1] == Poly([-1, 1])  # AB = 1
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            _times_x_power(Poly([1, 0, 1]), -1)
+        u = OperatorTriple(t.A, t.B, t.C)
+        u._pba = Poly([1, 0, 1])
+        with pytest.raises(ArithmeticError, match="does not divide"):
+            u.ca_ab_charpolys()
+        assert _times_x_power(Poly([0, 0, 3, 1]), -2) == Poly([3, 1])
+        assert _times_x_power(Poly([3, 1]), 2) == Poly([0, 0, 3, 1])
 
     def test_chains_without_the_condition(self):
         # the nonzero charpolys of AC and BA need not agree here: with

@@ -15,7 +15,8 @@ from oracles import (c_n, c_n_via_complement, coprime, cp_n,
 from ratspec.cli import main, write_triple_document
 from ratspec.genlab import random_unimodular
 from ratspec.intertwine import OperatorTriple
-from ratspec.invariants import (PowerChain, _gcd, _integer_coeffs,
+from ratspec.invariants import (_P61, PowerChain, _coprime_mod, _derivative,
+                                _exact_quotient, _gcd, _primary_degree,
                                 _squarefree_part, hyper_kernel_dim,
                                 profile, rational_eigenvalues,
                                 regularity_membership, sigma_memberships)
@@ -343,11 +344,12 @@ class TestRationalEigenvalues:
 
     def test_inexact_squarefree_division_raises(self, monkeypatch):
         # a remainder sequence cut short leaves gcd = f', which does not
-        # divide f; the exact division must say so
+        # divide f; the exact division must say so. (x - 2)^2 (x - 3) is not
+        # squarefree, so the mod-p certificate fails and the PRS runs
         from ratspec import invariants
         monkeypatch.setattr(invariants, "_pseudo_remainder", lambda a, b: [])
         with pytest.raises(ArithmeticError, match="does not divide"):
-            rational_eigenvalues(Poly([-6, 11, -6, 1]))
+            rational_eigenvalues(Poly([-12, 16, -7, 1]))
 
 
 _planted_roots = st.lists(
@@ -404,6 +406,121 @@ class TestPlantedRoots:
             (Fraction(big), 4)]
 
 
+def _prs_squarefree_part(f):
+    # f / gcd(f, f') by the primitive PRS alone
+    return _exact_quotient(f, _gcd(f, _derivative(f)))
+
+
+class TestModPCertificate:
+    """The mod-p squarefree certificate against the PRS, its oracle."""
+
+    @given(st.lists(st.tuples(st.integers(-9, 9), st.integers(1, 3)), max_size=4),
+           st.sampled_from([Poly([1]), Poly([1, 0, 1]), Poly([-2, 0, 1]),
+                            Poly([3, 1, 1])]),
+           st.integers(1, 2))
+    @example([(2, 1), (3, 1)], Poly([1]), 1)
+    @example([(2, 2), (3, 1)], Poly([1]), 1)
+    def test_certificate_agrees_with_the_prs(self, planted, quadratic, qmult):
+        # every factor of the discriminant here is a small root difference
+        # or resultant, so p = 2^61 - 1 divides it only when it is 0: the
+        # certificate holds exactly when the PRS finds f squarefree
+        f = _poly_with_roots([(r, 1, mult) for r, mult in planted], quadratic, 0)
+        for _ in range(qmult - 1):
+            f = f * quadratic
+        f = list(f.num)
+        assume(len(f) > 1)
+        squarefree = len(_gcd(f, _derivative(f))) == 1
+        assert _coprime_mod(f, _derivative(f), _P61) == squarefree
+        assert _squarefree_part(f) == _prs_squarefree_part(f)
+
+    def test_a_discriminant_divisible_by_p_falls_back_to_the_prs(self, monkeypatch):
+        # x^2 - p is squarefree, but x^2 mod p is not: the certificate says
+        # nothing and the PRS answers
+        from ratspec import invariants
+        f = [-_P61, 0, 1]
+        assert not _coprime_mod(f, _derivative(f), _P61)
+        calls = []
+        real = invariants._gcd
+        monkeypatch.setattr(invariants, "_gcd", lambda a, b: calls.append(a) or real(a, b))
+        assert _squarefree_part(f) == f and len(calls) == 1
+
+    def test_a_certified_polynomial_runs_no_prs(self, monkeypatch):
+        from ratspec import invariants
+        monkeypatch.setattr(invariants, "_gcd", None)
+        assert _squarefree_part([-6, 11, -6, 1]) == [-6, 11, -6, 1]
+
+
+def _block_diagonal(*blocks):
+    n = sum(b.rows for b in blocks)
+    rows = [[0] * n for _ in range(n)]
+    at = 0
+    for b in blocks:
+        for i in range(b.rows):
+            rows[at + i][at:at + b.rows] = b.row(i)
+        at += b.rows
+    return Mat.from_rows(rows)
+
+
+def _companion(p):
+    """A matrix with the monic characteristic polynomial p."""
+    d = p.degree
+    c = p.coeffs
+    return Mat.from_rows([[1 if j == i - 1 else 0 for j in range(d - 1)] + [-c[i]]
+                          for i in range(d)])
+
+
+class TestLinearDecision:
+    """A linear q = s(x - r) decided in integers: a Horner pass, then exact
+    division by the primitive bx - a; the PRS (_primary_degree) and
+    dim - rank q(T)^dim are its oracles."""
+
+    @given(st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4)),
+           st.integers(1, 4),
+           st.sampled_from([Poly([1]), Poly([1, 0, 1]), Poly([-1, 1]),
+                            Poly([0, 1]), Poly([2, -3, 1]),
+                            Poly([Fraction(-3, 2), 1])]),
+           st.sampled_from([Fraction(0), Fraction(1, 2), Fraction(1)]),
+           st.sampled_from([Fraction(1), Fraction(2), Fraction(-3), Fraction(1, 2)]))
+    @example(Fraction(0), 2, Poly([0, 1]), Fraction(0), Fraction(1))  # root 0
+    @example(Fraction(3, 2), 4, Poly([Fraction(-3, 2), 1]), Fraction(0),
+             Fraction(2))  # 2x - 3, root 3/2 of multiplicity 5
+    @example(Fraction(5, 3), 1, Poly([1]), Fraction(0), Fraction(2))  # 2x - 2*5/3
+    def test_planted_multiplicity(self, root, mult, rest, offset, scale):
+        # T = J_mult(root) + companion(rest), probed at root + offset
+        T = _block_diagonal(jordan_block(root, mult), _companion(rest))
+        p = charpoly(T)
+        lam = root + offset
+        q = Poly([-scale * lam, scale])
+        m = hyper_kernel_dim(p, q)
+        assert m == _primary_degree(p.num, q.num)
+        assert m == T.rows - rank(poly_eval_mat(q, T) ** T.rows)
+        assert m == (0 if offset else mult) + _roots_with_multiplicity(rest).count(lam)
+
+    def test_a_fractional_root_of_numerators_over_a_denominator(self):
+        # (x - 2/3)^3 (x + 1) is held as integer numerators over 27
+        p = Poly([Fraction(-2, 3), 1]) * Poly([Fraction(-2, 3), 1]) \
+            * Poly([Fraction(-2, 3), 1]) * Poly([1, 1])
+        assert p.den == 27
+        assert hyper_kernel_dim(p, Poly([-2, 3])) == 3
+        assert hyper_kernel_dim(p, Poly([-4, 6])) == 3
+        assert hyper_kernel_dim(p, Poly([2, -3])) == 3
+        assert hyper_kernel_dim(p, Poly([1, 1])) == 1
+        assert hyper_kernel_dim(p, Poly([0, 1])) == 0
+
+    def test_a_linear_q_makes_no_prs_call(self, monkeypatch):
+        from ratspec import invariants
+        monkeypatch.setattr(invariants, "_gcd", None)
+        p = charpoly(_block_diagonal(jordan_block(Fraction(1, 2), 3),
+                                     jordan_block(0, 2)))
+        assert [hyper_kernel_dim(p, q) for q in
+                (Poly([-1, 2]), Poly([0, 5]), Poly([1, 1]))] == [3, 2, 0]
+
+
+def _roots_with_multiplicity(p):
+    # the rational roots of the monic p, each repeated by its multiplicity
+    return [r for r, m in rational_eigenvalues(p) for _ in range(m)]
+
+
 _small_int_squares = st.integers(1, 4).flatmap(
     lambda n: st.lists(st.integers(-2, 2), min_size=n * n, max_size=n * n)
     .map(lambda d: Mat.from_ints(n, n, d)))
@@ -448,7 +565,7 @@ class TestCoprimeDecidesInvertibility:
         # evaluation at -q_0/q_1 against the gcd of the PRS
         p = Poly(coeffs) * (Poly([-lam, 1]) if root else Poly([1]))
         q = Poly([-a * lam, a])
-        A, B = _integer_coeffs(p), _integer_coeffs(q)
+        A, B = p.num, q.num
         assert coprime(p, q) == (bool(A) and len(_gcd(A, B)) == 1)
 
     @given(square_matrices(4))

@@ -5,7 +5,9 @@ Every rank decision and every product goes through kernels.rref and
 kernels.matmul, and their call counts on a fixed document are deterministic.
 A change that makes verify or report do more linear algebra raises a count
 past its bound here, even where the timings are too noisy to show it. A
-change that lowers a count records the new count as the bound.
+change that lowers a count records the new count as the bound. The
+invertibility decisions and the quotient-map builds of `run_verification`
+are pinned exactly on the same documents.
 
 The kernels compute over the integers: a Mat is integer numerators over one
 common denominator, and what reaches a kernel is numerators only. A Fraction
@@ -44,6 +46,17 @@ REPORT_BOUNDS = {"rational_spectrum_dim5": (2, 8)}
 # q(T). The conjugated document has two such chains, as BA and AC differ
 # there.
 SINGULAR_INCLUSION_BOUNDS = {"companion": (10, 43, 1), "conjugated": (16, 45, 2)}
+
+
+# document -> (hyper_kernel_dim decisions, induced_quotient_map builds) of
+# one run_verification. The triple's chain accessor looks each (T, q) up
+# before it decides anything, so there is one decision per distinct (T, q);
+# the quotient maps at each index are built once per distinct chain pair,
+# however many probes share it (the identity's pair, at every probe where
+# BA - lam and AC - lam are invertible)
+DECISIONS_AND_BUILDS = {"paper_ex1": (13, 9), "rational_spectrum": (15, 15),
+                        "c_equals_b_fractional": (13, 15), "companion": (6, 9),
+                        "conjugated": (11, 9)}
 
 
 def _load(path, name):
@@ -131,6 +144,51 @@ def test_singular_inclusion_route_stays_within_its_kernel_calls(
     rrefs, matmuls, evaluations = SINGULAR_INCLUSION_BOUNDS[name]
     assert len(calls["rref"]) <= rrefs and len(calls["matmul"]) <= matmuls
     assert len(cubics) == evaluations
+
+
+@pytest.mark.parametrize("name", sorted(DECISIONS_AND_BUILDS))
+def test_each_probe_is_decided_once_and_each_pair_built_once(name, monkeypatch):
+    from ratspec import intertwine, invariants
+    from ratspec.cli import run_verification
+    t = _document(name)
+    asked, decided, deciding, prs = set(), [], [], []
+    real_chain = intertwine.OperatorTriple.chain
+    real_decide = intertwine.hyper_kernel_dim
+    real_gcd = invariants._gcd
+    real_build = intertwine.induced_quotient_map
+
+    def chain(self, T, p, q):
+        asked.add((T, q))
+        return real_chain(self, T, p, q)
+
+    def decide(p, q):
+        decided.append(q)
+        deciding.append(q)
+        try:
+            return real_decide(p, q)
+        finally:
+            deciding.pop()
+
+    def gcd(a, b):
+        prs.extend(deciding[-1:])
+        return real_gcd(a, b)
+
+    built = []
+    monkeypatch.setattr(intertwine.OperatorTriple, "chain", chain)
+    monkeypatch.setattr(intertwine, "hyper_kernel_dim", decide)
+    monkeypatch.setattr(invariants, "_gcd", gcd)
+    monkeypatch.setattr(intertwine, "induced_quotient_map",
+                        lambda *args: built.append(args) or real_build(*args))
+    assert run_verification(t)["passed"]
+    decisions, builds = DECISIONS_AND_BUILDS[name]
+    assert len(decided) == len(asked) == decisions
+    nonzero = [lam for lam in intertwine.default_probes(t) if lam]
+    pairs = dict.fromkeys(t.chains(lam) for lam in nonzero)
+    top = max(t.dim_x, t.dim_y)
+    assert len(built) == builds == sum(
+        3 * (min(top, max(ba.stable, ac.stable)) + 1) for ba, ac in pairs)
+    # the PRS runs for the inclusion lemma's cubic and never on a linear q
+    assert prs and all(q.degree == 3 for q in prs)
 
 
 def _operand_stats():
