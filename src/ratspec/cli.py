@@ -209,37 +209,30 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
             report["skipped_lambdas"].append(
                 {"lambda": "0", "note": "the theorem excludes 0"})
             continue
-        body = t.pair_result(lam, ("report", n_max),
-                             lambda ba, ac: _probe_body(t, lam, n_max))
-        report["probes"].append({"lambda": _rat_str(lam, "lambda"), **body})
+        # the sequence rows and sigma rows are read once per chain pair
+        seq = intertwine.verify_sequence_equalities(t, lam, n_max)
+        theo = intertwine.verify_theorem(t, [lam]).rows[0]
+        ba, ac = t.chains(lam)  # the chains seq was read from
+        prof_ac, prof_ba = profile(ac), profile(ba)
+        report["probes"].append({
+            "lambda": _rat_str(lam, "lambda"),
+            "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
+                      "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
+            "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
+            "asc": [seq.asc_ac, seq.asc_ba],
+            "dsc": [seq.dsc_ac, seq.dsc_ba],
+            "dis": [prof_ac.dis, prof_ba.dis],
+            "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
+            "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
+            "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
+            "sequences_hold": seq.all_equal,
+            "sigma_memberships": {
+                "ac": list(theo.in_sigma_ac),
+                "ba": list(theo.in_sigma_ba),
+                "hold": theo.equal,
+            },
+        })
     return report
-
-
-def _probe_body(t: OperatorTriple, lam: Fraction, n_max: int | None) -> dict:
-    """A probe's report entry after its label, read off the chains of
-    AC - lam and BA - lam; build_report forms it once per chain pair, and
-    the probes with one pair share its lists."""
-    seq = intertwine.verify_sequence_equalities(t, lam, n_max)
-    theo = intertwine.verify_theorem(t, [lam]).rows[0]
-    ba, ac = t.chains(lam)  # the chains seq was read from
-    prof_ac, prof_ba = profile(ac), profile(ba)
-    return {
-        "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
-                  "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
-        "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
-        "asc": [seq.asc_ac, seq.asc_ba],
-        "dsc": [seq.dsc_ac, seq.dsc_ba],
-        "dis": [prof_ac.dis, prof_ba.dis],
-        "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
-        "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
-        "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
-        "sequences_hold": seq.all_equal,
-        "sigma_memberships": {
-            "ac": list(theo.in_sigma_ac),
-            "ba": list(theo.in_sigma_ba),
-            "hold": theo.equal,
-        },
-    }
 
 
 #: The polynomials Q of the inclusion-lemma check: x, x^2, x^3 and one cubic.

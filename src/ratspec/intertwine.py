@@ -56,7 +56,7 @@ materialized, as the sum chains of the mixed quotient maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
@@ -563,13 +563,14 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
     lam = rat(lam)
     if n_max is None:
         n_max = max(t.dim_x, t.dim_y)
-    fields = t.pair_result(lam, ("sequences", n_max),
-                           lambda ba, ac: _sequence_fields(ba, ac, n_max))
-    return SequenceReport(lam, *fields)
+    report = t.pair_result(lam, ("sequences", n_max),
+                           lambda ba, ac: _sequence_report(lam, ba, ac, n_max))
+    return replace(report, lam=lam)
 
 
-def _sequence_fields(ba: PowerChain, ac: PowerChain, n_max: int) -> tuple:
-    """The fields of a SequenceReport after lam, read off the two chains."""
+def _sequence_report(lam: Fraction, ba: PowerChain, ac: PowerChain,
+                     n_max: int) -> SequenceReport:
+    """The SequenceReport at lam read off the chains of BA - lam and AC - lam."""
     pac = profile(ac)
     pba = profile(ba)
 
@@ -581,9 +582,11 @@ def _sequence_fields(ba: PowerChain, ac: PowerChain, n_max: int) -> tuple:
                              cp_ac=seq(pac.cp_seq, n), cp_ba=seq(pba.cp_seq, n),
                              k_ac=seq(pac.k_seq, n), k_ba=seq(pba.k_seq, n))
                  for n in range(n_max + 1))
-    return (rows, (pac.c_total, pac.cp_total, pac.k_total),
-            (pba.c_total, pba.cp_total, pba.k_total),
-            pac.asc, pba.asc, pac.dsc, pba.dsc)
+    return SequenceReport(lam=lam, rows=rows,
+                          totals_ac=(pac.c_total, pac.cp_total, pac.k_total),
+                          totals_ba=(pba.c_total, pba.cp_total, pba.k_total),
+                          asc_ac=pac.asc, asc_ba=pba.asc,
+                          dsc_ac=pac.dsc, dsc_ba=pba.dsc)
 
 
 def default_probes(t: OperatorTriple) -> list[Fraction]:

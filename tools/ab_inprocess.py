@@ -1,8 +1,7 @@
 #!/usr/bin/env python3
 """Interleaved in-process A/B timing of two checkouts on ratbench's documents.
 
-    python3 tools/ab_inprocess.py BASE CHANGE [--workload NAME ...]
-        [--seed 11] [--rounds 3] [--passes 9]
+    python3 tools/ab_inprocess.py BASE CHANGE [--seed 11]
 
 BASE and CHANGE are source checkouts. Each one's `ratspec` is loaded into
 this one process under its own package name (`ratspec_base`,
@@ -12,7 +11,7 @@ SEED, written by `iter_rounds` of BASE's `ratbench/workloads.py` (the only
 ratbench file read) with BASE's generators. Every pass runs each document
 through both sides, one after the other, `cli.main` with the workload's
 command and flags, and alternates which side goes first from document to
-document and from pass to pass.
+document and from pass to pass; there are PASSES passes.
 
 The first pass also checks that both sides print the same stdout and return
 the same exit code on every document, and stops with status 1 at the first
@@ -36,6 +35,10 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+
+#: Rounds of each workload's documents, and passes over them.
+ROUNDS = 3
+PASSES = 9
 
 
 class Side:
@@ -102,29 +105,23 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("base", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", action="append", dest="workloads",
-                        help="a ratbench workload, repeatable (default: all)")
     parser.add_argument("--seed", type=int, default=11)
-    parser.add_argument("--rounds", type=int, default=3)
-    parser.add_argument("--passes", type=int, default=9)
     args = parser.parse_args()
     base = Side("ratspec_base", args.base.resolve())
     change = Side("ratspec_change", args.change.resolve())
     workloads = _load_workloads(args.base.resolve())
-    names = args.workloads or list(workloads.WORKLOADS)
 
     with tempfile.TemporaryDirectory() as tmp:
-        for name in names:
-            workload = workloads.WORKLOADS[name]
+        for name, workload in workloads.WORKLOADS.items():
             where = Path(tmp) / name
             where.mkdir()
             with base.active():
                 rounds = workloads.iter_rounds(workload, args.seed, where)
-                docs = [doc for _ in range(args.rounds) for doc in next(rounds)]
+                docs = [doc for _ in range(ROUNDS) for doc in next(rounds)]
             argvs = [[workload.command, str(doc.path), *workload.flags] for doc in docs]
             best = {side.name: [float("inf")] * len(argvs) for side in (base, change)}
             wins = 0
-            for p in range(args.passes):
+            for p in range(PASSES):
                 totals = {base.name: 0.0, change.name: 0.0}
                 for i, argv in enumerate(argvs):
                     order = (base, change) if (i + p) % 2 == 0 else (change, base)
@@ -143,7 +140,7 @@ def main() -> int:
             print(f"{name} seed {args.seed}, {len(argvs)} documents: per-document-"
                   f"minimum total base {b:.1f} ms, change {c:.1f} ms "
                   f"(change/base {c / b:.3f}); change faster in {wins} of "
-                  f"{args.passes} passes")
+                  f"{PASSES} passes")
     return 0
 
 
