@@ -29,7 +29,7 @@ from typing import Any, Sequence
 
 from ratspec import drazin, genlab, intertwine
 from ratspec.intertwine import OperatorTriple
-from ratspec.invariants import profile
+from ratspec.invariants import PowerChain, profile
 from ratspec.ratmat import Mat, Poly, rank, rat
 
 ENTRY_RE = re.compile(r"-?[0-9]+(/[1-9][0-9]*)?")
@@ -258,18 +258,18 @@ def _map_failures(t: OperatorTriple, lambdas: list[Fraction], top: int) -> list[
     failed = []
     for lam in lambdas:
         witnesses = t.pair_result(lam, ("maps", top),
-                                  lambda ba, ac: _pair_map_witnesses(t, lam, top))
+                                  lambda ba, ac: _pair_map_witnesses(t, lam, ba, ac, top))
         failed.extend(f"{name} at lambda={lam}, n={n}: {witness}"
                       for name, n, witness in witnesses)
     return failed
 
 
-def _pair_map_witnesses(t: OperatorTriple, lam: Fraction,
-                        top: int) -> list[tuple[str, int, str]]:
-    """(map, n, witness) of each failing map at lam for n = 0..top."""
+def _pair_map_witnesses(t: OperatorTriple, lam: Fraction, ba: PowerChain,
+                        ac: PowerChain, top: int) -> list[tuple[str, int, str]]:
+    """(map, n, witness) of each failing map at lam for n = 0..top, with
+    (ba, ac) the chains of BA - lam and AC - lam."""
     # once both chains are stable, every later n has the same four
     # subspaces and the same carrier, so the same map as at stop
-    ba, ac = t.chains(lam)
     stop = min(top, max(ba.stable, ac.stable))
     out = []
     for n in range(stop + 1):

@@ -6,7 +6,7 @@ invertible on the first summand and nilpotent on the second, and the Drazin
 inverse S inverts the core and kills the nilpotent part. S is formed from the
 r x r core block of T (r = rank T^d), the only matrix inverted and the only
 row reduction past T's power chain, which the transfer takes from the
-triple's accessor (OperatorTriple.chain at q = x): it stops at the rank that
+triple's accessor (OperatorTriple.chain("ac", x)): it stops at the rank that
 charpoly(AC) gives, and an invertible AC has the shared identity chain, with
 no row reduction. The check of its three defining identities reads TS once.
 Nilpotency is decided by products alone: M is nilpotent iff M^dim = 0
@@ -162,12 +162,12 @@ def transfer(t: OperatorTriple) -> TransferReport:
     The three defining identities are checked directly, and by uniqueness
     of the Drazin inverse they hold exactly when the candidate is the
     Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
-    on the report, where the proof identities read it. AC's chain at 0
-    comes from the triple's accessor, which reads AC's characteristic
+    on the report, where the proof identities read it. AC's chain at 0 is
+    the triple's chain("ac", x), which reads AC's characteristic
     polynomial and builds no other.
     """
     _require_condition(t)
-    s_res = drazin_inverse(t.ac, t.chain(t.ac, t.ac_charpoly(), _X))
+    s_res = drazin_inverse(t.ac, t.chain("ac", _X))
     S = s_res.inverse
     cand = t.B @ (S @ S) @ t.A
     ba = t.ba

@@ -17,17 +17,18 @@ ACABA and (AC)^2A.
 
 Every probed operator is q(T) for T one of BA, AC, CA and AB: q is
 x - lambda at each probe, x - 1 or Q(x - 1) in the inclusion lemma, and x
-for AC's Drazin inverse. Its power chain comes from one accessor,
-OperatorTriple.chain, and the charpolys of BA and AC (CA and AB read theirs
-off them by Sylvester's identity) fix where it ends: m =
-hyper_kernel_dim(charpoly(T), q) is dim N(q(T)^dim), so q(T) is invertible
-iff m = 0, the one place that is decided, and otherwise its chain stops at
-rank dim - m (invariants.PowerChain). Each distinct (T, q), compared by
-value, is looked up before anything is decided, so it is decided once.
-Every invertible operator on Q^n has the identity's chain, kept once per
-dimension, with no power and no row reduction; a singular q(T) is evaluated
-once per distinct (T, q), and equal T share its chain. The tests keep the
-row-reduced chain of every operator as the oracle.
+for AC's Drazin inverse. The triple names T "ba", "ac", "ca" or "ab" and
+owns its charpoly (CA's and AB's read off AC's and BA's by Sylvester's
+identity), so OperatorTriple.chain(name, q) gives the power chain with no
+polynomial passed in: m = hyper_kernel_dim(charpoly(name), q) is
+dim N(q(T)^dim), so q(T) is invertible iff m = 0, the one place that is
+decided, and otherwise its chain stops at rank dim - m
+(invariants.PowerChain). Each distinct (T, q), compared by value, is looked
+up before anything is decided, so it is decided once. Every invertible
+operator on Q^n has the identity's chain, kept once per dimension, with no
+power and no row reduction; a singular q(T) is evaluated once per distinct
+(T, q), and equal T share its chain. The tests keep the row-reduced chain
+of every operator as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -79,8 +80,9 @@ class MapCache:
     - maps_into(M, V, W): M(V) <= W, read off those rows at W's pivots.
     The small spaces of the map at n are the big ones at n + 1, and the
     map families and the inclusion lemma meet in the same subspaces: on the
-    first-round documents of ratbench's verify workloads at seed 11, 77% of
-    the carried-row lookups and 90% of the containment lookups are hits.
+    first-round documents of ratbench's verify workloads at seed 11, with
+    OperatorTriple.pair_result in place, 165 of 253 carried-row lookups
+    (65%) and 617 of 708 containment lookups (87%) are hits.
     An OperatorTriple owns one, so it lives exactly as long as the triple.
     """
 
@@ -126,20 +128,21 @@ class OperatorTriple:
     read of ab (AC itself when C == B). All public attributes are treated
     as immutable.
 
-    chain(T, p, q) gives every probed operator's power chain, keyed by
-    (T, q) with T compared by value, so equal operators share one: CA - 1
-    and AB - 1 share those of BA - 1 and AC - 1 whenever CA = BA and
-    AB = AC, as on every C == B triple. map_cache is the MapCache that the
-    quotient maps and the inclusion lemma of this triple share, and
-    pair_result keeps what the verifiers read off each chain pair.
+    charpoly(name) gives the characteristic polynomial of BA, AC, CA or
+    AB, and chain(name, q) the power chain of q(T) for that operator T,
+    keyed by (T, q) with T compared by value, so equal operators share
+    one: CA - 1 and AB - 1 share those of BA - 1 and AC - 1 whenever
+    CA = BA and AB = AC, as on every C == B triple. map_cache is the
+    MapCache that the quotient maps and the inclusion lemma of this triple
+    share, and pair_result keeps what the verifiers read off each chain
+    pair.
     Everything is kept on the triple and lives as long as it does.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
-                 "_chains", "_pba", "_pac", "_ca_ab_charpolys",
-                 "_pair_results")
+                 "_chains", "_charpolys", "_pair_results")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -172,9 +175,7 @@ class OperatorTriple:
         self._power_chains: dict[int | tuple[Mat, Poly], PowerChain] = {}
         # lambda as (numerator, denominator)
         self._chains: dict[tuple[int, int], tuple[PowerChain, PowerChain]] = {}
-        self._pba: Poly | None = None
-        self._pac: Poly | None = None
-        self._ca_ab_charpolys: tuple[Poly, Poly] | None = None
+        self._charpolys: dict[str, Poly] = {}
         self._pair_results: dict[tuple[PowerChain, PowerChain], dict] = {}
 
     @property
@@ -196,48 +197,41 @@ class OperatorTriple:
             self._ab = self.A @ self.B
         return self._ab
 
-    def ba_charpoly(self) -> Poly:
-        """The characteristic polynomial of BA, built on the first request."""
-        if self._pba is None:
-            self._pba = charpoly(self.ba)
-        return self._pba
+    def charpoly(self, name: str) -> Poly:
+        """The characteristic polynomial of BA, AC, CA or AB ("ba", "ac",
+        "ca" or "ab"), built on the first request and kept on the triple.
 
-    def ac_charpoly(self) -> Poly:
-        """The characteristic polynomial of AC, built on the first request;
-        the Drazin transfer reads it alone."""
-        if self._pac is None:
-            self._pac = charpoly(self.ac)
-        return self._pac
-
-    def charpolys(self) -> tuple[Poly, Poly]:
-        """The characteristic polynomials of BA and AC.
-
-        Each is built on its first request and kept on the triple, so the
-        probe search, the charpoly match and the invertibility of every
-        probed operator share them.
+        BA's and AC's are computed; CA's and AB's are read off AC's and
+        BA's by Sylvester's identity, x^(dy-dx) charpoly(CA) = charpoly(AC)
+        and x^(dx-dy) charpoly(AB) = charpoly(BA).
         """
-        return self.ba_charpoly(), self.ac_charpoly()
+        p = self._charpolys.get(name)
+        if p is None:
+            if name in ("ba", "ac"):
+                p = charpoly(getattr(self, name))
+            elif name in ("ca", "ab"):
+                # CA and AB are AC and BA with their factors swapped
+                shift = self.dim_x - self.dim_y
+                p = _times_x_power(self.charpoly(name[::-1]),
+                                   shift if name == "ca" else -shift)
+            else:
+                raise ValueError(f"no operator {name!r}: expected 'ba', 'ac', "
+                                 "'ca' or 'ab'")
+            self._charpolys[name] = p
+        return p
 
-    def ca_ab_charpolys(self) -> tuple[Poly, Poly]:
-        """The characteristic polynomials of CA and AB, by Sylvester's identity:
-        x^(dy-dx) charpoly(CA) = charpoly(AC) and
-        x^(dx-dy) charpoly(AB) = charpoly(BA). Formed once per triple."""
-        if self._ca_ab_charpolys is None:
-            pba, pac = self.charpolys()
-            shift = self.dim_x - self.dim_y
-            self._ca_ab_charpolys = (_times_x_power(pac, shift),
-                                     _times_x_power(pba, -shift))
-        return self._ca_ab_charpolys
-
-    def chain(self, T: Mat, p: Poly, q: Poly) -> PowerChain:
-        """The PowerChain of q(T) on this triple, p the charpoly of T.
+    def chain(self, name: str, q: Poly) -> PowerChain:
+        """The PowerChain of q(T) for T the operator name ("ba", "ac", "ca"
+        or "ab") of this triple.
 
         Each distinct (T, q), compared by value, is looked up before
-        anything is decided, and decided once, by hyper_kernel_dim(p, q).
-        Every invertible q(T) (hyper_kernel_dim 0) shares the trivial chain
-        of its dimension; a singular one is evaluated and given its
-        hyper_kernel_dim.
+        anything is decided, and decided once, by hyper_kernel_dim on T's
+        charpoly(name). Every invertible q(T) (hyper_kernel_dim 0) shares
+        the trivial chain of its dimension; a singular one is evaluated and
+        given its hyper_kernel_dim.
         """
+        p = self.charpoly(name)
+        T = getattr(self, name)
         key = (T, q)
         chain = self._power_chains.get(key)
         if chain is None:
@@ -252,7 +246,7 @@ class OperatorTriple:
     def chains(self, lam: int | Fraction) -> tuple[PowerChain, PowerChain]:
         """The power chains of BA - lam and AC - lam; lam must be nonzero.
 
-        Built on the first request for each lam, as chain(T, p, x - lam),
+        Built on the first request for each lam, as chain(name, x - lam),
         and kept on the triple, so every verifier at lam shares one pair.
         """
         lam = rat(lam)
@@ -262,8 +256,7 @@ class OperatorTriple:
         pair = self._chains.get((a, b))
         if pair is None:
             q = Poly.from_ints([-a, b], b)  # x - a/b
-            pair = self._chains[a, b] = (self.chain(self.ba, self.ba_charpoly(), q),
-                                         self.chain(self.ac, self.ac_charpoly(), q))
+            pair = self._chains[a, b] = (self.chain("ba", q), self.chain("ac", q))
         return pair
 
     def pair_result(self, lam: int | Fraction, key: object, build):
@@ -363,23 +356,20 @@ def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
 
     The ranges and kernels of Q(T - I) are read off the triple's chains
     (OperatorTriple.chain) of CA, AB, BA and AC: for Q = c x^k those of
-    (T - I)^k, at x - 1 and index k, with BA and AC's from chains(1); for
-    any other Q those of q(T) at index 1, q = Q(x - 1). The containments go
-    through the triple's MapCache, so the ones on the chains at 1 are
-    decided once with the quotient maps at 1.
+    (T - I)^k, at x - 1 and index k, which BA and AC share with chains(1);
+    for any other Q those of q(T) at index 1, q = Q(x - 1). The
+    containments go through the triple's MapCache, so the ones on the
+    chains at 1 are decided once with the quotient maps at 1.
     """
     _require_condition(t)
-    (pca, pab), (pba, pac) = t.ca_ab_charpolys(), t.charpolys()
     k = Q.degree
     if k >= 1 and not any(Q.num[:-1]):
         q, index = _X_MINUS_1, k
-        ba, ac = t.chains(1)
     else:
         q, index = Poly([]), 1
         for c in reversed(Q.coeffs):  # Q(x - 1) by Horner
             q = q * _X_MINUS_1 + Poly([c])
-        ba, ac = t.chain(t.ba, pba, q), t.chain(t.ac, pac, q)
-    ca, ab = t.chain(t.ca, pca, q), t.chain(t.ab, pab, q)
+    ba, ac, ca, ab = (t.chain(name, q) for name in ("ba", "ac", "ca", "ab"))
     into = t.map_cache.maps_into
     return InclusionReport(
         aba_range=into(t.aba, ca.image(index), ab.image(index)),
@@ -597,7 +587,7 @@ def default_probes(t: OperatorTriple) -> list[Fraction]:
     and 0 is added when either product is singular. Consumers skip 0 with an
     explicit note, mirroring sigma \\ {0} in the statements.
     """
-    pba, pac = t.charpolys()
+    pba, pac = t.charpoly("ba"), t.charpoly("ac")
     eigs = {lam for lam, _ in rational_eigenvalues(pac)}
     if not (pba.num[0] and pac.num[0]):
         eigs.add(Fraction(0))
@@ -674,7 +664,7 @@ def nonzero_charpoly_match(t: OperatorTriple) -> bool:
     dividing out x^k keeps the leading coefficient.
     """
     _require_condition(t)
-    pba, pac = (p.strip_zero_roots()[0] for p in t.charpolys())
+    pba, pac = (t.charpoly(name).strip_zero_roots()[0] for name in ("ba", "ac"))
     return pac == pba
 
 

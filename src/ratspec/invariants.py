@@ -302,8 +302,9 @@ def _integer_root_candidates(f: list[int]) -> list[int]:
         p += 1
         if any(p % d == 0 for d in range(2, isqrt(p) + 1)):
             continue
-        roots = [a for a in range(p) if _eval_mod(g, a, p) == 0]
-        if all(_eval_mod(dg, a, p) for a in roots):
+        g_p, dg_p = _mod(g, p), _mod(dg, p)
+        roots = [a for a in range(p) if _eval_mod(g_p, a, p) == 0]
+        if all(_eval_mod(dg_p, a, p) for a in roots):
             break
     bound = 1 + max(abs(c) for c in f[:-1])  # Cauchy: every |root| < bound
     q = p
@@ -318,7 +319,8 @@ def hyper_kernel_dim(p: Poly, q: Poly) -> int:
     """dim N(q(T)^s) for s >= dim, p the characteristic polynomial of T.
 
     That is the degree of p's q-primary part (p, q nonzero), 0 exactly when
-    q(T) is invertible: the one invertibility decision production makes.
+    q(T) is invertible: the one invertibility decision production makes, in
+    OperatorTriple.chain(name, q), which passes T's charpoly(name) as p.
     A linear q, with root a/b in lowest terms, is decided on p's integer
     numerators by _divide_out: one Horner pass, and exact division by
     bx - a for the multiplicity. For any other q, gcd(p, q) by the

@@ -282,7 +282,8 @@ def default_probes_by_two_searches(t: OperatorTriple) -> list[Fraction]:
     """default_probes from two root searches, one on each characteristic
     polynomial: the union of the rational eigenvalues of AC and of BA, 1,
     and the first two candidates outside that union."""
-    eigs = {lam for p in t.charpolys() for lam, _ in rational_eigenvalues(p)}
+    eigs = {lam for name in ("ba", "ac")
+            for lam, _ in rational_eigenvalues(t.charpoly(name))}
     extras = [Fraction(c) for c in (2, 3, 5, 7, Fraction(1, 2), Fraction(3, 2),
                                     11, 13, 17, 19, 23) if c not in eigs][:2]
     return sorted(eigs | {_ONE} | set(extras))

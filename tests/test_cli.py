@@ -774,8 +774,11 @@ class TestRunVerification:
         assert result["passed"]
 
     def test_charpolys_built_once(self, monkeypatch):
-        # the probe search and the charpoly match share one charpoly of BA
-        # and one of AC; the search reads them and builds none itself
+        # verify and report build one charpoly of BA and one of AC, which the
+        # probe search, the charpoly match and every chain share (CA's and
+        # AB's are read off them), and drazin builds AC's alone; C == B on
+        # c_equals_b, and dim Y > dim X on rational_spectrum, so Sylvester's
+        # identity shifts by a nonzero power of x there
         from ratspec import intertwine, invariants
         built = []
         real_charpoly = intertwine.charpoly
@@ -786,9 +789,19 @@ class TestRunVerification:
 
         monkeypatch.setattr(intertwine, "charpoly", counting_charpoly)
         monkeypatch.setattr(invariants, "charpoly", counting_charpoly)
-        t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
-        assert run_verification(t)["passed"]
-        assert built == [t.ba, t.ac]
+        for template in ("aba_eq_aca", "c_equals_b", "rational_spectrum"):
+            spec = GenSpec(template=template, block_dim=4, seed=2)
+            assert template != "rational_spectrum" or generate(spec).dim_y > 4
+            for command in ("verify", "report", "drazin"):
+                t = generate(spec)
+                built.clear()
+                if command == "verify":
+                    assert run_verification(t)["passed"]
+                elif command == "report":
+                    assert build_report(t, None, None)["probes"]
+                else:
+                    assert build_drazin_report(t)
+                assert built == ([t.ac] if command == "drazin" else [t.ba, t.ac])
 
     def test_condition_failure_short_circuits(self):
         t = generate(GenSpec(template="nonconforming", block_dim=3, seed=3))

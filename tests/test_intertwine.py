@@ -204,8 +204,7 @@ class TestResiduals:
         for t in (generate(GenSpec(template="c_equals_b", block_dim=3, seed=1,
                                    dim_y=4)),
                   OperatorTriple(i3, shear, shear)):
-            pca, pab = t.ca_ab_charpolys()
-            ca_ab = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+            ca_ab = (t.chain("ca", X_MINUS_1), t.chain("ab", X_MINUS_1))
             assert all(x is y for x, y in zip(ca_ab, t.chains(1)))
             for chain, T in zip(ca_ab, (t.ca, t.ab)):
                 oracle = PowerChain(T.shifted(1))
@@ -219,8 +218,7 @@ class TestResiduals:
         # evaluates no polynomial of a matrix
         from ratspec import intertwine
         t = generate(GenSpec(template="aba_eq_aca", block_dim=3, seed=1))
-        pca, pab = t.ca_ab_charpolys()
-        first = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+        first = (t.chain("ca", X_MINUS_1), t.chain("ab", X_MINUS_1))
         pair = t.chains(1)
         decided, matrices = [], []
         real = intertwine.hyper_kernel_dim
@@ -229,7 +227,7 @@ class TestResiduals:
         monkeypatch.setattr(intertwine, "poly_eval_mat",
                             lambda q, T: matrices.append(T))
         assert t.chains(1) is pair and decided == []
-        again = (t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1))
+        again = (t.chain("ca", X_MINUS_1), t.chain("ab", X_MINUS_1))
         assert all(x is y for x, y in zip(again, first))
         assert decided == [] and matrices == []
 
@@ -238,9 +236,8 @@ class TestResiduals:
         A = Mat.from_rows([[1, 0], [0, 0]])
         B = Mat.from_rows([[1, 2], [3, 4]])
         t = OperatorTriple(A, B, B + Mat.from_rows([[0, 1], [0, 2]]))
-        pca, pab = t.ca_ab_charpolys()
         (ba, ac) = t.chains(1)
-        ca, ab = t.chain(t.ca, pca, X_MINUS_1), t.chain(t.ab, pab, X_MINUS_1)
+        ca, ab = t.chain("ca", X_MINUS_1), t.chain("ab", X_MINUS_1)
         assert ca is ba and ab is not ac
         assert ab.T == t.ab.shifted(1) and ac.T == t.ac.shifted(1)
 
@@ -403,12 +400,11 @@ class TestInclusionLemma:
         for t in triples:
             evaluated.clear()
             assert inclusion_lemma(t, Q).all_hold
-            chis = (*t.ca_ab_charpolys(), *t.charpolys())
-            operators = (t.ca, t.ab, t.ba, t.ac)
+            operators = {name: getattr(t, name) for name in ("ca", "ab", "ba", "ac")}
             assert evaluated == list(dict.fromkeys(
-                (shifted_q, T) for T, p in zip(operators, chis)
-                if not coprime(p, shifted_q)))
-            decided += len(set(operators)) - len(evaluated)
+                (shifted_q, T) for name, T in operators.items()
+                if not coprime(t.charpoly(name), shifted_q)))
+            decided += len(set(operators.values())) - len(evaluated)
             singular += len(evaluated)
         assert decided and singular
 
@@ -465,7 +461,7 @@ class TestCharpolyDecidedChains:
         triples = [OperatorTriple(t.A, t.B, t.C) for t in conforming_samples()]
         probes = []
         for t in triples:
-            pba, pac = t.charpolys()
+            pba, pac = t.charpoly("ba"), t.charpoly("ac")
             probes.append(next(lam for lam in map(Fraction, (2, 3, 5, 7, 97))
                                if pba(lam) and pac(lam)))
             t.ab  # formed on the first read, a product of the triple
@@ -480,10 +476,9 @@ class TestCharpolyDecidedChains:
             monkeypatch.setattr(kernels, name, recorded)
         for t, lam in zip(triples, probes):
             chains = list(zip(t.chains(lam), (t.ba, t.ac)))
-            pca, pab = t.ca_ab_charpolys()
-            if pca(1) and pab(1):
-                chains += [(t.chain(t.ca, pca, X_MINUS_1), t.ca),
-                           (t.chain(t.ab, pab, X_MINUS_1), t.ab)]
+            if t.charpoly("ca")(1) and t.charpoly("ab")(1):
+                chains += [(t.chain("ca", X_MINUS_1), t.ca),
+                           (t.chain("ab", X_MINUS_1), t.ab)]
             for chain, T in chains:
                 assert chain.stable == 0
                 for n in range(T.rows + 2):
@@ -499,8 +494,20 @@ class TestCharpolyDecidedChains:
     def test_ca_ab_charpolys_by_sylvester(self):
         from ratspec.ratmat import charpoly
         for t in conforming_samples():
-            assert t.ca_ab_charpolys() == (charpoly(t.ca), charpoly(t.ab))
-            assert t.ca_ab_charpolys() is t.ca_ab_charpolys()
+            for name in ("ba", "ac", "ca", "ab"):
+                assert t.charpoly(name) == charpoly(getattr(t, name))
+                assert t.charpoly(name) is t.charpoly(name)
+
+    def test_unknown_operator_names_raise(self):
+        # only BA, AC, CA and AB are probed; other attributes of the triple,
+        # and the products in upper case, are not operator names
+        t = OperatorTriple(Mat.identity(2), Mat.identity(2), Mat.identity(2))
+        for name in ("", "BA", "aba", "aca", "A", "cb", "residuals"):
+            with pytest.raises(ValueError, match="no operator"):
+                t.charpoly(name)
+            with pytest.raises(ValueError, match="no operator"):
+                t.chain(name, X_MINUS_1)
+        assert t._charpolys == {}
 
     def test_an_inconsistent_charpoly_raises(self):
         # dim X = 2 and dim Y = 1, so Sylvester's identity divides x out of
@@ -509,13 +516,13 @@ class TestCharpolyDecidedChains:
         from ratspec.intertwine import _times_x_power
         t = OperatorTriple(Mat.from_rows([[1, 2]]), Mat.from_rows([[1], [0]]),
                            Mat.from_rows([[1], [0]]))
-        assert t.ca_ab_charpolys()[1] == Poly([-1, 1])  # AB = 1
+        assert t.charpoly("ab") == Poly([-1, 1])  # AB = 1
         with pytest.raises(ArithmeticError, match="does not divide"):
             _times_x_power(Poly([1, 0, 1]), -1)
         u = OperatorTriple(t.A, t.B, t.C)
-        u._pba = Poly([1, 0, 1])
+        u._charpolys["ba"] = Poly([1, 0, 1])
         with pytest.raises(ArithmeticError, match="does not divide"):
-            u.ca_ab_charpolys()
+            u.charpoly("ab")
         assert _times_x_power(Poly([0, 0, 3, 1]), -2) == Poly([3, 1])
         assert _times_x_power(Poly([3, 1]), 2) == Poly([0, 0, 3, 1])
 
@@ -527,9 +534,8 @@ class TestCharpolyDecidedChains:
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=1))
         assert not (t.condition_holds or bad.condition_holds)
         for u in (t, bad):
-            pca, pab = u.ca_ab_charpolys()
-            chains = [(u.chain(u.ca, pca, X_MINUS_1), u.ca.shifted(1)),
-                      (u.chain(u.ab, pab, X_MINUS_1), u.ab.shifted(1))]
+            chains = [(u.chain("ca", X_MINUS_1), u.ca.shifted(1)),
+                      (u.chain("ab", X_MINUS_1), u.ab.shifted(1))]
             for lam in (1, 2):
                 chains += zip(u.chains(lam), (u.ba.shifted(lam), u.ac.shifted(lam)))
             for chain, op in chains:
@@ -587,20 +593,21 @@ _accessor_triples = st.one_of(
 
 
 def _probes(t):
-    """(T, p, q) for T in BA, AC, CA and AB, p its charpoly: x - lam at its
-    rational nonzero eigenvalues (and 2x - 2 lam there) and at
-    non-eigenvalues, Q(x - 1) for the inclusion lemma's cubic, and q
-    sharing a factor with p."""
+    """(name, q) for the operators T named "ba", "ac", "ca" and "ab", p
+    T's charpoly: x - lam at its rational nonzero eigenvalues (and
+    2x - 2 lam there) and at non-eigenvalues, Q(x - 1) for the inclusion
+    lemma's cubic, and q sharing a factor with p."""
     from ratspec.invariants import rational_eigenvalues
-    for T, p in zip((t.ba, t.ac, t.ca, t.ab), (*t.charpolys(), *t.ca_ab_charpolys())):
+    for name in ("ba", "ac", "ca", "ab"):
+        p = t.charpoly(name)
         eigs = {lam for lam, _ in rational_eigenvalues(p) if lam}
         for lam in sorted(eigs | {Fraction(1), Fraction(2), Fraction(1, 2), Fraction(7)}):
-            yield T, p, Poly([-lam, 1])
-        yield T, p, COMPANION_POLYS[0]
-        yield T, p, p.strip_zero_roots()[0] * Poly([3, 1])
+            yield name, Poly([-lam, 1])
+        yield name, COMPANION_POLYS[0]
+        yield name, p.strip_zero_roots()[0] * Poly([3, 1])
         for lam in eigs:
-            yield T, p, Poly([-2 * lam, 2])
-            yield T, p, Poly([-lam, 1]) * Poly([1, 0, 1])
+            yield name, Poly([-2 * lam, 2])
+            yield name, Poly([-lam, 1]) * Poly([1, 0, 1])
 
 
 def _assert_same_chain(chain, oracle):
@@ -613,23 +620,24 @@ def _assert_same_chain(chain, oracle):
 
 
 class TestOneChainAccessor:
-    """chain(T, p, q) against the row-reduced PowerChain(q(T))."""
+    """chain(name, q) against the row-reduced PowerChain(q(T))."""
 
     @given(_accessor_triples)
     @settings(max_examples=25)
     def test_chain_equals_the_row_reduced_one(self, t):
-        for T, p, q in _probes(t):
-            _assert_same_chain(t.chain(T, p, q), PowerChain(poly_eval_mat(q, T)))
+        for name, q in _probes(t):
+            _assert_same_chain(t.chain(name, q),
+                               PowerChain(poly_eval_mat(q, getattr(t, name))))
 
     @given(_accessor_triples)
     @settings(max_examples=25)
     def test_shared_trivial_chain_stands_for_every_invertible_operator(self, t):
         trivial = {}
-        for T, p, q in _probes(t):
-            op = poly_eval_mat(q, T)
+        for name, q in _probes(t):
+            op = poly_eval_mat(q, getattr(t, name))
             if rank(op) < op.rows:
                 continue
-            chain = t.chain(T, p, q)
+            chain = t.chain(name, q)
             assert trivial.setdefault(op.rows, chain) is chain
             _assert_same_chain(chain, PowerChain(op))
         assert all(c.T == Mat.identity(n) for n, c in trivial.items())
@@ -648,8 +656,8 @@ class TestOneChainAccessor:
         assert inclusion_lemma(t, INCLUSION_QS[3]).all_hold
         assert evaluated == list(dict.fromkeys((t.ca, t.ab, t.ba, t.ac)))
         assert len(evaluated) == 2
-        for T, p in zip((t.ba, t.ac), t.charpolys()):
-            chain = t.chain(T, p, COMPANION_POLYS[0])
+        for name, T in (("ba", t.ba), ("ac", t.ac)):
+            chain = t.chain(name, COMPANION_POLYS[0])
             _assert_same_chain(chain, PowerChain(real(COMPANION_POLYS[0], T)))
             assert chain.rank(1) == T.rows - 3
 
@@ -1107,7 +1115,7 @@ class TestDefaultProbes:
         for seed in range(8):
             t = generate(GenSpec(template="c_equals_b", block_dim=dx, dim_y=dy,
                                  seed=seed, entry_bound=3))
-            pba, pac = t.charpolys()
+            pba, pac = t.charpoly("ba"), t.charpoly("ac")
             if (pba.coeffs[0] == 0) == (pac.coeffs[0] == 0):
                 continue
             probes = default_probes(t)

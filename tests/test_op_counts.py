@@ -157,9 +157,9 @@ def test_each_probe_is_decided_once_and_each_pair_built_once(name, monkeypatch):
     real_gcd = invariants._gcd
     real_build = intertwine.induced_quotient_map
 
-    def chain(self, T, p, q):
-        asked.add((T, q))
-        return real_chain(self, T, p, q)
+    def chain(self, name, q):
+        asked.add((getattr(self, name), q))
+        return real_chain(self, name, q)
 
     def decide(p, q):
         decided.append(q)
