@@ -326,8 +326,10 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
     sequence equalities, pointwise regularity-spectrum agreement, nonzero
     charpoly match, shift operators for n <= 4, Drazin transfer and the
     transfer proof identities. A failing check's detail says where it
-    fails; a Drazin inverse that raises fails the transfer check with its
-    message, and the proof identities, which need the transfer, with it.
+    fails (for the charpoly match, the first power sum Tr(T^k) on which AC
+    and BA differ); a Drazin inverse that raises fails the transfer check
+    with its message, and the proof identities, which need the transfer,
+    with it.
     """
     checks: list[dict[str, Any]] = []
 
@@ -367,7 +369,8 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
             notes.append(f"skipped {len(theo.skipped)} zero probe(s)")
         add("theorem_memberships", theo.all_equal, "; ".join(notes))
 
-        add("charpoly_match", intertwine.nonzero_charpoly_match(t))
+        match = intertwine.nonzero_charpoly_match(t)
+        add("charpoly_match", match, "" if match else intertwine.power_sum_witness(t))
 
         try:
             intertwine.shift_polys(t, 4)  # checks every n = 1..4 on the way

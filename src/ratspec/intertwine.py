@@ -18,8 +18,17 @@ ACABA and (AC)^2A.
 Every probed operator is q(T) for T one of BA, AC, CA and AB: q is
 x - lambda at each probe, x - 1 or Q(x - 1) in the inclusion lemma, and x
 for AC's Drazin inverse. The triple names T "ba", "ac", "ca" or "ab" and
-owns its charpoly (CA's and AB's read off AC's and BA's by Sylvester's
-identity), so OperatorTriple.chain(name, q) gives the power chain with no
+owns its charpoly. Only the cheaper of BA's and AC's is computed: with
+D = BA - CA and E = ACA - ABA, the condition makes Tr((AC)^k) =
+Tr((BA)^k) for every k >= 3:
+- ABA D = 0, so (BA)^k D = (BA)^(k-2) B (ABA D) = 0 for k >= 2, and
+  Tr((BA)^k CA) = Tr((BA)^(k+1));
+- E BA = 0 and (AC)^2 A = A(BA)^2 give (AC)^k A = A(BA)^k for k >= 2, by
+  induction, so Tr((AC)^(k+1)) = Tr(A(BA)^k C) = Tr((BA)^k CA).
+By Newton's identities x^dx charpoly(AC) = x^dy charpoly(BA) iff the first
+two power sums agree too, and then the other charpoly is read off the
+computed one; CA's and AB's are read off AC's and BA's by Sylvester's
+identity. So OperatorTriple.chain(name, q) gives the power chain with no
 polynomial passed in: m = hyper_kernel_dim(charpoly(name), q) is
 dim N(q(T)^dim), so q(T) is invertible iff m = 0, the one place that is
 decided, and otherwise its chain stops at rank dim - m
@@ -59,6 +68,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from operator import mul
 
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
                                 rational_eigenvalues, sigma_memberships)
@@ -129,7 +139,9 @@ class OperatorTriple:
     as immutable.
 
     charpoly(name) gives the characteristic polynomial of BA, AC, CA or
-    AB, and chain(name, q) the power chain of q(T) for that operator T,
+    AB, one computed and the rest read off it whenever the condition holds
+    and the first two power sums of BA and AC agree, and chain(name, q)
+    the power chain of q(T) for that operator T,
     keyed by (T, q) with T compared by value, so equal operators share
     one: CA - 1 and AB - 1 share those of BA - 1 and AC - 1 whenever
     CA = BA and AB = AC, as on every C == B triple. map_cache is the
@@ -201,14 +213,33 @@ class OperatorTriple:
         """The characteristic polynomial of BA, AC, CA or AB ("ba", "ac",
         "ca" or "ab"), built on the first request and kept on the triple.
 
-        BA's and AC's are computed; CA's and AB's are read off AC's and
-        BA's by Sylvester's identity, x^(dy-dx) charpoly(CA) = charpoly(AC)
-        and x^(dx-dy) charpoly(AB) = charpoly(BA).
+        Only the cheaper of BA's and AC's is computed (ratmat.charpoly): the
+        product on the smaller space, on equal dimensions the one with the
+        smaller common denominator, BA on a full tie. The condition makes
+        Tr((AC)^k) = Tr((BA)^k) for every k >= 3 (module docstring), so when
+        it holds and the first two power sums agree, x^dx charpoly(AC) =
+        x^dy charpoly(BA) by Newton's identities, and the other is read off
+        the computed one. Those two sums cost no product: the computed
+        side's come off its top coefficients, the other's are its trace and
+        sum t_ij t_ji. Otherwise the other is computed too. CA's and AB's
+        are read off AC's and BA's by Sylvester's identity,
+        x^(dy-dx) charpoly(CA) = charpoly(AC) and
+        x^(dx-dy) charpoly(AB) = charpoly(BA).
         """
         p = self._charpolys.get(name)
         if p is None:
             if name in ("ba", "ac"):
-                p = charpoly(getattr(self, name))
+                ba, ac = self.ba, self.ac
+                computed = "ac" if (ac.rows, ac.den) < (ba.rows, ba.den) else "ba"
+                T = getattr(self, name)
+                if name == computed:
+                    p = charpoly(T)
+                else:
+                    p = self.charpoly(computed)
+                    if self.condition_holds and _power_sums(p, 2) == _trace_sums(T):
+                        p = _times_x_power(p, T.rows - p.degree)
+                    else:
+                        p = charpoly(T)
             elif name in ("ca", "ab"):
                 # CA and AB are AC and BA with their factors swapped
                 shift = self.dim_x - self.dim_y
@@ -290,6 +321,47 @@ def _times_x_power(p: Poly, k: int) -> Poly:
         raise ArithmeticError(f"x^{-k} does not divide {p}, against Sylvester's "
                               "identity")
     return Poly.from_ints(p.num[-k:], p.den)
+
+
+def _power_sums(p: Poly, k: int) -> list[Fraction]:
+    """Tr(T), ..., Tr(T^k) for T with the monic characteristic polynomial p.
+
+    With c_i the coefficient of x^(n-i) (zero past n), Newton's identities
+    give Tr(T^j) = -(j c_j + sum_(i=1..j-1) c_i Tr(T^(j-i))).
+    """
+    c = [Fraction(x, p.den) for x in p.num[:-k - 2:-1]]  # c_0 .. c_k
+    sums: list[Fraction] = []
+    for j in range(1, k + 1):
+        acc = j * c[j] if j < len(c) else 0
+        for i in range(1, min(j, len(c))):
+            acc += c[i] * sums[j - i - 1]
+        sums.append(-acc)
+    return sums
+
+
+def _trace_sums(T: Mat) -> list[Fraction]:
+    """Tr(T) and Tr(T^2) = sum t_ij t_ji, on T's numerators, with no product."""
+    n, S = T.rows, T.num
+    transposed = [x for a in range(n) for x in S[a::n]]
+    return [Fraction(sum(S[::n + 1]), T.den),
+            Fraction(sum(map(mul, S, transposed)), T.den * T.den)]
+
+
+def power_sum_witness(t: OperatorTriple) -> str:
+    """The first power sum on which AC and BA differ, read off their
+    charpolys, as "Tr(AC^k) = a, Tr(BA^k) = b"; "" when none does.
+
+    x^dy charpoly(BA) and x^dx charpoly(AC) are monic of degree dx + dy,
+    so by Newton's identities they are equal iff their first dx + dy power
+    sums are, and the x^k factors add nothing to a power sum.
+    """
+    n = t.dim_x + t.dim_y
+    sums = zip(_power_sums(t.charpoly("ac"), n), _power_sums(t.charpoly("ba"), n))
+    for k, (ac, ba) in enumerate(sums, 1):
+        if ac != ba:
+            power = f"^{k}" if k > 1 else ""
+            return f"Tr(AC{power}) = {ac}, Tr(BA{power}) = {ba}"
+    return ""
 
 
 def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
@@ -661,7 +733,11 @@ def nonzero_charpoly_match(t: OperatorTriple) -> bool:
     The characteristic polynomials of AC and BA, after dividing out all
     powers of the variable, must coincide; this covers irrational and
     complex eigenvalues without extracting any root. Both are monic, and
-    dividing out x^k keeps the leading coefficient.
+    dividing out x^k keeps the leading coefficient. The triple reads one
+    off the other only when Tr(AC) = Tr(BA) and Tr((AC)^2) = Tr((BA)^2),
+    and computes both otherwise. Under the condition the sums from k = 3 on
+    agree anyway (module docstring), so this decides those first two sums:
+    the same predicate as comparing two computed polynomials.
     """
     _require_condition(t)
     pba, pac = (t.charpoly(name).strip_zero_roots()[0] for name in ("ba", "ac"))

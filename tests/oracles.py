@@ -16,7 +16,8 @@ C |-> ACA, and so has the subspace intersection, by the kernel of the
 stacked bases, and the preimage route to a quotient map's injectivity, on
 the whole space. The condition residuals are here as differences of the
 four products A(BA)^2, ABACA, ACABA and (AC)^2A, where production forms at
-most three products by distributivity. FractionMat is the
+most three products by distributivity, and the power sums Tr(T^k) are
+here as traces of explicit powers. FractionMat is the
 entrywise-Fraction matrix that Mat's integer-numerator arithmetic is
 checked against.
 """
@@ -247,6 +248,22 @@ def power_identity(t: OperatorTriple, k: int) -> bool:
     left = t.aba @ ca_shift ** k == ab_shift ** k @ t.aba
     right = t.aca @ ba_shift ** k == ac_shift ** k @ t.aca
     return left and right
+
+
+def power_traces(T: Mat, ks: range) -> list[Fraction]:
+    """Tr(T^k) for each k in ks (all k >= 1), off explicit powers T, T^2, ...
+
+    Production reads Tr(T) and Tr(T^2) off a charpoly's top coefficients
+    or T's entries, and the rest not at all.
+    """
+    _require_square(T)
+    traces, power = [], T
+    for k in range(1, ks.stop):
+        if k > 1:
+            power = power @ T
+        if k in ks:
+            traces.append(sum(power.data[::T.rows + 1], _ZERO))
+    return traces
 
 
 def poly_eval_fraction(p: Poly, x: int | Fraction) -> Fraction:

@@ -16,7 +16,8 @@ import pytest
 from oracles import (c_n, c_n_via_complement, coprime, cp_n,
                      cp_n_via_intersection, default_probes_by_two_searches,
                      eigenvalue_multiplicity, injective_by_preimage_in_ambient,
-                     k_n, k_n_via_sums, rational_eigenvalues_by_divisors)
+                     k_n, k_n_via_sums, power_traces,
+                     rational_eigenvalues_by_divisors)
 from ratspec.cli import INCLUSION_QS, main, write_triple_document
 from ratspec.drazin import drazin_inverse, proof_identities, transfer
 from ratspec.genlab import GenSpec, generate, paper_example
@@ -28,7 +29,7 @@ from ratspec.intertwine import (MapCache, OperatorTriple, check_condition,
                                 verify_sequence_equalities, verify_theorem)
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
                                 rational_eigenvalues)
-from ratspec.ratmat import Mat, Poly, image, kernel, poly_eval_mat
+from ratspec.ratmat import Mat, Poly, charpoly, image, kernel, poly_eval_mat
 from test_intertwine import COMPANION_POLYS, _companion_triple
 
 
@@ -331,11 +332,33 @@ def test_criterion_5_theorem_pointwise(corpus):
 
 
 def test_criterion_6_charpoly_identity(corpus):
-    """Nonzero parts of charpoly(AC) and charpoly(BA) coincide exactly."""
+    """Nonzero parts of charpoly(AC) and charpoly(BA) coincide exactly.
+
+    The triple computes one of the two and reads the other off it; both
+    are computed here as well, and their nonzero parts compared directly.
+    """
     for _, t, _, _ in corpus:
         assert nonzero_charpoly_match(t)
+        pba, pac = (charpoly(T).strip_zero_roots()[0] for T in (t.ba, t.ac))
+        assert pac == pba
     print(f"ACCEPTANCE 6: PASS - charpoly nonzero parts match on "
-          f"{len(corpus)} triples")
+          f"{len(corpus)} triples, by the triple and computed directly")
+
+
+def test_criterion_6_power_sums_agree_from_three_on(corpus):
+    """Tr((AC)^k) = Tr((BA)^k) for 3 <= k <= max(dx, dy) + 1, off explicit powers.
+
+    The condition forces these for every k >= 3, which is why the triple
+    compares only the first two sums before reading one charpoly off the
+    other.
+    """
+    sums = 0
+    for _, t, _, _ in corpus:
+        ks = range(3, max(t.dim_x, t.dim_y) + 2)
+        assert power_traces(t.ac, ks) == power_traces(t.ba, ks)
+        sums += len(ks)
+    print(f"ACCEPTANCE 6: PASS - {sums} power sums Tr((AC)^k) = Tr((BA)^k), "
+          f"k >= 3, on {len(corpus)} triples")
 
 
 def test_criterion_6_eigenvalues_match_divisor_scan(corpus):

@@ -774,11 +774,14 @@ class TestRunVerification:
         assert result["passed"]
 
     def test_charpolys_built_once(self, monkeypatch):
-        # verify and report build one charpoly of BA and one of AC, which the
-        # probe search, the charpoly match and every chain share (CA's and
-        # AB's are read off them), and drazin builds AC's alone; C == B on
-        # c_equals_b, and dim Y > dim X on rational_spectrum, so Sylvester's
-        # identity shifts by a nonzero power of x there
+        # verify, report and drazin compute one charpoly, the cheaper of BA's
+        # and AC's, which is BA's on all three documents (the smaller space
+        # on rational_spectrum, where dim Y > dim X, the smaller common
+        # denominator on the other two); AC's is read off it by the
+        # condition's power sums, CA's and AB's by Sylvester's identity,
+        # and the probe search, the charpoly match and every chain share
+        # them; C == B on c_equals_b, and Sylvester's identity shifts by a
+        # nonzero power of x on rational_spectrum
         from ratspec import intertwine, invariants
         built = []
         real_charpoly = intertwine.charpoly
@@ -801,7 +804,27 @@ class TestRunVerification:
                     assert build_report(t, None, None)["probes"]
                 else:
                     assert build_drazin_report(t)
-                assert built == ([t.ac] if command == "drazin" else [t.ba, t.ac])
+                assert built == [t.ba]
+
+    def test_a_charpoly_mismatch_names_the_first_power_sum(self):
+        # a wrong charpoly(BA) in the triple's place for the computed one,
+        # with Tr(BA^2) off by 2; neither it nor BA's has a root at a
+        # nonzero probe or at 1, so every chain it decides is still the
+        # identity's and only the charpoly match fails, naming the power
+        # sums that differ; a passing match has no detail
+        from ratspec.ratmat import charpoly
+        from test_intertwine import with_e2_raised
+        spec = GenSpec(template="aba_eq_aca", block_dim=4, seed=2)
+        t = generate(spec)
+        square = t.ac @ t.ac
+        tr2 = sum(square.data[::t.dim_y + 1], Fraction(0))
+        t._charpolys["ba"] = with_e2_raised(charpoly(t.ba))
+        checks = run_verification(t)["checks"]
+        assert [c for c in checks if not c["passed"]] == [
+            {"name": "charpoly_match", "passed": False,
+             "detail": f"Tr(AC^2) = {tr2}, Tr(BA^2) = {tr2 - 2}"}]
+        checks = run_verification(generate(spec))["checks"]
+        assert {"name": "charpoly_match", "passed": True, "detail": ""} in checks
 
     def test_condition_failure_short_circuits(self):
         t = generate(GenSpec(template="nonconforming", block_dim=3, seed=3))

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from conftest import matrices
 from oracles import (coprime, default_probes_by_two_searches,
                      injective_by_preimage_in_ambient, power_identity,
-                     residuals_by_four_products)
+                     power_traces, residuals_by_four_products)
 from ratspec import kernels
 from ratspec.cli import INCLUSION_QS
 from ratspec.genlab import (TEMPLATES, GenSpec, default_idempotent, generate,
@@ -39,6 +39,43 @@ def conforming_samples():
     yield generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
     yield generate(GenSpec(template="conjugated", block_dim=3, seed=3))
     yield generate(GenSpec(template="direct_sum", block_dim=5, seed=4))
+
+
+def scale_target_samples():
+    """The scale-target documents: dim 24 (rational_spectrum: 22, whose Y
+    is wider) at seed 3, entry bound 2."""
+    for template in ("c_equals_b", "aba_eq_aca", "conjugated", "direct_sum",
+                     "rational_spectrum"):
+        dim = 22 if template == "rational_spectrum" else 24
+        yield generate(GenSpec(template=template, block_dim=dim, seed=3,
+                               entry_bound=2))
+
+
+def _diag(*entries):
+    return Mat.from_rows([[x if i == j else 0 for j in range(len(entries))]
+                          for i, x in enumerate(entries)])
+
+
+def _record_charpolys(monkeypatch):
+    """The operators whose charpolys the triple computes from here on."""
+    from ratspec import intertwine
+    from ratspec.ratmat import charpoly
+    built = []
+
+    def recorded(M):
+        built.append(M)
+        return charpoly(M)
+
+    monkeypatch.setattr(intertwine, "charpoly", recorded)
+    return built
+
+
+def with_e2_raised(p):
+    """The monic p with 1 added to e2, the coefficient of x^(n-2): Tr(T) =
+    e1 is kept and Tr(T^2) = e1^2 - 2 e2 falls by 2."""
+    num = list(p.num)
+    num[-3] += p.den
+    return Poly.from_ints(num, p.den)
 
 
 class TestCondition:
@@ -491,12 +528,18 @@ class TestCharpolyDecidedChains:
             assert verify_theorem(t, [lam]).all_equal
         assert calls == []
 
-    def test_ca_ab_charpolys_by_sylvester(self):
+    def test_ca_ab_charpolys_by_sylvester(self, monkeypatch):
+        # one of BA's and AC's is computed and the other read off it, and
+        # CA's and AB's are read off those: all four against ratmat.charpoly
         from ratspec.ratmat import charpoly
-        for t in conforming_samples():
+        built = _record_charpolys(monkeypatch)
+        for t in [*conforming_samples(), *scale_target_samples()]:
+            u = OperatorTriple(t.A, t.B, t.C)
+            built.clear()
             for name in ("ba", "ac", "ca", "ab"):
-                assert t.charpoly(name) == charpoly(getattr(t, name))
-                assert t.charpoly(name) is t.charpoly(name)
+                assert u.charpoly(name) == charpoly(getattr(u, name))
+                assert u.charpoly(name) is u.charpoly(name)
+            assert len(built) == 1
 
     def test_unknown_operator_names_raise(self):
         # only BA, AC, CA and AB are probed; other attributes of the triple,
@@ -1001,6 +1044,62 @@ class TestCharpolyMatch:
         bad = generate(GenSpec(template="nonconforming", block_dim=3, seed=4))
         with pytest.raises(ConditionNotSatisfied):
             nonzero_charpoly_match(bad)
+
+    def test_without_the_condition_a_power_sum_past_two_differs(self):
+        # the control for Tr((AC)^k) = Tr((BA)^k) at k >= 3: without the
+        # condition, agreeing first two sums would say nothing
+        for dim in (3, 5):
+            for seed in range(10):
+                t = generate(GenSpec(template="nonconforming", block_dim=dim,
+                                     seed=seed))
+                assert not t.condition_holds
+                ks = range(3, max(t.dim_x, t.dim_y) + 2)
+                assert power_traces(t.ac, ks) != power_traces(t.ba, ks)
+
+    def test_a_differing_power_sum_computes_the_other_charpoly(self, monkeypatch):
+        # a wrong charpoly(BA) in the triple's place for the computed one:
+        # its Tr(BA^2) is off by 2, so AC's is computed rather than read
+        # off it, and the nonzero parts differ
+        from ratspec.ratmat import charpoly
+        t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
+        t._charpolys["ba"] = with_e2_raised(charpoly(t.ba))
+        built = _record_charpolys(monkeypatch)
+        assert t.charpoly("ac") == charpoly(t.ac)
+        assert built == [t.ac]
+        assert not nonzero_charpoly_match(t)
+
+    def test_without_the_condition_the_other_charpoly_is_computed(self, monkeypatch):
+        # BA and AC have the eigenvalues 2, -1, -1 and -2, 1, 1: the first
+        # two power sums agree (0 and 6), the third does not (6 and -6), and
+        # the condition fails, so equal first sums must not be trusted
+        from ratspec.ratmat import charpoly
+        t = OperatorTriple(Mat.identity(3), _diag(2, -1, -1), _diag(-2, 1, 1))
+        assert not t.condition_holds
+        assert power_traces(t.ba, range(1, 3)) == power_traces(t.ac, range(1, 3))
+        assert power_traces(t.ba, range(3, 4)) != power_traces(t.ac, range(3, 4))
+        built = _record_charpolys(monkeypatch)
+        for name in ("ba", "ac", "ca", "ab"):
+            assert t.charpoly(name) == charpoly(getattr(t, name))
+        assert built == [t.ba, t.ac]
+
+    def test_the_cheaper_product_is_computed(self, monkeypatch):
+        # dim X > dim Y puts AC on the smaller space; at equal dims, AC = AB
+        # has denominator 1 where BA has 2; a full tie computes BA's
+        from ratspec.ratmat import charpoly
+        e = Mat.from_rows([[1], [0]])
+        wide = OperatorTriple(Mat.from_rows([[1, 2]]), e, e)
+        drawn = generate(GenSpec(template="aba_eq_aca", block_dim=4, dim_y=3, seed=1))
+        half = Mat.from_rows([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
+        even = OperatorTriple(Mat.from_rows([[2, 0], [0, 1]]), half, half)
+        assert (even.ba.den, even.ac.den) == (2, 1)
+        tie = OperatorTriple(Mat.identity(2), Mat.identity(2), Mat.identity(2))
+        built = _record_charpolys(monkeypatch)
+        for t, computed in ((wide, "ac"), (drawn, "ac"), (even, "ac"), (tie, "ba")):
+            assert t.condition_holds
+            built.clear()
+            for name in ("ba", "ac"):
+                assert t.charpoly(name) == charpoly(getattr(t, name))
+            assert built == [getattr(t, computed)]
 
 
 class TestShiftPolys:
