@@ -8,9 +8,9 @@ r x r core block of T (r = rank T^d), the only matrix inverted and the only
 row reduction past T's power chain, which the transfer takes from the
 triple's accessor (OperatorTriple.chain("ac", x)): it stops at the rank that
 charpoly(AC) gives, and an invertible AC has the shared identity chain, with
-no row reduction. The triple computes only the cheaper of charpoly(BA) and
-charpoly(AC), and reads AC's off BA's when BA's is the one computed. The
-check of its three defining identities reads TS once.
+no row reduction. The triple computes only charpoly(BA) and reads AC's off
+it whenever the condition holds, as it does here. The check of its three
+defining identities reads TS once.
 Nilpotency is decided by products alone: M is nilpotent iff M^dim = 0
 (Cayley-Hamilton), so nilpotency_index multiplies out M, M^2, ... until a
 power vanishes, and the same routine decides the known degree of T^2 S - T.
@@ -166,7 +166,7 @@ def transfer(t: OperatorTriple) -> TransferReport:
     Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
     on the report, where the proof identities read it. AC's chain at 0 is
     the triple's chain("ac", x), which reads AC's characteristic
-    polynomial: one charpoly is computed, the cheaper of BA's and AC's.
+    polynomial: one charpoly is computed, BA's, and AC's is read off it.
     """
     _require_condition(t)
     s_res = drazin_inverse(t.ac, t.chain("ac", _X))

@@ -18,7 +18,7 @@ ACABA and (AC)^2A.
 Every probed operator is q(T) for T one of BA, AC, CA and AB: q is
 x - lambda at each probe, x - 1 or Q(x - 1) in the inclusion lemma, and x
 for AC's Drazin inverse. The triple names T "ba", "ac", "ca" or "ab" and
-owns its charpoly. Only the cheaper of BA's and AC's is computed: with
+owns its charpoly. Only BA's is computed, and AC's is read off it: with
 D = BA - CA and E = ACA - ABA, the condition makes Tr((AC)^k) =
 Tr((BA)^k) for every k >= 3:
 - ABA D = 0, so (BA)^k D = (BA)^(k-2) B (ABA D) = 0 for k >= 2, and
@@ -26,18 +26,18 @@ Tr((BA)^k) for every k >= 3:
 - E BA = 0 and (AC)^2 A = A(BA)^2 give (AC)^k A = A(BA)^k for k >= 2, by
   induction, so Tr((AC)^(k+1)) = Tr(A(BA)^k C) = Tr((BA)^k CA).
 By Newton's identities x^dx charpoly(AC) = x^dy charpoly(BA) iff the first
-two power sums agree too, and then the other charpoly is read off the
-computed one; CA's and AB's are read off AC's and BA's by Sylvester's
-identity. So OperatorTriple.chain(name, q) gives the power chain with no
-polynomial passed in: m = hyper_kernel_dim(charpoly(name), q) is
-dim N(q(T)^dim), so q(T) is invertible iff m = 0, the one place that is
-decided, and otherwise its chain stops at rank dim - m
-(invariants.PowerChain). Each distinct (T, q), compared by value, is looked
-up before anything is decided, so it is decided once. Every invertible
-operator on Q^n has the identity's chain, kept once per dimension, with no
-power and no row reduction; a singular q(T) is evaluated once per distinct
-(T, q), and equal T share its chain. The tests keep the row-reduced chain
-of every operator as the oracle.
+two power sums agree too, and then AC's charpoly is read off BA's; CA's and
+AB's are read off AC's and BA's by Sylvester's identity. So
+OperatorTriple.chain(name, q) gives the power chain with no polynomial
+passed in: m = hyper_kernel_dim(charpoly(name), q) is dim N(q(T)^dim), so
+q(T) is invertible iff m = 0, the one place that is decided, and otherwise
+its chain stops at rank dim - m (invariants.PowerChain). Each distinct
+(T, q), compared by value, is looked up before anything is decided, so it
+is decided once. Every invertible operator on Q^n has the identity's
+chain, kept once per dimension, with no power and no row reduction; a
+singular q(T) is evaluated once per distinct (T, q), and equal T share its
+chain. The tests keep the row-reduced chain of every operator as the
+oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -68,13 +68,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from operator import mul
 
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
                                 rational_eigenvalues, sigma_memberships)
 # image stays importable for ratbench's alias self-tests, unused here
-from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,  # noqa: F401
-                            poly_eval_mat, rank, rat)
+from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, first_traces,  # noqa: F401
+                            image, kernel, poly_eval_mat, power_sums, rank, rat)
 
 
 class ConditionNotSatisfied(ValueError):
@@ -139,7 +138,7 @@ class OperatorTriple:
     as immutable.
 
     charpoly(name) gives the characteristic polynomial of BA, AC, CA or
-    AB, one computed and the rest read off it whenever the condition holds
+    AB, BA's computed and the rest read off it whenever the condition holds
     and the first two power sums of BA and AC agree, and chain(name, q)
     the power chain of q(T) for that operator T,
     keyed by (T, q) with T compared by value, so equal operators share
@@ -213,33 +212,27 @@ class OperatorTriple:
         """The characteristic polynomial of BA, AC, CA or AB ("ba", "ac",
         "ca" or "ab"), built on the first request and kept on the triple.
 
-        Only the cheaper of BA's and AC's is computed (ratmat.charpoly): the
-        product on the smaller space, on equal dimensions the one with the
-        smaller common denominator, BA on a full tie. The condition makes
+        Only BA's is computed (ratmat.charpoly). The condition makes
         Tr((AC)^k) = Tr((BA)^k) for every k >= 3 (module docstring), so when
         it holds and the first two power sums agree, x^dx charpoly(AC) =
-        x^dy charpoly(BA) by Newton's identities, and the other is read off
-        the computed one. Those two sums cost no product: the computed
-        side's come off its top coefficients, the other's are its trace and
-        sum t_ij t_ji. Otherwise the other is computed too. CA's and AB's
+        x^dy charpoly(BA) by Newton's identities, and AC's is read off BA's.
+        Those two sums cost no product: BA's come off its top coefficients
+        (ratmat.power_sums), AC's are its trace and sum t_ij t_ji
+        (ratmat.first_traces). Otherwise AC's is computed too. CA's and AB's
         are read off AC's and BA's by Sylvester's identity,
         x^(dy-dx) charpoly(CA) = charpoly(AC) and
         x^(dx-dy) charpoly(AB) = charpoly(BA).
         """
         p = self._charpolys.get(name)
         if p is None:
-            if name in ("ba", "ac"):
-                ba, ac = self.ba, self.ac
-                computed = "ac" if (ac.rows, ac.den) < (ba.rows, ba.den) else "ba"
-                T = getattr(self, name)
-                if name == computed:
-                    p = charpoly(T)
+            if name == "ba":
+                p = charpoly(self.ba)
+            elif name == "ac":
+                pba = self.charpoly("ba")
+                if self.condition_holds and power_sums(pba, 2) == first_traces(self.ac):
+                    p = _times_x_power(pba, self.dim_y - self.dim_x)
                 else:
-                    p = self.charpoly(computed)
-                    if self.condition_holds and _power_sums(p, 2) == _trace_sums(T):
-                        p = _times_x_power(p, T.rows - p.degree)
-                    else:
-                        p = charpoly(T)
+                    p = charpoly(self.ac)
             elif name in ("ca", "ab"):
                 # CA and AB are AC and BA with their factors swapped
                 shift = self.dim_x - self.dim_y
@@ -323,30 +316,6 @@ def _times_x_power(p: Poly, k: int) -> Poly:
     return Poly.from_ints(p.num[-k:], p.den)
 
 
-def _power_sums(p: Poly, k: int) -> list[Fraction]:
-    """Tr(T), ..., Tr(T^k) for T with the monic characteristic polynomial p.
-
-    With c_i the coefficient of x^(n-i) (zero past n), Newton's identities
-    give Tr(T^j) = -(j c_j + sum_(i=1..j-1) c_i Tr(T^(j-i))).
-    """
-    c = [Fraction(x, p.den) for x in p.num[:-k - 2:-1]]  # c_0 .. c_k
-    sums: list[Fraction] = []
-    for j in range(1, k + 1):
-        acc = j * c[j] if j < len(c) else 0
-        for i in range(1, min(j, len(c))):
-            acc += c[i] * sums[j - i - 1]
-        sums.append(-acc)
-    return sums
-
-
-def _trace_sums(T: Mat) -> list[Fraction]:
-    """Tr(T) and Tr(T^2) = sum t_ij t_ji, on T's numerators, with no product."""
-    n, S = T.rows, T.num
-    transposed = [x for a in range(n) for x in S[a::n]]
-    return [Fraction(sum(S[::n + 1]), T.den),
-            Fraction(sum(map(mul, S, transposed)), T.den * T.den)]
-
-
 def power_sum_witness(t: OperatorTriple) -> str:
     """The first power sum on which AC and BA differ, read off their
     charpolys, as "Tr(AC^k) = a, Tr(BA^k) = b"; "" when none does.
@@ -356,7 +325,7 @@ def power_sum_witness(t: OperatorTriple) -> str:
     sums are, and the x^k factors add nothing to a power sum.
     """
     n = t.dim_x + t.dim_y
-    sums = zip(_power_sums(t.charpoly("ac"), n), _power_sums(t.charpoly("ba"), n))
+    sums = zip(power_sums(t.charpoly("ac"), n), power_sums(t.charpoly("ba"), n))
     for k, (ac, ba) in enumerate(sums, 1):
         if ac != ba:
             power = f"^{k}" if k > 1 else ""

@@ -39,7 +39,9 @@ charpoly reads the power sums tr(S^k) of the integer numerators S off about
 2 sqrt(n) products and turns them into its coefficients by Newton's
 identities, each division checked exact, and writes the coefficients'
 numerators over one power of the common denominator; Faddeev-LeVerrier is
-its oracle.
+its oracle. power_sums runs those identities back, from a monic charpoly to
+its first power sums, and first_traces reads tr(M) and tr(M^2) off M's
+numerators with no product.
 """
 
 from __future__ import annotations
@@ -631,15 +633,33 @@ def _power_traces(n: int, S: Sequence[int]) -> list[int]:
     baby = [S]
     for _ in range(m - 1):
         baby.append(kernels.matmul(n, n, n, baby[-1], S))
-    traces[1:m + 1] = [sum(X[::n + 1]) for X in baby]
+    traces[1:m + 1] = [_trace(n, X) for X in baby]
     G = giant = baby[-1]
     for j in range(1, (n - 1) // m + 1):
         if j > 1:
             giant = kernels.matmul(n, n, n, giant, G)
-        transposed = [x for a in range(n) for x in giant[a::n]]
+        transposed = _transposed(n, giant)
         for i in range(1, min(m, n - j * m) + 1):
             traces[i + j * m] = sum(map(mul, baby[i - 1], transposed))
     return traces
+
+
+def _trace(n: int, S: Sequence[int]) -> int:
+    """The trace of the flat n x n matrix S."""
+    return sum(S[::n + 1])
+
+
+def _transposed(n: int, S: Sequence[int]) -> list[int]:
+    """The flat n x n matrix S transposed: tr(XS) is the dot product of X
+    with it."""
+    return [x for a in range(n) for x in S[a::n]]
+
+
+def first_traces(M: Mat) -> list[Fraction]:
+    """tr(M) and tr(M^2) = sum m_ij m_ji of a square M, with no product."""
+    n, S = M.rows, M.num
+    return [Fraction(_trace(n, S), M.den),
+            Fraction(sum(map(mul, S, _transposed(n, S))), M.den * M.den)]
 
 
 def charpoly(M: Mat) -> Poly:
@@ -673,6 +693,23 @@ def charpoly(M: Mat) -> Poly:
         num.append((-e[k] if k & 1 else e[k]) * scale)
         scale *= D
     return Poly.from_ints(num, scale // D)
+
+
+def power_sums(p: Poly, k: int) -> list[Fraction]:
+    """tr(T), ..., tr(T^k) for any T with the monic characteristic polynomial p.
+
+    charpoly's Newton's identities run the other way: with c_i the
+    coefficient of x^(n-i) (zero past n), tr(T^j) =
+    -(j c_j + sum_(i=1..j-1) c_i tr(T^(j-i))).
+    """
+    c = [Fraction(x, p.den) for x in p.num[:-k - 2:-1]]  # c_0 .. c_k
+    sums: list[Fraction] = []
+    for j in range(1, k + 1):
+        acc = j * c[j] if j < len(c) else 0
+        for i in range(1, min(j, len(c))):
+            acc += c[i] * sums[j - i - 1]
+        sums.append(-acc)
+    return sums
 
 
 def poly_eval_mat(Q: Poly, M: Mat) -> Mat:

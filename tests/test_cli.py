@@ -774,14 +774,11 @@ class TestRunVerification:
         assert result["passed"]
 
     def test_charpolys_built_once(self, monkeypatch):
-        # verify, report and drazin compute one charpoly, the cheaper of BA's
-        # and AC's, which is BA's on all three documents (the smaller space
-        # on rational_spectrum, where dim Y > dim X, the smaller common
-        # denominator on the other two); AC's is read off it by the
-        # condition's power sums, CA's and AB's by Sylvester's identity,
-        # and the probe search, the charpoly match and every chain share
-        # them; C == B on c_equals_b, and Sylvester's identity shifts by a
-        # nonzero power of x on rational_spectrum
+        # verify, report and drazin compute one charpoly, BA's; AC's is
+        # read off it by the condition's power sums, CA's and AB's by
+        # Sylvester's identity, and the probe search, the charpoly match
+        # and every chain share them; C == B on c_equals_b, and Sylvester's
+        # identity shifts by a nonzero power of x on rational_spectrum
         from ratspec import intertwine, invariants
         built = []
         real_charpoly = intertwine.charpoly

@@ -1057,9 +1057,9 @@ class TestCharpolyMatch:
                 assert power_traces(t.ac, ks) != power_traces(t.ba, ks)
 
     def test_a_differing_power_sum_computes_the_other_charpoly(self, monkeypatch):
-        # a wrong charpoly(BA) in the triple's place for the computed one:
-        # its Tr(BA^2) is off by 2, so AC's is computed rather than read
-        # off it, and the nonzero parts differ
+        # a wrong charpoly(BA) in the triple's place: its Tr(BA^2) is off
+        # by 2, so AC's is computed rather than read off it, and the nonzero
+        # parts differ
         from ratspec.ratmat import charpoly
         t = generate(GenSpec(template="aba_eq_aca", block_dim=4, seed=2))
         t._charpolys["ba"] = with_e2_raised(charpoly(t.ba))
@@ -1082,9 +1082,10 @@ class TestCharpolyMatch:
             assert t.charpoly(name) == charpoly(getattr(t, name))
         assert built == [t.ba, t.ac]
 
-    def test_the_cheaper_product_is_computed(self, monkeypatch):
-        # dim X > dim Y puts AC on the smaller space; at equal dims, AC = AB
-        # has denominator 1 where BA has 2; a full tie computes BA's
+    def test_ba_charpoly_is_computed_and_ac_read_off(self, monkeypatch):
+        # BA's is computed whatever the shapes: with dim X > dim Y, AC's is
+        # BA's over x^(dx - dy); at equal dims, AC = AB has denominator 1
+        # where BA has 2, and AC's is still read off BA's
         from ratspec.ratmat import charpoly
         e = Mat.from_rows([[1], [0]])
         wide = OperatorTriple(Mat.from_rows([[1, 2]]), e, e)
@@ -1092,14 +1093,14 @@ class TestCharpolyMatch:
         half = Mat.from_rows([[Fraction(1, 2), Fraction(1, 2)], [0, 1]])
         even = OperatorTriple(Mat.from_rows([[2, 0], [0, 1]]), half, half)
         assert (even.ba.den, even.ac.den) == (2, 1)
-        tie = OperatorTriple(Mat.identity(2), Mat.identity(2), Mat.identity(2))
         built = _record_charpolys(monkeypatch)
-        for t, computed in ((wide, "ac"), (drawn, "ac"), (even, "ac"), (tie, "ba")):
+        for t in (wide, drawn, even):
             assert t.condition_holds
             built.clear()
             for name in ("ba", "ac"):
                 assert t.charpoly(name) == charpoly(getattr(t, name))
-            assert built == [getattr(t, computed)]
+            assert built == [t.ba]
+        assert wide.dim_x > wide.dim_y and drawn.dim_x > drawn.dim_y
 
 
 class TestShiftPolys:

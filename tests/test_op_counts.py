@@ -29,7 +29,7 @@ DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the products of the one characteristic polynomial computed,
-# the cheaper of BA's and AC's
+# BA's
 BOUNDS = {"paper_ex1": (18, 86), "rational_spectrum": (21, 67),
           "c_equals_b_fractional": (20, 50)}
 

@@ -9,12 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
 from oracles import (FractionMat, charpoly_fraction, intersect_by_kernel,
-                     poly_eval_fraction)
+                     poly_eval_fraction, power_traces)
 from ratspec import kernels
 from ratspec.intertwine import MapCache
-from ratspec.ratmat import (Mat, Poly, Subspace, block, charpoly, image,
-                            inverse, kernel, map_subspace, poly_eval_mat,
-                            preimage, quotient_dim, rank, rref, solve)
+from ratspec.ratmat import (Mat, Poly, Subspace, block, charpoly, first_traces,
+                            image, inverse, kernel, map_subspace, poly_eval_mat,
+                            power_sums, preimage, quotient_dim, rank, rref, solve)
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 
@@ -320,6 +320,16 @@ class TestCharpoly:
             M = Mat.from_ints(n, n, [rng.randint(-3, 3) for _ in range(n * n)])
             assert _power_traces(n, M.num) == [
                 sum((M ** k).entry(i, i) for i in range(n)) for k in range(n + 1)]
+
+    @given(square_matrices(5, min_dim=0))
+    def test_power_sums_are_traces_of_powers(self, M):
+        # two past the degree, where the coefficients run out
+        ks = range(1, M.rows + 3)
+        assert power_sums(charpoly(M), len(ks)) == power_traces(M, ks)
+
+    @given(square_matrices(5, min_dim=0))
+    def test_first_traces_are_traces_of_powers(self, M):
+        assert first_traces(M) == power_traces(M, range(1, 3))
 
     def test_inexact_division_raises(self, monkeypatch):
         # k e_k from Newton's identities is divisible by k for an integer
