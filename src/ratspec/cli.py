@@ -8,9 +8,10 @@ are rendered from it and never re-derive a verdict.
 Every JSON document ratspec writes (a report, a triple document) comes from
 one writer, _write_json: the bytes json.dump(obj, fh, indent=1) writes and a
 newline, built as one string from C-escaped strings and int reprs and
-written at once. On input, each matrix entry is checked against ENTRY_RE and
-read as integers; its field label, such as A[1][2], is formed only for the
-error message.
+written at once. A container met again at the same indent, such as the
+block that report probes on one chain pair share, is rendered once. On
+input, each matrix entry is checked against ENTRY_RE and read as integers;
+its field label, such as A[1][2], is formed only for the error message.
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = input/parse error.
 """
@@ -128,37 +129,50 @@ _SCALAR_TEXT = {str: encode_basestring_ascii, int: int.__repr__,
                 type(None): lambda _: "null"}
 
 
-def _json_text(obj: Any, newline: str) -> str:
+def _json_text(obj: Any, newline: str, memo: dict[tuple[int, str], str]) -> str:
     """obj as json.dump(obj, fh, indent=1) writes it; newline is the line
     break and indent before obj's closing bracket. Keys must be strings. A
     float, a Fraction or any other type raises TypeError: ratspec writes
-    none of them (json.dump too raises it for a Fraction)."""
+    none of them (json.dump too raises it for a Fraction).
+
+    memo maps (id(container), newline) to the container's text, so a list
+    or dict met again at the same indent, such as the block that probes on
+    one chain pair share (build_report), is rendered once. It lives for one
+    _write_json call, while the document holds every container and so no
+    id is reused, and the document must not change during it.
+    """
     text = _SCALAR_TEXT.get(type(obj))
     if text is not None:
         return text(obj)
+    memo_key = (id(obj), newline)
+    text = memo.get(memo_key)
+    if text is not None:
+        return text
     inner = newline + " "
     if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        return ("{" + inner + ("," + inner).join([
-            encode_basestring_ascii(key) + ": " + _json_text(value, inner)
+        text = "{}" if not obj else ("{" + inner + ("," + inner).join([
+            encode_basestring_ascii(key) + ": " + _json_text(value, inner, memo)
             for key, value in obj.items()]) + newline + "}")
-    if isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple)):
         if not obj:
-            return "[]"
-        try:  # a list of scalars in one pass
-            items = [_SCALAR_TEXT[type(x)](x) for x in obj]
-        except KeyError:
-            items = [_json_text(x, inner) for x in obj]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            text = "[]"
+        else:
+            try:  # a list of scalars in one pass
+                items = [_SCALAR_TEXT[type(x)](x) for x in obj]
+            except KeyError:
+                items = [_json_text(x, inner, memo) for x in obj]
+            text = "[" + inner + ("," + inner).join(items) + newline + "]"
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+    memo[memo_key] = text
+    return text
 
 
 def _write_json(obj: dict, fh) -> None:
     """obj as indented JSON and a newline, in one write: every JSON document
     ratspec writes, byte for byte what json.dump(obj, fh, indent=1) writes
     before the newline (the tests keep json.dump as the oracle)."""
-    fh.write(_json_text(obj, "\n") + "\n")
+    fh.write(_json_text(obj, "\n", {}) + "\n")
 
 
 def write_triple_document(t: OperatorTriple, path: str,
@@ -188,7 +202,14 @@ def _rat_str(x: Fraction, where: str) -> str:
 
 def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
                  n_max: int | None) -> dict:
-    """Invariant tables for AC-lam and BA-lam at each probe, plus verdicts."""
+    """Invariant tables for AC-lam and BA-lam at each probe, plus verdicts.
+
+    Each probe entry is its "lambda" label and a block read off the chains
+    of BA - lam and AC - lam (_probe_block), built once per chain pair and
+    n_max (OperatorTriple.pair_result): probes with one chain pair, as every
+    probe where both are invertible, share one block, its dicts and lists,
+    and _write_json renders it once. So a report is read-only once built.
+    """
     cond = intertwine.check_condition(t)
     report: dict[str, Any] = {
         "dim_x": t.dim_x,
@@ -209,30 +230,37 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
             report["skipped_lambdas"].append(
                 {"lambda": "0", "note": "the theorem excludes 0"})
             continue
-        # the sequence rows and sigma rows are read once per chain pair
-        seq = intertwine.verify_sequence_equalities(t, lam, n_max)
-        theo = intertwine.verify_theorem(t, [lam]).rows[0]
-        ba, ac = t.chains(lam)  # the chains seq was read from
-        prof_ac, prof_ba = profile(ac), profile(ba)
-        report["probes"].append({
-            "lambda": _rat_str(lam, "lambda"),
-            "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
-                      "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
-            "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
-            "asc": [seq.asc_ac, seq.asc_ba],
-            "dsc": [seq.dsc_ac, seq.dsc_ba],
-            "dis": [prof_ac.dis, prof_ba.dis],
-            "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
-            "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
-            "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
-            "sequences_hold": seq.all_equal,
-            "sigma_memberships": {
-                "ac": list(theo.in_sigma_ac),
-                "ba": list(theo.in_sigma_ba),
-                "hold": theo.equal,
-            },
-        })
+        block = t.pair_result(lam, ("report", n_max),
+                              lambda ba, ac: _probe_block(t, lam, ba, ac, n_max))
+        report["probes"].append({"lambda": _rat_str(lam, "lambda"), **block})
     return report
+
+
+def _probe_block(t: OperatorTriple, lam: Fraction, ba: PowerChain,
+                 ac: PowerChain, n_max: int | None) -> dict:
+    """A probe's report entry after its label: the sequence rows and sigma
+    rows at lam, with (ba, ac) the chains of BA - lam and AC - lam they are
+    read from, and the chains' profiles."""
+    seq = intertwine.verify_sequence_equalities(t, lam, n_max)
+    theo = intertwine.verify_theorem(t, [lam]).rows[0]
+    prof_ac, prof_ba = profile(ac), profile(ba)
+    return {
+        "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
+                  "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
+        "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
+        "asc": [seq.asc_ac, seq.asc_ba],
+        "dsc": [seq.dsc_ac, seq.dsc_ba],
+        "dis": [prof_ac.dis, prof_ba.dis],
+        "essential_degrees": [prof_ac.asc_e, prof_ac.dsc_e, prof_ac.dis_e],
+        "hyper_range_dim": [prof_ac.hyper_range_dim, prof_ba.hyper_range_dim],
+        "hyper_kernel_dim": [prof_ac.hyper_kernel_dim, prof_ba.hyper_kernel_dim],
+        "sequences_hold": seq.all_equal,
+        "sigma_memberships": {
+            "ac": list(theo.in_sigma_ac),
+            "ba": list(theo.in_sigma_ba),
+            "hold": theo.equal,
+        },
+    }
 
 
 #: The polynomials Q of the inclusion-lemma check: x, x^2, x^3 and one cubic.

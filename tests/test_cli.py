@@ -1,6 +1,7 @@
 """CLI contract: document round-trips, exit codes, renderer fidelity."""
 
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -239,6 +240,22 @@ class _Writes(list):
     write = list.append
 
 
+@st.composite
+def _aliased_values(draw):
+    """A value that holds one list or dict object at several positions: at
+    one depth (the first two items), at others, and wherever the drawn
+    skeleton puts it."""
+    shared = draw(st.lists(_written_values, min_size=1, max_size=4)
+                  | st.dictionaries(_awkward_text, _written_values,
+                                    min_size=1, max_size=4))
+    skeleton = draw(st.recursive(
+        st.just(shared) | st.integers() | _awkward_text,
+        lambda inner: (st.lists(inner, max_size=4)
+                       | st.dictionaries(_awkward_text, inner, max_size=4)),
+        max_leaves=12))
+    return [shared, shared, [shared, {"at": shared}], skeleton]
+
+
 class TestJsonWriter:
     @settings(max_examples=150)
     @given(_written_values)
@@ -257,9 +274,20 @@ class TestJsonWriter:
             _write_json(obj, fh)
             assert fh == [json.dumps(obj, indent=1) + "\n"]
 
+    @settings(max_examples=100)
+    @given(_aliased_values())
+    def test_shared_containers_write_what_json_dump_writes(self, obj):
+        expected = io.StringIO()
+        json.dump(obj, expected, indent=1)
+        fh = _Writes()
+        _write_json(obj, fh)
+        assert fh == [expected.getvalue() + "\n"]
+
     @pytest.mark.parametrize("value", [0.5, 1.0, Fraction(1, 2), Fraction(2)])
     def test_floats_and_fractions_raise(self, value):
-        for obj in (value, [1, value], {"a": [True, {"b": value}]}, (value,)):
+        shared = {"a": [1, value]}
+        for obj in (value, [1, value], {"a": [True, {"b": value}]}, (value,),
+                    {"x": shared, "y": shared}, [shared, [shared]]):
             fh = _Writes()
             with pytest.raises(TypeError):
                 _write_json(obj, fh)
@@ -859,6 +887,45 @@ class TestPairResults:
         assert (intertwine.verify_theorem(t, nonzero).rows
                 == tuple(intertwine.verify_theorem(self._fresh(t), [lam]).rows[0]
                          for lam in nonzero))
+
+    def test_probes_on_one_chain_pair_share_one_report_block(self, monkeypatch):
+        # every probe of the first is on the identity's chain pair; the
+        # second has a pair of its own at -1/2 and at 1/2, and 1, 2 and 3
+        # share the identity's
+        from ratspec import cli
+        built = []
+        real = cli._probe_block
+
+        def counting_block(t, lam, ba, ac, n_max):
+            built.append((ba, ac, n_max))
+            return real(t, lam, ba, ac, n_max)
+
+        monkeypatch.setattr(cli, "_probe_block", counting_block)
+        for spec, distinct in ((GenSpec(template="aba_eq_aca", block_dim=4, seed=2), 1),
+                               (GenSpec(template="rational_spectrum", block_dim=3,
+                                        seed=1), 3)):
+            t = generate(spec)
+            built.clear()
+            first = build_report(t, None, None)["probes"]
+            pairs = [t.chains(Fraction(probe["lambda"])) for probe in first]
+            assert len(built) == len(dict.fromkeys(pairs)) == distinct < len(first)
+            for (p, pair_p), (q, pair_q) in itertools.combinations(
+                    zip(first, pairs), 2):
+                same_pair = pair_p[0] is pair_q[0] and pair_p[1] is pair_q[1]
+                containers = [key for key, value in p.items()
+                              if isinstance(value, (list, dict))]
+                assert containers and all(
+                    (p[key] is q[key]) == same_pair for key in containers)
+                if same_pair:
+                    assert all(p[key] is q[key] for key in p if key != "lambda")
+            # a second report at the same n_max builds nothing; another
+            # n_max builds one block per pair again
+            again = build_report(t, None, None)["probes"]
+            assert len(built) == distinct
+            assert all(p["rows"] is q["rows"] for p, q in zip(first, again))
+            build_report(t, None, 2)
+            assert len(built) == 2 * distinct
+            assert [n_max for _, _, n_max in built] == [None] * distinct + [2] * distinct
 
     def test_probes_that_share_a_pair_build_its_maps_once(self, monkeypatch):
         from ratspec import intertwine

@@ -29,8 +29,14 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   and its Drazin inverse is the empty matrix;
 - `verify`, `verify --json`, `report --json` and `drazin --json` on the two
   documents whose inclusion lemma meets a singular Q(T - I) for the cubic
-  Q of `cli.INCLUSION_QS` (`singular_inclusion_triples`).
-The last line counts the runs (952). The documents are generated by the
+  Q of `cli.INCLUSION_QS` (`singular_inclusion_triples`);
+- `report --json`, `report --json --nmax 1` and `report` with repeated,
+  interleaved explicit probes on rational_spectrum at dim 3, seed 1, whose
+  probes 2, 1 and 3 share the identity's chain pair and 1/2 and -1/2 have
+  pairs of their own, and on aba_eq_aca at dim 4, seed 2, where every
+  nonzero probe is on the identity's pair (`SHARED_BLOCKS`): a report block
+  that probes share is met again after another pair's.
+The last line counts the runs (958). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -204,6 +210,30 @@ def _singular_inclusion_runs(workdir: Path):
         yield f"{label} drazin", ["drazin", path, "--json"]
 
 
+#: (template, block dim, seed, probes) of the documents whose report probes
+#: share chain pairs, probes in the order given on the command line
+SHARED_BLOCKS = (("rational_spectrum", 3, 1, ("2", "1/2", "1", "0", "2", "-1/2",
+                                             "1/2", "3")),
+                 ("aba_eq_aca", 4, 2, ("2", "1", "2", "1/2")))
+
+
+def _shared_block_runs(workdir: Path):
+    """(label, argv) of `report` with probes that meet one chain pair again."""
+    from ratspec import cli, genlab
+
+    for template, dim, seed, probes in SHARED_BLOCKS:
+        t = genlab.generate(genlab.GenSpec(template=template, block_dim=dim,
+                                           seed=seed))
+        path = str(workdir / f"shared-{template}-{dim}.json")
+        cli.write_triple_document(t, path)
+        # with "=", argparse reads -1/2 as a value, not as an option
+        flags = [f"--lambda={lam}" for lam in probes]
+        label = f"shared-blocks/{template} dim {dim} seed {seed}"
+        yield f"{label} report", ["report", path, *flags, "--json"]
+        yield f"{label} report-nmax", ["report", path, *flags, "--nmax", "1", "--json"]
+        yield f"{label} report-text", ["report", path, *flags]
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--root", type=Path,
@@ -220,7 +250,8 @@ def main() -> int:
         for runs in (_ratbench_runs(workdir), _acceptance_runs(workdir),
                      _scale_target_runs(workdir), _residual_path_runs(workdir),
                      _generate_runs(), _zero_dim_runs(workdir),
-                     _singular_inclusion_runs(workdir)):
+                     _singular_inclusion_runs(workdir),
+                     _shared_block_runs(workdir)):
             for label, argv in runs:
                 code, digest = _run(cli, argv)
                 print(f"{label} exit {code} {digest}")
