@@ -6,7 +6,11 @@ of the numerators over the product of the denominators, and a row reduction
 needs the numerators only (the reduced echelon form ignores row scaling).
 
 RREF eliminates fraction-free (Bareiss 1968), keeping every row primitive,
-and returns its result over one common denominator. When the forward pass
+and returns its result over one common denominator. Clearing the entry e
+of a row against the pivot p takes the row times p/g minus the pivot row
+times e/g, g = gcd(p, e): the smallest multipliers that clear it. Each row
+is made primitive after, so the rows are those that p and e themselves
+give, from smaller operands. When the forward pass
 finds a pivot in every column, the reduced form is the identity over zero
 rows; the RREF is unique, so it is returned as such (den 1, pivots
 0..cols-1) with no back-substitution. That is every image and kernel of an
@@ -90,7 +94,9 @@ def rref(rows, cols, data):
         for i in range(r + 1, rows):
             e = mat[i][c]
             if e:
-                mat[i] = _primitive([x * p - y * e for x, y in zip(mat[i], piv_row)])
+                g = gcd(p, e)
+                pg, eg = p // g, e // g
+                mat[i] = _primitive([x * pg - y * eg for x, y in zip(mat[i], piv_row)])
         pivots.append(c)
         r += 1
         if r == rows:
@@ -108,7 +114,9 @@ def rref(rows, cols, data):
         for i in range(k):
             e = mat[i][c]
             if e:
-                mat[i] = _primitive([x * p - y * e for x, y in zip(mat[i], piv_row)])
+                g = gcd(p, e)
+                pg, eg = p // g, e // g
+                mat[i] = _primitive([x * pg - y * eg for x, y in zip(mat[i], piv_row)])
     # row k is primitive, so its entries over its pivot are in lowest terms
     # exactly when over |pivot|: the lcm of the pivots is the least common
     # denominator

@@ -9,9 +9,12 @@ Every JSON document ratspec writes (a report, a triple document) comes from
 one writer, _write_json: the bytes json.dump(obj, fh, indent=1) writes and a
 newline, built as one string from C-escaped strings and int reprs and
 written at once. A container met again at the same indent, such as the
-block that report probes on one chain pair share, is rendered once. On
-input, each matrix entry is checked against ENTRY_RE and read as integers;
-its field label, such as A[1][2], is formed only for the error message.
+block that report probes on one chain pair share or a row that blocks on
+different pairs share, is rendered once. On input, each matrix entry is
+checked against ENTRY_RE and read as integers; its field label, such as
+A[1][2], is formed only for the error message. A --lambda value goes
+through the same check, and a negative one may be the next word, as in
+--lambda -1/2.
 
 Exit codes: 0 = pass, 1 = verification failure, 2 = input/parse error.
 """
@@ -208,7 +211,10 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
     of BA - lam and AC - lam (_probe_block), built once per chain pair and
     n_max (OperatorTriple.pair_result): probes with one chain pair, as every
     probe where both are invertible, share one block, its dicts and lists,
-    and _write_json renders it once. So a report is read-only once built.
+    and _write_json renders it once. Blocks on different pairs share each
+    equal row, kept on the triple (report_rows): every row of an identity
+    block, and every row past both chains' stable index, is written once.
+    So a report is read-only once built.
     """
     cond = intertwine.check_condition(t)
     report: dict[str, Any] = {
@@ -240,13 +246,25 @@ def _probe_block(t: OperatorTriple, lam: Fraction, ba: PowerChain,
                  ac: PowerChain, n_max: int | None) -> dict:
     """A probe's report entry after its label: the sequence rows and sigma
     rows at lam, with (ba, ac) the chains of BA - lam and AC - lam they are
-    read from, and the chains' profiles."""
+    read from, and the chains' profiles.
+
+    Each row dict is built once per distinct (n, c, c', k) and kept in the
+    triple's report_rows, keyed by its SequenceRow, so every block of the
+    triple with that row holds that one dict.
+    """
     seq = intertwine.verify_sequence_equalities(t, lam, n_max)
     theo = intertwine.verify_theorem(t, [lam]).rows[0]
     prof_ac, prof_ba = profile(ac), profile(ba)
+    table = t.report_rows
+    rows = []
+    for r in seq.rows:
+        row = table.get(r)
+        if row is None:
+            row = table[r] = {"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
+                              "k": [r.k_ac, r.k_ba], "hold": r.equal}
+        rows.append(row)
     return {
-        "rows": [{"n": r.n, "c": [r.c_ac, r.c_ba], "cp": [r.cp_ac, r.cp_ba],
-                  "k": [r.k_ac, r.k_ba], "hold": r.equal} for r in seq.rows],
+        "rows": rows,
         "totals": {"ac": list(seq.totals_ac), "ba": list(seq.totals_ba)},
         "asc": [seq.asc_ac, seq.asc_ba],
         "dsc": [seq.dsc_ac, seq.dsc_ba],
@@ -632,8 +650,22 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _joined_lambdas(argv: Sequence[str]) -> list[str]:
+    """argv with each "--lambda" and a rational after it joined into one
+    word, as "--lambda=-1/2": argparse reads a lone "-1/2" as an option,
+    not as a value."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] == "--lambda" and ENTRY_RE.fullmatch(arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(
+        _joined_lambdas(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except ParseError as exc:

@@ -134,8 +134,8 @@ class OperatorTriple:
     matrix, formed on the first read of aba or aca. Otherwise construction
     forms ABA and ACA. So a triple costs 2 products when C == B, 3 when
     CA = BA, 6 when ABA = ACA and 8 otherwise. AB is formed on the first
-    read of ab (AC itself when C == B). All public attributes are treated
-    as immutable.
+    read of ab (AC itself when C == B). All public attributes but the
+    caches map_cache and report_rows are treated as immutable.
 
     charpoly(name) gives the characteristic polynomial of BA, AC, CA or
     AB, BA's computed and the rest read off it whenever the condition holds
@@ -145,15 +145,16 @@ class OperatorTriple:
     one: CA - 1 and AB - 1 share those of BA - 1 and AC - 1 whenever
     CA = BA and AB = AC, as on every C == B triple. map_cache is the
     MapCache that the quotient maps and the inclusion lemma of this triple
-    share, and pair_result keeps what the verifiers read off each chain
-    pair.
+    share, pair_result keeps what the verifiers read off each chain pair,
+    and report_rows the report's row dicts, which blocks on different pairs
+    share (cli._probe_block).
     Everything is kept on the triple and lives as long as it does.
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
-                 "_chains", "_charpolys", "_pair_results")
+                 "_chains", "_charpolys", "_pair_results", "report_rows")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -188,6 +189,7 @@ class OperatorTriple:
         self._chains: dict[tuple[int, int], tuple[PowerChain, PowerChain]] = {}
         self._charpolys: dict[str, Poly] = {}
         self._pair_results: dict[tuple[PowerChain, PowerChain], dict] = {}
+        self.report_rows: dict[SequenceRow, dict] = {}
 
     @property
     def aba(self) -> Mat:

@@ -7,8 +7,10 @@ subspace sums and intersections, or the characteristic polynomial, so that
 the tests can compare the two. The characteristic polynomial, its
 evaluation and the rational eigenvalues have their textbook forms here
 too: Faddeev-LeVerrier and Horner's rule over Fraction, and the
-rational-root theorem with a divisor scan; so has the invertibility of
-q(T), as gcd(charpoly(T), q) = 1; so has the default probe set,
+rational-root theorem with a divisor scan; so has the root search that
+production runs only when no prime certifies that there is no root, run on
+every polynomial; so has the invertibility of q(T), as
+gcd(charpoly(T), q) = 1; so has the default probe set,
 from a root search on each of the two characteristic polynomials where
 production searches one. The generator's ABA = ACA sampler has its first
 form here as well, the kernel of the dx*dy x dx*dy Kronecker matrix of
@@ -28,7 +30,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from unittest import mock
 
+from ratspec import invariants
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import _gcd, rational_eigenvalues
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
@@ -378,6 +382,14 @@ def rational_eigenvalues_by_divisors(T: Mat) -> list[tuple[Fraction, int]]:
                     out.append((Fraction(r, D), mult))
     out.sort(key=lambda t: t[0])
     return out
+
+
+def rational_eigenvalues_uncertified(p: Poly) -> list[tuple[Fraction, int]]:
+    """rational_eigenvalues(p) with no rootless-prime certificate: the
+    squarefree part, the prime search and the Hensel lift run on every
+    polynomial, as they did before the certificate."""
+    with mock.patch.object(invariants, "_rootless_prime", lambda f: None):
+        return rational_eigenvalues(p)
 
 
 def _eval_int(coeffs: list[int], x: int) -> int:

@@ -344,6 +344,31 @@ class TestExitCodes:
             assert captured.err == "error: --lambda '0.5' is not a rational p or p/q\n"
             assert captured.out == ""
 
+    def test_negative_lambda_in_either_form(self, tmp_path, capsys):
+        # argparse reads a lone -1/2 as an option; "--lambda -1/2" must print
+        # the bytes "--lambda=-1/2" prints. -1/2 is an eigenvalue here
+        path = str(tmp_path / "rs.json")
+        write_triple_document(generate(GenSpec(template="rational_spectrum",
+                                               block_dim=3, seed=1)), path)
+        for cmd in ("verify", "report"):
+            for tail in ([], ["--json"]):
+                printed = []
+                for flags in (["--lambda=-1/2", "--lambda=-3", "--lambda=2"],
+                              ["--lambda", "-1/2", "--lambda", "-3", "--lambda", "2"]):
+                    assert main([cmd, path, *flags, *tail]) == EXIT_OK
+                    printed.append(capsys.readouterr())
+                assert printed[0] == printed[1] and printed[0].err == ""
+        assert '"lambda": "-1/2"' in printed[0].out
+        # anything but a rational still fails as it did: argparse on -1/0,
+        # the entry check on what reaches --lambda
+        with pytest.raises(SystemExit) as exc:
+            main(["report", path, "--lambda", "-1/0"])
+        assert exc.value.code == EXIT_INPUT
+        assert "expected one argument" in capsys.readouterr().err
+        assert main(["report", path, "--lambda=-0.5"]) == EXIT_INPUT
+        assert capsys.readouterr().err == ("error: --lambda '-0.5' is not a "
+                                           "rational p or p/q\n")
+
     def test_overlong_numbers(self, tmp_path, ex1_file, capsys):
         # past Python's int-string limit: a diagnosed input error, no traceback
         huge = "7" * 5000
@@ -926,6 +951,30 @@ class TestPairResults:
             build_report(t, None, 2)
             assert len(built) == 2 * distinct
             assert [n_max for _, _, n_max in built] == [None] * distinct + [2] * distinct
+
+    def test_equal_rows_of_different_blocks_are_one_object(self):
+        # -1/2 and 1/2 have chain pairs of their own, and 1, 2 and 3 share
+        # the identity's, whose rows are all zero; so are the rows of the
+        # other two blocks past their chains' stable index
+        t = generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1))
+        report = build_report(t, None, None)
+        snapshot = json.loads(json.dumps(report))
+        blocks = list({id(p["rows"]): p["rows"] for p in report["probes"]}.values())
+        assert len(blocks) == 3
+        rows = [row for block in blocks for row in block]
+        by_value = {}
+        for row in rows:
+            by_value.setdefault(json.dumps(row), set()).add(id(row))
+        assert all(len(ids) == 1 for ids in by_value.values())
+        assert len(by_value) < len(rows)
+        # sharing mutates nothing: not a later report on the triple, with
+        # another n_max or other probes, nor the writer, whose bytes are
+        # json.dump's and a newline
+        build_report(t, [Fraction(1, 2), Fraction(5)], 1)
+        out = io.StringIO()
+        _write_json(report, out)
+        assert report == snapshot
+        assert out.getvalue() == json.dumps(report, indent=1) + "\n"
 
     def test_probes_that_share_a_pair_build_its_maps_once(self, monkeypatch):
         from ratspec import intertwine

@@ -3,6 +3,8 @@
 import json
 import random
 from fractions import Fraction
+from math import prod
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,12 +13,14 @@ from hypothesis import strategies as st
 from conftest import rationals, square_matrices
 from oracles import (c_n, c_n_via_complement, coprime, cp_n,
                      cp_n_via_intersection, eigenvalue_multiplicity,
-                     fredholm_index, k_n, k_n_via_sums, sigma_R_membership)
+                     fredholm_index, k_n, k_n_via_sums,
+                     rational_eigenvalues_uncertified, sigma_R_membership)
+from ratspec import invariants
 from ratspec.cli import main, write_triple_document
 from ratspec.genlab import random_unimodular
 from ratspec.intertwine import OperatorTriple
 from ratspec.invariants import (_P61, PowerChain, _coprime_mod, _derivative,
-                                _exact_quotient, _gcd, _primary_degree,
+                                _exact_quotient, _gcd, _mod, _primary_degree,
                                 _squarefree_part, hyper_kernel_dim,
                                 profile, rational_eigenvalues,
                                 regularity_membership, sigma_memberships)
@@ -318,15 +322,20 @@ class TestRationalEigenvalues:
     def test_prime_where_only_the_roots_are_simple(self, monkeypatch):
         # g = (x^2 + 1)(x^2 + 3x + 1)(x - 2): at 2 the root 1 is double, so 2
         # is rejected; at 3, g = (x^2 + 1)^2 (x - 2) is not squarefree, but
-        # its one root 2 is simple, so the search stops there
-        from ratspec import invariants
-        moduli = set()
+        # its one root 2 is simple, so the search stops there. The root
+        # certificate evaluates g mod 3, 5, 7, ... too, so each call is told
+        # by what it evaluates: g' mod p tests the roots mod p, and g itself
+        # is evaluated at the lifting moduli 3^2, 3^4
+        calls = []
         real = invariants._eval_mod
         monkeypatch.setattr(invariants, "_eval_mod",
-                            lambda f, x, q: moduli.add(q) or real(f, x, q))
+                            lambda f, x, q: calls.append((tuple(f), q)) or real(f, x, q))
         p = Poly([1, 0, 1]) * Poly([1, 3, 1]) * Poly([-2, 1])
         assert rational_eigenvalues(p) == [(Fraction(2), 1)]
-        assert sorted(q for q in moduli if q < 9) == [2, 3]
+        g = list(p.num)
+        dg = _derivative(g)
+        assert sorted({q for f, q in calls if f == tuple(_mod(dg, q))}) == [2, 3]
+        assert sorted({q for f, q in calls if f == tuple(g)}) == [9, 81]
 
     def test_roots_colliding_mod_two(self):
         p = Poly([-1, 1]) * Poly([-3, 1])
@@ -448,6 +457,61 @@ class TestModPCertificate:
         from ratspec import invariants
         monkeypatch.setattr(invariants, "_gcd", None)
         assert _squarefree_part([-6, 11, -6, 1]) == [-6, 11, -6, 1]
+
+
+#: 2 * 3 * 5 * ... * 97, so that f(0) = k * _PRIMORIAL has the root 0 mod
+#: every prime below 100: the certificate must skip them all
+_PRIMORIAL = prod(p for p in range(2, 100) if all(p % d for d in range(2, p)))
+
+
+class TestRootlessCertificate:
+    """A prime p not dividing f(0) at which f has no root mod p proves that
+    f has no integer root; the search without it is the oracle."""
+
+    @staticmethod
+    def _recorded(p):
+        # rational_eigenvalues(p) and what the certificate said on the way
+        said = []
+        real = invariants._rootless_prime
+        with mock.patch.object(invariants, "_rootless_prime",
+                               lambda f: said.append(real(f)) or said[-1]):
+            return rational_eigenvalues(p), said
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(-10 ** 6, 10 ** 6) | st.integers(-9, 9), max_size=6),
+           _planted_roots, st.integers(0, 2), st.booleans())
+    @example([1, 0], [], 0, False)  # x^2 + 1, certified at 3
+    @example([-2, 0], [], 0, True)  # x^2 - 2 * primorial: 2..97 all skipped
+    @example([0, 1], [(3, 2, 2)], 0, True)  # (x - 3/2)^2 (x^2 + x + primorial)
+    def test_certificate_agrees_with_the_search(self, low, planted, zeros, smooth):
+        q = Poly(low + [1])
+        if smooth:
+            q = Poly.from_ints([(q.num[0] or 1) * _PRIMORIAL, *q.num[1:]], 1)
+        p = _poly_with_roots(planted, q, zeros)
+        got, said = self._recorded(p)
+        assert got == rational_eigenvalues_uncertified(p)
+        # one certificate per search; it never speaks for a rational root
+        assert len(said) == (p.strip_zero_roots()[0].degree > 0)
+        if any(lam for lam, _ in got):
+            assert said == [None]
+
+    def test_first_rootless_prime(self):
+        # x^2 + 1 has the root 1 mod 2 and none mod 3; x^2 + 30 skips 2, 3
+        # and 5, which divide 30, and -30 is no square mod 7
+        assert invariants._rootless_prime([1, 0, 1]) == 3
+        assert invariants._rootless_prime([30, 0, 1]) == 7
+
+    def test_a_root_mod_every_prime_runs_the_search(self):
+        # (x^2 - 2)(x^2 - 3)(x^2 - 6) has a root mod every prime, as one of
+        # 2, 3 and 6 is a square mod p, and no rational root
+        p = Poly([-2, 0, 1]) * Poly([-3, 0, 1]) * Poly([-6, 0, 1])
+        assert invariants._rootless_prime(list(p.num)) is None
+        got, said = self._recorded(p)
+        assert got == [] and said == [None]
+
+    def test_zero_constant_term_is_never_certified(self):
+        # every prime divides f(0) = 0; the scan must not run forever
+        assert invariants._rootless_prime([0, 1, 0, 1]) is None
 
 
 def _block_diagonal(*blocks):

@@ -35,8 +35,10 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
   probes 2, 1 and 3 share the identity's chain pair and 1/2 and -1/2 have
   pairs of their own, and on aba_eq_aca at dim 4, seed 2, where every
   nonzero probe is on the identity's pair (`SHARED_BLOCKS`): a report block
-  that probes share is met again after another pair's.
-The last line counts the runs (958). The documents are generated by the
+  that probes share is met again after another pair's. `report --json` runs
+  once more with each probe as the word after its `--lambda`, as in
+  `--lambda -1/2`, where the others give `--lambda=-1/2`.
+The last line counts the runs (960). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -61,7 +63,10 @@ SEEDS = (11, 12)
 def _run(cli, argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli.main(argv)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # argparse rejects the command line
+            code = exc.code
     return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
 
@@ -226,10 +231,12 @@ def _shared_block_runs(workdir: Path):
                                            seed=seed))
         path = str(workdir / f"shared-{template}-{dim}.json")
         cli.write_triple_document(t, path)
-        # with "=", argparse reads -1/2 as a value, not as an option
         flags = [f"--lambda={lam}" for lam in probes]
         label = f"shared-blocks/{template} dim {dim} seed {seed}"
         yield f"{label} report", ["report", path, *flags, "--json"]
+        # each value after its own --lambda, -1/2 too: the same bytes
+        spaced = [arg for lam in probes for arg in ("--lambda", lam)]
+        yield f"{label} report-spaced", ["report", path, *spaced, "--json"]
         yield f"{label} report-nmax", ["report", path, *flags, "--nmax", "1", "--json"]
         yield f"{label} report-text", ["report", path, *flags]
 
