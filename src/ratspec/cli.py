@@ -208,13 +208,13 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
     """Invariant tables for AC-lam and BA-lam at each probe, plus verdicts.
 
     Each probe entry is its "lambda" label and a block read off the chains
-    of BA - lam and AC - lam (_probe_block), built once per chain pair and
-    n_max (OperatorTriple.pair_result): probes with one chain pair, as every
-    probe where both are invertible, share one block, its dicts and lists,
-    and _write_json renders it once. Blocks on different pairs share each
-    equal row, kept on the triple (report_rows): every row of an identity
-    block, and every row past both chains' stable index, is written once.
-    So a report is read-only once built.
+    of BA - lam and AC - lam (_probe_block), built once per chain pair, at
+    its first probe (intertwine.first_probes): probes with one chain pair,
+    as every probe where both are invertible, share one block, its dicts
+    and lists, and _write_json renders it once. Blocks on different pairs
+    share each equal row through one row table per call: every row of an
+    identity block, and every row past both chains' stable index, is
+    written once. So a report is read-only once built.
     """
     cond = intertwine.check_condition(t)
     report: dict[str, Any] = {
@@ -229,33 +229,34 @@ def build_report(t: OperatorTriple, lambdas: list[Fraction] | None,
     }
     if not cond.holds:
         return report
-    probes = lambdas if lambdas else intertwine.default_probes(t)
+    probes = [rat(lam) for lam in (lambdas if lambdas else intertwine.default_probes(t))]
+    table: dict[intertwine.SequenceRow, dict] = {}
+    blocks = {pair: _probe_block(t, lam, *pair, n_max, table) for pair, lam
+              in intertwine.first_probes(t, [lam for lam in probes if lam]).items()}
     for lam in probes:
-        lam = rat(lam)
         if lam == 0:
             report["skipped_lambdas"].append(
                 {"lambda": "0", "note": "the theorem excludes 0"})
-            continue
-        block = t.pair_result(lam, ("report", n_max),
-                              lambda ba, ac: _probe_block(t, lam, ba, ac, n_max))
-        report["probes"].append({"lambda": _rat_str(lam, "lambda"), **block})
+        else:
+            report["probes"].append({"lambda": _rat_str(lam, "lambda"),
+                                     **blocks[t.chains(lam)]})
     return report
 
 
 def _probe_block(t: OperatorTriple, lam: Fraction, ba: PowerChain,
-                 ac: PowerChain, n_max: int | None) -> dict:
+                 ac: PowerChain, n_max: int | None,
+                 table: dict[intertwine.SequenceRow, dict]) -> dict:
     """A probe's report entry after its label: the sequence rows and sigma
     rows at lam, with (ba, ac) the chains of BA - lam and AC - lam they are
     read from, and the chains' profiles.
 
-    Each row dict is built once per distinct (n, c, c', k) and kept in the
-    triple's report_rows, keyed by its SequenceRow, so every block of the
-    triple with that row holds that one dict.
+    Each row dict is built once per distinct (n, c, c', k) and kept in
+    table, the report's row table keyed by SequenceRow, so every block of
+    the report with that row holds that one dict.
     """
     seq = intertwine.verify_sequence_equalities(t, lam, n_max)
     theo = intertwine.verify_theorem(t, [lam]).rows[0]
     prof_ac, prof_ba = profile(ac), profile(ba)
-    table = t.report_rows
     rows = []
     for r in seq.rows:
         row = table.get(r)
@@ -300,14 +301,12 @@ def _map_witness(qm: intertwine.QuotientMap) -> str:
 def _map_failures(t: OperatorTriple, lambdas: list[Fraction], top: int) -> list[str]:
     """Every failing quotient map at the nonzero lambdas, in their order:
     which map, lambda, n and the witness. The witnesses are found once per
-    chain pair (OperatorTriple.pair_result); each lambda adds its label."""
-    failed = []
-    for lam in lambdas:
-        witnesses = t.pair_result(lam, ("maps", top),
-                                  lambda ba, ac: _pair_map_witnesses(t, lam, ba, ac, top))
-        failed.extend(f"{name} at lambda={lam}, n={n}: {witness}"
-                      for name, n, witness in witnesses)
-    return failed
+    chain pair, at its first lambda (intertwine.first_probes); each lambda
+    adds its label."""
+    witnesses = {pair: _pair_map_witnesses(t, lam, *pair, top)
+                 for pair, lam in intertwine.first_probes(t, lambdas).items()}
+    return [f"{name} at lambda={lam}, n={n}: {witness}" for lam in lambdas
+            for name, n, witness in witnesses[t.chains(lam)]]
 
 
 def _pair_map_witnesses(t: OperatorTriple, lam: Fraction, ba: PowerChain,
@@ -398,8 +397,10 @@ def run_verification(t: OperatorTriple, lambdas: list[Fraction] | None = None,
         add("quotient_maps", not failed,
             f"{len(failed)} map(s) failed; first: {failed[0]}" if failed else "")
 
+        # every lambda before a pair's first one is on a pair that passed,
+        # so the first failing pair's first lambda is the first failing one
         seq_detail = ""
-        for lam in nonzero:
+        for lam in intertwine.first_probes(t, nonzero).values():
             seq = intertwine.verify_sequence_equalities(t, lam, top)
             if not seq.all_equal:
                 seq_detail = _sequence_witness(seq)

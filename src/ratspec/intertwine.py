@@ -53,10 +53,9 @@ shares no cached input with the rank route; the tests keep it as an oracle.
 What a verifier reads off the chains alone is the same at every lambda
 with the same chain pair, and on random triples most probes share one:
 every lambda at which BA - lambda and AC - lambda are invertible has the
-identity's pair. So the triple keeps such results per chain pair
-(OperatorTriple.pair_result): the quotient-map witnesses, the sequence rows
-with their totals, ascents and descents, and the sigma rows are built once
-per pair, and each lambda adds only its label.
+identity's pair. So each consumer of a probe list reads each pair once, at
+its first lambda (first_probes), within its own call, and each lambda adds
+only its label; the triple keeps no per-probe result.
 
 The closedness statements of the general theory (R(T-lambda) + N((T-lambda)^n)
 closed on one side iff on the other) trivialize here, every subspace of a
@@ -66,7 +65,7 @@ materialized, as the sum chains of the mixed quotient maps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
@@ -90,8 +89,8 @@ class MapCache:
     The small spaces of the map at n are the big ones at n + 1, and the
     map families and the inclusion lemma meet in the same subspaces: on the
     first-round documents of ratbench's verify workloads at seed 11, with
-    OperatorTriple.pair_result in place, 165 of 253 carried-row lookups
-    (65%) and 617 of 708 containment lookups (87%) are hits.
+    each chain pair's maps built once per verify, 165 of 253 carried-row
+    lookups (65%) and 617 of 708 containment lookups (87%) are hits.
     An OperatorTriple owns one, so it lives exactly as long as the triple.
     """
 
@@ -135,7 +134,7 @@ class OperatorTriple:
     forms ABA and ACA. So a triple costs 2 products when C == B, 3 when
     CA = BA, 6 when ABA = ACA and 8 otherwise. AB is formed on the first
     read of ab (AC itself when C == B). All public attributes but the
-    caches map_cache and report_rows are treated as immutable.
+    cache map_cache are treated as immutable.
 
     charpoly(name) gives the characteristic polynomial of BA, AC, CA or
     AB, BA's computed and the rest read off it whenever the condition holds
@@ -145,16 +144,14 @@ class OperatorTriple:
     one: CA - 1 and AB - 1 share those of BA - 1 and AC - 1 whenever
     CA = BA and AB = AC, as on every C == B triple. map_cache is the
     MapCache that the quotient maps and the inclusion lemma of this triple
-    share, pair_result keeps what the verifiers read off each chain pair,
-    and report_rows the report's row dicts, which blocks on different pairs
-    share (cli._probe_block).
-    Everything is kept on the triple and lives as long as it does.
+    share. Everything is kept on the triple and lives as long as it does;
+    what a verifier reads off a chain pair is not (first_probes).
     """
 
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
-                 "_chains", "_charpolys", "_pair_results", "report_rows")
+                 "_chains", "_charpolys")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -188,8 +185,6 @@ class OperatorTriple:
         # lambda as (numerator, denominator)
         self._chains: dict[tuple[int, int], tuple[PowerChain, PowerChain]] = {}
         self._charpolys: dict[str, Poly] = {}
-        self._pair_results: dict[tuple[PowerChain, PowerChain], dict] = {}
-        self.report_rows: dict[SequenceRow, dict] = {}
 
     @property
     def aba(self) -> Mat:
@@ -285,26 +280,24 @@ class OperatorTriple:
             pair = self._chains[a, b] = (self.chain("ba", q), self.chain("ac", q))
         return pair
 
-    def pair_result(self, lam: int | Fraction, key: object, build):
-        """build(ba, ac) for the chain pair (ba, ac) = chains(lam), formed
-        once per pair and key.
-
-        A result read off the chains alone is the same at every lam with
-        that pair: every lam at which BA - lam and AC - lam are invertible
-        has the identity's pair, and equal operators share their chains.
-        So such a result is built once, and each lam adds only its label.
-        """
-        pair = self.chains(lam)
-        results = self._pair_results.get(pair)
-        if results is None:
-            results = self._pair_results[pair] = {}
-        if key not in results:
-            results[key] = build(*pair)
-        return results[key]
-
     def __repr__(self) -> str:
         return (f"OperatorTriple(dim_x={self.dim_x}, dim_y={self.dim_y}, "
                 f"condition={'holds' if self.condition_holds else 'fails'})")
+
+
+def first_probes(t: OperatorTriple, lambdas: list[Fraction]
+                 ) -> dict[tuple[PowerChain, PowerChain], Fraction]:
+    """Each distinct chain pair (OperatorTriple.chains) of the nonzero
+    lambdas, mapped to its first lambda, in probe order.
+
+    What is read off the chains alone is the same at every lambda with that
+    pair, so a consumer builds it once, at the pair's first lambda, and
+    each lambda adds only its label.
+    """
+    firsts: dict[tuple[PowerChain, PowerChain], Fraction] = {}
+    for lam in lambdas:
+        firsts.setdefault(t.chains(lam), lam)
+    return firsts
 
 
 def _times_x_power(p: Poly, k: int) -> Poly:
@@ -588,22 +581,13 @@ def verify_sequence_equalities(t: OperatorTriple, lam: int | Fraction,
 
     Sequences are stabilizing, so indices past the matrix dimension are zero;
     also reports the totals c, c', k and ascent/descent on both sides. The
-    profiles are read off the shared chains of AC - lam and BA - lam, and
-    the rows, totals, ascents and descents are formed once per chain pair
-    and n_max (OperatorTriple.pair_result).
+    profiles are read off the shared chains of AC - lam and BA - lam.
     """
     _require_condition(t)
     lam = rat(lam)
     if n_max is None:
         n_max = max(t.dim_x, t.dim_y)
-    report = t.pair_result(lam, ("sequences", n_max),
-                           lambda ba, ac: _sequence_report(lam, ba, ac, n_max))
-    return replace(report, lam=lam)
-
-
-def _sequence_report(lam: Fraction, ba: PowerChain, ac: PowerChain,
-                     n_max: int) -> SequenceReport:
-    """The SequenceReport at lam read off the chains of BA - lam and AC - lam."""
+    ba, ac = t.chains(lam)
     pac = profile(ac)
     pba = profile(ba)
 
@@ -679,23 +663,19 @@ def verify_theorem(t: OperatorTriple,
     """Pointwise sigma_{R_i}(AC) vs sigma_{R_i}(BA) agreement at each lam != 0.
 
     Each row is read off the shared chains of AC - lam and BA - lam, its
-    memberships once per chain pair (OperatorTriple.pair_result). lam = 0
-    entries are skipped with a note (the statements all exclude 0).
+    memberships once per chain pair (first_probes). lam = 0 entries are
+    skipped with a note (the statements all exclude 0).
     """
     _require_condition(t)
     if lambdas is None:
         lambdas = default_probes(t)
-    rows = []
-    skipped = []
-    for lam in lambdas:
-        lam = rat(lam)
-        if lam == 0:
-            skipped.append(lam)
-            continue
-        in_ac, in_ba = t.pair_result(lam, "sigma", lambda ba, ac: (
-            sigma_memberships(ac), sigma_memberships(ba)))
-        rows.append(TheoremRow(lam=lam, in_sigma_ac=in_ac, in_sigma_ba=in_ba))
-    return TheoremReport(rows=tuple(rows), skipped=tuple(skipped))
+    lambdas = [rat(lam) for lam in lambdas]
+    nonzero = [lam for lam in lambdas if lam != 0]
+    sigma = {(ba, ac): (sigma_memberships(ac), sigma_memberships(ba))
+             for ba, ac in first_probes(t, nonzero)}
+    rows = tuple(TheoremRow(lam, *sigma[t.chains(lam)]) for lam in nonzero)
+    return TheoremReport(rows=rows,
+                         skipped=tuple(lam for lam in lambdas if lam == 0))
 
 
 def nonzero_charpoly_match(t: OperatorTriple) -> bool:

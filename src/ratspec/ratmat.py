@@ -463,15 +463,14 @@ def map_subspace(M: Mat, U: Subspace) -> Subspace:
 def preimage(M: Mat, W: Subspace) -> Subspace:
     """{x : Mx in W}; always contains kernel(M).
 
-    W is the kernel of the constraint matrix K whose rows form a basis of
+    W is the kernel of its annihilator K, whose rows form a basis of
     {k : k.w = 0 for all w in W}, so the preimage is the kernel of K@M.
     """
     if W.ambient_dim != M.rows:
         raise ValueError("subspace not in the codomain of M")
     if W.dim == W.ambient_dim:
         return Subspace.full(M.cols)
-    K = kernel(W.basis_matrix()).basis_matrix() if W.dim else Mat.identity(W.ambient_dim)
-    return kernel(K @ M)
+    return kernel(W.annihilator() @ M)
 
 
 def quotient_dim(U: Subspace, W: Subspace) -> int:

@@ -921,9 +921,9 @@ class TestPairResults:
         built = []
         real = cli._probe_block
 
-        def counting_block(t, lam, ba, ac, n_max):
+        def counting_block(t, lam, ba, ac, n_max, table):
             built.append((ba, ac, n_max))
-            return real(t, lam, ba, ac, n_max)
+            return real(t, lam, ba, ac, n_max, table)
 
         monkeypatch.setattr(cli, "_probe_block", counting_block)
         for spec, distinct in ((GenSpec(template="aba_eq_aca", block_dim=4, seed=2), 1),
@@ -943,14 +943,51 @@ class TestPairResults:
                     (p[key] is q[key]) == same_pair for key in containers)
                 if same_pair:
                     assert all(p[key] is q[key] for key in p if key != "lambda")
-            # a second report at the same n_max builds nothing; another
-            # n_max builds one block per pair again
+            # the triple keeps no block: a second report at the same n_max
+            # builds one block per pair again, equal to the first, and so
+            # does another n_max
             again = build_report(t, None, None)["probes"]
-            assert len(built) == distinct
-            assert all(p["rows"] is q["rows"] for p, q in zip(first, again))
-            build_report(t, None, 2)
             assert len(built) == 2 * distinct
-            assert [n_max for _, _, n_max in built] == [None] * distinct + [2] * distinct
+            assert again == first
+            build_report(t, None, 2)
+            assert len(built) == 3 * distinct
+            assert ([n_max for _, _, n_max in built]
+                    == [None] * (2 * distinct) + [2] * distinct)
+
+    def test_verify_reads_each_pair_once_at_its_first_lambda(self, monkeypatch):
+        # 2, 1 and 3 share the identity's chain pair, and 1/2 and -1/2 have
+        # pairs of their own; the sequence check builds one report per
+        # pair, at its first lambda, and with a fault planted on both
+        # other pairs it names 1/2, the first failing lambda, though -1/2
+        # sorts first
+        from dataclasses import replace
+
+        from ratspec import intertwine
+        t = generate(GenSpec(template="rational_spectrum", block_dim=3, seed=1))
+        probes = [Fraction(v) for v in ("2", "1/2", "1", "0", "2", "-1/2", "1/2", "3")]
+        half, minus_half = Fraction(1, 2), Fraction(-1, 2)
+        assert len({t.chains(lam) for lam in probes if lam}) == 3
+        assert t.chains(2) == t.chains(1) == t.chains(3)
+        real = intertwine.verify_sequence_equalities
+        built, faulty = [], []
+
+        def planted(t, lam, n_max=None):
+            built.append(lam)
+            seq = real(t, lam, n_max)
+            if t.chains(lam) in faulty:
+                seq = replace(seq, asc_ac=seq.asc_ac + 1)
+            return seq
+
+        monkeypatch.setattr(intertwine, "verify_sequence_equalities", planted)
+        check = run_verification(t, probes)["checks"][3]
+        assert check["name"] == "sequence_equalities" and check["passed"]
+        assert built == [2, half, minus_half]
+        faulty[:] = [t.chains(half), t.chains(minus_half)]
+        built.clear()
+        check = run_verification(t, probes)["checks"][3]
+        assert not check["passed"]
+        assert check["detail"].startswith(f"at lambda={half} the rows agree; ")
+        assert built == [2, half]
 
     def test_equal_rows_of_different_blocks_are_one_object(self):
         # -1/2 and 1/2 have chain pairs of their own, and 1, 2 and 3 share

@@ -30,15 +30,16 @@ line per run: a label, the exit code and the SHA-256 of stdout. The runs are
 - `verify`, `verify --json`, `report --json` and `drazin --json` on the two
   documents whose inclusion lemma meets a singular Q(T - I) for the cubic
   Q of `cli.INCLUSION_QS` (`singular_inclusion_triples`);
-- `report --json`, `report --json --nmax 1` and `report` with repeated,
-  interleaved explicit probes on rational_spectrum at dim 3, seed 1, whose
-  probes 2, 1 and 3 share the identity's chain pair and 1/2 and -1/2 have
-  pairs of their own, and on aba_eq_aca at dim 4, seed 2, where every
-  nonzero probe is on the identity's pair (`SHARED_BLOCKS`): a report block
-  that probes share is met again after another pair's. `report --json` runs
-  once more with each probe as the word after its `--lambda`, as in
-  `--lambda -1/2`, where the others give `--lambda=-1/2`.
-The last line counts the runs (960). The documents are generated by the
+- `report --json`, `report --json --nmax 1`, `report`, `verify --json`
+  and `verify` with repeated, interleaved explicit probes on
+  rational_spectrum at dim 3, seed 1, whose probes 2, 1 and 3 share the
+  identity's chain pair and 1/2 and -1/2 have pairs of their own, and on
+  aba_eq_aca at dim 4, seed 2, where every nonzero probe is on the
+  identity's pair (`SHARED_BLOCKS`): a chain pair that probes share is met
+  again after another pair's. `report --json` runs once more with each
+  probe as the word after its `--lambda`, as in `--lambda -1/2`, where the
+  others give `--lambda=-1/2`.
+The last line counts the runs (964). The documents are generated by the
 checkout's own genlab, so a change to generation shows too.
 
 Run it once on each of two checkouts (`--root` names one; the default is
@@ -223,7 +224,8 @@ SHARED_BLOCKS = (("rational_spectrum", 3, 1, ("2", "1/2", "1", "0", "2", "-1/2",
 
 
 def _shared_block_runs(workdir: Path):
-    """(label, argv) of `report` with probes that meet one chain pair again."""
+    """(label, argv) of `report` and `verify` with probes that meet one
+    chain pair again."""
     from ratspec import cli, genlab
 
     for template, dim, seed, probes in SHARED_BLOCKS:
@@ -239,6 +241,8 @@ def _shared_block_runs(workdir: Path):
         yield f"{label} report-spaced", ["report", path, *spaced, "--json"]
         yield f"{label} report-nmax", ["report", path, *flags, "--nmax", "1", "--json"]
         yield f"{label} report-text", ["report", path, *flags]
+        yield f"{label} verify", ["verify", path, *flags, "--json"]
+        yield f"{label} verify-text", ["verify", path, *flags]
 
 
 def main() -> int:
