@@ -49,6 +49,24 @@ min(m, n) = 1, 0.56-0.57x at 2, 0.68-0.71x at 3, 0.83-0.87x at 4,
 0.95-1.08x at 5, 0.98-1.10x at 6 and 1.41-1.46x from 7 up (1.56-1.86x on
 verify_wide and 1.62-1.70x on report_auto). The routes break even at 5 and 6.
 
+matmul takes two optional memos, memo_a and memo_b: dicts in which it keeps
+what it derives from a alone and from b alone, so that an operand met again
+is not scanned or packed again. A memo holds only such operand-only facts,
+never one that depends on the partner: an operand's largest absolute entry
+(which, with the partner's, picks the lanes or the slots and the slot
+width) and, once the operand has been the right operand of a lane product,
+its rows as 64-bit lanes (which depend on b and n alone; only the lane
+route reads them). The slot packing depends on the width w, so on the
+partner, and is not kept. Without memos everything is computed afresh, on
+the same route. ratspec.ratmat gives each Mat one memo, made on its first
+product, and the power products of charpoly pass one for each of their two
+repeated right operands. Over the first three seed-11 rounds of the
+benchmark's verify_wide, 1014 of the 1830 largest-entry reads and 342 of
+the 725 lane products found their answer or their packing in a memo
+(verify_corpus: 1138 of 1980 and 467 of 955), and verify_wide ran 0.91x
+as long in process (tools/ab_inprocess.py, Python 3.11, 2 vCPUs), with the
+shortcuts of Mat products.
+
 The kernels are the only implementation; ratspec.kernels re-exports them
 and the test suite checks them against plain textbook rational elimination
 and multiplication.
@@ -63,6 +81,10 @@ BACKEND = "python"
 
 #: the fewest rows and columns a product needs to run on packed rows
 PACK_MIN = 6
+
+# the keys of an operand memo: its largest absolute entry, and its rows as
+# 64-bit lanes (as the right operand of _matmul_lanes)
+_MAX_ABS, _LANES = "max_abs", "lanes"
 
 
 def _primitive(row):
@@ -127,11 +149,16 @@ def rref(rows, cols, data):
     return out, den, tuple(pivots)
 
 
-def matmul(m, k, n, a, b):
-    """Product of an m x k and a k x n integer matrix, both row-major."""
+def matmul(m, k, n, a, b, memo_a=None, memo_b=None):
+    """Product of an m x k and a k x n integer matrix, both row-major.
+
+    memo_a and memo_b, when given, are dicts that keep what this module
+    derives from a alone and from b alone (module docstring); None computes
+    it afresh.
+    """
     if m < PACK_MIN or n < PACK_MIN:
         return _matmul_dots(m, k, n, a, b)
-    return _matmul_packed(m, k, n, a, b)
+    return _matmul_packed(m, k, n, a, b, memo_a, memo_b)
 
 
 def _matmul_dots(m, k, n, a, b):
@@ -144,23 +171,39 @@ def _matmul_dots(m, k, n, a, b):
     return out
 
 
-def _matmul_packed(m, k, n, a, b):
-    top = k * max(map(abs, a), default=0) * max(map(abs, b), default=0)
+def _max_abs(data, memo):
+    """max |x| over data (0 when empty), kept in memo when one is given."""
+    if memo is None:
+        return max(map(abs, data), default=0)
+    top = memo.get(_MAX_ABS)
+    if top is None:
+        top = memo[_MAX_ABS] = max(map(abs, data), default=0)
+    return top
+
+
+def _matmul_packed(m, k, n, a, b, memo_a=None, memo_b=None):
+    top = k * _max_abs(a, memo_a) * _max_abs(b, memo_b)
     if not top:
         return [0] * (m * n)
     if top < 1 << 63:
-        return _matmul_lanes(m, k, n, a, b)
+        return _matmul_lanes(m, k, n, a, b, memo_b)
     return _matmul_slots(m, k, n, a, b, top.bit_length() + 1)
 
 
-def _matmul_lanes(m, k, n, a, b):
-    """The packed product in 64-bit lanes; every |c_ij| must be below 2^63."""
+def _matmul_lanes(m, k, n, a, b, memo_b=None):
+    """The packed product in 64-bit lanes; every |c_ij| must be below 2^63.
+
+    The rows of b as lanes are kept in memo_b when one is given."""
     order = sys.byteorder
     high = ((1 << 64 * n) - 1) // ((1 << 64) - 1) << 63  # bit 63 of each lane
     size = 8 * n
-    lanes = array("q", b).tobytes()
-    packed = [(int.from_bytes(lanes[t * size:(t + 1) * size], order) ^ high) - high
-              for t in range(k)]
+    packed = None if memo_b is None else memo_b.get(_LANES)
+    if packed is None:
+        lanes = array("q", b).tobytes()
+        packed = [(int.from_bytes(lanes[t * size:(t + 1) * size], order) ^ high) - high
+                  for t in range(k)]
+        if memo_b is not None:
+            memo_b[_LANES] = packed
     rows = [((sum(map(mul, a[i * k:(i + 1) * k], packed)) + high) ^ high)
             .to_bytes(size, order) for i in range(m)]
     return memoryview(b"".join(rows)).cast("q").tolist()

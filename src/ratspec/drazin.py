@@ -15,7 +15,8 @@ Nilpotency is decided by products alone: M is nilpotent iff M^dim = 0
 (Cayley-Hamilton), so nilpotency_index multiplies out M, M^2, ... until a
 power vanishes, and the same routine decides the known degree of T^2 S - T.
 The proof identities read TS, T^2 S and T(BA) off the Drazin result and the
-transfer report, and take the degree of PA.C from that of (AC)^2 S - AC
+transfer report, and T(BA)^2 too, as the (BA)^2 T of the residual, when T
+commutes with BA; they take the degree of PA.C from that of (AC)^2 S - AC
 when the two are equal. Everything here is exact; "Riesz" collapses to
 "nilpotent" on rational matrices, so the generalized statements specialize
 to the classical Drazin inverse.
@@ -131,6 +132,7 @@ class TransferReport:
     s_ac: DrazinResult
     candidate: Mat           # B S^2 A
     cand_ba: Mat             # T(BA)
+    ba_sq_cand: Mat          # (BA)^2 T
     commutes: bool           # T(BA) = (BA)T
     inner: bool              # T(BA)T = T
     residual_index: int | None  # nilpotency index of (BA)^2 T - BA
@@ -163,10 +165,11 @@ def transfer(t: OperatorTriple) -> TransferReport:
 
     The three defining identities are checked directly, and by uniqueness
     of the Drazin inverse they hold exactly when the candidate is the
-    Drazin inverse of BA; that inverse is not formed here. T(BA) is kept
-    on the report, where the proof identities read it. AC's chain at 0 is
-    the triple's chain("ac", x), which reads AC's characteristic
-    polynomial: one charpoly is computed, BA's, and AC's is read off it.
+    Drazin inverse of BA; that inverse is not formed here. T(BA) and the
+    (BA)^2 T of the residual are kept on the report, where the proof
+    identities read them. AC's chain at 0 is the triple's chain("ac", x),
+    which reads AC's characteristic polynomial: one charpoly is computed,
+    BA's, and AC's is read off it.
     """
     _require_condition(t)
     s_res = drazin_inverse(t.ac, t.chain("ac", _X))
@@ -176,9 +179,10 @@ def transfer(t: OperatorTriple) -> TransferReport:
     cand_ba, ba_cand = cand @ ba, ba @ cand
     commutes = cand_ba == ba_cand
     inner = cand_ba @ cand == cand
-    residual_index = nilpotency_index(ba @ ba_cand - ba)
+    ba_sq_cand = ba @ ba_cand
+    residual_index = nilpotency_index(ba_sq_cand - ba)
     return TransferReport(s_ac=s_res, candidate=cand, cand_ba=cand_ba,
-                          commutes=commutes, inner=inner,
+                          ba_sq_cand=ba_sq_cand, commutes=commutes, inner=inner,
                           residual_index=residual_index)
 
 
@@ -199,18 +203,22 @@ def proof_identities(t: OperatorTriple, tr: TransferReport) -> ProofIdentitiesRe
 
     S, its index, AC S, (AC)^2 S, the candidate B S^2 A and T(BA) are read
     from the transfer report tr of the same triple, so no product is formed
-    twice. drazin_inverse has checked, before returning S, that AC S = S AC
-    and that (AC)^2 S - AC is nilpotent of degree index: so commutation
-    holds, and when PA.C equals (AC)^2 S - AC, PA.C has that degree, with
-    no product. When PA.B == PA.C (always when C == B) the four words of
-    the cycle are one word, and none of them is formed.
+    twice. T(BA)^2 is the report's (BA)^2 T when T commutes with BA, and
+    is formed only when it does not. drazin_inverse has checked, before
+    returning S, that AC S = S AC and that (AC)^2 S - AC is nilpotent of
+    degree index: so commutation holds, and when PA.C equals (AC)^2 S - AC,
+    PA.C has that degree, with no product. When PA.B == PA.C (always when
+    C == B) the four words of the cycle are one word, and none of them is
+    formed. T(BA)^2 = (BA)^2 T when T commutes with BA: T BA BA = BA T BA
+    = BA BA T.
     """
     _require_condition(t)
     d = tr.s_ac.index
     ac_s = tr.s_ac.projection  # AC S
     pa = ac_s.shifted(1) @ t.A  # P = AC S - I
     ba = t.ba
-    residual_is_bpa = (tr.cand_ba @ ba - ba) == t.B @ pa
+    cand_ba_sq = tr.ba_sq_cand if tr.commutes else tr.cand_ba @ ba  # T(BA)^2
+    residual_is_bpa = (cand_ba_sq - ba) == t.B @ pa
     pac = pa @ t.C
     pab = pac if t.C == t.B else pa @ t.B
     if pab == pac:

@@ -106,10 +106,9 @@ class MapCache:
         if rows is None:
             if V.ambient_dim != M.cols:
                 raise ValueError("subspace not in the domain of M")
-            # the whole space has the identity basis
-            rows = M.transpose() if V.dim == V.ambient_dim else (
-                V.basis_matrix() @ M.transpose())
-            self._carried[key] = rows
+            # the whole space has the identity basis: its rows are M^T
+            # itself, with no kernel call
+            rows = self._carried[key] = V.basis_matrix() @ M.transpose()
         return rows
 
     def maps_into(self, M: Mat, V: Subspace, W: Subspace) -> bool:
@@ -330,14 +329,13 @@ def power_sum_witness(t: OperatorTriple) -> str:
 
 def _residuals(ba: Mat, aba: Mat, D: Mat, E: Mat) -> tuple[Mat, Mat, Mat]:
     """A(BA)^2 - ABACA, ABACA - ACABA and ACABA - (AC)^2A from a nonzero
-    D = BA - CA and E = ACA - ABA, forming no product with a zero E.
+    D = BA - CA and E = ACA - ABA; a product with a zero E is Mat.zero, with
+    no kernel call.
 
     ABACA = ABA(BA - D) and ACABA = (ABA + E)BA, so the first two are ABA D
     and -ABA D - E BA; the third is ACA D = (ABA + E)D.
     """
     r1 = aba @ D
-    if E.is_zero():
-        return r1, -r1, r1
     return r1, -r1 - E @ ba, r1 + E @ D
 
 

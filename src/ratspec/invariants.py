@@ -271,17 +271,27 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
         raise ValueError("rational eigenvalues need a monic characteristic polynomial")
     p, k = p.strip_zero_roots()
     n, num, den = p.degree, p.num, p.den
-    D = 1
-    for i in range(n - 1, -1, -1):
-        # p_i D^(n-i) is an integer once p_i's denominator divides D^(n-i)
-        d = den // gcd(num[i], den)
-        D *= d // gcd(d, D ** (n - i))
+    # p_i = c_i / d_i in lowest terms
+    gs = [gcd(c, den) for c in num]
+    cs, ds = [c // g for c, g in zip(num, gs)], [den // g for g in gs]
+    # p_i D^(n-i) is an integer once d_i divides D^(n-i); the powers are
+    # built up from the highest coefficient down, and again only when D grows
+    D = power = 1
+    for j in range(1, n + 1):
+        power *= D  # D^j, for the coefficient of x^(n-j)
+        d = ds[n - j]
+        if power % d:
+            D *= d // gcd(d, power)
+            power = D ** j
     coeffs = []
-    for i, c in enumerate(num):
-        scaled, rem = divmod(c * D ** (n - i), den)
+    power = 1
+    for c, d in zip(reversed(cs), reversed(ds)):
+        scaled, rem = divmod(power, d)
         if rem:
             raise ArithmeticError("integer charpoly scaling failed")
-        coeffs.append(scaled)
+        coeffs.append(c * scaled)
+        power *= D
+    coeffs.reverse()
     out = [(Fraction(0), k)] if k else []
     if n:
         for r in _integer_root_candidates(coeffs):

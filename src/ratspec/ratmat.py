@@ -29,11 +29,13 @@ its forward pass, since its reduced form is the identity over zero rows. An
 echelon basis row holds 1 at its pivot and the other rows 0 there, so the
 rows X of a subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that
 test on U @ M^T. The same basis gives, with no reduction, rows K with
-W = {y : K y = 0} (Subspace.annihilator). An empty product, the row
-reduction of a matrix with no rows or no columns, and a containment with
-no rows or in the whole space, need no kernel call. block lays out blocks
-over the lcm of their denominators; inverse and solve reduce the [M | I]
-and [M | b] it builds.
+W = {y : K y = 0} (Subspace.annihilator). An empty product, a product
+with a zero or an identity operand, the row reduction of a matrix with no
+rows or no columns, and a containment with no rows or in the whole space,
+need no kernel call. Each Mat keeps a memo of what the product kernel reads
+off its numerators alone (Mat), so a matrix met again in a product is not
+scanned or packed again. block lays out blocks over the lcm of their
+denominators; inverse and solve reduce the [M | I] and [M | b] it builds.
 
 charpoly reads the power sums tr(S^k) of the integer numerators S off about
 2 sqrt(n) products and turns them into its coefficients by Newton's
@@ -47,6 +49,7 @@ numerators with no product.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, isqrt, lcm
 from operator import add, mul, sub
 from typing import Iterable, Sequence
@@ -65,10 +68,28 @@ def rat(value: int | str | Fraction) -> Fraction:
     return value if isinstance(value, Fraction) else Fraction(value)
 
 
-class Mat:
-    """Immutable dense matrix over Q: integer numerators num (row-major) over den."""
+@cache
+def _identity_num(n: int) -> tuple[int, ...]:
+    """The row-major numerators of the n x n identity."""
+    num = [0] * (n * n)
+    num[::n + 1] = [1] * n
+    return tuple(num)
 
-    __slots__ = ("rows", "cols", "num", "den")
+
+class Mat:
+    """Immutable dense matrix over Q: integer numerators num (row-major) over den.
+
+    Two facts are computed once and kept in slots: the hash, on the first
+    one asked for (every MapCache key and chain lookup hashes its matrices),
+    and the memo that kernels.matmul is given with num on every product,
+    made empty on the first product and filled by the kernel with what it
+    reads off num alone. Both follow from the fields and change nothing
+    about the matrix. A product with a zero operand is Mat.zero, and one
+    with an identity operand (den 1, identity numerators) is the other
+    operand itself, with no kernel call.
+    """
+
+    __slots__ = ("rows", "cols", "num", "den", "_memo", "_hash")
 
     def __init__(self, rows: int, cols: int, data: Iterable[int | Fraction]):
         data = tuple(data)
@@ -81,6 +102,8 @@ class Mat:
         _set(self, "cols", cols)
         _set(self, "num", tuple([x.numerator * (den // x.denominator) for x in data]))
         _set(self, "den", den)
+        _set(self, "_memo", None)
+        _set(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat is immutable")
@@ -102,6 +125,8 @@ class Mat:
         _set(M, "cols", cols)
         _set(M, "num", num)
         _set(M, "den", den)
+        _set(M, "_memo", None)
+        _set(M, "_hash", None)
         return M
 
     @classmethod
@@ -117,9 +142,7 @@ class Mat:
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
-        num = [0] * (n * n)
-        num[::n + 1] = [1] * n
-        return cls.from_ints(n, n, num)
+        return cls.from_ints(n, n, _identity_num(n))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "Mat":
@@ -175,13 +198,33 @@ class Mat:
         return Mat.from_ints(self.rows, self.cols, [p * x for x in self.num],
                              self.den * s.denominator)
 
+    def _kernel_memo(self) -> dict:
+        """The memo in which kernels.matmul keeps what it derives from this
+        matrix's numerators alone; made on the first product."""
+        memo = self._memo
+        if memo is None:
+            memo = {}
+            _set(self, "_memo", memo)
+        return memo
+
+    def is_identity(self) -> bool:
+        """True iff this is the identity matrix (den 1, identity numerators)."""
+        return (self.den == 1 and self.rows == self.cols
+                and self.num == _identity_num(self.rows))
+
     def __matmul__(self, other: "Mat") -> "Mat":
         if self.cols != other.rows:
             raise ValueError(f"cannot multiply {self.rows}x{self.cols} by "
                              f"{other.rows}x{other.cols}")
-        if not (self.rows and self.cols and other.cols):
+        if (not (self.rows and self.cols and other.cols)
+                or self.is_zero() or other.is_zero()):
             return Mat.zero(self.rows, other.cols)
-        out = kernels.matmul(self.rows, self.cols, other.cols, self.num, other.num)
+        if self.is_identity():
+            return other
+        if other.is_identity():
+            return self
+        out = kernels.matmul(self.rows, self.cols, other.cols, self.num, other.num,
+                             self._kernel_memo(), other._kernel_memo())
         return Mat.from_ints(self.rows, other.cols, out, self.den * other.den)
 
     def __pow__(self, k: int) -> "Mat":
@@ -244,7 +287,11 @@ class Mat:
                 and self.num == other.num)
 
     def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.num, self.den))
+        h = self._hash
+        if h is None:
+            h = hash((self.rows, self.cols, self.num, self.den))
+            _set(self, "_hash", h)
+        return h
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(x) for x in self.row(i)) for i in range(self.rows))
@@ -345,7 +392,8 @@ class Subspace:
         B = self._basis
         n = X.cols
         at_pivots = [X.num[i * n + p] for i in range(X.rows) for p in self.pivots]
-        return (kernels.matmul(X.rows, self.dim, n, at_pivots, B.num)
+        return (kernels.matmul(X.rows, self.dim, n, at_pivots, B.num,
+                               None, B._kernel_memo())
                 == [B.den * x for x in X.num])
 
     def contains_vector(self, v: Sequence[int | str | Fraction]) -> bool:
@@ -617,26 +665,31 @@ class Poly:
         return "Poly(" + " + ".join(terms) + ")"
 
 
-def _power_traces(n: int, S: Sequence[int]) -> list[int]:
+def _power_traces(n: int, S: Sequence[int], s_memo: dict | None = None) -> list[int]:
     """tr(S^k) for k = 0..n of an n x n integer matrix S, in about 2 sqrt(n) products.
 
     Baby steps S, S^2, ..., S^m and giant steps G = S^m, G^2, ... with
     m = ceil(sqrt(n)) (Paterson and Stockmeyer 1973): k = i + jm with
     1 <= i <= m, and tr(S^i G^j) is the dot product of S^i with the transpose
-    of G^j, both flat: n^2 multiplications where a product costs n^3.
+    of G^j, both flat: n^2 multiplications where a product costs n^3. S is
+    the right operand of every baby step and G of every giant step, so the
+    product kernel is given one memo for each; s_memo is S's, kept on its
+    Mat, or a new one when none is given.
     """
     traces = [n] + [0] * n
     if not n:
         return traces
     m = isqrt(n - 1) + 1
     baby = [S]
+    s_memo = {} if s_memo is None else s_memo
+    g_memo = {}
     for _ in range(m - 1):
-        baby.append(kernels.matmul(n, n, n, baby[-1], S))
+        baby.append(kernels.matmul(n, n, n, baby[-1], S, None, s_memo))
     traces[1:m + 1] = [_trace(n, X) for X in baby]
     G = giant = baby[-1]
     for j in range(1, (n - 1) // m + 1):
         if j > 1:
-            giant = kernels.matmul(n, n, n, giant, G)
+            giant = kernels.matmul(n, n, n, giant, G, None, g_memo)
         transposed = _transposed(n, giant)
         for i in range(1, min(m, n - j * m) + 1):
             traces[i + j * m] = sum(map(mul, baby[i - 1], transposed))
@@ -676,7 +729,7 @@ def charpoly(M: Mat) -> Poly:
     if not M.is_square:
         raise ValueError("characteristic polynomial of a non-square matrix")
     n, D = M.rows, M.den
-    p = _power_traces(n, M.num)
+    p = _power_traces(n, M.num, M._kernel_memo())
     e = [1] + [0] * n
     for k in range(1, n + 1):
         acc = 0

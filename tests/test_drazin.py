@@ -530,6 +530,35 @@ class TestProofIdentities:
             S = tr.s_ac.inverse
             assert S @ t.ac == tr.s_ac.projection
             assert tr.cand_ba == tr.candidate @ t.ba
+            assert tr.commutes
+            assert tr.ba_sq_cand == t.ba @ t.ba @ tr.candidate
+            assert tr.ba_sq_cand == tr.candidate @ t.ba @ t.ba
+
+    def test_a_non_commuting_candidate_decides_the_residual_by_its_product(
+            self, monkeypatch):
+        # T' = T + v w with w (BA)^2 = 0 has T'(BA)^2 = T(BA)^2, so the
+        # residual identity holds for it, but T' does not commute with BA and
+        # (BA)^2 T' - BA is not BPA: the kept (BA)^2 T' must not stand in for
+        # T'(BA)^2, which is formed afresh, as one more product
+        t = paper_example(1, default_idempotent(2))
+        tr = transfer(t)
+        ba = t.ba
+        ba_sq = ba @ ba
+        w = Mat.from_rows([kernel(ba_sq.transpose()).basis[0]])
+        j = next(j for j in range(ba.cols) if any(ba_sq.columns([j]).num))
+        v = Mat.from_ints(ba.rows, 1, [int(i == j) for i in range(ba.rows)])
+        cand = tr.candidate + v @ w
+        planted = dataclasses.replace(tr, candidate=cand, cand_ba=cand @ ba,
+                                      ba_sq_cand=ba_sq @ cand,
+                                      commutes=cand @ ba == ba @ cand)
+        assert not planted.commutes
+        pa = tr.s_ac.projection.shifted(1) @ t.A
+        assert cand @ ba_sq - ba == t.B @ pa
+        assert planted.ba_sq_cand - ba != t.B @ pa
+        rep, planted_calls = _kernel_calls(monkeypatch, proof_identities, t, planted)
+        assert rep.residual_is_bpa
+        _, calls = _kernel_calls(monkeypatch, proof_identities, t, tr)
+        assert planted_calls["matmul"] == calls["matmul"] + 1
 
     def test_nilpotency_non_square_rejected(self):
         with pytest.raises(ValueError):

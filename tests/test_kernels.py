@@ -8,6 +8,11 @@ also run on every drawn product, so that neither can drift from the other.
 The packed route itself packs in 64-bit lanes when every entry of the result
 fits one and in wider shifted slots otherwise; both are run on every product
 that fits a lane, and the cut-off between them is pinned at its edges.
+The product is run again with a memo for each operand, filled by one product
+and read by the next, and each memo is read beside partners on both sides
+of the lane cut-off, so that one filled on either route is read on the
+other. A Mat product with a zero or an identity operand, which makes no
+kernel call, is checked against the kernel and the textbook product.
 """
 
 import random
@@ -25,6 +30,7 @@ from conftest import naive_matmul, naive_rref
 from ratspec import _kernels_py, kernels
 from ratspec._kernels_py import (PACK_MIN, _matmul_dots, _matmul_lanes,
                                  _matmul_packed, _matmul_slots)
+from ratspec.ratmat import Mat
 
 
 def _rand_flat(rng, size, bound=24):
@@ -100,6 +106,22 @@ def products(draw, max_dim=14):
     return m, k, n, a, b
 
 
+def _assert_memos_reused(m, k, n, a, b, other_a, other_b):
+    """Each operand's memo read beside two partners, taking turns from
+    either one first, every product equal to the dot-product loop's: a memo
+    filled on one route of the packed product is read on the other."""
+    for lefts in ((a, other_a, a), (other_a, a, other_a)):
+        memo_b = {}
+        for left in lefts:
+            assert (kernels.matmul(m, k, n, left, b, None, memo_b)
+                    == _matmul_dots(m, k, n, left, b))
+    for rights in ((b, other_b, b), (other_b, b, other_b)):
+        memo_a = {}
+        for right in rights:
+            assert (kernels.matmul(m, k, n, a, right, memo_a, None)
+                    == _matmul_dots(m, k, n, a, right))
+
+
 @given(products())
 def test_matmul_property_on_both_routes(product):
     m, k, n, a, b = product
@@ -108,6 +130,14 @@ def test_matmul_property_on_both_routes(product):
     assert all(type(x) is int for x in got)
     assert got == want
     assert _matmul_dots(*product) == _matmul_packed(*product) == got
+    # memos filled by the first product and read by the second
+    memo_a, memo_b = {}, {}
+    for _ in range(2):
+        assert kernels.matmul(m, k, n, a, b, memo_a, memo_b) == want
+        assert _matmul_packed(m, k, n, a, b, memo_a, memo_b) == want
+    # partners 2^40 times wider: from 24-bit entries up, the product leaves
+    # the 64-bit lanes
+    _assert_memos_reused(m, k, n, a, b, [x << 40 for x in a], [x << 40 for x in b])
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (PACK_MIN - 1, PACK_MIN + 3),
@@ -132,11 +162,31 @@ def test_matmul_at_the_slot_bound(m, k, n, bits):
 
 @pytest.mark.parametrize("m, k, n", [(0, 0, 0), (0, 3, PACK_MIN), (PACK_MIN, 0, PACK_MIN),
                                      (PACK_MIN, 3, 0), (PACK_MIN + 1, 4, PACK_MIN + 2)])
-def test_matmul_zero_and_empty_operands(m, k, n):
+def test_matmul_zero_and_empty_operands(m, k, n, monkeypatch):
     zeros = [0] * (m * n)
     assert kernels.matmul(m, k, n, [0] * (m * k), [5] * (k * n)) == zeros
     assert kernels.matmul(m, k, n, [5] * (m * k), [0] * (k * n)) == zeros
     assert _matmul_packed(m, k, n, [0] * (m * k), [0] * (k * n)) == zeros
+    assert _matmul_packed(m, k, n, [0] * (m * k), [5] * (k * n), {}, {}) == zeros
+    # a Mat product with a zero or an identity operand makes no kernel call;
+    # its partner has den 6, and each product is the one of the memo-free
+    # kernel over the product of the denominators, and the textbook one
+    rng = random.Random(m * 100 + k * 10 + n)
+    left = Mat.from_ints(m, k, _rand_flat(rng, m * k), 6)
+    right = Mat.from_ints(k, n, _rand_flat(rng, k * n), 6)
+    assert {left.den, right.den} == {6} or 0 in (m, k, n)
+    cases = [(Mat.zero(m, k), right), (left, Mat.zero(k, n)),
+             (Mat.identity(m), left), (left, Mat.identity(k)),
+             (Mat.identity(k), right), (right, Mat.identity(n))]
+    for x, y in cases:
+        want = Mat.from_ints(x.rows, y.cols,
+                             kernels.matmul(x.rows, x.cols, y.cols, x.num, y.num),
+                             x.den * y.den)
+        assert want.data == tuple(naive_matmul(x.rows, x.cols, y.cols, x.data, y.data))
+        monkeypatch.setattr(kernels, "matmul", None)
+        got = x @ y
+        monkeypatch.undo()
+        assert got == want and got.den == want.den
 
 
 def _top(k, a, b):
@@ -168,6 +218,11 @@ def test_lanes_match_the_slots_and_the_textbook_product(product):
     assert all(type(x) is int for x in got)
     assert got == want
     assert _matmul_slots(*product, top.bit_length() + 1) == want
+    # b's lanes are packed into the memo once and read from it after: a
+    # zero b beside the filled memo still gives the product with b
+    memo_b = {}
+    assert _matmul_lanes(*product, memo_b) == want
+    assert _matmul_lanes(m, k, n, a, [0] * (k * n), memo_b) == want
 
 
 def _signed_product(m, k, n, a_entry, b_entry, seed):
@@ -207,6 +262,8 @@ def test_lanes_hold_results_of_absolute_value_two_to_the_63_minus_one(m, k, n,
     assert kernels.matmul(m, k, n, a, b) == want
     assert calls == [(m, k, n)]
     assert _matmul_lanes(m, k, n, a, b) == _matmul_dots(m, k, n, a, b) == want
+    # a partner twice as wide takes the product to 2^64 - 2, out of the lanes
+    _assert_memos_reused(m, k, n, a, b, [2 * x for x in a], [2 * x for x in b])
 
 
 @pytest.mark.parametrize("k, a_entry, b_entry", [(1, 1 << 62, 2), (2, 1 << 31, 1 << 31),
@@ -220,6 +277,8 @@ def test_a_top_of_two_to_the_63_takes_the_wide_route(k, a_entry, b_entry, monkey
     assert kernels.matmul(m, k, n, a, b) == want
     assert calls == []
     assert _matmul_slots(m, k, n, a, b, 65) == _matmul_dots(m, k, n, a, b) == want
+    # a partner half as wide takes the product to 2^62, into the lanes
+    _assert_memos_reused(m, k, n, a, b, [x // 2 for x in a], [x // 2 for x in b])
 
 
 class _OtherOrderArray(array):

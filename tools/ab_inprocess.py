@@ -11,13 +11,15 @@ SEED, written by `iter_rounds` of BASE's `ratbench/workloads.py` (the only
 ratbench file read) with BASE's generators. Every pass runs each document
 through both sides, one after the other, `cli.main` with the workload's
 command and flags, and alternates which side goes first from document to
-document and from pass to pass; there are PASSES passes.
+document and from pass to pass; there are PASSES timed passes.
 
-The first pass also checks that both sides print the same stdout and return
-the same exit code on every document, and stops with status 1 at the first
-difference. Then, per workload, it prints the sum over the documents of
-each side's fastest run (the per-document-minimum total, in ms), their
-ratio, and in how many passes the change's total was the smaller one.
+A first, untimed pass checks that both sides print the same stdout and
+return the same exit code on every document, and stops with status 1 at the
+first difference; it also counts each side's `kernels.matmul` and
+`kernels.rref` calls, which are deterministic. Then, per workload, it
+prints the sum over the documents of each side's fastest run (the
+per-document-minimum total, in ms), their ratio, in how many passes the
+change's total was the smaller one, and each side's kernel call counts.
 
 Separate benchmark runs on a shared, noisy machine can swing by tens of
 percent between runs; interleaving both sides document by document in one
@@ -36,9 +38,12 @@ import tempfile
 import time
 from pathlib import Path
 
-#: Rounds of each workload's documents, and passes over them.
+#: Rounds of each workload's documents, and timed passes over them.
 ROUNDS = 3
 PASSES = 9
+
+#: The kernels whose calls the untimed pass counts.
+KERNELS = ("matmul", "rref")
 
 
 class Side:
@@ -60,6 +65,26 @@ class Side:
         finally:
             for key in self.modules:
                 sys.modules.pop(key, None)
+
+    @contextlib.contextmanager
+    def counting(self, counts: dict[str, int]):
+        """Count the calls of each of KERNELS into counts while active."""
+        kernels = self.modules["ratspec.kernels"]
+        real = {name: getattr(kernels, name) for name in KERNELS}
+
+        def counted(name):
+            def call(*args):
+                counts[name] += 1
+                return real[name](*args)
+            return call
+
+        for name in KERNELS:
+            setattr(kernels, name, counted(name))
+        try:
+            yield
+        finally:
+            for name in KERNELS:
+                setattr(kernels, name, real[name])
 
     def run(self, argv: list[str]) -> tuple[int, str, float]:
         """(exit code, stdout, seconds) of one cli.main call."""
@@ -119,28 +144,36 @@ def main() -> int:
                 rounds = workloads.iter_rounds(workload, args.seed, where)
                 docs = [doc for _ in range(ROUNDS) for doc in next(rounds)]
             argvs = [[workload.command, str(doc.path), *workload.flags] for doc in docs]
+            counts = {side.name: dict.fromkeys(KERNELS, 0) for side in (base, change)}
+            for i, argv in enumerate(argvs):
+                results = {}
+                for side in (base, change):
+                    with side.counting(counts[side.name]):
+                        results[side.name] = side.run(argv)[:2]
+                if results[base.name] != results[change.name]:
+                    print(f"{name}: outputs differ on {docs[i].doc_id} "
+                          f"({docs[i].template} dim {docs[i].dim})")
+                    return 1
             best = {side.name: [float("inf")] * len(argvs) for side in (base, change)}
             wins = 0
             for p in range(PASSES):
                 totals = {base.name: 0.0, change.name: 0.0}
                 for i, argv in enumerate(argvs):
                     order = (base, change) if (i + p) % 2 == 0 else (change, base)
-                    results = {}
                     for side in order:
-                        code, out, elapsed = side.run(argv)
-                        results[side.name] = (code, out)
+                        elapsed = side.run(argv)[2]
                         totals[side.name] += elapsed
                         best[side.name][i] = min(best[side.name][i], elapsed)
-                    if p == 0 and results[base.name] != results[change.name]:
-                        print(f"{name}: outputs differ on {docs[i].doc_id} "
-                              f"({docs[i].template} dim {docs[i].dim})")
-                        return 1
                 wins += totals[change.name] < totals[base.name]
             b, c = (sum(best[side.name]) * 1000 for side in (base, change))
+            calls = "; ".join(
+                f"{label} " + ", ".join(f"{kernel} {n}" for kernel, n in
+                                        counts[side.name].items())
+                for label, side in (("base", base), ("change", change)))
             print(f"{name} seed {args.seed}, {len(argvs)} documents: per-document-"
                   f"minimum total base {b:.1f} ms, change {c:.1f} ms "
                   f"(change/base {c / b:.3f}); change faster in {wins} of "
-                  f"{PASSES} passes")
+                  f"{PASSES} passes; kernel calls {calls}")
     return 0
 
 
