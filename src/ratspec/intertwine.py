@@ -32,12 +32,15 @@ OperatorTriple.chain(name, q) gives the power chain with no polynomial
 passed in: m = hyper_kernel_dim(charpoly(name), q) is dim N(q(T)^dim), so
 q(T) is invertible iff m = 0, the one place that is decided, and otherwise
 its chain stops at rank dim - m (invariants.PowerChain). Each distinct
-(T, q), compared by value, is looked up before anything is decided, so it
-is decided once. Every invertible operator on Q^n has the identity's
-chain, kept once per dimension, with no power and no row reduction; a
-singular q(T) is evaluated once per distinct (T, q), and equal T share its
-chain. The tests keep the row-reduced chain of every operator as the
-oracle.
+(T, q), compared by value, is looked up before anything is decided. m is
+the degree of the charpoly's q-primary part, which its factors x leave
+alone when q(0) != 0; so the decision is keyed by the charpoly's part
+prime to x and q, and the four operators, whose charpolys differ by powers
+of x under the condition, share one decision per q. Every invertible
+operator on Q^n has the identity's chain, kept once per dimension, with no
+power and no row reduction; a singular q(T) is evaluated once per distinct
+(T, q), and equal T share its chain. The tests keep the row-reduced chain
+of every operator as the oracle.
 
 The condition gives ACA(BA - lambda) = (AC - lambda)ACA at every lambda, so
 ACA carries the chains of BA - lambda onto those of AC - lambda as they are.
@@ -46,9 +49,14 @@ n are the big ones at n + 1, and the three map families and the inclusion
 lemma meet in the same chain subspaces. So every triple owns a MapCache,
 which forms the carried rows V ACA^T of each subspace V and decides each
 containment ACA(V) <= W once; the chains themselves keep each sum
-R(T) + N(T^n). Production decides injectivity by the rank of each map's
-matrix. The preimage route forms its own product K ACA V^T, so that it
-shares no cached input with the rank route; the tests keep it as an oracle.
+R(T) + N(T^n). Most of that structure is trivial on random triples, where
+every chain at a nonzero probe is the identity's: a containment of a zero
+V or in the whole space holds by dimension, and a map from a zero source
+quotient is the empty matrix, so neither forms any carried row. Every map
+and containment is still asked for. Production decides injectivity by the
+rank of each map's matrix. The preimage route forms its own product
+K ACA V^T, so that it shares no cached input with the rank route; the
+tests keep it as an oracle.
 
 What a verifier reads off the chains alone is the same at every lambda
 with the same chain pair, and on random triples most probes share one:
@@ -67,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from ratspec.invariants import (PowerChain, hyper_kernel_dim, profile,
                                 rational_eigenvalues, sigma_memberships)
@@ -85,7 +94,9 @@ class MapCache:
     Keys are values (a Mat and a Subspace compare structurally), so every
     map that meets the same subspace shares the result:
     - carried(M, V): the rows V M^T, V's basis carried by M;
-    - maps_into(M, V, W): M(V) <= W, read off those rows at W's pivots.
+    - maps_into(M, V, W): M(V) <= W, read off those rows at W's pivots;
+      True for a zero V or a whole-space W by dimension alone, with no
+      carried rows and nothing kept.
     The small spaces of the map at n are the big ones at n + 1, and the
     map families and the inclusion lemma meet in the same subspaces: on the
     first-round documents of ratbench's verify workloads at seed 11, with
@@ -112,6 +123,10 @@ class MapCache:
         return rows
 
     def maps_into(self, M: Mat, V: Subspace, W: Subspace) -> bool:
+        if not V.dim or W.dim == W.ambient_dim:
+            # a zero V or a whole-space W holds by dimension alone: nothing
+            # is carried or kept
+            return True
         key = (M, V, W)
         into = self._into.get(key)
         if into is None:
@@ -150,7 +165,7 @@ class OperatorTriple:
     __slots__ = ("A", "B", "C", "dim_x", "dim_y",
                  "ba", "ac", "ca", "_aba", "_aca", "residuals",
                  "condition_holds", "map_cache", "_ab", "_power_chains",
-                 "_chains", "_charpolys")
+                 "_chains", "_charpolys", "_decisions")
 
     def __init__(self, A: Mat, B: Mat, C: Mat):
         if B.rows != C.rows or B.cols != C.cols:
@@ -184,6 +199,9 @@ class OperatorTriple:
         # lambda as (numerator, denominator)
         self._chains: dict[tuple[int, int], tuple[PowerChain, PowerChain]] = {}
         self._charpolys: dict[str, Poly] = {}
+        # (charpoly, q) -> hyper_kernel_dim, the charpoly's part prime to x
+        # when q(0) != 0
+        self._decisions: dict[tuple[Poly, Poly], int] = {}
 
     @property
     def aba(self) -> Mat:
@@ -245,17 +263,25 @@ class OperatorTriple:
         or "ab") of this triple.
 
         Each distinct (T, q), compared by value, is looked up before
-        anything is decided, and decided once, by hyper_kernel_dim on T's
-        charpoly(name). Every invertible q(T) (hyper_kernel_dim 0) shares
-        the trivial chain of its dimension; a singular one is evaluated and
-        given its hyper_kernel_dim.
+        anything is decided. It is decided by hyper_kernel_dim on T's
+        charpoly(name), cut to its part prime to x when q(0) != 0 (x is
+        then prime to q, so its factors do not count), once per
+        (polynomial, q): BA, AC, CA and AB share one decision for each such
+        q under the condition. Every invertible q(T) (hyper_kernel_dim 0)
+        shares the trivial chain of its dimension; a singular one is
+        evaluated and given its hyper_kernel_dim.
         """
         p = self.charpoly(name)
         T = getattr(self, name)
         key = (T, q)
         chain = self._power_chains.get(key)
         if chain is None:
-            m = hyper_kernel_dim(p, q)
+            if q.num[0]:
+                # q(0) != 0: x is prime to q, so p's x factors add nothing
+                p = p.strip_zero_roots()[0]
+            m = self._decisions.get((p, q))
+            if m is None:
+                m = self._decisions[p, q] = hyper_kernel_dim(p, q)
             if m:
                 chain = PowerChain(poly_eval_mat(q, T), m)
             elif (chain := self._power_chains.get(T.rows)) is None:
@@ -385,24 +411,33 @@ class InclusionReport:
         return self.aba_range and self.aba_kernel and self.aca_range and self.aca_kernel
 
 
+@lru_cache(maxsize=16)
+def _lemma_operator(Q: Poly) -> tuple[Poly, int]:
+    """(q, index) with Q(T - I) = q(T)^index: (x - 1, k) for Q = c x^k, and
+    (Q(x - 1), 1) for any other Q; formed once per Q, for the last 16 Q
+    (verify asks for the four of cli.INCLUSION_QS on every triple)."""
+    k = Q.degree
+    if k >= 1 and not any(Q.num[:-1]):
+        return _X_MINUS_1, k
+    q = Poly([])
+    for c in reversed(Q.coeffs):  # Q(x - 1) by Horner
+        q = q * _X_MINUS_1 + Poly([c])
+    return q, 1
+
+
 def inclusion_lemma(t: OperatorTriple, Q: Poly) -> InclusionReport:
     """Check all four subspace inclusions for the polynomial Q.
 
     The ranges and kernels of Q(T - I) are read off the triple's chains
     (OperatorTriple.chain) of CA, AB, BA and AC: for Q = c x^k those of
     (T - I)^k, at x - 1 and index k, which BA and AC share with chains(1);
-    for any other Q those of q(T) at index 1, q = Q(x - 1). The
-    containments go through the triple's MapCache, so the ones on the
-    chains at 1 are decided once with the quotient maps at 1.
+    for any other Q those of q(T) at index 1, q = Q(x - 1), formed once
+    per Q (_lemma_operator). The containments go through the triple's
+    MapCache, so the ones on the chains at 1 are decided once with the
+    quotient maps at 1.
     """
     _require_condition(t)
-    k = Q.degree
-    if k >= 1 and not any(Q.num[:-1]):
-        q, index = _X_MINUS_1, k
-    else:
-        q, index = Poly([]), 1
-        for c in reversed(Q.coeffs):  # Q(x - 1) by Horner
-            q = q * _X_MINUS_1 + Poly([c])
+    q, index = _lemma_operator(Q)
     ba, ac, ca, ab = (t.chain(name, q) for name in ("ba", "ac", "ca", "ab"))
     into = t.map_cache.maps_into
     return InclusionReport(
@@ -494,6 +529,8 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
 
     The carried rows and the containments are read from cache, the
     triple's MapCache on the chain maps; a fresh one when none is given.
+    A zero-dimensional source quotient, once both containments are decided,
+    gives the target_dim x 0 matrix with no carried rows.
     """
     cache = MapCache() if cache is None else cache
     if not (source_big.contains(source_small)
@@ -503,6 +540,11 @@ def induced_quotient_map(source_big: Subspace, source_small: Subspace,
             and cache.maps_into(carrier, source_big, target_big)):
         return QuotientMap(source_big, source_small, target_big, target_small,
                            carrier, well_defined=False, matrix=None)
+    if source_big.dim == source_small.dim:
+        # a zero source quotient: the target_dim x 0 matrix, by dimension
+        return QuotientMap(source_big, source_small, target_big, target_small,
+                           carrier, well_defined=True,
+                           matrix=Mat.zero(target_big.dim - target_small.dim, 0))
     carried_big = cache.carried(carrier, source_big)
     src = _reps(source_big, source_small)
     carried = carried_big.submatrix(src, range(carried_big.cols))

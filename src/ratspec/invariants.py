@@ -275,23 +275,31 @@ def rational_eigenvalues(T: Mat | Poly) -> list[tuple[Fraction, int]]:
     gs = [gcd(c, den) for c in num]
     cs, ds = [c // g for c, g in zip(num, gs)], [den // g for g in gs]
     # p_i D^(n-i) is an integer once d_i divides D^(n-i); the powers are
-    # built up from the highest coefficient down, and again only when D grows
+    # built up from the highest coefficient down, and again only when D
+    # grows. Each quotient D^j / d is kept; those from before the last
+    # growth are formed again with the final D
     D = power = 1
+    quotients = [1]  # D^j / d_(n-j), j = 0..n
+    grown = 0
     for j in range(1, n + 1):
         power *= D  # D^j, for the coefficient of x^(n-j)
         d = ds[n - j]
-        if power % d:
-            D *= d // gcd(d, power)
-            power = D ** j
-    coeffs = []
-    power = 1
-    for c, d in zip(reversed(cs), reversed(ds)):
         scaled, rem = divmod(power, d)
         if rem:
+            D *= d // gcd(d, power)
+            power = D ** j
+            scaled, rem = divmod(power, d)
+            grown = j
+        quotients.append(scaled)
+        if rem:
             raise ArithmeticError("integer charpoly scaling failed")
-        coeffs.append(c * scaled)
+    power = 1
+    for j in range(1, grown):
         power *= D
-    coeffs.reverse()
+        quotients[j], rem = divmod(power, ds[n - j])
+        if rem:
+            raise ArithmeticError("integer charpoly scaling failed")
+    coeffs = [c * scaled for c, scaled in zip(cs, reversed(quotients))]
     out = [(Fraction(0), k)] if k else []
     if n:
         for r in _integer_root_candidates(coeffs):

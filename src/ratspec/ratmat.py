@@ -29,13 +29,15 @@ its forward pass, since its reduced form is the identity over zero rows. An
 echelon basis row holds 1 at its pivot and the other rows 0 there, so the
 rows X of a subspace satisfy X == X[:, pivots] @ basis; M(U) <= W is that
 test on U @ M^T. The same basis gives, with no reduction, rows K with
-W = {y : K y = 0} (Subspace.annihilator). An empty product, a product
-with a zero or an identity operand, the row reduction of a matrix with no
-rows or no columns, and a containment with no rows or in the whole space,
-need no kernel call. Each Mat keeps a memo of what the product kernel reads
-off its numerators alone (Mat), so a matrix met again in a product is not
-scanned or packed again. block lays out blocks over the lcm of their
-denominators; inverse and solve reduce the [M | I] and [M | b] it builds.
+W = {y : K y = 0} (Subspace.annihilator), and a kernel's reduced basis
+comes off one elimination, of the matrix with its columns reversed. An
+empty product, a product with a zero or an identity operand, the row
+reduction of a matrix with no rows or no columns, and a containment with
+no rows or in the whole space, need no kernel call. Each Mat keeps a memo
+of what the product kernel reads off its numerators alone (Mat), so a
+matrix met again in a product is not scanned or packed again. block lays
+out blocks over the lcm of their denominators; inverse and solve reduce
+the [M | I] and [M | b] it builds.
 
 charpoly reads the power sums tr(S^k) of the integer numerators S off about
 2 sqrt(n) products and turns them into its coefficients by Newton's
@@ -492,8 +494,24 @@ def _null_rows(R: Mat, pivots: Sequence[int]) -> Mat:
 
 
 def kernel(M: Mat) -> Subspace:
-    """{x : Mx = 0} as a canonical subspace of Q^cols."""
-    return _row_space(_null_rows(*rref(M)))
+    """{x : Mx = 0} as a canonical subspace of Q^cols, from one elimination.
+
+    Reduce M with its columns reversed, to R. Its free column f gives the
+    kernel vector that is 1 at f and -R[r, f] at each pivot p_r
+    (_null_rows), and R[r, f] is 0 unless p_r < f, so f is the vector's
+    last nonzero entry and the other vectors are 0 there. Column c of R is
+    column n - 1 - c of M, so back in M's order each vector leads with 1
+    at n - 1 - f, where the others are 0: taken by f descending, they are
+    the reduced-echelon basis, with no second reduction.
+    """
+    n = M.cols
+    reverse = range(n - 1, -1, -1)
+    R, pivots = rref(M.columns(reverse))
+    K = _null_rows(R, pivots)  # over R.den, by f ascending
+    flipped = K.submatrix(range(K.rows - 1, -1, -1), reverse)
+    pivset = set(pivots)
+    return Subspace(Mat.from_ints(K.rows, n, flipped.num, R.den),
+                    tuple(n - 1 - f for f in reverse if f not in pivset))
 
 
 def image(M: Mat) -> Subspace:

@@ -16,7 +16,8 @@ production searches one. The generator's ABA = ACA sampler has its first
 form here as well, the kernel of the dx*dy x dx*dy Kronecker matrix of
 C |-> ACA, and so has the subspace intersection, by the kernel of the
 stacked bases, and the preimage route to a quotient map's injectivity, on
-the whole space. The condition residuals are here as differences of the
+the whole space; so has a kernel, by two row reductions where production
+makes one, and a quotient map's matrix, by its formula on Fractions. The condition residuals are here as differences of the
 four products A(BA)^2, ABACA, ACABA and (AC)^2A, where production forms at
 most three products by distributivity, and the power sums Tr(T^k) are
 here as traces of explicit powers. FractionMat is the
@@ -36,7 +37,7 @@ from ratspec import invariants
 from ratspec.intertwine import OperatorTriple, _require_condition
 from ratspec.invariants import _gcd, rational_eigenvalues
 from ratspec.ratmat import (Mat, Poly, Subspace, charpoly, image, kernel,
-                            preimage, quotient_dim, rank, rat)
+                            preimage, quotient_dim, rank, rat, rref)
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -110,6 +111,47 @@ def intersect_by_kernel(U: Subspace, W: Subspace) -> Subspace:
     coeffs = kernel(stacked.transpose()).basis_matrix()
     vecs = coeffs.columns(range(du)) @ U.basis_matrix()
     return Subspace.from_vectors(U.ambient_dim, vecs.to_rows())
+
+
+def kernel_by_two_reductions(M: Mat) -> Subspace:
+    """kernel(M) by its first route: row-reduce M, write the kernel vector
+    e_f - sum_r R[r, f] e_(p_r) of each free column f, and row-reduce those
+    vectors to the canonical basis."""
+    R, pivots = rref(M)
+    n = M.cols
+    vecs = []
+    for f in (c for c in range(n) if c not in pivots):
+        v = [_ONE if c == f else _ZERO for c in range(n)]
+        for r, p in enumerate(pivots):
+            v[p] = -R.entry(r, f)
+        vecs.append(v)
+    return Subspace.from_vectors(n, vecs)
+
+
+def quotient_matrix_by_formula(source_big: Subspace, source_small: Subspace,
+                               target_big: Subspace, target_small: Subspace,
+                               carrier: Mat) -> Mat:
+    """The matrix of x + source_small |-> carrier x + target_small on
+    Fractions, for a well-defined map: each representative u (a basis row
+    of source_big at a pivot that source_small lacks) is carried to
+    y = carrier u, and y less y[P] S, its part on target_small's basis S
+    with pivots P, gives its column at the target representatives' pivots.
+    """
+    def reps(big, small):
+        return [i for i, p in enumerate(big.pivots) if p not in small.pivots]
+
+    S = FractionMat.of(target_small.basis_matrix())
+    C = FractionMat.of(carrier)
+    q = [target_big.pivots[i] for i in reps(target_big, target_small)]
+    columns = []
+    for i in reps(source_big, source_small):
+        u = FractionMat(carrier.cols, 1, source_big.basis[i])
+        y = (C @ u).entries
+        rest = [y[c] - sum((y[p] * S.entries[r * S.cols + c]
+                            for r, p in enumerate(target_small.pivots)), _ZERO)
+                for c in range(len(y))]
+        columns.append([rest[c] for c in q])
+    return Mat(len(q), len(columns), [col[r] for r in range(len(q)) for col in columns])
 
 
 def injective_by_preimage_in_ambient(qm) -> bool:

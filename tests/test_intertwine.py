@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from conftest import matrices
 from oracles import (coprime, default_probes_by_two_searches,
                      injective_by_preimage_in_ambient, power_identity,
-                     power_traces, residuals_by_four_products)
+                     power_traces, quotient_matrix_by_formula,
+                     residuals_by_four_products)
 from ratspec import kernels
 from ratspec.cli import INCLUSION_QS
 from ratspec.genlab import (TEMPLATES, GenSpec, default_idempotent, generate,
@@ -635,6 +636,9 @@ _accessor_triples = st.one_of(
     .map(_companion_triple))
 
 
+OPERATORS = ("ba", "ac", "ca", "ab")
+
+
 def _probes(t):
     """(name, q) for the operators T named "ba", "ac", "ca" and "ab", p
     T's charpoly: x - lam at its rational nonzero eigenvalues (and
@@ -684,6 +688,43 @@ class TestOneChainAccessor:
             assert trivial.setdefault(op.rows, chain) is chain
             _assert_same_chain(chain, PowerChain(op))
         assert all(c.T == Mat.identity(n) for n, c in trivial.items())
+
+    @given(_accessor_triples)
+    @settings(max_examples=25)
+    def test_shared_decision_equals_each_operators_own(self, t):
+        # each (charpoly, q), the charpoly cut to its part prime to x where
+        # q(0) != 0, is decided once, and the chain of every operator has
+        # the hyper-kernel dimension of its own charpoly; x itself keeps the
+        # zero roots
+        from ratspec import intertwine
+        from ratspec.invariants import hyper_kernel_dim
+        probes = list(_probes(t)) + [(name, Poly([0, 1])) for name in OPERATORS]
+        decided = []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(intertwine, "hyper_kernel_dim",
+                       lambda p, q: decided.append((p, q)) or hyper_kernel_dim(p, q))
+            chains = [t.chain(name, q) for name, q in probes]
+        assert len(decided) == len(set(decided))
+        for (name, q), chain in zip(probes, chains):
+            m = hyper_kernel_dim(t.charpoly(name), q)
+            assert chain.T.rows - chain.rank(chain.stable) == m
+
+    def test_the_four_operators_share_one_decision_per_q(self, monkeypatch):
+        # under the condition the four charpolys differ by powers of x, so
+        # each q with q(0) != 0 is decided once for BA, AC, CA and AB
+        from ratspec import intertwine
+        real = intertwine.hyper_kernel_dim
+        qs = [Poly([-lam, 1]) for lam in (1, 2, Fraction(1, 2), 7)]
+        qs += [COMPANION_POLYS[0], Poly([1, 0, 1])]
+        for sample in conforming_samples():
+            t = OperatorTriple(sample.A, sample.B, sample.C)
+            decided = []
+            monkeypatch.setattr(intertwine, "hyper_kernel_dim",
+                                lambda p, q: decided.append(q) or real(p, q))
+            for q in qs:
+                for name in OPERATORS:
+                    t.chain(name, q)
+            assert decided == qs
 
     def test_singular_cubic_evaluated_once_per_operator(self, monkeypatch):
         # B = C = [companion(Q(x - 1)) + [2] | 1]: CA is BA and AB is AC, so
@@ -886,6 +927,68 @@ class TestQuotientMatrix:
         if qm.well_defined:
             assert by_preimage == qm.injective_by_rank()
 
+    def test_a_zero_source_quotient_failing_a_containment_is_not_well_defined(
+            self, monkeypatch):
+        # the source quotient line/line is zero, but the carrier takes the
+        # line out of target_small: the containments still run first
+        from ratspec import intertwine
+        asked = []
+        real = intertwine.MapCache.maps_into
+        monkeypatch.setattr(intertwine.MapCache, "maps_into",
+                            lambda cache, M, V, W: asked.append((V, W))
+                            or real(cache, M, V, W))
+        line = Subspace.from_vectors(2, [(1, 1)])
+        zero, full = Subspace.zero(2), Subspace.full(2)
+        carrier = Mat.from_rows([[1, 0], [0, 2]])
+        qm = induced_quotient_map(line, line, full, zero, carrier)
+        assert qm.source_dim == 0 and qm.target_dim == 2
+        assert not qm.well_defined and qm.matrix is None
+        with pytest.raises(ArithmeticError, match="not well defined"):
+            qm.injective_by_rank()
+        assert asked == [(line, zero)]
+
+    @given(st.data())
+    def test_zero_source_quotients_match_the_general_formula(self, data):
+        # nested sources, often equal (a zero source quotient), and targets
+        # that contain the carried sources, often with a nonzero quotient
+        m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+        carrier = data.draw(matrices(n, m, min_rows=n, min_cols=m))
+        S = data.draw(matrices(m, 4, min_rows=m))
+        src_big = image(S)
+        src_small = src_big
+        if data.draw(st.booleans()):
+            src_small = image(S @ data.draw(matrices(S.cols, 4, min_rows=S.cols)))
+        tgt_small = map_subspace(carrier, src_small).sum(
+            image(data.draw(matrices(n, 2, min_rows=n))))
+        tgt_big = tgt_small.sum(map_subspace(carrier, src_big)).sum(
+            image(data.draw(matrices(n, 2, min_rows=n))))
+        spaces = (src_big, src_small, tgt_big, tgt_small)
+        qm = induced_quotient_map(*spaces, carrier)
+        assert qm.well_defined
+        assert qm.matrix == quotient_matrix_by_formula(*spaces, carrier)
+        assert (qm.matrix.rows, qm.matrix.cols) == (qm.target_dim, qm.source_dim)
+
+    def test_a_zero_source_quotient_into_a_nonzero_one(self, monkeypatch):
+        # both containments are asked for, and the 2 x 0 matrix is the
+        # general formula's
+        from ratspec import intertwine
+        asked = []
+        real = intertwine.MapCache.maps_into
+        monkeypatch.setattr(intertwine.MapCache, "maps_into",
+                            lambda cache, M, V, W: asked.append((V, W))
+                            or real(cache, M, V, W))
+        line = Subspace.from_vectors(3, [(1, 1, 0)])
+        tgt_small = Subspace.from_vectors(3, [(1, 2, 0)])
+        full = Subspace.full(3)
+        carrier = Mat.from_rows([[1, 0, 0], [0, 2, 0], [0, 0, 3]])
+        spaces = (line, line, full, tgt_small)
+        qm = induced_quotient_map(*spaces, carrier)
+        assert qm.well_defined and (qm.source_dim, qm.target_dim) == (0, 2)
+        assert qm.matrix == quotient_matrix_by_formula(*spaces, carrier)
+        assert qm.matrix == Mat.zero(2, 0)
+        assert qm.injective_by_rank() and qm.injective_by_preimage()
+        assert asked == [(line, tgt_small), (line, full)]
+
     def test_preimage_route_on_degenerate_sources(self):
         # a zero source, and a source mapped into the whole space
         zero, full = Subspace.zero(2), Subspace.full(2)
@@ -935,6 +1038,25 @@ class TestMapCache:
         assert cache.carried(M, full) == full.basis_matrix() @ M.transpose()
         assert cache.maps_into(M, line, full)
         assert not cache.maps_into(M, line, line)
+
+    def test_trivial_containments_leave_the_cache_empty(self):
+        # a zero V and a whole-space W hold by dimension: nothing is carried
+        # or kept, and the mapped subspace agrees
+        cache = MapCache()
+        M = Mat.from_rows([[1, 2], [3, 4], [5, 6]])
+        zero, full = Subspace.zero(2), Subspace.full(2)
+        line = Subspace.from_vectors(2, [(1, 0)])
+        plane = Subspace.from_vectors(3, [(1, 0, 0), (0, 1, 0)])
+        for V in (zero, line, full):
+            for W in (Subspace.zero(3), plane, Subspace.full(3)):
+                if not V.dim or W.dim == 3:
+                    assert cache.maps_into(M, V, W)
+                    assert W.contains(map_subspace(M, V))
+        assert cache._carried == {} and cache._into == {}
+        # any other containment is carried and kept
+        assert not cache.maps_into(M, line, plane)
+        assert list(cache._carried) == [(M, line)]
+        assert list(cache._into) == [(M, line, plane)]
 
     def test_preimage_route_reads_no_cached_rows(self, monkeypatch):
         # production decides injectivity by rank, on the cached carried rows;

@@ -14,6 +14,7 @@ from conftest import rationals, square_matrices
 from oracles import (c_n, c_n_via_complement, coprime, cp_n,
                      cp_n_via_intersection, eigenvalue_multiplicity,
                      fredholm_index, k_n, k_n_via_sums,
+                     poly_eval_fraction, rational_eigenvalues_by_divisors,
                      rational_eigenvalues_uncertified, sigma_R_membership)
 from ratspec import invariants
 from ratspec.cli import main, write_triple_document
@@ -27,6 +28,7 @@ from ratspec.invariants import (_P61, PowerChain, _coprime_mod, _derivative,
 from ratspec.ratmat import (Mat, Poly, block, charpoly, image, inverse,
                             kernel, poly_eval_mat, rank)
 from test_drazin import jordan_block
+from test_intertwine import _companion
 
 J3 = Mat.from_rows([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
 J2_PLUS_1 = Mat.from_rows([[0, 1, 0], [0, 0, 0], [0, 0, 1]])  # diag(J_2, 1)
@@ -413,6 +415,58 @@ class TestPlantedRoots:
         assert rational_eigenvalues(p) == [
             (Fraction(-big, 7), 3), (Fraction(1), 1), (Fraction(3, 2), 2),
             (Fraction(big), 4)]
+
+
+def _recorded_scaling(monkeypatch):
+    """The monic integer polynomials f that rational_eigenvalues searches."""
+    searched = []
+    real = invariants._integer_root_candidates
+    monkeypatch.setattr(invariants, "_integer_root_candidates",
+                        lambda f: searched.append(list(f)) or real(f))
+    return searched
+
+
+def _scaled_by_fractions(p, f):
+    """Whether f = D^n p(x / D) on Fractions, D read off the x^(n-1)
+    coefficients as f_(n-1) / p_(n-1), which must be nonzero."""
+    cs, n = p.coeffs, p.degree
+    D = Fraction(f[n - 1]) / cs[n - 1]
+    return (D > 0 and D.denominator == 1 and len(f) == n + 1
+            and all(f[i] == c * D ** (n - i) for i, c in enumerate(cs)))
+
+
+class TestIntegerScaling:
+    """The monic integer f = D^n p(x / D) that the root search runs on, D
+    built from the highest coefficient down, against Fractions."""
+
+    def test_d_growing_partway_through_the_scan(self, monkeypatch):
+        # p = (x - 1)(x^2 - 1/4) = x^3 - x^2 - x/4 + 1/4: D is still 1 after
+        # the x^2 coefficient and grows to 4 at the x coefficient, so the
+        # quotient kept for x^2 is formed again with the final D
+        p = Poly([Fraction(1, 4), Fraction(-1, 4), -1, 1])
+        searched = _recorded_scaling(monkeypatch)
+        got = rational_eigenvalues(p)
+        assert searched == [[16, -4, -4, 1]] and _scaled_by_fractions(p, searched[0])
+        assert got == rational_eigenvalues_by_divisors(_companion(p)) == [
+            (Fraction(-1, 2), 1), (Fraction(1, 2), 1), (Fraction(1), 1)]
+
+    @given(_planted_roots, st.lists(st.builds(Fraction, st.integers(-9, 9),
+                                              st.sampled_from([1, 2, 3, 4, 8, 9, 25])),
+                                    min_size=1, max_size=4))
+    def test_scaling_matches_fractions(self, planted, rest):
+        # planted roots times a monic factor whose lower coefficients have
+        # denominators that make D grow at different places in the scan
+        p = _poly_with_roots(planted, Poly(rest + [1]), 0)
+        assume(p.num[0] and p.num[-2])
+        with pytest.MonkeyPatch.context() as mp:
+            searched = _recorded_scaling(mp)
+            got = rational_eigenvalues(p)
+        assert len(searched) == 1 and _scaled_by_fractions(p, searched[0])
+        assert got == rational_eigenvalues_uncertified(p)
+        roots = dict(got)
+        assert all(poly_eval_fraction(p, lam) == 0 for lam in roots)
+        assert all(roots.get(Fraction(num, den), 0) >= mult
+                   for num, den, mult in planted)
 
 
 def _prs_squarefree_part(f):

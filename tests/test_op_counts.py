@@ -31,9 +31,9 @@ DIGESTS = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 
 # document -> (rref calls, matmul calls) of one `verify --json`; the matmul
 # calls include the products of the one characteristic polynomial computed,
-# BA's
-BOUNDS = {"paper_ex1": (18, 80), "rational_spectrum": (21, 60),
-          "c_equals_b_fractional": (20, 47)}
+# BA's, and each kernel is one row reduction
+BOUNDS = {"paper_ex1": (14, 80), "rational_spectrum": (17, 60),
+          "c_equals_b_fractional": (16, 47)}
 
 # document -> (rref calls, matmul calls) of one `report --json`, whose
 # profiles read every sequence and the hyper-spaces off the chain's ranks;
@@ -48,18 +48,20 @@ REPORT_BOUNDS = {"rational_spectrum_dim5": (2, 5)}
 # dim - hyper_kernel_dim: no power and no rref past the image and kernel of
 # q(T). The conjugated document has two such chains, as BA and AC differ
 # there.
-SINGULAR_INCLUSION_BOUNDS = {"companion": (10, 22, 1), "conjugated": (16, 36, 2)}
+SINGULAR_INCLUSION_BOUNDS = {"companion": (8, 22, 1), "conjugated": (12, 36, 2)}
 
 
 # document -> (hyper_kernel_dim decisions, induced_quotient_map builds) of
 # one run_verification. The triple's chain accessor looks each (T, q) up
-# before it decides anything, so there is one decision per distinct (T, q);
-# the quotient maps at each index are built once per distinct chain pair,
-# however many probes share it (the identity's pair, at every probe where
-# BA - lam and AC - lam are invertible)
-DECISIONS_AND_BUILDS = {"paper_ex1": (13, 9), "rational_spectrum": (15, 15),
-                        "c_equals_b_fractional": (13, 15), "companion": (6, 9),
-                        "conjugated": (11, 9)}
+# before it decides anything, and keys each decision by (charpoly, q), the
+# charpoly cut to its part prime to x where q(0) != 0: so BA, AC, CA and AB,
+# whose charpolys differ by powers of x under the condition, share one
+# decision per q. The quotient maps at each index are built once per
+# distinct chain pair, however many probes share it (the identity's pair,
+# at every probe where BA - lam and AC - lam are invertible)
+DECISIONS_AND_BUILDS = {"paper_ex1": (5, 9), "rational_spectrum": (7, 15),
+                        "c_equals_b_fractional": (7, 15), "companion": (6, 9),
+                        "conjugated": (6, 9)}
 
 
 def _load(path, name):
@@ -161,11 +163,11 @@ def test_each_probe_is_decided_once_and_each_pair_built_once(name, monkeypatch):
     real_build = intertwine.induced_quotient_map
 
     def chain(self, name, q):
-        asked.add((getattr(self, name), q))
+        asked.add((name, q))
         return real_chain(self, name, q)
 
     def decide(p, q):
-        decided.append(q)
+        decided.append((p, q))
         deciding.append(q)
         try:
             return real_decide(p, q)
@@ -184,7 +186,12 @@ def test_each_probe_is_decided_once_and_each_pair_built_once(name, monkeypatch):
                         lambda *args: built.append(args) or real_build(*args))
     assert run_verification(t)["passed"]
     decisions, builds = DECISIONS_AND_BUILDS[name]
-    assert len(decided) == len(asked) == decisions
+    # one decision for each distinct (charpoly, q) asked for, the charpoly
+    # cut to its part prime to x where q(0) != 0, and none twice
+    keys = {(t.charpoly(op).strip_zero_roots()[0] if q.num[0] else t.charpoly(op), q)
+            for op, q in asked}
+    assert len(decided) == len(set(decided)) == len(keys) == decisions
+    assert set(decided) == keys
     nonzero = [lam for lam in intertwine.default_probes(t) if lam]
     pairs = dict.fromkeys(t.chains(lam) for lam in nonzero)
     top = max(t.dim_x, t.dim_y)

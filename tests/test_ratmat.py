@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import matrices, naive_matmul, rationals, square_matrices
 from oracles import (FractionMat, charpoly_fraction, intersect_by_kernel,
-                     poly_eval_fraction, power_traces)
+                     kernel_by_two_reductions, poly_eval_fraction, power_traces)
 from ratspec import kernels
 from ratspec.intertwine import MapCache
 from ratspec.ratmat import (Mat, Poly, Subspace, block, charpoly, first_traces,
@@ -75,6 +75,42 @@ class TestKernelImage:
     @given(matrices(4, 4))
     def test_image_dim_is_rank(self, M):
         assert image(M).dim == rank(M)
+
+    @given(st.data())
+    def test_one_elimination_matches_the_two_reduction_oracle(self, data):
+        # shapes with no rows or no columns, zero and full-column-rank
+        # matrices, and entries with denominators of up to 40 digits
+        rows, cols = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        kind = data.draw(st.sampled_from(["random", "zero", "full rank", "large"]))
+        if kind == "zero":
+            M = Mat.zero(rows, cols)
+        elif kind == "large":
+            big = st.integers(-10 ** 40, 10 ** 40)
+            M = Mat(rows, cols, data.draw(st.lists(
+                st.builds(Fraction, big, st.integers(1, 10 ** 40)),
+                min_size=rows * cols, max_size=rows * cols)))
+        else:
+            M = Mat(rows, cols, data.draw(st.lists(
+                rationals, min_size=rows * cols, max_size=rows * cols)))
+            if kind == "full rank":
+                M = block([[M], [Mat.identity(cols)]]) if rows else Mat.identity(cols)
+        calls = []
+        real = kernels.rref
+
+        def counted(*args):
+            calls.append(args[:2])
+            return real(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "rref", counted)
+            got = kernel(M)
+        oracle = kernel_by_two_reductions(M)
+        assert got == oracle and got.pivots == oracle.pivots
+        assert got.basis_matrix().rows == got.dim == M.cols - rank(M)
+        if kind == "full rank":
+            assert got == Subspace.zero(M.cols)
+        # one row reduction, none for a matrix with no rows or no columns
+        assert len(calls) == (1 if M.rows and M.cols else 0)
 
 
 class TestSubspaceLattice:

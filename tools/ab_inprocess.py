@@ -16,10 +16,11 @@ document and from pass to pass; there are PASSES timed passes.
 A first, untimed pass checks that both sides print the same stdout and
 return the same exit code on every document, and stops with status 1 at the
 first difference; it also counts each side's `kernels.matmul` and
-`kernels.rref` calls, which are deterministic. Then, per workload, it
-prints the sum over the documents of each side's fastest run (the
-per-document-minimum total, in ms), their ratio, in how many passes the
-change's total was the smaller one, and each side's kernel call counts.
+`kernels.rref` calls and its invertibility decisions (the calls of
+`hyper_kernel_dim` that `intertwine` makes), which are deterministic. Then,
+per workload, it prints the sum over the documents of each side's fastest
+run (the per-document-minimum total, in ms), their ratio, in how many
+passes the change's total was the smaller one, and each side's counts.
 
 Separate benchmark runs on a shared, noisy machine can swing by tens of
 percent between runs; interleaving both sides document by document in one
@@ -42,8 +43,11 @@ from pathlib import Path
 ROUNDS = 3
 PASSES = 9
 
-#: The kernels whose calls the untimed pass counts.
-KERNELS = ("matmul", "rref")
+#: (module, function) of the calls the untimed pass counts, each under its
+#: function's name: the two kernels, and the invertibility decisions, which
+#: intertwine makes through its own name for hyper_kernel_dim.
+COUNTED = (("ratspec.kernels", "matmul"), ("ratspec.kernels", "rref"),
+           ("ratspec.intertwine", "hyper_kernel_dim"))
 
 
 class Side:
@@ -68,9 +72,8 @@ class Side:
 
     @contextlib.contextmanager
     def counting(self, counts: dict[str, int]):
-        """Count the calls of each of KERNELS into counts while active."""
-        kernels = self.modules["ratspec.kernels"]
-        real = {name: getattr(kernels, name) for name in KERNELS}
+        """Count the calls of each of COUNTED into counts while active."""
+        real = {name: getattr(self.modules[module], name) for module, name in COUNTED}
 
         def counted(name):
             def call(*args):
@@ -78,13 +81,13 @@ class Side:
                 return real[name](*args)
             return call
 
-        for name in KERNELS:
-            setattr(kernels, name, counted(name))
+        for module, name in COUNTED:
+            setattr(self.modules[module], name, counted(name))
         try:
             yield
         finally:
-            for name in KERNELS:
-                setattr(kernels, name, real[name])
+            for module, name in COUNTED:
+                setattr(self.modules[module], name, real[name])
 
     def run(self, argv: list[str]) -> tuple[int, str, float]:
         """(exit code, stdout, seconds) of one cli.main call."""
@@ -144,7 +147,8 @@ def main() -> int:
                 rounds = workloads.iter_rounds(workload, args.seed, where)
                 docs = [doc for _ in range(ROUNDS) for doc in next(rounds)]
             argvs = [[workload.command, str(doc.path), *workload.flags] for doc in docs]
-            counts = {side.name: dict.fromkeys(KERNELS, 0) for side in (base, change)}
+            counts = {side.name: dict.fromkeys([name for _, name in COUNTED], 0)
+                      for side in (base, change)}
             for i, argv in enumerate(argvs):
                 results = {}
                 for side in (base, change):
@@ -167,13 +171,13 @@ def main() -> int:
                 wins += totals[change.name] < totals[base.name]
             b, c = (sum(best[side.name]) * 1000 for side in (base, change))
             calls = "; ".join(
-                f"{label} " + ", ".join(f"{kernel} {n}" for kernel, n in
+                f"{label} " + ", ".join(f"{counted} {n}" for counted, n in
                                         counts[side.name].items())
                 for label, side in (("base", base), ("change", change)))
             print(f"{name} seed {args.seed}, {len(argvs)} documents: per-document-"
                   f"minimum total base {b:.1f} ms, change {c:.1f} ms "
                   f"(change/base {c / b:.3f}); change faster in {wins} of "
-                  f"{PASSES} passes; kernel calls {calls}")
+                  f"{PASSES} passes; calls {calls}")
     return 0
 
 
